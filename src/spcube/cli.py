@@ -133,7 +133,7 @@ def _echo(args: argparse.Namespace) -> None:
     if pos_key:
         parts.append(str(getattr(args, pos_key)))
     for key, val in sorted(vars(args).items()):
-        if key in ("command", pos_key) or val in (None, False):
+        if key in ("command", pos_key) or val is None or val is False:
             continue
         name = key.replace("_", "-")
         if name == "set-file":

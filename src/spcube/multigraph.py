@@ -771,11 +771,29 @@ def graph_to_json(g: Multigraph) -> str:
 
 
 def graph_from_json(text: str) -> Multigraph:
+    """Parse the interchange format strictly: integers only (not booleans),
+    edges as 2-element lists, ``distinguished`` an integer or null.  Any
+    other shape raises ``ValueError``."""
     data = json.loads(text)
     if not isinstance(data, dict) or "vertices" not in data or "edges" not in data:
         raise ValueError("graph JSON needs 'vertices' and 'edges' fields")
-    edges = tuple((int(u), int(v)) for u, v in data["edges"])
-    return Multigraph(int(data["vertices"]), edges, data.get("distinguished"))
+    edges = data["edges"]
+    if not isinstance(edges, list) or not all(
+        isinstance(uv, list) and len(uv) == 2 for uv in edges
+    ):
+        raise ValueError("graph JSON 'edges' must be a list of [u, v] pairs")
+    dist = data.get("distinguished")
+    return Multigraph(
+        _json_int(data["vertices"], "'vertices'"),
+        tuple((_json_int(u, "an edge end"), _json_int(v, "an edge end")) for u, v in edges),
+        None if dist is None else _json_int(dist, "'distinguished'"),
+    )
+
+
+def _json_int(value, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"graph JSON {what} must be an integer, not {value!r}")
+    return value
 
 
 def load_graph(path) -> Multigraph:

@@ -9,6 +9,11 @@ Two independent routes compute the edge-count maximum m(d) over marked
   a product-join, which is what the parallel rule computes; the series
   rule is its 0/1-swapped dual), and all three combination rules are
   monotone, so dominated triples can be pruned without losing maxima.
+  The frontier carries each triple's witness as a canonical pair (the
+  canonical term and its normalized reversal), so a candidate's canonical
+  form is composed from its parts' pairs (``compose_canonical``) and
+  compared by cached key, never recomputed.  Dominated triples are
+  pruned by an O(n log n) staircase sweep.
 * ``method="terms"``: literal iteration over all canonical terms,
   counting Hamming-1 pairs between the two tree sets of each marked
   graph.
@@ -20,6 +25,7 @@ reported witness by recomputing its pattern size from scratch.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,8 +36,7 @@ from .patterns import y_pattern
 from .spterm import (
     EDGE,
     SpTerm,
-    canonical,
-    canonical_key,
+    compose_canonical,
     enumerate_connected_sp,
     enumerate_terms,
     format_term,
@@ -141,53 +146,73 @@ def _combine_parallel(x, y):
     return (a1 * a2, b1 * a2 + b2 * a1, e1 * a2 + e2 * a1)
 
 
-def _prune(cands: dict[tuple[int, int, int], SpTerm]) -> dict:
-    """Drop triples dominated coordinatewise by another candidate."""
-    items = sorted(cands.items(), key=lambda kv: (-kv[0][0], -kv[0][1], -kv[0][2]))
-    kept: list[tuple[tuple[int, int, int], SpTerm]] = []
-    for trip, term in items:
-        a, b, e = trip
-        if any(ka >= a and kb >= b and ke >= e for (ka, kb, ke), _ in kept):
+def _prune(cands: dict[tuple[int, int, int], object]) -> dict:
+    """Drop triples dominated coordinatewise by another candidate.
+
+    Maxima of vectors by a staircase sweep (Kung, Luccio and Preparata,
+    J. ACM 1975): in decreasing lexicographic order every earlier triple has
+    a >= this a, so a triple is dominated exactly when some kept triple
+    has kb >= b and ke >= e.  The staircase holds the (kb, ke) maxima of
+    the kept triples, kb increasing and ke decreasing, so the largest ke
+    among kb >= b sits at the first such kb.
+    """
+    kept = {}
+    stair_b: list[int] = []
+    stair_e: list[int] = []
+    for trip in sorted(cands, reverse=True):
+        _, b, e = trip
+        i = bisect_left(stair_b, b)
+        if i < len(stair_b) and stair_e[i] >= e:
             continue
-        kept.append((trip, term))
-    return dict(kept)
+        kept[trip] = cands[trip]
+        # the new point covers the steps with kb <= b and ke <= e
+        j = i + (i < len(stair_b) and stair_b[i] == b)
+        while i > 0 and stair_e[i - 1] <= e:
+            i -= 1
+        stair_b[i:j] = [b]
+        stair_e[i:j] = [e]
+    return kept
 
 
-def _dp_frontiers(d_max: int) -> list[dict]:
+def _dp_frontiers(d_max: int) -> tuple[list[dict], list[float]]:
     """frontier[d]: undominated (|X(G/e)|, |X(G\\e)|, |Y(G,e)|) triples for
-    d-edge networks, each with a canonical witness term."""
+    d-edge networks, each with the canonical pair (c, r) of its witness
+    term (see ``compose_canonical``); millis[d]: the time frontier[d] took
+    to build."""
     frontier: list[dict] = [dict() for _ in range(d_max + 1)]
-    if d_max >= 1:
-        frontier[1] = {(1, 1, 1): EDGE}
-    for d in range(2, d_max + 1):
-        cands: dict[tuple[int, int, int], SpTerm] = {}
+    millis = [0.0] * (d_max + 1)
+    for d in range(1, d_max + 1):
+        start = time.perf_counter()
+        cands: dict[tuple[int, int, int], tuple[SpTerm, SpTerm]] = {}
+        if d == 1:
+            cands[(1, 1, 1)] = (EDGE, EDGE)
         for d1 in range(1, d // 2 + 1):
             d2 = d - d1
-            for t1_trip, t1 in frontier[d1].items():
-                for t2_trip, t2 in frontier[d2].items():
-                    for combine, build in (
-                        (_combine_series, _series2),
-                        (_combine_parallel, _parallel2),
-                    ):
+            for t1_trip, p1 in frontier[d1].items():
+                for t2_trip, p2 in frontier[d2].items():
+                    for combine, kind in ((_combine_series, "S"), (_combine_parallel, "P")):
                         trip = combine(t1_trip, t2_trip)
-                        term = build(t1, t2)
+                        pair = compose_canonical(kind, p1, p2)
                         old = cands.get(trip)
-                        if old is None or canonical_key(term) < canonical_key(old):
-                            cands[trip] = term
+                        if old is None or pair[0].key < old[0].key:
+                            cands[trip] = pair
         frontier[d] = _prune(cands)
-    return frontier
+        millis[d] = _ms(start)
+    return frontier, millis
 
 
-def _series2(t1: SpTerm, t2: SpTerm) -> SpTerm:
-    from .spterm import series
+def _best(scored) -> tuple[int, SpTerm]:
+    """The witness rule: the largest value, witnessed by the key-least
+    term that reaches it.  ``scored`` yields (value, term) pairs."""
+    best, witness = -1, None
+    for value, term in scored:
+        if value > best or (value == best and term.key < witness.key):
+            best, witness = value, term
+    return best, witness
 
-    return canonical(series(t1, t2))
 
-
-def _parallel2(t1: SpTerm, t2: SpTerm) -> SpTerm:
-    from .spterm import parallel
-
-    return canonical(parallel(t1, t2))
+def _frontier_best(frontier: dict) -> tuple[int, SpTerm]:
+    return _best((e, c) for (_, _, e), (c, _) in frontier.items())
 
 
 def m_value(d: int, method: str = "dp") -> tuple[int, SpTerm]:
@@ -198,43 +223,29 @@ def m_value(d: int, method: str = "dp") -> tuple[int, SpTerm]:
     if d > M_TABLE_LIMIT:
         raise SizeGuardError(f"m table is guarded at d = {M_TABLE_LIMIT}")
     if method == "dp":
-        frontier = _dp_frontiers(d)[d]
-        best = max(e for (_, _, e) in frontier)
-        witnesses = [t for (a, b, e), t in frontier.items() if e == best]
-        witness = min(witnesses, key=format_term)
-        return best, witness
+        frontiers, _ = _dp_frontiers(d)
+        return _frontier_best(frontiers[d])
     if method == "terms":
-        best = -1
-        witness = None
-        for t in enumerate_terms(d):
-            y = y_pattern(to_marked_graph(t), 0)
-            if len(y) > best or (len(y) == best and format_term(t) < format_term(witness)):
-                best = len(y)
-                witness = t
-        assert witness is not None
-        return best, witness
+        return _best(
+            (len(y_pattern(to_marked_graph(t), 0)), t) for t in enumerate_terms(d)
+        )
     raise ValueError(f"unknown method {method!r}")
 
 
 def m_table(d_max: int, method: str = "dp") -> list[TableRow]:
-    """Rows (d, m(d), witness term, millis) for d = 1..d_max."""
+    """Rows (d, m(d), witness term, millis) for d = 1..d_max.  With the DP
+    a row's millis is the time its frontier took to build."""
     if d_max < 1:
         raise ValueError("d_max must be at least 1")
     if d_max > M_TABLE_LIMIT:
         raise SizeGuardError(f"m table is guarded at d = {M_TABLE_LIMIT}")
-    rows = []
     if method == "dp":
-        start = time.perf_counter()
-        frontiers = _dp_frontiers(d_max)
-        for d in range(1, d_max + 1):
-            best = max(e for (_, _, e) in frontiers[d])
-            witness = min(
-                (t for (a, b, e), t in frontiers[d].items() if e == best),
-                key=format_term,
-            )
-            rows.append(TableRow(d, best, witness, _ms(start)))
-            start = time.perf_counter()
-        return rows
+        frontiers, millis = _dp_frontiers(d_max)
+        return [
+            TableRow(d, *_frontier_best(frontiers[d]), millis[d])
+            for d in range(1, d_max + 1)
+        ]
+    rows = []
     for d in range(1, d_max + 1):
         start = time.perf_counter()
         value, witness = m_value(d, method)

@@ -13,7 +13,7 @@ two terminals), and ``canonical_key`` realizes it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .multigraph import (
@@ -35,6 +35,7 @@ __all__ = [
     "reverse_term",
     "canonical",
     "canonical_key",
+    "compose_canonical",
     "format_term",
     "parse_term",
     "to_marked_graph",
@@ -45,22 +46,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpTerm:
     kind: str  # "e", "S", or "P"
     children: tuple["SpTerm", ...] = ()
+    # the term's text (``format_term``), built once from the children's
+    # keys; it is the ``canonical_key`` only for a canonical term
+    key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == "e":
             if self.children:
                 raise ValueError("an edge has no children")
+            key = "e"
         elif self.kind in ("S", "P"):
             if len(self.children) < 2:
                 raise ValueError("series/parallel nodes need at least 2 children")
             if any(c.kind == self.kind for c in self.children):
                 raise ValueError("term is not flattened")
+            key = f"{self.kind}({','.join(c.key for c in self.children)})"
         else:
             raise ValueError(f"unknown term kind {self.kind!r}")
+        object.__setattr__(self, "key", key)
 
 
 EDGE = SpTerm("e")
@@ -140,14 +147,45 @@ def canonical(t: SpTerm) -> SpTerm:
     """
     n1 = _norm(t)
     n2 = _norm(reverse_term(t))
-    return n1 if format_term(n1) <= format_term(n2) else n2
+    return n1 if n1.key <= n2.key else n2
+
+
+def compose_canonical(
+    kind: str, x: tuple[SpTerm, SpTerm], y: tuple[SpTerm, SpTerm]
+) -> tuple[SpTerm, SpTerm]:
+    """Canonical pair of the series (``kind="S"``) or parallel (``"P"``)
+    composition of two canonical pairs, without canonicalizing anything.
+
+    A canonical pair is ``(c, r)`` with ``c = canonical(t)`` and
+    ``r = _norm(reverse_term(c))``; the result is the canonical pair of
+    ``series(c1, c2)`` or ``parallel(c1, c2)``.
+
+    Proof.  Write N for ``_norm``, R for ``reverse_term`` and t for the
+    composition of c1 and c2.  ``canonical(t)`` is the key-smaller of N(t)
+    and N(R(t)).  Both c1 and c2 are normalized, so N(t) is
+    ``series(c1, c2)``, or the parallel children of c1 and c2 merged in key
+    order.  N∘R commutes with composition: R reverses a series list and
+    keeps a parallel multiset, and N sorts parallel children and keeps
+    series order, so N(R(t)) is ``series(r2, r1)``, or the children of r1
+    and r2 merged in key order.  Finally N(R(N(x))) = N(R(x)) and R is an
+    involution, so N∘R swaps N(t) and N(R(t)): whichever is not canonical
+    is the canonical one's r.
+    """
+    (c1, r1), (c2, r2) = x, y
+    if kind == "S":
+        n1, n2 = series(c1, c2), series(r2, r1)
+    else:
+        n1, n2 = _merge_parallel(c1, c2), _merge_parallel(r1, r2)
+    return (n1, n2) if n1.key <= n2.key else (n2, n1)
+
+
+def _merge_parallel(t1: SpTerm, t2: SpTerm) -> SpTerm:
+    """N(parallel(t1, t2)) for normalized t1 and t2."""
+    return SpTerm("P", tuple(sorted(_flatten("P", (t1, t2)), key=format_term)))
 
 
 def format_term(t: SpTerm) -> str:
-    if t.kind == "e":
-        return "e"
-    inner = ",".join(format_term(c) for c in t.children)
-    return f"{t.kind}({inner})"
+    return t.key
 
 
 def canonical_key(t: SpTerm) -> str:

@@ -182,6 +182,26 @@ class TestCli:
         bad.write_text('{"vertices": 2, "edges": [[0, 5]]}')
         assert main(["pattern", "x", "--graph", str(bad)]) == 1
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"vertices": 2, "edges": [1, 2]}',
+            '{"vertices": 2, "edges": [[0, 1, 1]]}',
+            '{"vertices": 2, "edges": {"0": 1}}',
+            '{"vertices": 2, "edges": [[0, true]]}',
+            '{"vertices": 2.0, "edges": [[0, 1]]}',
+            '{"vertices": "2", "edges": [[0, 1]]}',
+            '{"vertices": true, "edges": [[0, 0]]}',
+            '{"vertices": 2, "edges": [[0, 1], [0, 1]], "distinguished": true}',
+            '{"vertices": 2, "edges": [[0, 1], [0, 1]], "distinguished": "0"}',
+        ],
+    )
+    def test_malformed_graph_json_exit_1(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["pattern", "x", "--graph", str(bad)]) == 1
+        assert "error: graph JSON" in capsys.readouterr().err
+
     def test_missing_file_exit_1(self, capsys):
         assert main(["pattern", "x", "--graph", "/nonexistent.json"]) == 1
 
@@ -189,6 +209,17 @@ class TestCli:
         main(["pattern", "x", "--graph", k4me_file])
         err = capsys.readouterr().err
         assert err.startswith("# spcube pattern")
+
+    def test_echo_keeps_zero_seed(self, tmp_path, capsys):
+        out = tmp_path / "s.txt"
+        assert main(["f2", "--a", "2", "--b", "2", "--seed", "0", "--out", str(out)]) == 0
+        assert "--seed 0" in capsys.readouterr().err.splitlines()[0]
+
+    def test_echo_keeps_zero_coord(self, tmp_path, capsys):
+        p = tmp_path / "p.txt"
+        p.write_text("vertex 1 1\n01\n10\n")
+        assert main(["op", "dup", "--pattern", str(p), "--coord", "0"]) == 0
+        assert "--coord 0" in capsys.readouterr().err.splitlines()[0]
 
     def test_threads_flag_accepted(self, k4me_file, capsys):
         assert main(["--threads", "4", "pattern", "x", "--graph", k4me_file]) == 0

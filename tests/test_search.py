@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from spcube import search
 from spcube import (
     SizeGuardError,
     check_m_bounds,
@@ -22,7 +25,27 @@ from spcube.verify import (
     check_m_onesum_guard,
 )
 
-TABLE_M = [1, 2, 4, 8, 14, 24, 42, 72, 122, 204, 343, 576, 960, 1608]
+TABLE_M = [1, 2, 4, 8, 14, 24, 42, 72, 122, 204, 343, 576, 960, 1608, 2680, 4480]
+
+# pinned from the DP that canonicalized every candidate from scratch
+M_WITNESSES = {
+    13: "P(S(P(S(e,P(e,e)),S(e,e)),P(e,e)),S(P(S(e,e),e),P(S(e,e),e)))",
+    14: "P(S(P(S(e,P(e,e)),S(e,e)),P(S(e,e),e)),S(P(S(e,e),e),P(S(e,e),e)))",
+    15: "P(S(P(S(e,P(e,e)),S(e,e)),P(S(e,e),e)),S(P(S(e,e),S(e,e)),P(S(e,e),e)))",
+    16: "P(S(P(S(e,P(e,e)),S(e,e)),P(S(e,e),e)),S(P(S(e,P(e,e)),S(e,e)),P(S(e,e),e)))",
+}
+
+
+def _prune_reference(cands):
+    """Quadratic maxima of vectors: the oracle for the staircase prune."""
+    items = sorted(cands.items(), key=lambda kv: (-kv[0][0], -kv[0][1], -kv[0][2]))
+    kept = []
+    for trip, term in items:
+        a, b, e = trip
+        if any(ka >= a and kb >= b and ke >= e for (ka, kb, ke), _ in kept):
+            continue
+        kept.append((trip, term))
+    return dict(kept)
 
 
 class TestFib:
@@ -75,6 +98,41 @@ class TestMTable:
     def test_table_prefix_12(self):
         rows = m_table(12)
         assert [r.value for r in rows] == TABLE_M[:12]
+
+    def test_table_16_and_witnesses(self):
+        rows = m_table(16)
+        assert [r.value for r in rows] == TABLE_M
+        assert {r.d: r.witness_text() for r in rows[12:]} == M_WITNESSES
+        for row in rows[12:]:
+            assert len(y_pattern(to_marked_graph(row.witness), 0)) == row.value
+
+    def test_row_millis_time_each_frontier(self, monkeypatch):
+        # the clock steps only while a frontier is pruned, by its candidate count
+        clock = [0.0]
+        sizes = []
+        real_prune = search._prune
+
+        def counting_prune(cands):
+            sizes.append(len(cands))
+            clock[0] += len(cands)
+            return real_prune(cands)
+
+        monkeypatch.setattr(search.time, "perf_counter", lambda: clock[0])
+        monkeypatch.setattr(search, "_prune", counting_prune)
+        rows = m_table(8)
+        assert len(sizes) == 8
+        assert [r.millis for r in rows] == [1000.0 * n for n in sizes]
+
+    def test_staircase_prune_matches_quadratic(self):
+        rng = random.Random(1975)
+        for _ in range(400):
+            hi = rng.choice([1, 3, 8, 1000])  # small ranges force ties
+            cands = {
+                tuple(rng.randint(0, hi) for _ in range(3)): i
+                for i in range(rng.randint(0, 60))
+            }
+            got = search._prune(cands)
+            assert list(got.items()) == list(_prune_reference(cands).items())
 
     def test_witnesses_revalidate(self):
         for row in m_table(9):

@@ -3,6 +3,7 @@ import pytest
 from spcube import (
     EDGE,
     Multigraph,
+    canonical,
     canonical_key,
     dual,
     edge_count,
@@ -19,7 +20,7 @@ from spcube import (
     to_marked_graph,
 )
 from spcube import catalog
-from spcube.spterm import reverse_term
+from spcube.spterm import _norm, compose_canonical, reverse_term
 from spcube.verify import (
     check_census_small_counts,
     check_dual_tf,
@@ -107,6 +108,22 @@ class TestCanonical:
         for d in range(1, 6):
             for t in enumerate_terms(d):
                 assert reverse_term(reverse_term(t)) == t
+
+
+class TestComposeCanonical:
+    def test_matches_canonicalizing(self):
+        pairs = {
+            d: [(c, _norm(reverse_term(c))) for c in enumerate_terms(d)]
+            for d in range(1, 9)
+        }
+        for d1 in range(1, 9):
+            for d2 in range(1, 10 - d1):
+                for p1 in pairs[d1]:
+                    for p2 in pairs[d2]:
+                        for kind, build in (("S", series), ("P", parallel)):
+                            c, r = compose_canonical(kind, p1, p2)
+                            assert c == canonical(build(p1[0], p2[0]))
+                            assert r == _norm(reverse_term(c))
 
 
 class TestParser:
