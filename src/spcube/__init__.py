@@ -16,6 +16,7 @@ from .multigraph import (
     add_loop,
     apply_operation,
     blocks,
+    canonical_form,
     contract,
     delete_edge,
     duplicate_edge,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 __all__ = [
@@ -33,6 +32,8 @@ __all__ = [
     "is_series_parallel",
     "has_k4_minor",
     "is_two_connected",
+    "least_twins",
+    "canonical_form",
     "is_isomorphic",
     "two_sum",
     "one_sum",
@@ -597,108 +598,133 @@ def is_two_connected(g: Multigraph) -> bool:
 # isomorphism (desk-scale)
 
 
-def _multiplicities(g: Multigraph) -> dict[tuple[int, int], int]:
-    mult: dict[tuple[int, int], int] = {}
-    for e in g.edges:
-        mult[e] = mult.get(e, 0) + 1
-    return mult
+def least_twins(g: Multigraph) -> list[int]:
+    """``least_twins(g)[v]``: the least vertex u such that swapping u and v
+    is an automorphism of g (v itself when no smaller one exists).
+
+    u and v are twins when they carry equally many loops and equally many
+    edges to every other vertex.  Swaps compose by conjugation, so
+    twinship is an equivalence relation and the least twin names v's class.
+    """
+    loops, mult = _loops_and_multiplicities(g)
+    out = list(range(g.n))
+    for v in range(g.n):
+        for u in range(v):
+            if out[u] == u and loops[u] == loops[v] and _swappable(mult, u, v):
+                out[v] = u
+                break
+    return out
 
 
-@lru_cache(maxsize=65536)
-def _refined_colors(g: Multigraph, marked: bool) -> tuple[int, ...]:
+def _loops_and_multiplicities(g: Multigraph) -> tuple[list[int], list[dict[int, int]]]:
     loops = [0] * g.n
-    mult: dict[int, dict[int, int]] = {v: {} for v in range(g.n)}
+    mult: list[dict[int, int]] = [{} for _ in range(g.n)]
     for u, v in g.edges:
         if u == v:
             loops[u] += 1
         else:
             mult[u][v] = mult[u].get(v, 0) + 1
             mult[v][u] = mult[v].get(u, 0) + 1
-    special = set()
-    if marked and g.distinguished is not None:
-        special = set(g.edges[g.distinguished])
-    colors = [
-        (g.degree(v), loops[v], v in special) for v in range(g.n)
-    ]
-    ranks = {c: r for r, c in enumerate(sorted(set(colors)))}
-    cur = [ranks[c] for c in colors]
+    return loops, mult
+
+
+def _swappable(mult: list[dict[int, int]], u: int, v: int) -> bool:
+    """Do u and v have the same edge multiplicity to every other vertex?"""
+    mu, mv = mult[u], mult[v]
+    return len(mu) - (v in mu) == len(mv) - (u in mv) and all(
+        mv.get(w) == m for w, m in mu.items() if w != v
+    )
+
+
+def canonical_form(g: Multigraph, marked: bool = False) -> tuple:
+    """Canonical certificate: equal exactly on isomorphic graphs.
+
+    Individualization-refinement (McKay and Piperno, J. Symb. Comput.
+    2014).  The initial vertex colours (non-loop degree, loop count, and,
+    when ``marked`` and g has a distinguished edge, whether the vertex is
+    one of its endpoints) are refined to an equitable partition.  While
+    the partition is not discrete, the smallest non-singleton cell (ties
+    to the smallest colour) is split by individualizing one vertex per
+    twin class in it (see ``least_twins``; swapping twins is an
+    automorphism that fixes everything individualized so far, so their
+    branches give the same leaves), and refined again.  The certificate is
+    the least, over all leaves, of (n, the sorted relabelled edge pairs,
+    loops included, the sorted labels of the marked endpoints).
+
+    It is g relabelled, so equal certificates mean isomorphic graphs; every
+    step is isomorphism-invariant, so isomorphic graphs get equal ones.
+    """
+    loops, mult = _loops_and_multiplicities(g)
+    nbrs = [tuple(m.items()) for m in mult]
+    ends = g.edges[g.distinguished] if marked and g.distinguished is not None else ()
+    best = None
+
+    def search(colors: list[int]) -> None:
+        nonlocal best
+        cells: dict[int, list[int]] = {}
+        for v, c in enumerate(colors):
+            cells.setdefault(c, []).append(v)
+        if len(cells) == g.n:
+            leaf = (
+                g.n,
+                tuple(sorted(
+                    (colors[u], colors[v]) if colors[u] <= colors[v] else (colors[v], colors[u])
+                    for u, v in g.edges
+                )),
+                tuple(sorted(colors[v] for v in ends)),
+            )
+            if best is None or leaf < best:
+                best = leaf
+            return
+        _, c = min((len(cell), c) for c, cell in cells.items() if len(cell) > 1)
+        reps: list[int] = []
+        for v in cells[c]:
+            # a cell shares one loop count and one marked flag, so a twin
+            # swap inside it also keeps the marked endpoint pair
+            if any(_swappable(mult, u, v) for u in reps):
+                continue
+            reps.append(v)
+            search(_refine([2 * k + (w != v) for w, k in enumerate(colors)], nbrs))
+
+    initial = [(sum(m.values()), loops[v], v in ends) for v, m in enumerate(mult)]
+    search(_refine(initial, nbrs))
+    return best
+
+
+def _refine(colors: list, nbrs: list[tuple[tuple[int, int], ...]]) -> list[int]:
+    """Colour refinement to the coarsest equitable partition finer than
+    ``colors``; returns dense ranks 0..k-1 that order cells by ``colors``.
+
+    A vertex alone in its cell is already told apart by its colour, so its
+    neighbourhood is not read."""
+    sizes: dict = {}
+    for c in colors:
+        sizes[c] = sizes.get(c, 0) + 1
     while True:
         keys = [
-            (cur[v], tuple(sorted((cur[u], m) for u, m in mult[v].items())))
-            for v in range(g.n)
+            (c, tuple(sorted([(colors[u], m) for u, m in nbrs[v]])) if sizes[c] > 1 else ())
+            for v, c in enumerate(colors)
         ]
-        ranks = {c: r for r, c in enumerate(sorted(set(keys)))}
-        nxt = [ranks[k] for k in keys]
-        if len(set(nxt)) == len(set(cur)):
-            return tuple(nxt)
-        cur = nxt
-
-
-@lru_cache(maxsize=65536)
-def _signature(g: Multigraph, marked: bool):
-    colors = _refined_colors(g, marked)
-    esig = sorted(
-        (min(colors[u], colors[v]), max(colors[u], colors[v]), u == v)
-        for u, v in g.edges
-    )
-    return (g.n, g.e, tuple(sorted(colors)), tuple(esig))
+        distinct = sorted(set(keys))
+        rank = {k: r for r, k in enumerate(distinct)}
+        colors = [rank[k] for k in keys]
+        if len(distinct) == len(sizes):
+            return colors
+        sizes = {}
+        for c in colors:
+            sizes[c] = sizes.get(c, 0) + 1
 
 
 def is_isomorphic(a: Multigraph, b: Multigraph, *, use_distinguished: bool = True) -> bool:
-    """Multigraph isomorphism via color refinement plus backtracking.
+    """Multigraph isomorphism: equality of ``canonical_form`` certificates.
 
-    When ``use_distinguished`` and both graphs are marked, the map must
-    send the distinguished edge's endpoint pair to its counterpart.
+    When ``use_distinguished`` a marked graph is never isomorphic to an
+    unmarked one, and when both are marked the map must send the
+    distinguished edge's endpoint pair to its counterpart.
     """
-    marked = use_distinguished and a.distinguished is not None and b.distinguished is not None
     if use_distinguished and (a.distinguished is None) != (b.distinguished is None):
         return False
-    if _signature(a, marked) != _signature(b, marked):
-        return False
-    ca = _refined_colors(a, marked)
-    cb = _refined_colors(b, marked)
-    mult_a = _multiplicities(a)
-    mult_b = _multiplicities(b)
-    # refinement ranks are per-graph labels, so the marked-endpoint
-    # constraint must be enforced structurally, not through colors
-    special_a = set(a.edges[a.distinguished]) if marked else set()
-    special_b = set(b.edges[b.distinguished]) if marked else set()
-
-    by_color_b: dict[int, list[int]] = {}
-    for v in range(b.n):
-        by_color_b.setdefault(cb[v], []).append(v)
-
-    order = sorted(range(a.n), key=lambda v: (len(by_color_b.get(ca[v], ())), ca[v], v))
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def mult_of(m: dict, u: int, v: int) -> int:
-        return m.get((min(u, v), max(u, v)), 0)
-
-    def bt(k: int) -> bool:
-        if k == len(order):
-            return True
-        v = order[k]
-        for w in by_color_b.get(ca[v], ()):
-            if w in used:
-                continue
-            if (v in special_a) != (w in special_b):
-                continue
-            if mult_of(mult_a, v, v) != mult_of(mult_b, w, w):
-                continue
-            if all(
-                mult_of(mult_a, v, p) == mult_of(mult_b, w, q)
-                for p, q in mapping.items()
-            ):
-                mapping[v] = w
-                used.add(w)
-                if bt(k + 1):
-                    return True
-                del mapping[v]
-                used.discard(w)
-        return False
-
-    return bt(0)
+    return canonical_form(a, use_distinguished) == canonical_form(b, use_distinguished)
 
 
 # ---------------------------------------------------------------------------

@@ -442,14 +442,31 @@ def pg_to_json(h: PatternGraph) -> str:
 
 
 def pg_from_json(text: str) -> PatternGraph:
+    """Parse the pattern-graph format strictly: ``lower`` and ``upper``
+    lists of strings, ``edges`` a list of 2-element lists of strings.  Any
+    other shape raises ``ValueError``."""
     import json
 
     data = json.loads(text)
+    if not isinstance(data, dict) or not {"lower", "upper", "edges"} <= data.keys():
+        raise ValueError("pattern-graph JSON needs 'lower', 'upper' and 'edges' fields")
+    for part in ("lower", "upper"):
+        if not _strings(data[part]):
+            raise ValueError(f"pattern-graph JSON {part!r} must be a list of strings")
+    edges = data["edges"]
+    if not isinstance(edges, list) or not all(
+        _strings(e) and len(e) == 2 for e in edges
+    ):
+        raise ValueError("pattern-graph JSON 'edges' must be a list of [lower, upper] string pairs")
     return PatternGraph(
         frozenset(data["lower"]),
         frozenset(data["upper"]),
-        frozenset((lo, hi) for lo, hi in data["edges"]),
+        frozenset((lo, hi) for lo, hi in edges),
     )
+
+
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(s, str) for s in value)
 
 
 # ---------------------------------------------------------------------------

@@ -96,7 +96,10 @@ def max_spanning_trees(d: int, mode: str = "exhaustive") -> TableRow:
 
     ``exhaustive`` searches the full isomorphism census (d <= 8);
     ``witness`` only builds the alternating duplicate/subdivide chain
-    graph and reports its count (d <= 16).
+    graph and reports its count (d <= 16).  The row's millis is the time
+    this call took: census levels are kept once built, so in ``fib_table``
+    an exhaustive row times building its own level from the one below,
+    plus its tree counts.
     """
     start = time.perf_counter()
     if mode == "exhaustive":

@@ -20,8 +20,9 @@ from .multigraph import (
     Multigraph,
     add_leaf,
     add_loop,
+    canonical_form,
     duplicate_edge,
-    is_isomorphic,
+    least_twins,
     subdivide_edge,
 )
 
@@ -389,25 +390,22 @@ def enumerate_terms(d: int):
 class GraphDedup:
     """Isomorphism-deduplicated collection of small multigraphs.
 
-    Buckets by a color-refinement signature, then confirms with the
-    backtracking isomorphism test.
+    Holds the ``canonical_form`` certificate of every item, so each
+    insertion is one certificate and one set lookup.  ``items`` keeps the
+    first-inserted representative of each class, in insertion order.
     """
 
     def __init__(self, *, use_distinguished: bool = False):
-        self._buckets: dict[object, list[Multigraph]] = {}
+        self._certificates: set[tuple] = set()
         self._marked = use_distinguished
         self.items: list[Multigraph] = []
 
     def add(self, g: Multigraph) -> bool:
         """Insert g unless an isomorphic graph is present; True if new."""
-        from .multigraph import _signature  # desk-scale internal
-
-        sig = _signature(g, self._marked and g.distinguished is not None)
-        bucket = self._buckets.setdefault(sig, [])
-        for h in bucket:
-            if is_isomorphic(g, h, use_distinguished=self._marked):
-                return False
-        bucket.append(g)
+        cert = canonical_form(g, self._marked)
+        if cert in self._certificates:
+            return False
+        self._certificates.add(cert)
         self.items.append(g)
         return True
 
@@ -417,20 +415,39 @@ def enumerate_connected_sp(d: int) -> list[Multigraph]:
     to isomorphism: the closure of K1 under loop addition, leaf addition,
     edge duplication, and edge subdivision.  Desk scale only.
 
-    The returned list is deterministically ordered (vertex count, then
-    edge tuple of the chosen representatives).
+    Each census level is built once per process, from the one below it,
+    and kept; every call returns a fresh list, deterministically ordered
+    (vertex count, then edge tuple of the chosen representatives).
     """
     if d < 0:
         raise ValueError("d must be nonnegative")
-    frontier = [Multigraph(1, ())]
-    for _ in range(d):
-        dedup = GraphDedup()
-        for g in frontier:
-            for v in range(g.n):
+    return sorted(_census_level(d), key=lambda g: (g.n, g.edges))
+
+
+@lru_cache(maxsize=None)
+def _census_level(d: int) -> tuple[Multigraph, ...]:
+    """Level d of the census in insertion order, grown from level d - 1.
+
+    Operations whose result is isomorphic to an earlier operation's on the
+    same parent are skipped: duplicating or subdividing a parallel copy of
+    an earlier edge, and adding a loop or a leaf at a twin of an earlier
+    vertex (see ``least_twins``).  A skipped graph would only have been
+    rejected as a duplicate, so the classes, their order of first insertion
+    and their representatives are exactly those of the unskipped closure.
+    """
+    if d == 0:
+        return (Multigraph(1, ()),)
+    dedup = GraphDedup()
+    for g in _census_level(d - 1):
+        twins = least_twins(g)
+        for v in range(g.n):
+            if twins[v] == v:
                 dedup.add(add_loop(g, v))
                 dedup.add(add_leaf(g, v))
-            for i in range(g.e):
+        seen = set()
+        for i, e in enumerate(g.edges):
+            if e not in seen:
+                seen.add(e)
                 dedup.add(duplicate_edge(g, i))
                 dedup.add(subdivide_edge(g, i))
-        frontier = dedup.items
-    return sorted(frontier, key=lambda g: (g.n, g.edges))
+    return tuple(dedup.items)

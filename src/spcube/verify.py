@@ -15,6 +15,7 @@ from itertools import combinations, product
 
 from . import catalog
 from .constructions import (
+    _reduce,
     density_lower_bound,
     f2_vertex_count,
     f2_vertex_density,
@@ -36,11 +37,11 @@ from .multigraph import (
     add_leaf,
     add_loop,
     blocks,
+    canonical_form,
     contract,
     delete_edge,
     duplicate_edge,
     has_k4_minor,
-    is_isomorphic,
     is_series_parallel,
     is_two_connected,
     one_sum,
@@ -274,13 +275,11 @@ def check_term_enumeration(max_d: int = 5) -> list[str]:
                 f"d={d}: {len(canon)} canonical terms vs {len(dedup.items)} "
                 "isomorphism classes"
             )
-        for t1, t2 in combinations(canon, 2):
-            if is_isomorphic(
-                to_marked_graph(t1), to_marked_graph(t2), use_distinguished=True
-            ):
-                bad.append(
-                    f"duplicate classes: {format_term(t1)} vs {format_term(t2)}"
-                )
+        first: dict[tuple, SpTerm] = {}
+        for t in canon:
+            t1 = first.setdefault(canonical_form(to_marked_graph(t), marked=True), t)
+            if t1 is not t:
+                bad.append(f"duplicate classes: {format_term(t1)} vs {format_term(t)}")
     return bad
 
 
@@ -627,10 +626,10 @@ def check_f2_b2_extraction(seeds: int = 8) -> list[str]:
             continue
         basis: dict[int, int] = {}
         for w in w_basis:
-            w2 = _vreduce(w, basis)
+            w2 = _reduce(w, basis)
             if w2:
                 basis[w2.bit_length() - 1] = w2
-        classes = {slot: _vreduce(vectors[slot_pos[slot]], basis) for slot in range(4)}
+        classes = {slot: _reduce(vectors[slot_pos[slot]], basis) for slot in range(4)}
         pair_of = {0: (0, 1), 1: (1, 2), 2: (0, 2)}
         nonzero_ids = sorted(c for c in set(classes.values()) if c != 0)
         if len(nonzero_ids) > 3:
@@ -647,15 +646,6 @@ def check_f2_b2_extraction(seeds: int = 8) -> list[str]:
         if not x.strings <= x_pattern(g).strings:
             bad.append(f"seed {seed}: extracted class graph misses the pattern")
     return bad
-
-
-def _vreduce(v: int, basis: dict[int, int]) -> int:
-    while v:
-        h = v.bit_length() - 1
-        if h not in basis:
-            return v
-        v ^= basis[h]
-    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,32 @@ class TestCli:
         assert data["lower"] == ["00"]
         assert sorted(data["upper"]) == ["01", "10"]
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"lower": ["00"], "edges": []}',
+            '{"lower": ["00"], "upper": ["01"]}',
+            '["00", "01"]',
+            '{"lower": "0", "upper": ["1"], "edges": []}',
+            '{"lower": ["00"], "upper": "01", "edges": []}',
+            '{"lower": ["00"], "upper": ["01"], "edges": "00"}',
+            '{"lower": [0], "upper": ["1"], "edges": []}',
+            '{"lower": ["0"], "upper": [true], "edges": []}',
+            '{"lower": ["0"], "upper": ["1"], "edges": [["0", 1]]}',
+            '{"lower": ["0"], "upper": ["1"], "edges": [["0"]]}',
+            '{"lower": ["0"], "upper": ["1"], "edges": [["0", "1", "1"]]}',
+            '{"lower": ["0"], "upper": ["1"], "edges": ["01"]}',
+        ],
+    )
+    def test_malformed_pattern_graph_json_exit_1(self, tmp_path, capsys, text):
+        good = tmp_path / "good.json"
+        good.write_text(pg_to_json(h_graph(catalog.c2_marked(), 0)))
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        for h1, h2 in ((bad, good), (good, bad)):
+            assert main(["op", "product-join", "--h1", str(h1), "--h2", str(h2)]) == 1
+            assert "error: pattern-graph JSON" in capsys.readouterr().err
+
     def test_density(self, tmp_path, capsys):
         small = tmp_path / "s.txt"
         small.write_text("vertex 1 1\n01\n10\n")

@@ -1,14 +1,21 @@
-import pytest
+import random
+from itertools import combinations
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from iso_oracle import backtrack_isomorphic
 from spcube import (
     Multigraph,
     add_leaf,
     add_loop,
     apply_operation,
     blocks,
+    canonical_form,
     contract,
     delete_edge,
     duplicate_edge,
+    enumerate_connected_sp,
     graph_from_json,
     graph_to_json,
     has_k4_minor,
@@ -24,6 +31,8 @@ from spcube import (
     two_sum,
 )
 from spcube import catalog
+from spcube.multigraph import _is_bridge, least_twins
+from spcube.spterm import to_marked_graph
 from spcube.verify import (
     check_blocks_partition,
     check_deletion_contraction,
@@ -236,6 +245,148 @@ class TestIsomorphism:
         a = Multigraph(2, ((0, 0), (0, 1)))
         b = Multigraph(2, ((0, 1), (0, 1)))
         assert not is_isomorphic(a, b)
+
+
+def _census(max_edges: int) -> list[Multigraph]:
+    return [g for d in range(max_edges + 1) for g in enumerate_connected_sp(d)]
+
+
+def _children(g: Multigraph) -> list[Multigraph]:
+    """Every one-operation child of g, isomorphic repeats included."""
+    out = [op(g, v) for op in (add_loop, add_leaf) for v in range(g.n)]
+    return out + [op(g, i) for op in (duplicate_edge, subdivide_edge) for i in range(g.e)]
+
+
+def _marked_versions(g: Multigraph) -> list[Multigraph]:
+    return [
+        g.with_distinguished(i)
+        for i, (u, v) in enumerate(g.edges)
+        if u != v and not _is_bridge(g, i)
+    ]
+
+
+def _relabel(g: Multigraph, vmap, order) -> Multigraph:
+    """g with vertex v renamed vmap[v] and new edge j the old edge order[j]."""
+    edges = tuple((vmap[g.edges[o][0]], vmap[g.edges[o][1]]) for o in order)
+    d = None if g.distinguished is None else order.index(g.distinguished)
+    return Multigraph(g.n, edges, d)
+
+
+def _assert_matches_oracle(graphs, use_distinguished):
+    certs = [canonical_form(g, use_distinguished) for g in graphs]
+    for i, j in combinations(range(len(graphs)), 2):
+        a, b = graphs[i], graphs[j]
+        want = backtrack_isomorphic(a, b, use_distinguished=use_distinguished)
+        assert (certs[i] == certs[j]) == want, (a, b)
+
+
+REGULAR_GRAPHS = [
+    Multigraph(6, ((1, 2), (0, 1), (3, 4), (3, 5), (0, 2), (1, 3), (0, 5), (1, 2), (0, 5),
+                   (2, 4), (3, 4), (4, 5))),
+    Multigraph(8, ((1, 6), (0, 1), (6, 7), (4, 6), (4, 5), (2, 5), (2, 4), (1, 2), (0, 7),
+                   (3, 7), (0, 3), (3, 5))),
+]
+
+
+def _cube() -> Multigraph:
+    return Multigraph(8, tuple((u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b))
+
+
+class TestCanonicalForm:
+    """The certificate against the backtracking oracle in ``iso_oracle``."""
+
+    def test_sp_census_pairs(self):
+        _assert_matches_oracle(_census(5), False)
+
+    def test_all_connected_census_pairs(self):
+        from spcube.verify import _all_connected_multigraphs
+
+        graphs = [g for d in range(7) for g in _all_connected_multigraphs(d)]
+        assert sum(not is_series_parallel(g) for g in graphs) == 1  # K4
+        _assert_matches_oracle(graphs, False)
+
+    def test_census_children_pairs(self):
+        # the unreduced candidates of each level: many isomorphic pairs
+        for d in range(5):
+            kids = [h for g in enumerate_connected_sp(d) for h in _children(g)]
+            _assert_matches_oracle(kids, False)
+
+    @pytest.mark.parametrize("use_distinguished", [True, False])
+    def test_marked_term_graph_pairs(self, use_distinguished):
+        from spcube.verify import _redundant_terms
+
+        for d in range(1, 6):
+            graphs = [to_marked_graph(t) for t in _redundant_terms(d)]
+            _assert_matches_oracle(graphs, use_distinguished)
+
+    @pytest.mark.parametrize("use_distinguished", [True, False])
+    def test_marked_census_pairs(self, use_distinguished):
+        for d in range(1, 6):
+            graphs = [h for g in enumerate_connected_sp(d) for h in _marked_versions(g)]
+            _assert_matches_oracle(graphs, use_distinguished)
+
+    @pytest.mark.parametrize("g", REGULAR_GRAPHS)
+    def test_cells_that_are_not_orbits(self, g):
+        # regular graphs that are not vertex-transitive: refinement leaves
+        # one cell, and the choice of branch vertex matters
+        rng = random.Random(2014)
+        cert = canonical_form(g)
+        for _ in range(30):
+            h = _relabel(g, rng.sample(range(g.n), g.n), rng.sample(range(g.e), g.e))
+            assert canonical_form(h) == cert
+
+    def test_regular_graph_pairs(self):
+        _assert_matches_oracle(REGULAR_GRAPHS + [catalog.k4_minus_edge(), _cube()], False)
+
+    def test_marked_vs_unmarked(self):
+        a = Multigraph(2, ((0, 1), (0, 1)), distinguished=0)
+        b = Multigraph(2, ((0, 1), (0, 1)))
+        assert canonical_form(a, marked=True) != canonical_form(b, marked=True)
+        assert canonical_form(a) == canonical_form(b)
+        assert not is_isomorphic(a, b)
+        assert is_isomorphic(a, b, use_distinguished=False)
+
+    def test_is_the_graph_relabelled(self):
+        g = catalog.k4_minus_edge()
+        n, edges, ends = canonical_form(g.with_distinguished(4), marked=True)
+        assert n == g.n and len(edges) == g.e and len(ends) == 2
+        assert is_isomorphic(Multigraph(n, edges), g, use_distinguished=False)
+
+    def test_empty_and_single_vertex(self):
+        assert canonical_form(Multigraph(0, ())) == (0, (), ())
+        assert canonical_form(Multigraph(1, ((0, 0),))) == (1, ((0, 0),), ())
+
+    def test_least_twins(self):
+        star = Multigraph(4, ((0, 1), (0, 2), (0, 3)))
+        assert least_twins(star) == [0, 1, 1, 1]
+        # the two ends of a doubled edge are twins; a loop breaks that
+        assert least_twins(Multigraph(2, ((0, 1), (0, 1)))) == [0, 0]
+        assert least_twins(Multigraph(2, ((0, 1), (1, 1)))) == [0, 1]
+        path = Multigraph(4, ((0, 1), (1, 2), (2, 3)))
+        assert least_twins(path) == [0, 1, 2, 3]
+
+
+_RELABEL_POOL = _census(6) + [
+    h for d in range(1, 6) for g in enumerate_connected_sp(d) for h in _marked_versions(g)
+]
+
+
+@st.composite
+def _relabelled(draw):
+    g = draw(st.sampled_from(_RELABEL_POOL))
+    vmap = draw(st.permutations(range(g.n)))
+    order = draw(st.permutations(range(g.e)))
+    return g, _relabel(g, vmap, order)
+
+
+class TestCanonicalFormProperties:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_relabelled())
+    def test_invariant_under_relabelling(self, pair):
+        g, h = pair
+        assert canonical_form(g) == canonical_form(h)
+        assert canonical_form(g, marked=True) == canonical_form(h, marked=True)
+        assert is_isomorphic(g, h)
 
 
 class TestJson:

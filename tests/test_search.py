@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from spcube import search
+from spcube import search, spterm
 from spcube import (
     SizeGuardError,
     check_m_bounds,
@@ -34,6 +34,24 @@ M_WITNESSES = {
     15: "P(S(P(S(e,P(e,e)),S(e,e)),P(S(e,e),e)),S(P(S(e,e),S(e,e)),P(S(e,e),e)))",
     16: "P(S(P(S(e,P(e,e)),S(e,e)),P(S(e,e),e)),S(P(S(e,P(e,e)),S(e,e)),P(S(e,e),e)))",
 }
+
+
+# `table fib --max-d 8` witnesses, pinned from the census that deduplicated
+# every candidate with the backtracking matcher
+FIB_WITNESSES = [
+    '{"vertices": 1, "edges": [], "distinguished": null}',
+    '{"vertices": 1, "edges": [[0, 0]], "distinguished": null}',
+    '{"vertices": 2, "edges": [[0, 1], [0, 1]], "distinguished": null}',
+    '{"vertices": 2, "edges": [[0, 1], [0, 1], [0, 1]], "distinguished": null}',
+    '{"vertices": 3, "edges": [[0, 2], [1, 2], [0, 1], [0, 1]], "distinguished": null}',
+    '{"vertices": 3, "edges": [[0, 2], [0, 2], [1, 2], [0, 1], [0, 1]], "distinguished": null}',
+    '{"vertices": 4, "edges": [[0, 3], [2, 3], [0, 2], [1, 2], [0, 1], [0, 1]], '
+    '"distinguished": null}',
+    '{"vertices": 4, "edges": [[0, 3], [0, 3], [2, 3], [0, 2], [1, 2], [0, 1], [0, 1]], '
+    '"distinguished": null}',
+    '{"vertices": 5, "edges": [[0, 3], [2, 4], [3, 4], [2, 3], [0, 2], [1, 2], [0, 1], '
+    '[0, 1]], "distinguished": null}',
+]
 
 
 def _prune_reference(cands):
@@ -85,6 +103,29 @@ class TestMaxSpanningTrees:
 
     def test_exhaustive_suite(self):
         assert check_fib_exhaustive(max_d=6) == []
+
+    def test_table_8_witnesses(self):
+        rows = fib_table(8)
+        assert [r.value for r in rows] == [fib(d + 1) for d in range(9)]
+        assert [r.witness_text() for r in rows] == FIB_WITNESSES
+
+    def test_row_millis_time_each_level(self, monkeypatch):
+        # the clock steps only on census insertions, one tick per candidate
+        clock = [0.0]
+        adds = [0] * 6
+        real_add = spterm.GraphDedup.add
+
+        def counting_add(self, g):
+            adds[g.e] += 1
+            clock[0] += 1
+            return real_add(self, g)
+
+        spterm._census_level.cache_clear()
+        monkeypatch.setattr(search.time, "perf_counter", lambda: clock[0])
+        monkeypatch.setattr(spterm.GraphDedup, "add", counting_add)
+        rows = fib_table(5)
+        assert adds[0] == 0 and all(adds[1:])
+        assert [r.millis for r in rows] == [1000.0 * n for n in adds]
 
     def test_chain_recurrence_to_16(self):
         assert check_fib_chain(max_d=16) == []

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from spcube import (
@@ -216,3 +218,41 @@ class TestCensus:
         for i, a in enumerate(gs):
             for b in gs[i + 1 :]:
                 assert not is_isomorphic(a, b)
+
+    def test_counts(self):
+        assert [len(enumerate_connected_sp(d)) for d in range(9)] == CENSUS_COUNTS
+
+    def test_counts_match_all_connected_oracle(self):
+        # a different generator (edge addition) and recognizer (reduction)
+        from spcube.verify import _all_connected_multigraphs
+
+        for d in range(7):
+            sp = [g for g in _all_connected_multigraphs(d) if is_series_parallel(g)]
+            assert len(enumerate_connected_sp(d)) == len(sp)
+
+    def test_representatives_pinned(self):
+        for d, want in enumerate(CENSUS_SHA256):
+            text = repr([(g.n, g.edges) for g in enumerate_connected_sp(d)])
+            assert hashlib.sha256(text.encode()).hexdigest()[:16] == want, d
+
+    def test_returns_a_fresh_list(self):
+        got = enumerate_connected_sp(3)
+        got.clear()
+        assert len(enumerate_connected_sp(3)) == CENSUS_COUNTS[3]
+
+
+CENSUS_COUNTS = [1, 2, 4, 11, 30, 95, 327, 1207, 4749]
+
+# sha256 of repr([(n, edges), ...]) of each census level, recorded from the
+# census that deduplicated every candidate with the backtracking matcher
+CENSUS_SHA256 = [
+    "851c366d8b71b994",
+    "86e981eb2e13f72b",
+    "6e255ba7b2c7574d",
+    "c888d00e71f568a9",
+    "1c58ca72d1b7acbb",
+    "88154b58262356ab",
+    "7038c658926c9ef0",
+    "429b9e6ff9a19f0f",
+    "db2f2cc5eb129042",
+]
