@@ -133,82 +133,34 @@ def spanning_trees(g: Multigraph) -> list[int]:
     """All spanning trees of a connected multigraph, as sorted edge bitmasks.
 
     Bit ``i`` of a mask corresponds to edge ``i``.  Raises ``ValueError``
-    on a disconnected (or empty) graph.  Uses subset filtering up to 20
-    edges and deletion/contraction recursion beyond that; the two agree on
-    their overlap.
+    on a disconnected (or empty) graph.  One enumerator serves every size:
+    backtracking over acyclic edge sets grown in edge-index order (Read and
+    Tarjan, Networks 1975).  Each level keeps one list of component labels;
+    an edge inside one component would close a cycle and is never taken, a
+    branch stops when fewer edges remain than it still needs, and the last
+    edge of each tree is emitted in bulk.
     """
     if g.n == 0:
         raise ValueError("spanning trees of the empty graph are undefined")
     if not g.is_connected():
         raise ValueError("spanning trees require a connected graph")
-    if g.e <= 20:
-        return _trees_filter(g)
-    return sorted(_trees_recursive(g.n, list(enumerate(g.edges))))
-
-
-def _trees_filter(g: Multigraph) -> list[int]:
-    k = g.n - 1
-    non_loops = [i for i, (u, v) in enumerate(g.edges) if u != v]
-    edges = g.edges
-    out = []
-    for combo in combinations(non_loops, k):
-        parent = list(range(g.n))
-        ok = True
-        for idx in combo:
-            u, v = edges[idx]
-            while parent[u] != u:
-                parent[u] = parent[parent[u]]
-                u = parent[u]
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            if u == v:
-                ok = False
-                break
-            parent[u] = v
-        if ok:
-            m = 0
-            for idx in combo:
-                m |= 1 << idx
-            out.append(m)
-    out.sort()
-    return out
-
-
-def _trees_recursive(n: int, labeled: list[tuple[int, tuple[int, int]]]) -> list[int]:
-    """Deletion/contraction enumeration over (original-label, edge) pairs."""
-    labeled = [(lab, e) for lab, e in labeled if e[0] != e[1]]
-    if n == 1:
+    if g.n == 1:
         return [0]
-    if not labeled:
-        return []
-    lab0, (u0, v0) = labeled[0]
-    # contract the first edge: relabel the larger endpoint onto the smaller
-    keep, gone = min(u0, v0), max(u0, v0)
+    edges = [(u, v, 1 << i) for i, (u, v) in enumerate(g.edges) if u != v]
+    out: list[int] = []
 
-    def remap(w: int) -> int:
-        if w == gone:
-            return keep
-        return w - 1 if w > gone else w
+    def grow(start: int, need: int, mask: int, comp: list[int]) -> None:
+        if need == 1:
+            out.extend(mask | bit for u, v, bit in edges[start:] if comp[u] != comp[v])
+            return
+        for j in range(start, len(edges) - need + 1):
+            u, v, bit = edges[j]
+            cu, cv = comp[u], comp[v]
+            if cu != cv:
+                grow(j + 1, need - 1, mask | bit, [cu if c == cv else c for c in comp])
 
-    contracted = [(lab, (remap(u), remap(v))) for lab, (u, v) in labeled[1:]]
-    out = [m | (1 << lab0) for m in _trees_recursive(n - 1, contracted)]
-    # delete it, unless it is a bridge of the remainder
-    rest = labeled[1:]
-    adj: dict[int, list[int]] = {}
-    for _, (u, v) in rest:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    seen = {u0}
-    stack = [u0]
-    while stack:
-        w = stack.pop()
-        for x in adj.get(w, ()):
-            if x not in seen:
-                seen.add(x)
-                stack.append(x)
-    if v0 in seen:
-        out.extend(_trees_recursive(n, rest))
+    grow(0, g.n - 1, 0, list(range(g.n)))
+    out.sort()
     return out
 
 

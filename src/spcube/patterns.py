@@ -5,15 +5,21 @@ and b ones; edge patterns live in L'(a,b), strings with one extra ``*``
 marking an edge direction.  Coordinate i of every string is edge i of the
 originating graph.  All string sets are canonically ordered with
 0 < 1 < *.
+
+X, Y, H, psi and y18 are computed on int masks (bit j = coordinate j)
+and turned into strings once, at the end: X from G's spanning trees; Y
+and H by splitting those same trees on bit i (the trees of G/i and of
+G - i) and pairing the two sides at Hamming distance 1.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations, product
 
 from . import catalog
-from .multigraph import Multigraph, contract, delete_edge, spanning_trees
+from .multigraph import Multigraph, spanning_trees
 
 __all__ = [
     "VertexPattern",
@@ -57,6 +63,9 @@ _ORDER = str.maketrans("01*", "012")
 def sort_key(s: str) -> str:
     """Sort key realizing the character order 0 < 1 < *."""
     return s.translate(_ORDER)
+
+
+_BITS = frozenset("01")
 
 
 def _weight(s: str) -> int:
@@ -136,6 +145,7 @@ def _star_between(lower: str, upper: str) -> str:
 class PatternGraph:
     """Bipartite graph between two consecutive-weight string sets, with
     edges only at Hamming distance 1 (an induced-subgraph-of-the-cube shape).
+    Every string of either part is a 0/1 string, all of one length.
     """
 
     lower: frozenset[str]
@@ -146,12 +156,16 @@ class PatternGraph:
         object.__setattr__(self, "lower", frozenset(self.lower))
         object.__setattr__(self, "upper", frozenset(self.upper))
         object.__setattr__(self, "edges", frozenset(tuple(e) for e in self.edges))
+        strings = self.lower | self.upper
+        n = len(min(strings, default=""))
+        bad = [s for s in strings if len(s) != n or not set(s) <= _BITS]
+        if bad:
+            raise ValueError(f"pattern-graph string {min(bad)!r} is not a 0/1 string of length {n}")
         if self.lower:
-            n = len(next(iter(self.lower)))
             w = _weight(next(iter(self.lower)))
-            if any(len(s) != n or _weight(s) != w for s in self.lower):
+            if any(_weight(s) != w for s in self.lower):
                 raise ValueError("lower part must sit in a single layer")
-            if any(len(s) != n or _weight(s) != w + 1 for s in self.upper):
+            if any(_weight(s) != w + 1 for s in self.upper):
                 raise ValueError("upper part must sit one layer above the lower part")
         for lo, hi in self.edges:
             if lo not in self.lower or hi not in self.upper:
@@ -198,77 +212,89 @@ def starred_layer_strings(a: int, b: int) -> list[str]:
 # patterns from graphs
 
 
-def _mask_string(mask: int, width: int) -> str:
-    return "".join("1" if (mask >> j) & 1 else "0" for j in range(width))
+def _mask_string(mask: int, width: int, star: int | None = None) -> str:
+    """The 0/1 string of a mask (coordinate j = bit j), with ``*`` at
+    coordinate ``star`` when one is given."""
+    s = bin(mask | 1 << width)[:2:-1]  # drop "0b" and the sentinel bit, reversed
+    return s if star is None else s[:star] + "*" + s[star + 1 :]
+
+
+def _string_mask(s: str) -> int:
+    return int(s[::-1], 2)
+
+
+def _split(masks: list[int], i: int) -> tuple[list[int], list[int]]:
+    """Split tree masks of G on bit i and drop that bit, shifting higher
+    bits down: (the masks that had bit i, the masks that did not), that is,
+    the trees of G/i and the trees of G - i."""
+    low = (1 << i) - 1
+    with_i: list[int] = []
+    without_i: list[int] = []
+    for m in masks:
+        (with_i if m >> i & 1 else without_i).append(m & low | m >> (i + 1) << i)
+    return with_i, without_i
+
+
+def _hamming1_pairs(lower: list[int], upper: list[int]) -> Iterator[tuple[int, int, int]]:
+    """Every (s, t, j) with s in lower, t in upper and t = s plus bit j."""
+    lows = set(lower)
+    for t in upper:
+        rest = t
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            if t ^ bit in lows:
+                yield t ^ bit, t, bit.bit_length() - 1
+
+
+def _starred(lower: list[int], upper: list[int], width: int) -> frozenset[str]:
+    """The starred strings of the Hamming-1 pairs between two mask sets."""
+    return frozenset(_mask_string(s, width, j) for s, _, j in _hamming1_pairs(lower, upper))
 
 
 def x_pattern(g: Multigraph) -> VertexPattern:
     """Tree pattern X of a connected multigraph: one string per spanning
     tree, coordinate i = edge i.  Lands in L(e-v+1, v-1)."""
-    masks = spanning_trees(g)
-    strings = frozenset(_mask_string(m, g.e) for m in masks)
+    strings = frozenset(_mask_string(m, g.e) for m in spanning_trees(g))
     return VertexPattern(g.e - g.n + 1, g.n - 1, strings)
 
 
-def _check_y_edge(g: Multigraph, i: int) -> None:
-    if not (0 <= i < g.e):
-        raise ValueError(f"edge index {i} out of range")
-    u, v = g.edges[i]
-    if u == v:
-        raise ValueError("the marked edge must not be a loop")
-    from .multigraph import _is_bridge
-
-    if _is_bridge(g, i):
-        raise ValueError("the marked edge must not be a bridge")
-
-
-def _resolve_edge(g: Multigraph, i: int | None) -> int:
+def _marked_edge(g: Multigraph, i: int | None) -> int:
+    """Edge i, defaulting to the distinguished edge; ``Multigraph`` itself
+    rejects an index out of range, a loop or a bridge with ``ValueError``."""
     if i is None:
         if g.distinguished is None:
             raise ValueError("no edge index given and the graph is unmarked")
         return g.distinguished
+    g.with_distinguished(i)
     return i
 
 
 def y_pattern(g: Multigraph, i: int | None = None) -> EdgePattern:
     """Edge pattern Y of (g, edge i): starred strings over the remaining
-    coordinates, pairing each tree-with-i against trees-without-i at
+    coordinates, pairing each tree of g/i against the trees of g - i at
     Hamming distance 1.  Lands in L'(e-v, v-2).
 
-    ``i`` defaults to the graph's distinguished edge and must be neither a
+    Both tree sets come from one enumeration of g's trees: those that
+    contain i are the trees of g/i, the others the trees of g - i.  ``i``
+    defaults to the graph's distinguished edge and must be neither a
     bridge nor a loop.
     """
-    i = _resolve_edge(g, i)
-    _check_y_edge(g, i)
-    lower = x_pattern(contract(g, i)).strings
-    upper = x_pattern(delete_edge(g, i)).strings
-    strings = set()
-    for t in upper:
-        for j, ch in enumerate(t):
-            if ch != "1":
-                continue
-            s = t[:j] + "0" + t[j + 1 :]
-            if s in lower:
-                strings.add(t[:j] + "*" + t[j + 1 :])
-    return EdgePattern(g.e - g.n, g.n - 2, frozenset(strings))
+    lower, upper = _split(spanning_trees(g), _marked_edge(g, i))
+    return EdgePattern(g.e - g.n, g.n - 2, _starred(lower, upper, g.e - 1))
 
 
 def h_graph(g: Multigraph, i: int | None = None) -> PatternGraph:
     """Bipartite pattern graph of (g, edge i): lower part = trees of g/i,
-    upper part = trees of g-minus-i, edges = the Hamming-1 pairs."""
-    i = _resolve_edge(g, i)
-    _check_y_edge(g, i)
-    lower = x_pattern(contract(g, i)).strings
-    upper = x_pattern(delete_edge(g, i)).strings
-    edges = set()
-    for t in upper:
-        for j, ch in enumerate(t):
-            if ch != "1":
-                continue
-            s = t[:j] + "0" + t[j + 1 :]
-            if s in lower:
-                edges.add((s, t))
-    return PatternGraph(lower, upper, frozenset(edges))
+    upper part = trees of g-minus-i, edges = the Hamming-1 pairs.  The
+    tree sets come from g's trees as in ``y_pattern``."""
+    lower, upper = _split(spanning_trees(g), _marked_edge(g, i))
+    name = {m: _mask_string(m, g.e - 1) for m in lower + upper}
+    return PatternGraph(
+        frozenset(name[m] for m in lower),
+        frozenset(name[m] for m in upper),
+        frozenset((name[s], name[t]) for s, t, _ in _hamming1_pairs(lower, upper)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -300,26 +326,15 @@ def psi(x: VertexPattern, i: int) -> EdgePattern:
     the induced Hamming-1 edges between the two image weights.
 
     Requires x in L(a+1, b+1) with a, b >= 0; the result lies in L'(a, b).
-    Coordinates above i shift down by one.
+    Coordinates above i shift down by one.  The strings are read as masks
+    and split and paired as in ``y_pattern``, so psi(X(G), i) = Y(G, i).
     """
     if x.a < 1 or x.b < 1:
         raise ValueError("psi needs at least one zero and one one per string")
     if not (0 <= i < x.a + x.b):
         raise ValueError(f"coordinate {i} out of range")
-    lows: set[str] = set()
-    highs: set[str] = set()
-    for s in x.strings:
-        img = s[:i] + s[i + 1 :]
-        (highs if s[i] == "0" else lows).add(img)
-    strings = set()
-    for t in highs:
-        for j, ch in enumerate(t):
-            if ch != "1":
-                continue
-            s = t[:j] + "0" + t[j + 1 :]
-            if s in lows:
-                strings.add(t[:j] + "*" + t[j + 1 :])
-    return EdgePattern(x.a - 1, x.b - 1, frozenset(strings))
+    lower, upper = _split([_string_mask(s) for s in x.strings], i)
+    return EdgePattern(x.a - 1, x.b - 1, _starred(lower, upper, x.a + x.b - 1))
 
 
 def product_join(h1: PatternGraph, h2: PatternGraph) -> PatternGraph:
@@ -530,17 +545,9 @@ def x16_pattern() -> VertexPattern:
 def y18_pattern() -> EdgePattern:
     """The 18 Hamming-1 pairs between L(3,2) minus two strings and L(2,3)
     minus two strings."""
-    lower = frozenset(layer_strings(3, 2)) - frozenset(_Y18_MISSING_LOWER)
-    upper = frozenset(layer_strings(2, 3)) - frozenset(_Y18_MISSING_UPPER)
-    strings = set()
-    for t in upper:
-        for j, ch in enumerate(t):
-            if ch != "1":
-                continue
-            s = t[:j] + "0" + t[j + 1 :]
-            if s in lower:
-                strings.add(t[:j] + "*" + t[j + 1 :])
-    return EdgePattern(2, 2, frozenset(strings))
+    lower = [_string_mask(s) for s in layer_strings(3, 2) if s not in _Y18_MISSING_LOWER]
+    upper = [_string_mask(s) for s in layer_strings(2, 3) if s not in _Y18_MISSING_UPPER]
+    return EdgePattern(2, 2, _starred(lower, upper, 5))
 
 
 def x_k4_pattern() -> VertexPattern:

@@ -119,20 +119,38 @@ def check_tree_weights(max_edges: int = 6) -> list[str]:
     return bad
 
 
-def check_tree_count_routes(max_edges: int = 6) -> list[str]:
-    """Subset filtering, determinant counting, and (on a sample) the
-    deletion/contraction enumerator agree."""
-    from .multigraph import _trees_recursive
+def _trees_by_subsets(g: Multigraph) -> list[int]:
+    """Brute-force oracle: every acyclic (v-1)-subset of the non-loop
+    edges, as sorted edge bitmasks."""
+    non_loops = [i for i, (u, v) in enumerate(g.edges) if u != v]
+    out = []
+    for combo in combinations(non_loops, g.n - 1):
+        parent = list(range(g.n))
+        for idx in combo:
+            u, v = g.edges[idx]
+            while parent[u] != u:
+                u = parent[u]
+            while parent[v] != v:
+                v = parent[v]
+            if u == v:
+                break
+            parent[u] = v
+        else:
+            out.append(sum(1 << idx for idx in combo))
+    return sorted(out)
 
+
+def check_tree_count_routes(max_edges: int = 6) -> list[str]:
+    """The enumerator's tree lists equal the brute-force subset filter's,
+    and their length equals the determinant count."""
     bad = []
     for d in range(1, max_edges + 1):
         for g in enumerate_connected_sp(d):
             masks = spanning_trees(g)
             if len(masks) != tree_count(g):
-                bad.append(f"filter vs determinant counts differ on {g}")
-            rec = sorted(_trees_recursive(g.n, list(enumerate(g.edges))))
-            if rec != masks:
-                bad.append(f"recursive enumeration differs on {g}")
+                bad.append(f"enumerator vs determinant counts differ on {g}")
+            if _trees_by_subsets(g) != masks:
+                bad.append(f"enumerator vs subset filter differ on {g}")
     return bad
 
 

@@ -6,16 +6,10 @@ Each test prints one PASS line with its headline numbers (run pytest with
 
 import time
 
-import pytest
-
 from spcube import (
     contains_pattern,
     density_lower_bound,
-    dual_pattern,
-    duplicate_e,
-    duplicate_v,
     enumerate_maps,
-    enumerate_terms,
     ex_layer,
     ex_layer_bruteforce,
     f2_vertex_density,
@@ -25,26 +19,23 @@ from spcube import (
     layer_strings,
     m_table,
     max_spanning_trees,
-    partite_pattern,
-    alon_pattern,
-    phi,
-    product_join,
-    psi,
-    to_marked_graph,
-    two_sum,
     x16_pattern,
     x_k4_pattern,
     x_pattern,
     y18_pattern,
     y_k4_pattern,
-    y_pattern,
 )
 from spcube import catalog
 from spcube.cli import main
-from spcube.multigraph import duplicate_edge, permute_edges, subdivide_edge
-from spcube.operators import CODUP, DUP
 from spcube.patterns import VertexPattern, pg_shape
 from spcube.embeddings import count_maps
+from spcube.verify import (
+    check_core_correspondence_terms,
+    check_duality,
+    check_gluing,
+    check_named_patterns,
+    check_phi_psi,
+)
 
 X_WORKED = {
     "01110", "10110", "11010", "11100",
@@ -59,17 +50,6 @@ FIB_MAXIMA = [1, 1, 2, 3, 5, 8, 13, 21, 34]
 
 def _report(name: str, detail: str) -> None:
     print(f"ACCEPTANCE {name}: PASS ({detail})")
-
-
-@pytest.fixture(scope="module")
-def terms_with_patterns():
-    """All terms with <= 8 edges, with marked graph and both patterns."""
-    out = []
-    for d in range(1, 9):
-        for t in enumerate_terms(d):
-            g = to_marked_graph(t)
-            out.append((t, g, x_pattern(g), y_pattern(g, 0)))
-    return out
 
 
 def test_criterion_01_worked_example(capsys):
@@ -135,79 +115,28 @@ def test_criterion_04_m_bounds():
     _report("04 m bounds", f"F(d+2)-1 <= m(d) <= d*F(d+2)/2 for d <= {rows[-1].d}")
 
 
-def test_criterion_05_core_correspondence(terms_with_patterns):
-    violations = 0
-    checked = 0
-    for t, g, x, y in terms_with_patterns:
-        for i in range(1, g.e):
-            for op, kind in ((duplicate_edge, DUP), (subdivide_edge, CODUP)):
-                g2 = op(g, i)
-                checked += 1
-                if x_pattern(g2) != duplicate_v(x, i, kind):
-                    violations += 1
-                if y_pattern(g2, 0) != duplicate_e(y, i - 1, kind):
-                    violations += 1
-    assert violations == 0
-    _report("05 operator correspondence", f"{checked} graph-op cases, 0 violations")
+def test_criterion_05_core_correspondence():
+    assert check_core_correspondence_terms(max_d=8) == []
+    _report("05 operator correspondence", "every term with <= 8 edges, 0 violations")
 
 
-def test_criterion_06_duality(terms_with_patterns):
-    from spcube.spterm import dual
-
-    violations = 0
-    for t, g, x, y in terms_with_patterns:
-        gd = to_marked_graph(dual(t))
-        if dual_pattern(x) != x_pattern(gd):
-            violations += 1
-        if dual_pattern(y) != y_pattern(gd, 0):
-            violations += 1
-    assert violations == 0
-    _report("06 duality", f"{len(terms_with_patterns)} terms, 0 violations")
+def test_criterion_06_duality():
+    assert check_duality(max_d=8) == []
+    _report("06 duality", "every term with <= 8 edges, 0 violations")
 
 
 def test_criterion_07_gluing():
-    import random
-
-    rng = random.Random(1729)
-    by_size = {d: list(enumerate_terms(d)) for d in range(1, 10)}
-    violations = 0
-    for _ in range(200):
-        d1 = rng.randint(1, 9)
-        d2 = rng.randint(1, 10 - d1)
-        t1, t2 = rng.choice(by_size[d1]), rng.choice(by_size[d2])
-        g1, g2 = to_marked_graph(t1), to_marked_graph(t2)
-        glued = h_graph(two_sum(g1, g2), 0)
-        joined = product_join(h_graph(g1, 0), h_graph(g2, 0))
-        if glued != joined:
-            violations += 1
-    assert violations == 0
+    assert check_gluing(samples=200, max_combined=10, seed=1729) == []
     _report("07 product-join gluing", "200 random 2-sums, 0 violations")
 
 
-def test_criterion_08_phi_psi(terms_with_patterns):
-    violations = 0
-    for t, g, x, y in terms_with_patterns:
-        if psi(x, 0) != y:
-            violations += 1
-        g_last = permute_edges(g, tuple(range(1, g.e)) + (0,))
-        if phi(y_pattern(g_last, g.e - 1)) != x_pattern(g_last):
-            violations += 1
-    assert violations == 0
-    _report("08 phi/psi identities", f"{len(terms_with_patterns)} terms, 0 violations")
+def test_criterion_08_phi_psi():
+    assert check_phi_psi(max_d=8) == []
+    _report("08 phi/psi identities", "every term with <= 8 edges, 0 violations")
 
 
 def test_criterion_09_named_patterns():
-    from itertools import combinations
-
-    checked = 0
-    for total in range(1, 8):
-        for k in range(1, total + 1):
-            for cuts in combinations(range(1, total), k - 1):
-                bounds = (0,) + cuts + (total,)
-                sizes = tuple(b - a for a, b in zip(bounds, bounds[1:]))
-                assert alon_pattern(sizes) == x_pattern(catalog.alon_graph(sizes))
-                assert partite_pattern(sizes) == y_pattern(catalog.partite_graph(sizes))
-                checked += 1
+    assert check_named_patterns(max_total=7) == []
     x16 = x16_pattern()
     assert len(x16) == 16
     assert frozenset(layer_strings(3, 3)) - x16.strings == {
@@ -217,7 +146,7 @@ def test_criterion_09_named_patterns():
     y18 = y18_pattern()
     assert len(y18) == 18
     assert y18 == y_k4_pattern()
-    _report("09 named patterns", f"{checked} block tuples + x16/y18 exact")
+    _report("09 named patterns", "every block tuple of total <= 7 + x16/y18 exact")
 
 
 def test_criterion_10_f2():

@@ -140,6 +140,14 @@ class TestCli:
             assert main(["op", "product-join", "--h1", str(h1), "--h2", str(h2)]) == 1
             assert "error: pattern-graph JSON" in capsys.readouterr().err
 
+    def test_non_binary_pattern_graph_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "g.json"
+        bad.write_text('{"lower":["0a"],"upper":["1a"],"edges":[["0a","1a"]]}')
+        assert main(["op", "product-join", "--h1", str(bad), "--h2", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert "0a0a" not in captured.out
+        assert "error: pattern-graph string '0a' is not a 0/1 string" in captured.err
+
     def test_density(self, tmp_path, capsys):
         small = tmp_path / "s.txt"
         small.write_text("vertex 1 1\n01\n10\n")

@@ -72,6 +72,65 @@ class TestSpanningTrees:
         assert masks == sorted(masks)
 
 
+def _is_acyclic(g, mask):
+    parent = list(range(g.n))
+    for i, (u, v) in enumerate(g.edges):
+        if mask >> i & 1:
+            while parent[u] != u:
+                u = parent[u]
+            while parent[v] != v:
+                v = parent[v]
+            if u == v:
+                return False
+            parent[u] = v
+    return True
+
+
+def _random_sp(rng, e):
+    """A connected SP multigraph with e edges, grown from K1 by random
+    elementary operations (loops included)."""
+    g = Multigraph(1, ())
+    while g.e < e:
+        kind = rng.choice(("loop", "leaf") + ("duplicate", "subdivide") * 3)
+        if kind in ("duplicate", "subdivide") and g.e:
+            g = apply_operation(g, (kind, rng.randrange(g.e)))
+        elif kind == "loop":
+            g = add_loop(g, rng.randrange(g.n))
+        else:
+            g = add_leaf(g, rng.randrange(g.n))
+    return g
+
+
+class TestSpanningTreesAbove20Edges:
+    """Distinct, sorted masks, each an acyclic set of v - 1 edges, as many as
+    the Kirchhoff count: exactly the spanning trees, with no second
+    enumerator."""
+
+    def _check(self, g):
+        assert g.e > 20
+        masks = spanning_trees(g)
+        assert masks == sorted(set(masks))
+        for m in masks:
+            assert bin(m).count("1") == g.n - 1
+            assert _is_acyclic(g, m)
+        assert len(masks) == tree_count(g)
+
+    def test_fib_chain_22(self):
+        self._check(catalog.fib_chain(22))
+
+    def test_chain_of_11_parallel_pairs(self):
+        g = Multigraph(12, tuple(e for j in range(11) for e in ((j, j + 1),) * 2))
+        assert tree_count(g) == 2**11
+        self._check(g)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_sp(self, seed):
+        rng = random.Random(seed)
+        g = _random_sp(rng, rng.randint(21, 26))
+        assert is_series_parallel(g) and g.is_connected()
+        self._check(g)
+
+
 class TestMinor:
     def test_contract_e5(self):
         g = contract(catalog.k4_minus_edge(), 4)

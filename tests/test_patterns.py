@@ -1,13 +1,19 @@
+import random
+
 import pytest
 
+from pattern_oracle import h_reference, psi_reference, y_reference
 from spcube import (
     EDGE,
     EdgePattern,
     Multigraph,
+    PatternGraph,
     VertexPattern,
     alon_pattern,
     dual_pattern,
     edge_pattern_from_pattern_graph,
+    enumerate_connected_sp,
+    enumerate_terms,
     h_graph,
     layer_strings,
     named_pattern,
@@ -29,6 +35,7 @@ from spcube import (
     y_pattern,
 )
 from spcube import catalog
+from spcube.multigraph import _is_bridge
 from spcube.patterns import pg_components, pg_shape, sort_key
 from spcube.verify import (
     check_duality,
@@ -53,6 +60,15 @@ class TestTypes:
             EdgePattern(1, 0, frozenset({"00"}))
         with pytest.raises(ValueError):
             EdgePattern(1, 0, frozenset({"**"}))
+
+    def test_pattern_graph_validates_strings(self):
+        with pytest.raises(ValueError):
+            PatternGraph(frozenset({"0a"}), frozenset({"1a"}), frozenset({("0a", "1a")}))
+        with pytest.raises(ValueError):
+            PatternGraph(frozenset(), frozenset({"1a"}), frozenset())
+        with pytest.raises(ValueError):
+            PatternGraph(frozenset(), frozenset({"01", "011"}), frozenset())
+        assert PatternGraph(frozenset(), frozenset({"01"}), frozenset()).upper == {"01"}
 
     def test_sort_order_zero_one_star(self):
         strings = ["1*", "*1", "10", "01"]
@@ -195,6 +211,44 @@ class TestPhiPsi:
 
     def test_round_trips_for_terms(self):
         assert check_phi_psi(max_d=6) == []
+
+
+def _valid_edges(g):
+    return [i for i, (u, v) in enumerate(g.edges) if u != v and not _is_bridge(g, i)]
+
+
+class TestAgainstDefinitions:
+    """Y, H and psi against the string-level definitions in pattern_oracle."""
+
+    def test_y_and_h_on_census(self):
+        checked = 0
+        for d in range(1, 7):
+            for g in enumerate_connected_sp(d):
+                for i in _valid_edges(g):
+                    assert y_pattern(g, i) == y_reference(g, i)
+                    assert h_graph(g, i) == h_reference(g, i)
+                    checked += 1
+        assert checked == 1082
+
+    def test_y_and_h_on_terms(self):
+        checked = 0
+        for d in range(1, 8):
+            for t in enumerate_terms(d):
+                g = to_marked_graph(t)
+                for i in _valid_edges(g):
+                    assert y_pattern(g, i) == y_reference(g, i)
+                    assert h_graph(g, i) == h_reference(g, i)
+                    checked += 1
+        assert checked == 3569
+
+    def test_psi_on_random_patterns(self):
+        rng = random.Random(4242)
+        for _ in range(300):
+            a, b = rng.randint(1, 4), rng.randint(1, 4)
+            pool = layer_strings(a, b)
+            x = VertexPattern(a, b, frozenset(rng.sample(pool, rng.randint(0, len(pool)))))
+            i = rng.randrange(a + b)
+            assert psi(x, i) == psi_reference(x, i)
 
 
 class TestProductJoin:
