@@ -16,7 +16,6 @@ from math import comb
 from .constructions import (
     density_lower_bound,
     f2_edge_set,
-    f2_vertex_density,
     f2_vertex_set,
 )
 from .embeddings import contains_pattern, density_t, ex_cube, ex_layer
@@ -282,7 +281,7 @@ def _cmd_ex_cube(args) -> int:
 def _cmd_f2(args) -> int:
     if args.mode == "vertex":
         pattern = f2_vertex_set(args.a, args.b, args.seed)
-        density = f2_vertex_density(args.a, args.b, args.seed)
+        density = Fraction(len(pattern.strings), comb(args.a + args.b, args.b))
         bound = density_lower_bound(args.b)
     else:
         pattern = f2_edge_set(args.a, args.b, args.seed)

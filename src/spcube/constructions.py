@@ -5,12 +5,17 @@ Strings are admitted to the set when the random vectors indexed by their
 position's vector) form a basis.  Vector sampling is driven by a
 counter-based generator keyed by an explicit 64-bit seed, so every
 constructed set is reproducible from (a, b, seed) alone.
+
+One depth-first basis-extension search (``_bases``) decides admission:
+``f2_vertex_set_from_vectors`` takes the strings at its leaves,
+``f2_vertex_count`` counts them, and ``f2_edge_set_from_vectors`` runs it
+once per star position with two partial bases, seeded by the extra vector
+and by the starred position's vector.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -52,6 +57,54 @@ def _reduce(v: int, basis: dict[int, int]) -> int:
     return 0
 
 
+def _bases(vectors: list[int], need: int, seeds: list[int], out: list[str] | None) -> int:
+    """Count the 0/1 strings over the positions of ``vectors`` with ``need``
+    ones whose vectors stay independent when joined with each of the
+    ``seeds``; append them to ``out`` unless it is None.
+
+    Depth-first basis extension in position order.  Each partial basis
+    (one per seed, or one empty basis) is kept by Gaussian elimination:
+    every vector still to be tried has the basis's pivot bits cleared, so
+    it extends the basis exactly when it is nonzero.
+    """
+    n = len(vectors)
+    if not all(seeds):
+        return 0
+    if need == 0:
+        if out is not None:
+            out.append("0" * n)
+        return 1
+    rows = [_eliminate(vectors, seed) for seed in seeds] or [list(vectors)]
+    return _extend(rows, 1 << (n - 1), need, 0, f"0{n}b", out)
+
+
+def _eliminate(row: list[int], pivot: int) -> list[int]:
+    top = 1 << (pivot.bit_length() - 1)
+    return [x ^ pivot if x & top else x for x in row]
+
+
+def _extend(
+    rows: list[list[int]], bit: int, need: int, ones: int, fmt: str, out: list[str] | None
+) -> int:
+    # ``bit`` marks the first row's position, most significant first, so
+    # format(ones, fmt) is the string.  The accumulator is an argument: a
+    # closure over it that calls itself would keep it alive in a cycle.
+    found = 0
+    for i in range(len(rows[0]) - need + 1):
+        pivots = [row[i] for row in rows]
+        if not all(pivots):
+            continue
+        here = ones | bit >> i
+        if need == 1:
+            found += 1
+            if out is not None:
+                out.append(format(here, fmt))
+            continue
+        sub = [_eliminate(row[i + 1:], p) for row, p in zip(rows, pivots)]
+        found += _extend(sub, bit >> (i + 1), need - 1, here, fmt, out)
+    return found
+
+
 def random_vectors(count: int, dim: int, seed: int) -> list[int]:
     """``count`` uniform vectors in GF(2)^dim from a Philox stream."""
     if dim < 1 or dim > 64:
@@ -70,12 +123,8 @@ def f2_vertex_set_from_vectors(
         raise ValueError(f"need {a + b} vectors, got {len(vectors)}")
     if comb(a + b, b) > max_layer:
         raise SizeGuardError("layer too large to materialize; use f2_vertex_density")
-    strings = set()
-    for ones in combinations(range(a + b), b):
-        if gf2_rank([vectors[j] for j in ones]) == b:
-            strings.add(
-                "".join("1" if j in ones else "0" for j in range(a + b))
-            )
+    strings: list[str] = []
+    _bases(vectors, b, [], strings)
     return VertexPattern(a, b, frozenset(strings))
 
 
@@ -87,32 +136,11 @@ def f2_vertex_set(a: int, b: int, seed: int) -> VertexPattern:
 
 
 def f2_vertex_count(a: int, b: int, seed: int) -> int:
-    """|f2_vertex_set(a, b, seed)| without materializing the strings.
-
-    Counts independent b-subsets by depth-first extension of a partial
-    basis; agreement with the materialized set is part of the test suite.
-    """
+    """|f2_vertex_set(a, b, seed)|, counted by the same search without
+    materializing the strings."""
     if b < 1:
         raise ValueError("b must be at least 1")
-    vectors = random_vectors(a + b, b, seed)
-    n = len(vectors)
-    basis: dict[int, int] = {}
-
-    def rec(i: int, need: int) -> int:
-        if need == 0:
-            return 1
-        if n - i < need:
-            return 0
-        total = rec(i + 1, need)
-        v = _reduce(vectors[i], basis)
-        if v:
-            h = v.bit_length() - 1
-            basis[h] = v
-            total += rec(i + 1, need - 1)
-            del basis[h]
-        return total
-
-    return rec(0, b)
+    return _bases(random_vectors(a + b, b, seed), b, [], None)
 
 
 def f2_vertex_density(a: int, b: int, seed: int) -> Fraction:
@@ -135,22 +163,14 @@ def f2_edge_set_from_vectors(
         raise ValueError(f"need {n + 1} vectors, got {len(vectors)}")
     if n * comb(n - 1, b) > max_layer:
         raise SizeGuardError("starred layer too large to materialize")
-    v0 = vectors[0]
     pos = vectors[1:]
     strings = set()
     for star in range(n):
-        rest = [j for j in range(n) if j != star]
-        for ones in combinations(rest, b):
-            chosen = [pos[j] for j in ones]
-            if gf2_rank(chosen + [v0]) != b + 1:
-                continue
-            if gf2_rank(chosen + [pos[star]]) != b + 1:
-                continue
-            strings.add(
-                "".join(
-                    "*" if j == star else ("1" if j in ones else "0") for j in range(n)
-                )
-            )
+        # a zero vector never extends a basis, so the star never joins
+        rest = pos[:star] + [0] + pos[star + 1:]
+        texts: list[str] = []
+        _bases(rest, b, [vectors[0], pos[star]], texts)
+        strings.update(text[:star] + "*" + text[star + 1:] for text in texts)
     return EdgePattern(a, b, frozenset(strings))
 
 

@@ -6,6 +6,17 @@ string's characters into the slots.  Containment, the embedding density
 t(X, X'), and the exact extremal numbers ex(layer, X) and ex(cube, X) are
 all built on these maps.  Every search here is exact; oversized requests
 raise ``SizeGuardError`` instead of approximating.
+
+One search finds the maps that send a pattern into a set
+(``_embeddings``).  It fixes a map one target coordinate at a time, trying
+tokens in ``enumerate_maps`` order, and grows each pattern string's image
+as an int; a branch ends as soon as one image prefix is the prefix of no
+target string.  ``density_t`` counts its leaves, ``contains_pattern``
+takes the first, and ``ex_layer`` collects the images of every map into
+the layer.  One branch and bound (``_max_avoiding``) then gives ``ex_layer``
+and ``ex_cube`` their value and lexicographically least witness in a
+single solve.  ``enumerate_maps`` and ``apply_map`` remain the definition
+of a map; ``ex_layer_bruteforce`` is built on them alone.
 """
 
 from __future__ import annotations
@@ -96,11 +107,70 @@ def apply_map(p: EmbeddingMap, s: str) -> str:
     return "".join(s[t] if isinstance(t, int) else t for t in p.tokens)
 
 
-def _image_inside(p: EmbeddingMap, strings, target: frozenset[str]) -> bool:
-    for s in strings:
-        if apply_map(p, s) not in target:
-            return False
-    return True
+_CODE = {"0": 0, "1": 1, "*": 2}
+
+
+def _code(s: str) -> int:
+    """A string as an int, two bits per character: 0, 1, * as 0, 1, 2, any
+    other character as 3, which no image carries."""
+    out = 0
+    for j, ch in enumerate(s):
+        out |= _CODE.get(ch, 3) << (2 * j)
+    return out
+
+
+def _embeddings(src: list[str], target, a: int, b: int, a2: int, b2: int, starred: bool):
+    """Yield ``(tokens, images)`` for every map sending each src string into
+    ``target`` (strings of the map's length), in ``enumerate_maps`` order.
+
+    ``tokens`` is the search's working list (copy it before resuming) and
+    ``images`` holds the codes of the src strings' images.
+    """
+    k = a + b + (1 if starred else 0)
+    n = k + (a2 - a) + (b2 - b)
+    codes = [_code(t) for t in target]
+    # prefixes[d]: the target's prefixes of length d; each step checks the
+    # next length, and the root check catches an empty target when n = 0
+    prefixes = [{c & ((1 << 2 * depth) - 1) for c in codes} for depth in range(n + 1)]
+    images = [0] * len(src)
+    if not prefixes[0].issuperset(images):
+        return
+    columns = [[_CODE[s[t]] for s in src] for t in range(k)]
+    counts = [1] * k + [a2 - a, b2 - b]
+    yield from _grow_maps(0, images, [], counts, prefixes, columns)
+
+
+def _grow_maps(
+    depth: int, images: list[int], tokens: list, counts: list[int], prefixes, columns
+):
+    if depth == len(prefixes) - 1:
+        yield tokens, images
+        return
+    shift = 2 * depth
+    allowed = prefixes[depth + 1]
+    k = len(columns)
+    for idx, left in enumerate(counts):
+        if not left:
+            continue
+        if idx < k:
+            new = [p | c << shift for p, c in zip(images, columns[idx])]
+            tokens.append(idx)
+        else:
+            c = idx - k
+            new = [p | c << shift for p in images]
+            tokens.append("01"[c])
+        if allowed.issuperset(new):
+            counts[idx] = left - 1
+            yield from _grow_maps(depth + 1, new, tokens, counts, prefixes, columns)
+            counts[idx] = left
+        tokens.pop()
+
+
+def _first_map(src, target, a, b, a2, b2, starred) -> tuple[bool, EmbeddingMap | None]:
+    leaf = next(_embeddings(src, target, a, b, a2, b2, starred), None)
+    if leaf is None:
+        return (False, None)
+    return (True, EmbeddingMap(tuple(leaf[0]), a + b + (1 if starred else 0)))
 
 
 def _layer_params(pat) -> tuple[int, int, bool]:
@@ -119,15 +189,9 @@ def density_t(small, big) -> Fraction:
     a2, b2, _ = _layer_params(big)
     if a > a2 or b > b2:
         raise ValueError("layer mismatch: big must dominate small")
-    total = 0
-    good = 0
-    target = big.strings
     src = sorted(small.strings, key=sort_key)
-    for p in enumerate_maps(a, b, a2, b2, starred):
-        total += 1
-        if _image_inside(p, src, target):
-            good += 1
-    return Fraction(good, total)
+    good = sum(1 for _ in _embeddings(src, big.strings, a, b, a2, b2, starred))
+    return Fraction(good, count_maps(a, b, a2, b2, starred))
 
 
 def contains_pattern(s, x) -> tuple[bool, EmbeddingMap | None]:
@@ -136,7 +200,8 @@ def contains_pattern(s, x) -> tuple[bool, EmbeddingMap | None]:
     ``s`` may be a VertexPattern/EdgePattern (single-layer mode) or a
     plain set of strings of uniform length (oriented full-cube mode:
     strings of every weight, all layers are tried).  Returns a witness
-    map on success.
+    map on success: the first in ``enumerate_maps`` order, lightest
+    target layer first in cube mode.
     """
     a, b, starred = _layer_params(x)
     src = sorted(x.strings, key=sort_key)
@@ -146,15 +211,11 @@ def contains_pattern(s, x) -> tuple[bool, EmbeddingMap | None]:
         a2, b2, _ = _layer_params(s)
         if a2 < a or b2 < b:
             return (False, None)
-        target = s.strings
-        for p in enumerate_maps(a, b, a2, b2, starred):
-            if _image_inside(p, src, target):
-                return (True, p)
-        return (False, None)
+        return _first_map(src, s.strings, a, b, a2, b2, starred)
 
     pool = frozenset(s)
     if not pool:
-        return (not src, None) if not src else (False, None)
+        return (not src, None)
     lengths = {len(t) for t in pool}
     if len(lengths) != 1:
         raise ValueError("cube-mode set must have strings of uniform length")
@@ -164,9 +225,10 @@ def contains_pattern(s, x) -> tuple[bool, EmbeddingMap | None]:
         b2 = width - a2
         if b2 < b:
             continue
-        for p in enumerate_maps(a, b, a2, b2, starred):
-            if _image_inside(p, src, pool):
-                return (True, p)
+        layer = [t for t in pool if t.count("1") == b2]
+        found = _first_map(src, layer, a, b, a2, b2, starred)
+        if found[0]:
+            return found
     return (False, None)
 
 
@@ -174,7 +236,7 @@ def contains_pattern(s, x) -> tuple[bool, EmbeddingMap | None]:
 # exact extremal searches
 
 
-def _forbidden_masks(universe: list[str], image_sets) -> list[int]:
+def _forbidden_masks(universe: list, image_sets) -> list[int]:
     index = {s: j for j, s in enumerate(universe)}
     masks = set()
     for img in image_sets:
@@ -191,66 +253,97 @@ def _forbidden_masks(universe: list[str], image_sets) -> list[int]:
     return kept
 
 
-def _min_hit(sets: list[int], banned: int) -> int | None:
-    """Minimum size of a set of elements meeting every mask, using no
-    banned elements; None if impossible."""
-    best: list[int | None] = [None]
+def _cover_bound(adj: list[int]):
+    """Bound for pair masks: the cliques of a greedy clique cover of the
+    free elements' conflict graph (each clique holds at most one pick)."""
 
-    def lb(live: list[int]) -> int | None:
-        count = 0
+    def bound(chosen: int, free: int) -> int:
+        cliques = 0
+        while free:
+            bit = free & -free
+            free ^= bit
+            common = adj[bit.bit_length() - 1] & free
+            while common:
+                bit = common & -common
+                free ^= bit
+                common &= adj[bit.bit_length() - 1]
+            cliques += 1
+        return cliques
+
+    return bound
+
+
+def _packing_bound(masks: list[int]):
+    """Bound for general masks: the free count minus a greedy packing of
+    masks whose untaken elements are free and pairwise disjoint (each
+    such mask loses at least one element)."""
+
+    def bound(chosen: int, free: int) -> int:
         used = 0
-        for m in live:
-            allowed = m & ~banned
-            if not allowed:
-                return None
-            if not (allowed & used):
-                count += 1
-                used |= allowed
-        return count
+        packed = 0
+        for m in masks:
+            rest = m & ~chosen
+            if not rest & ~free and not rest & used:
+                used |= rest
+                packed += 1
+        return free.bit_count() - packed
 
-    def rec(hit: int, size: int) -> None:
-        live = [m for m in sets if not (m & hit)]
-        if not live:
-            if best[0] is None or size < best[0]:
-                best[0] = size
-            return
-        bound = lb(live)
-        if bound is None:
-            return
-        if best[0] is not None and size + bound >= best[0]:
-            return
-        target = min(live, key=lambda m: bin(m & ~banned).count("1"))
-        opts = target & ~banned
-        while opts:
-            bit = opts & -opts
-            opts ^= bit
-            rec(hit | bit, size + 1)
-
-    rec(0, 0)
-    return best[0]
+    return bound
 
 
 def _max_avoiding(universe: list[str], masks: list[int]) -> tuple[int, list[str]]:
     """Largest subset of the universe containing none of the masks, with
-    the lexicographically least witness among the optima."""
+    the lexicographically least witness among the optima.
+
+    One branch and bound over the universe in index order, taking each
+    element before leaving it out, so leaves come in lexicographic order
+    of their sorted index lists and the first optimum met is the least.
+    A leaf replaces the best only when strictly larger.  An element is
+    blocked once taking it would complete a mask; singleton masks block
+    from the start.
+    """
     n = len(universe)
     if any(m == 0 for m in masks):
         raise ValueError("an empty forbidden configuration cannot be avoided")
-    h = _min_hit(masks, banned=0)
-    assert h is not None  # banned is empty, so a hitting set always exists
-    size = n - h
-    # lexicographically least witness: grow greedily, confirming each pick
-    chosen = 0
-    picked: list[str] = []
-    for j in range(n):
-        if len(picked) == size:
-            break
-        cand = chosen | (1 << j)
-        rest = _min_hit(masks, banned=cand)
-        if rest is not None and rest <= n - size and bin(cand).count("1") <= size:
-            chosen = cand
-            picked.append(universe[j])
-    return size, picked
+    free = (1 << n) - 1
+    wide = []
+    for m in masks:
+        if m & (m - 1):
+            wide.append(m)
+        else:
+            free &= ~m
+    if all(m.bit_count() == 2 for m in wide):
+        adj = [0] * n
+        for m in wide:
+            low = m & -m
+            adj[low.bit_length() - 1] |= m ^ low
+            adj[(m ^ low).bit_length() - 1] |= low
+        bound = _cover_bound(adj)
+    else:
+        bound = _packing_bound(wide)
+    through = [[m for m in wide if m >> j & 1] for j in range(n)]
+    best = [-1, 0]
+    _branch(free, 0, 0, through, bound, best)
+    size, chosen = best
+    return size, [universe[j] for j in range(n) if chosen >> j & 1]
+
+
+def _branch(free: int, chosen: int, size: int, through, bound, best: list[int]) -> None:
+    if not free:
+        if size > best[0]:
+            best[0], best[1] = size, chosen
+        return
+    if size + bound(chosen, free) <= best[0]:
+        return
+    bit = free & -free
+    take = chosen | bit
+    left = free ^ bit
+    for m in through[bit.bit_length() - 1]:
+        rest = m & ~take
+        if not rest & (rest - 1):
+            left &= ~rest
+    _branch(left, take, size + 1, through, bound, best)
+    _branch(free ^ bit, chosen, size, through, bound, best)
 
 
 def ex_layer(
@@ -258,14 +351,15 @@ def ex_layer(
     b2: int,
     x,
     *,
-    max_layer: int = 28,
+    max_layer: int = 70,
     max_maps: int = 200_000,
 ) -> tuple[int, list[str]]:
     """Exact extremal number: the largest subset of the (a2, b2) layer
     into which no embedded copy of x fits, plus one witness set.
 
     The witness is the lexicographically least among maximum witnesses.
-    Refuses (``SizeGuardError``) above the desk-scale guards.
+    Refuses (``SizeGuardError``) above the desk-scale guards; the layer
+    guard is the size of L(4,4).
     """
     if not x.strings:
         raise ValueError("the empty pattern embeds in every set; ex is undefined")
@@ -284,10 +378,9 @@ def ex_layer(
         raise SizeGuardError(f"{total_maps} embedding maps exceed the guard {max_maps}")
     src = sorted(x.strings, key=sort_key)
     images = (
-        frozenset(apply_map(p, s) for s in src)
-        for p in enumerate_maps(a, b, a2, b2, starred)
+        frozenset(img) for _, img in _embeddings(src, universe, a, b, a2, b2, starred)
     )
-    masks = _forbidden_masks(universe, images)
+    masks = _forbidden_masks([_code(s) for s in universe], images)
     return _max_avoiding(universe, masks)
 
 

@@ -91,7 +91,8 @@ class VertexPattern:
 
     @property
     def sorted_strings(self) -> list[str]:
-        return sorted(self.strings, key=sort_key)
+        # 0/1 strings: the order 0 < 1 is code-point order, so no sort key
+        return sorted(self.strings)
 
     def __len__(self) -> int:
         return len(self.strings)

@@ -1,6 +1,9 @@
-import pytest
+import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
+
+import pytest
 
 from spcube import (
     VertexPattern,
@@ -15,11 +18,70 @@ from spcube import (
     gf2_rank,
     layer_strings,
 )
+from spcube.constructions import random_vectors
 from spcube.verify import (
     check_f2_avoidance,
     check_f2_b2_extraction,
     check_f2_density,
 )
+
+
+def _vertex_by_ranks(a: int, b: int, vectors: list[int]) -> frozenset[str]:
+    """One gf2_rank call per b-subset of positions."""
+    n = a + b
+    return frozenset(
+        "".join("1" if j in ones else "0" for j in range(n))
+        for ones in combinations(range(n), b)
+        if gf2_rank([vectors[j] for j in ones]) == b
+    )
+
+
+def _edge_by_ranks(a: int, b: int, vectors: list[int]) -> frozenset[str]:
+    n = a + b + 1
+    v0, pos = vectors[0], vectors[1:]
+    out = set()
+    for star in range(n):
+        for ones in combinations([j for j in range(n) if j != star], b):
+            chosen = [pos[j] for j in ones]
+            if gf2_rank(chosen + [v0]) == b + 1 and gf2_rank(chosen + [pos[star]]) == b + 1:
+                out.add(
+                    "".join("*" if j == star else "1" if j in ones else "0" for j in range(n))
+                )
+    return frozenset(out)
+
+
+def _vectors(rng: random.Random, count: int, dim: int) -> list[int]:
+    # zero vectors included on purpose: they never join a basis
+    return [0 if rng.random() < 0.2 else rng.randrange(1 << dim) for _ in range(count)]
+
+
+class TestAgainstSubsetRanks:
+    """The basis-extension search against a rank computation per subset."""
+
+    def test_vertex_sets(self):
+        rng = random.Random(31)
+        for _ in range(150):
+            a, b = rng.randint(0, 5), rng.randint(0, 5)
+            vectors = _vectors(rng, a + b, max(b, 1))
+            got = f2_vertex_set_from_vectors(a, b, vectors)
+            assert got.strings == _vertex_by_ranks(a, b, vectors)
+
+    def test_edge_sets(self):
+        rng = random.Random(32)
+        for _ in range(150):
+            a, b = rng.randint(0, 4), rng.randint(0, 4)
+            vectors = _vectors(rng, a + b + 2, b + 1)
+            got = f2_edge_set_from_vectors(a, b, vectors)
+            assert got.strings == _edge_by_ranks(a, b, vectors)
+
+    def test_counts_and_seeded_sets(self):
+        for a, b, seed in [(3, 3, 0), (4, 4, 1), (5, 3, 2), (2, 6, 3), (6, 5, 4)]:
+            want = _vertex_by_ranks(a, b, random_vectors(a + b, b, seed))
+            assert f2_vertex_set(a, b, seed).strings == want
+            assert f2_vertex_count(a, b, seed) == len(want)
+        for a, b, seed in [(2, 2, 0), (3, 3, 1), (4, 3, 5)]:
+            want = _edge_by_ranks(a, b, random_vectors(a + b + 2, b + 1, seed))
+            assert f2_edge_set(a, b, seed).strings == want
 
 
 class TestRank:

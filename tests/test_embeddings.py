@@ -1,6 +1,10 @@
-import pytest
+import random
 from fractions import Fraction
+from itertools import combinations
 
+import pytest
+
+import extremal_oracle as oracle
 from spcube import (
     EdgePattern,
     SizeGuardError,
@@ -12,7 +16,10 @@ from spcube import (
     enumerate_maps,
     ex_cube,
     ex_layer,
+    ex_layer_bruteforce,
+    f2_vertex_set,
     layer_strings,
+    starred_layer_strings,
 )
 from spcube.embeddings import EmbeddingMap
 from spcube.verify import (
@@ -23,6 +30,18 @@ from spcube.verify import (
 )
 
 X_C2 = VertexPattern(1, 1, frozenset({"01", "10"}))
+
+
+def _subset(rng: random.Random, pool, p: float) -> frozenset:
+    return frozenset(s for s in pool if rng.random() < p)
+
+
+def _pattern(starred: bool, a: int, b: int, strings):
+    return (EdgePattern if starred else VertexPattern)(a, b, frozenset(strings))
+
+
+def _layer(starred: bool, a: int, b: int) -> list[str]:
+    return starred_layer_strings(a, b) if starred else layer_strings(a, b)
 
 
 class TestMaps:
@@ -183,3 +202,130 @@ class TestExCube:
             if found:
                 break
         assert best == ex_cube(2, X_C2)[0]
+
+
+class TestMapSearchAgainstOracle:
+    """The pruned map search against every map applied one by one."""
+
+    @pytest.mark.parametrize("starred", [False, True])
+    def test_layer_mode(self, starred):
+        rng = random.Random(2024 + starred)
+        positive = 0
+        for _ in range(50):
+            a, b = rng.randint(0, 2), rng.randint(0, 2)
+            a2, b2 = a + rng.randint(0, 2), b + rng.randint(0, 2)
+            x = _pattern(starred, a, b, _subset(rng, _layer(starred, a, b), 0.6))
+            big = _pattern(starred, a2, b2, _subset(rng, _layer(starred, a2, b2), 0.85))
+            t = density_t(x, big)
+            assert t == oracle.density_by_maps(x, big)
+            positive += 0 < t < 1
+            got = contains_pattern(big, x)
+            want = oracle.contains_by_maps(big, x)
+            assert got == want and str(got[1]) == str(want[1])
+        assert positive >= 10
+
+    def test_zero_length_map(self):
+        # L(0,0) into L(0,0): one map with no coordinate to fix
+        for xs in (set(), {""}):
+            for bs in (set(), {""}):
+                x, big = VertexPattern(0, 0, frozenset(xs)), VertexPattern(0, 0, frozenset(bs))
+                assert density_t(x, big) == oracle.density_by_maps(x, big)
+                assert contains_pattern(big, x) == oracle.contains_by_maps(big, x)
+
+    @pytest.mark.parametrize("starred", [False, True])
+    def test_cube_mode(self, starred):
+        rng = random.Random(99 + starred)
+        found = 0
+        for _ in range(40):
+            n = rng.randint(2, 5)
+            width = n - starred
+            a, b = rng.randint(0, 2), rng.randint(0, 2)
+            if a + b > width:
+                continue
+            pool = [
+                s
+                for w in range(width + 1)
+                for s in _layer(starred, width - w, w)
+                if rng.random() < 0.6
+            ]
+            x = _pattern(starred, a, b, _subset(rng, _layer(starred, a, b), 0.7))
+            got = contains_pattern(frozenset(pool), x)
+            want = oracle.contains_by_maps(frozenset(pool), x)
+            assert got == want and str(got[1]) == str(want[1])
+            found += got[0]
+        assert found >= 10
+
+    def test_f2_witness_tokens(self):
+        # check_f2_b2_extraction reads the witness's tokens
+        x = VertexPattern(2, 2, frozenset({"1100", "0110", "0011"}))
+        found = 0
+        for seed in range(8):
+            s = f2_vertex_set(4, 4, seed)
+            got = contains_pattern(s, x)
+            assert got == oracle.contains_by_maps(s, x)
+            found += got[0]
+        assert found
+
+
+class TestExAgainstOracles:
+    """The branch and bound against the n+1 hitting-set solves and plain
+    subset enumeration: same values, same lex-least witnesses."""
+
+    def test_ex_layer_random(self):
+        rng = random.Random(77)
+        plain = [(2, 2), (1, 3), (3, 1), (4, 1), (1, 4), (2, 3), (3, 2), (4, 2), (2, 4)]
+        starred_targets = [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2)]
+        for _ in range(60):
+            starred = rng.random() < 0.35
+            a2, b2 = rng.choice(starred_targets if starred else plain)
+            a, b = rng.randint(0, min(a2, 2)), rng.randint(0, min(b2, 2))
+            pool = _layer(starred, a, b)
+            x = _pattern(starred, a, b, rng.sample(pool, rng.randint(1, len(pool))))
+            got = ex_layer(a2, b2, x)
+            assert got == ex_layer_bruteforce(a2, b2, x)
+            assert got == oracle.ex_layer_by_hitting_sets(a2, b2, x)
+
+    @pytest.mark.parametrize(
+        "x, a2, b2",
+        [
+            (VertexPattern(1, 1, frozenset({"01"})), 2, 2),
+            (VertexPattern(0, 0, frozenset({""})), 2, 1),
+            (VertexPattern(1, 2, frozenset({"101"})), 2, 3),
+            (EdgePattern(0, 1, frozenset({"1*"})), 1, 2),
+        ],
+    )
+    def test_singleton_patterns(self, x, a2, b2):
+        # every string of the target layer is an image: nothing survives
+        assert ex_layer(a2, b2, x) == (0, [])
+        assert ex_layer_bruteforce(a2, b2, x) == (0, [])
+
+    def test_ex_cube_random(self):
+        rng = random.Random(5)
+        for _ in range(30):
+            starred = rng.random() < 0.4
+            n = rng.randint(1, 3)
+            a, b = rng.randint(0, 1), rng.randint(0, 2)
+            pool = _layer(starred, a, b)
+            x = _pattern(starred, a, b, rng.sample(pool, rng.randint(1, len(pool))))
+            assert ex_cube(n, x) == oracle.ex_cube_by_hitting_sets(n, x)
+
+    def test_ex_cube_q4_xc2(self):
+        assert ex_cube(4, X_C2) == oracle.ex_cube_by_hitting_sets(4, X_C2)
+
+
+class TestConstantWeightCodes:
+    """ex(L(a,b), X_C2) = A(a+b, 4, b), the largest constant-weight code of
+    length a+b, weight b and minimum distance 4 (Brouwer, Shearer, Sloane
+    and Smith, IEEE Trans. Inf. Theory 36, 1990)."""
+
+    @pytest.mark.parametrize(
+        "a, b, value",
+        [(3, 3, 4), (4, 3, 7), (3, 4, 7), (6, 2, 4), (2, 6, 4), (4, 4, 14)],
+    )
+    def test_value_and_witness(self, a, b, value):
+        got, witness = ex_layer(a, b, X_C2)
+        assert got == value
+        assert len(set(witness)) == value
+        assert all(s in set(layer_strings(a, b)) for s in witness)
+        for s, t in combinations(witness, 2):
+            assert sum(c != d for c, d in zip(s, t)) >= 4

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -197,6 +198,29 @@ class TestCli:
         assert main(["f2", "--a", "2", "--b", "1", "--seed", "5", "--mode", "edge"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("edge 2 1")
+
+    @pytest.mark.parametrize(
+        "argv, digest, density_line",
+        [
+            (
+                ["--a", "10", "--b", "10"],
+                "c6ff209403987c4475ae16af16593984eee06ab403b0c5a7ef86c5539fefbcf7",
+                "# seed 1 size 52028 density 13007/46189 (~0.2816, basis probability ~0.2891)\n",
+            ),
+            (
+                ["--a", "7", "--b", "7", "--mode", "edge"],
+                "673efc845ab24eaf093a7093b23e52e46706333b19603853314648831817b13f",
+                "# seed 1 size 7192 density 899/6435 (~0.1397, basis probability ~0.1450)\n",
+            ),
+        ],
+        ids=["vertex-10-10", "edge-7-7"],
+    )
+    def test_f2_output_pinned(self, capsys, argv, digest, density_line):
+        # sha256 of stdout as recorded from the per-subset rank construction
+        assert main(["f2", "--seed", "1", *argv]) == 0
+        captured = capsys.readouterr()
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+        assert captured.err.endswith(density_line)
 
     def test_table_fib(self, capsys):
         assert main(["table", "fib", "--max-d", "4"]) == 0
