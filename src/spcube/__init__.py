@@ -51,6 +51,7 @@ from .spterm import (
     series,
     tf_counts,
     to_marked_graph,
+    tree_sets,
 )
 from .patterns import (
     EdgePattern,

@@ -148,20 +148,30 @@ def spanning_trees(g: Multigraph) -> list[int]:
         return [0]
     edges = [(u, v, 1 << i) for i, (u, v) in enumerate(g.edges) if u != v]
     out: list[int] = []
-
-    def grow(start: int, need: int, mask: int, comp: list[int]) -> None:
-        if need == 1:
-            out.extend(mask | bit for u, v, bit in edges[start:] if comp[u] != comp[v])
-            return
-        for j in range(start, len(edges) - need + 1):
-            u, v, bit = edges[j]
-            cu, cv = comp[u], comp[v]
-            if cu != cv:
-                grow(j + 1, need - 1, mask | bit, [cu if c == cv else c for c in comp])
-
-    grow(0, g.n - 1, 0, list(range(g.n)))
+    _grow(edges, 0, g.n - 1, 0, list(range(g.n)), out)
     out.sort()
     return out
+
+
+def _grow(
+    edges: list[tuple[int, int, int]],
+    start: int,
+    need: int,
+    mask: int,
+    comp: list[int],
+    out: list[int],
+) -> None:
+    # Extends ``mask`` by ``need`` more edges from ``edges[start:]``, each
+    # joining two components of ``comp``.  The output list is an argument:
+    # a closure over it that calls itself would keep it alive in a cycle.
+    if need == 1:
+        out.extend(mask | bit for u, v, bit in edges[start:] if comp[u] != comp[v])
+        return
+    for j in range(start, len(edges) - need + 1):
+        u, v, bit = edges[j]
+        cu, cv = comp[u], comp[v]
+        if cu != cv:
+            _grow(edges, j + 1, need - 1, mask | bit, [cu if c == cv else c for c in comp], out)
 
 
 def tree_count(g: Multigraph) -> int:
@@ -609,37 +619,43 @@ def canonical_form(g: Multigraph, marked: bool = False) -> tuple:
     loops, mult = _loops_and_multiplicities(g)
     nbrs = [tuple(m.items()) for m in mult]
     ends = g.edges[g.distinguished] if marked and g.distinguished is not None else ()
-    best = None
-
-    def search(colors: list[int]) -> None:
-        nonlocal best
-        cells: dict[int, list[int]] = {}
-        for v, c in enumerate(colors):
-            cells.setdefault(c, []).append(v)
-        if len(cells) == g.n:
-            leaf = (
-                g.n,
-                tuple(sorted(
-                    (colors[u], colors[v]) if colors[u] <= colors[v] else (colors[v], colors[u])
-                    for u, v in g.edges
-                )),
-                tuple(sorted(colors[v] for v in ends)),
-            )
-            if best is None or leaf < best:
-                best = leaf
-            return
-        _, c = min((len(cell), c) for c, cell in cells.items() if len(cell) > 1)
-        reps: list[int] = []
-        for v in cells[c]:
-            # a cell shares one loop count and one marked flag, so a twin
-            # swap inside it also keeps the marked endpoint pair
-            if any(_swappable(mult, u, v) for u in reps):
-                continue
-            reps.append(v)
-            search(_refine([2 * k + (w != v) for w, k in enumerate(colors)], nbrs))
-
     initial = [(sum(m.values()), loops[v], v in ends) for v, m in enumerate(mult)]
-    search(_refine(initial, nbrs))
+    return _search(g, ends, mult, nbrs, _refine(initial, nbrs), None)
+
+
+def _search(
+    g: Multigraph,
+    ends: tuple[int, ...],
+    mult: list[dict[int, int]],
+    nbrs: list[tuple[tuple[int, int], ...]],
+    colors: list[int],
+    best: tuple | None,
+) -> tuple:
+    """The least leaf certificate below the equitable partition ``colors``,
+    or ``best`` if that is smaller; see ``canonical_form``."""
+    cells: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        cells.setdefault(c, []).append(v)
+    if len(cells) == g.n:
+        leaf = (
+            g.n,
+            tuple(sorted(
+                (colors[u], colors[v]) if colors[u] <= colors[v] else (colors[v], colors[u])
+                for u, v in g.edges
+            )),
+            tuple(sorted(colors[v] for v in ends)),
+        )
+        return leaf if best is None or leaf < best else best
+    _, c = min((len(cell), c) for c, cell in cells.items() if len(cell) > 1)
+    reps: list[int] = []
+    for v in cells[c]:
+        # a cell shares one loop count and one marked flag, so a twin
+        # swap inside it also keeps the marked endpoint pair
+        if any(_swappable(mult, u, v) for u in reps):
+            continue
+        reps.append(v)
+        refined = _refine([2 * k + (w != v) for w, k in enumerate(colors)], nbrs)
+        best = _search(g, ends, mult, nbrs, refined, best)
     return best
 
 

@@ -16,10 +16,18 @@ Two independent routes compute the edge-count maximum m(d) over marked
   pruned by an O(n log n) staircase sweep.
 * ``method="terms"``: literal iteration over all canonical terms,
   counting Hamming-1 pairs between the two tree sets of each marked
-  graph.
+  graph.  The sets (the network's spanning trees and its 2-forests that
+  separate the terminals) are composed by series and parallel steps
+  (``spterm.tree_sets``), so no graph is built and no tree enumerated.
 
-The test suite pins both routes to each other and revalidates every
-reported witness by recomputing its pattern size from scratch.
+Both routes report the largest value, but their witnesses can differ.
+The terms route sees every term, so its witness is the key-least term
+of maximum value.  The DP's witness is the key-least among the terms on
+its pruned frontier: pruning at smaller d can drop the parts of a
+key-smaller optimum (at d = 8 and 9 the terms route's witness is
+key-smaller).  The test suite pins both routes to each other and
+revalidates every reported witness by recomputing its pattern size from
+scratch.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from fractions import Fraction
 from .catalog import fib_chain
 from .errors import SizeGuardError
 from .multigraph import Multigraph, graph_to_json, tree_count, spanning_trees
-from .patterns import y_pattern
+from .patterns import _hamming1_pairs, y_pattern
 from .spterm import (
     EDGE,
     SpTerm,
@@ -40,7 +48,7 @@ from .spterm import (
     enumerate_connected_sp,
     enumerate_terms,
     format_term,
-    to_marked_graph,
+    tree_sets,
 )
 
 __all__ = [
@@ -205,8 +213,10 @@ def _dp_frontiers(d_max: int) -> tuple[list[dict], list[float]]:
 
 
 def _best(scored) -> tuple[int, SpTerm]:
-    """The witness rule: the largest value, witnessed by the key-least
-    term that reaches it.  ``scored`` yields (value, term) pairs."""
+    """The largest value, witnessed by the key-least term among the
+    scored ones that reach it.  ``scored`` yields (value, term) pairs: all
+    canonical terms on the terms route, only the frontier's on the DP
+    route (see the module docstring)."""
     best, witness = -1, None
     for value, term in scored:
         if value > best or (value == best and term.key < witness.key):
@@ -216,6 +226,14 @@ def _best(scored) -> tuple[int, SpTerm]:
 
 def _frontier_best(frontier: dict) -> tuple[int, SpTerm]:
     return _best((e, c) for (_, _, e), (c, _) in frontier.items())
+
+
+def _y_size(t: SpTerm) -> int:
+    """|Y(G, 0)| for t's marked graph (G, 0): the Hamming-1 pairs between
+    t's forests (lower) and trees (upper).  Each pair is one starred
+    string, so this is ``len(y_pattern(to_marked_graph(t), 0))``."""
+    trees, forests = tree_sets(t)
+    return sum(1 for _ in _hamming1_pairs(forests, trees))
 
 
 def m_value(d: int, method: str = "dp") -> tuple[int, SpTerm]:
@@ -229,9 +247,7 @@ def m_value(d: int, method: str = "dp") -> tuple[int, SpTerm]:
         frontiers, _ = _dp_frontiers(d)
         return _frontier_best(frontiers[d])
     if method == "terms":
-        return _best(
-            (len(y_pattern(to_marked_graph(t), 0)), t) for t in enumerate_terms(d)
-        )
+        return _best((_y_size(t), t) for t in enumerate_terms(d))
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -41,6 +41,7 @@ __all__ = [
     "parse_term",
     "to_marked_graph",
     "tf_counts",
+    "tree_sets",
     "enumerate_terms",
     "enumerate_connected_sp",
     "GraphDedup",
@@ -238,25 +239,28 @@ def to_marked_graph(t: SpTerm) -> Multigraph:
     """Marked graph of t: the distinguished edge (index 0) joins the two
     terminals, followed by t's edges in left-to-right leaf order."""
     edges: list[tuple[int, int]] = [(0, 1)]
-    counter = [2]
+    n = _place(t, 0, 1, edges, 2)
+    return Multigraph(n, tuple(edges), distinguished=0)
 
-    def build(term: SpTerm, s: int, u: int) -> None:
-        if term.kind == "e":
-            edges.append((s, u))
-        elif term.kind == "S":
-            prev = s
-            for c in term.children[:-1]:
-                mid = counter[0]
-                counter[0] += 1
-                build(c, prev, mid)
-                prev = mid
-            build(term.children[-1], prev, u)
-        else:
-            for c in term.children:
-                build(c, s, u)
 
-    build(t, 0, 1)
-    return Multigraph(counter[0], tuple(edges), distinguished=0)
+def _place(t: SpTerm, s: int, u: int, edges: list[tuple[int, int]], free: int) -> int:
+    """Append t's edges between terminals s and u to ``edges``, numbering
+    inner vertices from ``free``; returns the next free vertex.  The edge
+    list is an argument: a closure over it that calls itself would keep it
+    alive in a reference cycle."""
+    if t.kind == "e":
+        edges.append((s, u))
+    elif t.kind == "S":
+        prev = s
+        for c in t.children[:-1]:
+            mid = free
+            free = _place(c, prev, mid, edges, free + 1)
+            prev = mid
+        free = _place(t.children[-1], prev, u, edges, free)
+    else:
+        for c in t.children:
+            free = _place(c, s, u, edges, free)
+    return free
 
 
 def tf_counts(t: SpTerm) -> tuple[int, int]:
@@ -279,6 +283,45 @@ def tf_counts(t: SpTerm) -> tuple[int, int]:
         prod_f *= F
     tt = sum(T * prod_f // F for T, F in sub)
     return (tt, prod_f)
+
+
+def tree_sets(t: SpTerm) -> tuple[list[int], list[int]]:
+    """(T, F) as edge masks, leaf i of t (left to right) at bit i: the
+    spanning trees of t's network, and its 2-component spanning forests
+    separating the two terminals.  The lists hold distinct masks, in no
+    promised order.
+
+    For the marked graph (G, 0) of t these are the trees of G \\ 0 and of
+    G / 0, that is ``patterns._split(spanning_trees(to_marked_graph(t)), 0)``
+    in reverse, with no graph built: the sets compose as ``tf_counts`` does.
+    An edge has T = {itself} and F = {no edge}.  A series tree is a tree of
+    every child, and a series forest a forest of one child and a tree of
+    every other: T = prod T_i and F = U_j F_j prod_{i != j} T_i.  Parallel
+    composition is the dual, with T and F swapped.  Children are folded in
+    one at a time, so each union is of two disjoint lists.
+    """
+    trees, forests, _ = _tree_sets(t, 0)
+    return trees, forests
+
+
+def _tree_sets(t: SpTerm, offset: int) -> tuple[list[int], list[int], int]:
+    """``tree_sets`` with t's leaves from bit ``offset``; also returns the
+    bit after t's last leaf."""
+    if t.kind == "e":
+        return [1 << offset], [0], offset + 1
+    trees, forests, offset = _tree_sets(t.children[0], offset)
+    for c in t.children[1:]:
+        ct, cf, offset = _tree_sets(c, offset)
+        if t.kind == "S":
+            trees, forests = _join(trees, ct), _join(forests, ct) + _join(trees, cf)
+        else:
+            trees, forests = _join(trees, cf) + _join(forests, ct), _join(forests, cf)
+    return trees, forests, offset
+
+
+def _join(xs: list[int], ys: list[int]) -> list[int]:
+    """Every union of one mask of xs with one of ys (their bits are disjoint)."""
+    return [x | y for y in ys for x in xs]
 
 
 # ---------------------------------------------------------------------------
@@ -366,14 +409,32 @@ def _parallel_norm(d: int) -> tuple[SpTerm, ...]:
 
 @lru_cache(maxsize=None)
 def _all_terms(d: int) -> tuple[SpTerm, ...]:
-    """One canonical representative per equivalence class."""
-    out = [
-        t
-        for t in _norm_terms(d)
-        if format_term(t) <= format_term(_norm(reverse_term(t)))
-    ]
-    out.sort(key=format_term)
-    return tuple(out)
+    """One canonical representative per equivalence class: the normalized
+    terms whose key is at most that of their normalized reversal (see
+    ``canonical``), in the key order of ``_norm_terms``."""
+    memo: dict[str, str] = {}
+    return tuple(t for t in _norm_terms(d) if t.key <= _reversed_key(t, memo))
+
+
+def _reversed_key(t: SpTerm, memo: dict[str, str]) -> str:
+    """``_norm(reverse_term(t)).key``, built from the children's reversed
+    keys: a series lists them in reverse order, a parallel sorted.
+    ``memo`` maps subterm keys to reversed keys.  Subterms are shared
+    across the terms of one enumeration, so most lookups hit; t's own key
+    is not stored, because only subterms recur."""
+    if t.kind == "e":
+        return "e"
+    kids = []
+    for c in t.children:
+        key = memo.get(c.key)
+        if key is None:
+            key = memo[c.key] = _reversed_key(c, memo)
+        kids.append(key)
+    if t.kind == "S":
+        kids.reverse()
+    else:
+        kids.sort()
+    return f"{t.kind}({','.join(kids)})"
 
 
 def enumerate_terms(d: int):

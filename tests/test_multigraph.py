@@ -1,3 +1,4 @@
+import gc
 import random
 from itertools import combinations
 
@@ -32,7 +33,7 @@ from spcube import (
 )
 from spcube import catalog
 from spcube.multigraph import _is_bridge, least_twins
-from spcube.spterm import to_marked_graph
+from spcube.spterm import enumerate_terms, to_marked_graph
 from spcube.verify import (
     check_blocks_partition,
     check_deletion_contraction,
@@ -446,6 +447,39 @@ class TestCanonicalFormProperties:
         assert canonical_form(g) == canonical_form(h)
         assert canonical_form(g, marked=True) == canonical_form(h, marked=True)
         assert is_isomorphic(g, h)
+
+
+def _cyclic_garbage(func, args) -> int:
+    """Objects that ``func`` over ``args`` leaves for the cyclic collector."""
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(flags | gc.DEBUG_SAVEALL)
+    try:
+        for a in args:
+            func(a)
+        gc.collect()
+        return len(gc.garbage)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+
+
+class TestNoCyclicGarbage:
+    # a recursive closure keeps its captured state alive in a reference
+    # cycle; these routines take their state as arguments instead
+    terms = [t for d in range(1, 8) for t in enumerate_terms(d)]
+
+    def test_to_marked_graph(self):
+        assert _cyclic_garbage(to_marked_graph, self.terms) == 0
+
+    def test_spanning_trees(self):
+        graphs = [to_marked_graph(t) for t in self.terms]
+        assert _cyclic_garbage(spanning_trees, graphs) == 0
+
+    def test_canonical_form(self):
+        graphs = [to_marked_graph(t) for t in self.terms]
+        assert _cyclic_garbage(canonical_form, graphs) == 0
+        assert _cyclic_garbage(lambda g: canonical_form(g, marked=True), graphs) == 0
 
 
 class TestJson:

@@ -36,6 +36,20 @@ M_WITNESSES = {
 }
 
 
+# `table m --max-d 9 --method terms` witnesses, pinned from the route that
+# built each term's Y pattern from its marked graph's enumerated trees
+M_TERMS_WITNESSES = [
+    "e",
+    "P(e,e)",
+    "P(S(e,e),e)",
+    "P(S(e,e),S(e,e))",
+    "P(S(P(e,e),e),S(e,e))",
+    "P(S(P(S(e,e),e),e),S(e,e))",
+    "P(S(P(S(e,e),e),P(e,e)),S(e,e))",
+    "P(S(P(S(e,e),S(e,e)),P(e,e)),S(e,e))",
+    "P(S(P(S(P(e,e),e),S(e,e)),P(e,e)),S(e,e))",
+]
+
 # `table fib --max-d 8` witnesses, pinned from the census that deduplicated
 # every candidate with the backtracking matcher
 FIB_WITNESSES = [
@@ -218,6 +232,24 @@ class TestMTable:
         value, witness = m_value(4, "terms")
         assert value == 8
         assert len(y_pattern(to_marked_graph(witness), 0)) == 8
+
+    def test_terms_table_pinned(self):
+        rows = m_table(9, "terms")
+        assert [r.value for r in rows] == TABLE_M[:9]
+        assert [r.witness_text() for r in rows] == M_TERMS_WITNESSES
+
+    def test_witness_rules(self):
+        # the terms route reports the key-least optimum; the DP the
+        # key-least on its pruned frontier, which can be key-larger (d = 8, 9)
+        for d in range(1, 10):
+            v_dp, w_dp = m_value(d, "dp")
+            v_terms, w_terms = m_value(d, "terms")
+            assert v_dp == v_terms == TABLE_M[d - 1]
+            for w in (w_dp, w_terms):
+                assert len(y_pattern(to_marked_graph(w), 0)) == v_dp
+            assert w_terms.key <= w_dp.key
+        assert w_dp.key == "P(S(P(S(e,P(e,e)),S(e,e)),P(e,e)),S(e,e))"
+        assert w_terms.key < w_dp.key
 
 
 class TestEmitters:

@@ -1,6 +1,7 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spcube import (
     EDGE,
@@ -20,9 +21,13 @@ from spcube import (
     spanning_trees,
     tf_counts,
     to_marked_graph,
+    tree_count,
+    tree_sets,
 )
 from spcube import catalog
-from spcube.spterm import _norm, compose_canonical, reverse_term
+from spcube.multigraph import contract, delete_edge
+from spcube.patterns import _split
+from spcube.spterm import _norm, _norm_terms, _reversed_key, compose_canonical, reverse_term
 from spcube.verify import (
     check_census_small_counts,
     check_dual_tf,
@@ -166,6 +171,33 @@ class TestEnumeration:
             assert keys == sorted(keys)
             assert all(format_term(t) == canonical_key(t) for t in enumerate_terms(d))
 
+    def test_keys_pinned(self):
+        for d, want in enumerate(TERM_KEYS_SHA256, start=1):
+            text = "\n".join(t.key for t in enumerate_terms(d))
+            assert hashlib.sha256(text.encode()).hexdigest() == want, d
+
+    def test_reversed_key_matches_reversal(self):
+        for d in range(1, 10):
+            memo = {}
+            for t in _norm_terms(d):
+                assert _reversed_key(t, memo) == _norm(reverse_term(t)).key
+
+
+# sha256 of the newline-joined keys of enumerate_terms(d), d = 1..10,
+# recorded from the enumeration that reversed and normalized every term
+TERM_KEYS_SHA256 = [
+    "3f79bb7b435b05321651daefd374cdc681dc06faa65e374e38337b88ca046dea",
+    "c4291a830185cd466dccd7609dbe5a85ce8760aab248abf67ff21140a325e747",
+    "01fc7dce3ef277da3899029535bc9f6b0d8084a73ecf4691d5692416246d5a9d",
+    "a6cf377496d3b72abe582653c2595bb0b5220639dc25f2216af5f459b9fde16b",
+    "40bd389f1df630dc9503c770b2b8568b42f13f145b29f3ee1a750ca0802f1dd5",
+    "e4a613f4f7c7c1f78d1a5c2873786ae738b12b0ca7cbefa85e9d4f7f45f5ad97",
+    "04574268bcff2d715077a61a12c6ec1dc1640b9e3bae0cad41ce810e7905927a",
+    "0340d215696adbaa18e611a3807eecfc8b24d4542da442a78c867e263e2f3f1c",
+    "a4ccca832177344153e5fc942f2e2c8316e1f5e592028b3bcc0aceb9d9e9f818",
+    "8ec155e92fdf07a174304ac536c59f1e3c085dcc046054d2760944505ef74f8a",
+]
+
 
 class TestTfCounts:
     def test_edge(self):
@@ -187,6 +219,69 @@ class TestTfCounts:
     @pytest.mark.slow
     def test_oracle_equivalence_deep(self):
         assert check_tf_oracle(max_d=10) == []
+
+
+def _enumerated_sets(t):
+    """(T, F) of t from its marked graph's enumerated trees, each sorted."""
+    forests, trees = _split(spanning_trees(to_marked_graph(t)), 0)
+    return trees, forests
+
+
+def _check_tree_sets(max_d):
+    for d in range(1, max_d + 1):
+        for t in enumerate_terms(d):
+            trees, forests = tree_sets(t)
+            assert (sorted(trees), sorted(forests)) == _enumerated_sets(t), t.key
+
+
+@st.composite
+def _terms(draw, edges):
+    """A term with the given number of edges, from a random binary
+    series/parallel split (flattening makes every term reachable)."""
+    if edges == 1:
+        return EDGE
+    left = draw(st.integers(1, edges - 1))
+    build = draw(st.sampled_from([series, parallel]))
+    return build(draw(_terms(left)), draw(_terms(edges - left)))
+
+
+class TestTreeSets:
+    def test_small(self):
+        assert tree_sets(EDGE) == ([1], [0])
+        # series: both edges in the tree; a forest drops one of them
+        trees, forests = tree_sets(series(EDGE, EDGE))
+        assert trees == [0b11] and sorted(forests) == [0b01, 0b10]
+        # parallel: the dual
+        trees, forests = tree_sets(parallel(EDGE, EDGE))
+        assert sorted(trees) == [0b01, 0b10] and forests == [0]
+
+    def test_leaf_order(self):
+        # leaf i sits at bit i: the lone edge of S(P(e,e),e) is bit 2
+        trees, forests = tree_sets(series(parallel(EDGE, EDGE), EDGE))
+        assert sorted(trees) == [0b101, 0b110]
+        assert sorted(forests) == [0b001, 0b010, 0b100]
+
+    def test_matches_enumeration(self):
+        _check_tree_sets(8)
+
+    @pytest.mark.slow
+    def test_matches_enumeration_deep(self):
+        _check_tree_sets(10)
+
+    def test_sizes_match_tf_counts(self):
+        for d in range(1, 11):
+            for t in enumerate_terms(d):
+                trees, forests = tree_sets(t)
+                assert (len(trees), len(forests)) == tf_counts(t), t.key
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.integers(11, 16).flatmap(_terms))
+    def test_random_terms(self, t):
+        trees, forests = tree_sets(t)
+        assert (sorted(trees), sorted(forests)) == _enumerated_sets(t)
+        g = to_marked_graph(t)
+        assert len(trees) == tree_count(delete_edge(g, 0))
+        assert len(forests) == tree_count(contract(g, 0))
 
 
 class TestCensus:
