@@ -107,7 +107,10 @@ def _build_parser() -> _Parser:
     f2 = sub.add_parser("f2", help="GF(2) basis-selected layer subset")
     f2.add_argument("--a", type=int, required=True)
     f2.add_argument("--b", type=int, required=True)
-    f2.add_argument("--seed", type=int, required=True)
+    f2.add_argument(
+        "--seed", type=int, required=True,
+        help="integer key of the vector stream, 0 <= seed < 2**128",
+    )
     f2.add_argument("--mode", choices=["vertex", "edge"], default="vertex")
     f2.add_argument("--out")
 

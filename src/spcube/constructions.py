@@ -3,14 +3,19 @@
 Strings are admitted to the set when the random vectors indexed by their
 1-positions (plus, for edge sets, a fixed extra vector and the starred
 position's vector) form a basis.  Vector sampling is driven by a
-counter-based generator keyed by an explicit 64-bit seed, so every
-constructed set is reproducible from (a, b, seed) alone.
+counter-based generator keyed by an explicit seed, an integer with
+0 <= seed < 2**128, so every constructed set is reproducible from
+(a, b, seed) alone.
 
 One depth-first basis-extension search (``_bases``) decides admission:
 ``f2_vertex_set_from_vectors`` takes the strings at its leaves,
 ``f2_vertex_count`` counts them, and ``f2_edge_set_from_vectors`` runs it
 once per star position with two partial bases, seeded by the extra vector
-and by the starred position's vector.
+and by the starred position's vector.  Its work grows with its output:
+each node stops its position loop where the remaining vectors can no
+longer complete a basis, and the last two levels are read off in bulk
+(the nonzero positions, then the pairs of unequal nonzero vectors),
+without a call per leaf.
 """
 
 from __future__ import annotations
@@ -60,12 +65,26 @@ def _reduce(v: int, basis: dict[int, int]) -> int:
 def _bases(vectors: list[int], need: int, seeds: list[int], out: list[str] | None) -> int:
     """Count the 0/1 strings over the positions of ``vectors`` with ``need``
     ones whose vectors stay independent when joined with each of the
-    ``seeds``; append them to ``out`` unless it is None.
+    ``seeds`` (none or two); append them to ``out`` unless it is None.
 
-    Depth-first basis extension in position order.  Each partial basis
+    Depth-first basis extension in position order, so the strings come
+    out in lexicographic order of their 1-positions.  Each partial basis
     (one per seed, or one empty basis) is kept by Gaussian elimination:
     every vector still to be tried has the basis's pivot bits cleared, so
     it extends the basis exactly when it is nonzero.
+
+    The search is output-sensitive.  A node's position loop stops at the
+    last position from which the remaining vectors still have rank
+    ``need`` (``_last_start``): beyond it no leaf can be reached.  With
+    one partial basis the cutoff is exact, because a nonzero pivot taken
+    at or before it leaves vectors of rank at least ``need - 1`` behind
+    it, so every call below the root reaches a leaf.  With two it is
+    taken per basis, which is still safe.  The last two levels run in
+    bulk (``_bulk``), with no recursive call and no eliminated row per
+    child: with ``need == 1`` the leaves are the nonzero positions, and
+    with ``need == 2`` each nonzero pivot pairs with every later position
+    whose vector is neither 0 nor the pivot, exactly those that stay
+    nonzero once it is eliminated; counting them needs no strings.
     """
     n = len(vectors)
     if not all(seeds):
@@ -74,8 +93,10 @@ def _bases(vectors: list[int], need: int, seeds: list[int], out: list[str] | Non
         if out is not None:
             out.append("0" * n)
         return 1
-    rows = [_eliminate(vectors, seed) for seed in seeds] or [list(vectors)]
-    return _extend(rows, 1 << (n - 1), need, 0, f"0{n}b", out)
+    args = (1 << (n - 1), need, 0, f"0{n}b", out)
+    if seeds:
+        return _extend_pair(*[_eliminate(vectors, seed) for seed in seeds], *args)
+    return _extend(vectors, *args)
 
 
 def _eliminate(row: list[int], pivot: int) -> list[int]:
@@ -83,32 +104,114 @@ def _eliminate(row: list[int], pivot: int) -> list[int]:
     return [x ^ pivot if x & top else x for x in row]
 
 
+def _last_start(row: list[int], need: int) -> int:
+    """The last position i with rank(row[i:]) >= need, or -1."""
+    basis: dict[int, int] = {}
+    for i in range(len(row) - 1, -1, -1):
+        x = _reduce(row[i], basis)
+        if x:
+            basis[x.bit_length() - 1] = x
+            if len(basis) == need:
+                return i
+    return -1
+
+
 def _extend(
-    rows: list[list[int]], bit: int, need: int, ones: int, fmt: str, out: list[str] | None
+    row: list[int], bit: int, need: int, ones: int, fmt: str, out: list[str] | None
 ) -> int:
-    # ``bit`` marks the first row's position, most significant first, so
-    # format(ones, fmt) is the string.  The accumulator is an argument: a
-    # closure over it that calls itself would keep it alive in a cycle.
+    # One partial basis.  ``bit`` marks row[0]'s position, most
+    # significant first, so format(ones, fmt) is the string.  State lives
+    # in the arguments: a closure that calls itself would keep it alive in
+    # a cycle.
+    if need < 3:
+        return _bulk(row, bit, need, ones, fmt, out)
+    step = _extend if need > 3 else _bulk
     found = 0
-    for i in range(len(rows[0]) - need + 1):
-        pivots = [row[i] for row in rows]
-        if not all(pivots):
-            continue
-        here = ones | bit >> i
-        if need == 1:
-            found += 1
-            if out is not None:
-                out.append(format(here, fmt))
-            continue
-        sub = [_eliminate(row[i + 1:], p) for row, p in zip(rows, pivots)]
-        found += _extend(sub, bit >> (i + 1), need - 1, here, fmt, out)
+    for i in range(_last_start(row, need) + 1):
+        p = row[i]
+        if p:
+            found += step(
+                _eliminate(row[i + 1:], p), bit >> (i + 1), need - 1, ones | bit >> i, fmt, out
+            )
     return found
 
 
+def _bulk(
+    row: list[int], bit: int, need: int, ones: int, fmt: str, out: list[str] | None
+) -> int:
+    # The last two levels, with no call and no eliminated row per child.
+    # With need == 1 the leaves are the nonzero positions.  With need == 2,
+    # position i pairs with every later nonzero j with row[j] != row[i]:
+    # exactly those stay nonzero once row[i] is eliminated.
+    if out is None:
+        n = len(row) - row.count(0)
+        if need == 1:
+            return n
+        # the ordered pairs of nonzero vectors, less those of equal ones
+        equal = 0
+        for v in set(row):
+            if v:
+                c = row.count(v)
+                equal += c * (c - 1)
+        return (n * (n - 1) - equal) // 2
+    nonzero = [i for i, x in enumerate(row) if x]
+    before = len(out)
+    if need == 1:
+        out.extend([format(ones | bit >> i, fmt) for i in nonzero])
+    else:
+        for k, i in enumerate(nonzero):
+            p, here = row[i], ones | bit >> i
+            out.extend([format(here | bit >> j, fmt) for j in nonzero[k + 1:] if row[j] != p])
+    return len(out) - before
+
+
+def _extend_pair(
+    row_a: list[int], row_b: list[int], bit: int, need: int, ones: int, fmt: str,
+    out: list[str] | None,
+) -> int:
+    # Two partial bases, one row each: a position joins when it extends
+    # both.  The same search as ``_extend``, kept apart so that the
+    # one-row search works on plain ints.  The cutoff is taken per row.
+    if need < 3:
+        return _bulk_pair(row_a, row_b, bit, need, ones, fmt, out)
+    step = _extend_pair if need > 3 else _bulk_pair
+    found = 0
+    for i in range(min(_last_start(row_a, need), _last_start(row_b, need)) + 1):
+        p, q = row_a[i], row_b[i]
+        if p and q:
+            found += step(
+                _eliminate(row_a[i + 1:], p), _eliminate(row_b[i + 1:], q),
+                bit >> (i + 1), need - 1, ones | bit >> i, fmt, out,
+            )
+    return found
+
+
+def _bulk_pair(
+    row_a: list[int], row_b: list[int], bit: int, need: int, ones: int, fmt: str,
+    out: list[str] | None,
+) -> int:
+    both = [i for i, (x, y) in enumerate(zip(row_a, row_b)) if x and y]
+    if need == 1:
+        leaves = [ones | bit >> i for i in both]
+    else:
+        leaves = []
+        for k, i in enumerate(both):
+            p, q, here = row_a[i], row_b[i], ones | bit >> i
+            leaves.extend([
+                here | bit >> j for j in both[k + 1:] if row_a[j] != p and row_b[j] != q
+            ])
+    if out is not None:
+        out.extend([format(leaf, fmt) for leaf in leaves])
+    return len(leaves)
+
+
 def random_vectors(count: int, dim: int, seed: int) -> list[int]:
-    """``count`` uniform vectors in GF(2)^dim from a Philox stream."""
+    """``count`` uniform vectors in GF(2)^dim from a Philox stream keyed by
+    ``seed``, an integer with 0 <= seed < 2**128."""
     if dim < 1 or dim > 64:
         raise ValueError("dimension must be between 1 and 64")
+    if not 0 <= seed < 1 << 128:
+        raise ValueError(f"seed must be between 0 and 2**128 - 1, got {seed}")
     gen = np.random.Generator(np.random.Philox(key=seed))
     words = gen.integers(0, 2**64 - 1, size=count, dtype=np.uint64, endpoint=True)
     mask = (1 << dim) - 1

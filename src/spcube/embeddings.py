@@ -83,21 +83,23 @@ def enumerate_maps(a: int, b: int, a2: int, b2: int, starred: bool = False):
     counts.append(("0", a2 - a))
     counts.append(("1", b2 - b))
     length = k + (a2 - a) + (b2 - b)
+    yield from _map_tokens(counts, [], length, k)
 
-    def rec(prefix: list):
-        if len(prefix) == length:
-            yield EmbeddingMap(tuple(prefix), k)
-            return
-        for idx, (tok, cnt) in enumerate(counts):
-            if cnt == 0:
-                continue
-            counts[idx] = (tok, cnt - 1)
-            prefix.append(tok)
-            yield from rec(prefix)
-            prefix.pop()
-            counts[idx] = (tok, cnt)
 
-    yield from rec([])
+def _map_tokens(counts: list[tuple[object, int]], prefix: list, length: int, k: int):
+    # The state is in the arguments: a generator closure that calls itself
+    # would keep it alive in a reference cycle.
+    if len(prefix) == length:
+        yield EmbeddingMap(tuple(prefix), k)
+        return
+    for idx, (tok, cnt) in enumerate(counts):
+        if cnt == 0:
+            continue
+        counts[idx] = (tok, cnt - 1)
+        prefix.append(tok)
+        yield from _map_tokens(counts, prefix, length, k)
+        prefix.pop()
+        counts[idx] = (tok, cnt)
 
 
 def apply_map(p: EmbeddingMap, s: str) -> str:

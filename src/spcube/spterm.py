@@ -13,6 +13,7 @@ two terminals), and ``canonical_key`` realizes it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -353,23 +354,24 @@ def _series_norm(d: int) -> tuple[SpTerm, ...]:
     """Series-rooted normalized terms: every ordered child list."""
     if d < 2:
         return ()
-    out = []
-
-    def extend(prefix: list[SpTerm], remaining: int) -> None:
-        if remaining == 0:
-            if len(prefix) >= 2:
-                out.append(SpTerm("S", tuple(prefix)))
-            return
-        for size in range(1, remaining + 1):
-            if remaining - size == 0 and not prefix:
-                continue  # a single child is not a series node
-            for child in _non_series_norm(size):
-                prefix.append(child)
-                extend(prefix, remaining - size)
-                prefix.pop()
-
-    extend([], d)
+    out: list[SpTerm] = []
+    _series_lists([], d, out)
     return tuple(sorted(out, key=format_term))
+
+
+def _series_lists(prefix: list[SpTerm], remaining: int, out: list[SpTerm]) -> None:
+    # The accumulators are arguments: a closure over them that calls
+    # itself would keep them alive in a cycle.
+    if remaining == 0:
+        out.append(SpTerm("S", tuple(prefix)))
+        return
+    for size in range(1, remaining + 1):
+        if size == remaining and not prefix:
+            continue  # a single child is not a series node
+        for child in _non_series_norm(size):
+            prefix.append(child)
+            _series_lists(prefix, remaining - size, out)
+            prefix.pop()
 
 
 @lru_cache(maxsize=None)
@@ -378,33 +380,32 @@ def _parallel_norm(d: int) -> tuple[SpTerm, ...]:
     generated with children in the same key order ``_norm`` produces."""
     if d < 2:
         return ()
-    pool = sorted(
-        (
-            (format_term(t), s, t)
-            for s in range(1, d)
-            for t in _non_parallel_norm(s)
-        ),
-        key=lambda item: item[0],
-    )
-    out = []
-
-    def extend(prefix: list[SpTerm], start: int, remaining: int) -> None:
-        if remaining == 0:
-            if len(prefix) >= 2:
-                out.append(SpTerm("P", tuple(prefix)))
-            return
-        for idx in range(start, len(pool)):
-            _, size, child = pool[idx]
-            if size > remaining:
-                continue
-            if size == remaining and not prefix:
-                continue
-            prefix.append(child)
-            extend(prefix, idx, remaining - size)
-            prefix.pop()
-
-    extend([], 0, d)
+    pool = [(s, t) for s in range(1, d) for t in _non_parallel_norm(s)]
+    pool.sort(key=lambda item: format_term(item[1]))
+    # fits[r]: the pool positions of the children with at most r edges, in
+    # key order, so that a step visits only the children that fit
+    fits = [[i for i, (s, _) in enumerate(pool) if s <= r] for r in range(d + 1)]
+    out: list[SpTerm] = []
+    _parallel_multisets(pool, fits, [], 0, d, out)
     return tuple(sorted(out, key=format_term))
+
+
+def _parallel_multisets(
+    pool: list[tuple[int, SpTerm]], fits: list[list[int]],
+    prefix: list[SpTerm], start: int, remaining: int, out: list[SpTerm],
+) -> None:
+    # Children come in nondecreasing pool position from ``start`` on, so
+    # each multiset is made once.  Every child has fewer than d edges, so
+    # a finished prefix has at least two.
+    if remaining == 0:
+        out.append(SpTerm("P", tuple(prefix)))
+        return
+    fit = fits[remaining]
+    for idx in fit[bisect_left(fit, start):]:
+        size, child = pool[idx]
+        prefix.append(child)
+        _parallel_multisets(pool, fits, prefix, idx, remaining - size, out)
+        prefix.pop()
 
 
 @lru_cache(maxsize=None)

@@ -18,7 +18,8 @@ from spcube import (
     gf2_rank,
     layer_strings,
 )
-from spcube.constructions import random_vectors
+from spcube import constructions
+from spcube.constructions import _bases, random_vectors
 from spcube.verify import (
     check_f2_avoidance,
     check_f2_b2_extraction,
@@ -55,6 +56,35 @@ def _vectors(rng: random.Random, count: int, dim: int) -> list[int]:
     return [0 if rng.random() < 0.2 else rng.randrange(1 << dim) for _ in range(count)]
 
 
+def _low_rank(rng: random.Random, count: int, dim: int, rank: int) -> list[int]:
+    """``count`` vectors from the span of ``rank`` random ones: repeats,
+    zeros and a rank below the basis size are all likely."""
+    gens = [rng.randrange(1, 1 << dim) for _ in range(rank)]
+    out = []
+    for _ in range(count):
+        v = 0
+        for g in gens:
+            if rng.random() < 0.5:
+                v ^= g
+        out.append(v)
+    return out
+
+
+def _edge_cases(rng: random.Random, count: int, dim: int) -> list[int]:
+    """Vector sets aimed at each level of the search: a few distinct
+    vectors repeated (a later vector equal to the pivot at the bulk
+    level), zeros, a low-rank subspace, or plain random vectors."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        pool = [rng.randrange(1 << dim) for _ in range(rng.randint(1, 3))]
+        return [rng.choice(pool) for _ in range(count)]
+    if kind == 1:
+        return [0 if rng.random() < 0.5 else rng.randrange(1 << dim) for _ in range(count)]
+    if kind == 2:
+        return _low_rank(rng, count, dim, rng.randint(1, max(1, dim - 1)))
+    return _vectors(rng, count, dim)
+
+
 class TestAgainstSubsetRanks:
     """The basis-extension search against a rank computation per subset."""
 
@@ -74,6 +104,39 @@ class TestAgainstSubsetRanks:
             got = f2_edge_set_from_vectors(a, b, vectors)
             assert got.strings == _edge_by_ranks(a, b, vectors)
 
+    @pytest.mark.parametrize("b", [1, 2, 3, 4, 5])
+    def test_vertex_edge_cases(self, b):
+        # b in {1, 2} puts a bulk level at the root; a = 0 leaves no choice;
+        # dimensions above b leave more room than a basis fills
+        rng = random.Random(40 + b)
+        for _ in range(80):
+            a = rng.choice([0, 0, 1, 2, 3, 5, 7])
+            dim = b + rng.choice([0, 0, 1, 3])
+            vectors = _edge_cases(rng, a + b, dim)
+            want = _vertex_by_ranks(a, b, vectors)
+            assert f2_vertex_set_from_vectors(a, b, vectors).strings == want
+            assert _bases(vectors, b, [], None) == len(want)
+
+    def test_edge_sets_with_dependent_extra_vector(self):
+        # vectors[0] equal to a position's vector, or in the span of some
+        rng = random.Random(41)
+        for _ in range(120):
+            a, b = rng.randint(0, 4), rng.randint(1, 4)
+            vectors = _edge_cases(rng, a + b + 2, b + 1)
+            pos = vectors[1:]
+            if rng.random() < 0.5:
+                vectors[0] = rng.choice(pos)
+            else:
+                vectors[0] = 0
+                for v in rng.sample(pos, rng.randint(2, 3)):
+                    vectors[0] ^= v
+            want = _edge_by_ranks(a, b, vectors)
+            assert f2_edge_set_from_vectors(a, b, vectors).strings == want
+            assert sum(
+                _bases(pos[:star] + [0] + pos[star + 1:], b, [vectors[0], pos[star]], None)
+                for star in range(a + b + 1)
+            ) == len(want)
+
     def test_counts_and_seeded_sets(self):
         for a, b, seed in [(3, 3, 0), (4, 4, 1), (5, 3, 2), (2, 6, 3), (6, 5, 4)]:
             want = _vertex_by_ranks(a, b, random_vectors(a + b, b, seed))
@@ -82,6 +145,39 @@ class TestAgainstSubsetRanks:
         for a, b, seed in [(2, 2, 0), (3, 3, 1), (4, 3, 5)]:
             want = _edge_by_ranks(a, b, random_vectors(a + b + 2, b + 1, seed))
             assert f2_edge_set(a, b, seed).strings == want
+
+
+class TestOutputSensitive:
+    """Every call of the recursive step below the root reaches a leaf."""
+
+    @staticmethod
+    def _calls(monkeypatch, vectors: list[int], need: int) -> list[int]:
+        found = []
+        step = constructions._extend
+
+        def counted(*args):
+            n = step(*args)
+            found.append(n)
+            return n
+
+        with monkeypatch.context() as patch:
+            patch.setattr(constructions, "_extend", counted)
+            total = _bases(vectors, need, [], None)
+        assert found[-1] == total  # the root returns last
+        return found[:-1]
+
+    def test_seeded_10_10(self, monkeypatch):
+        below = self._calls(monkeypatch, random_vectors(20, 10, 1), 10)
+        assert len(below) == 14345 and 0 not in below
+
+    def test_low_rank(self, monkeypatch):
+        # the root may find nothing (rank below need), calls below it never do
+        rng = random.Random(42)
+        for _ in range(60):
+            b = rng.randint(3, 7)
+            vectors = _low_rank(rng, rng.randint(b, 14), b, rng.randint(b - 2, b))
+            below = self._calls(monkeypatch, vectors, b)
+            assert 0 not in below
 
 
 class TestRank:

@@ -194,6 +194,16 @@ class TestCli:
         pattern = parse_pattern(out.read_text())
         assert (pattern.a, pattern.b) == (3, 3)
 
+    @pytest.mark.parametrize(
+        "seed, code", [(2**128 - 1, 0), (2**128, 1), (-1, 1)], ids=["max", "over", "negative"]
+    )
+    def test_f2_seed_domain(self, capsys, seed, code):
+        assert main(["f2", "--a", "2", "--b", "2", "--seed", str(seed)]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code:
+            assert err.endswith(f"error: seed must be between 0 and 2**128 - 1, got {seed}\n")
+
     def test_f2_edge_mode(self, capsys):
         assert main(["f2", "--a", "2", "--b", "1", "--seed", "5", "--mode", "edge"]) == 0
         out = capsys.readouterr().out

@@ -31,10 +31,12 @@ from spcube import (
     tree_count,
     two_sum,
 )
-from spcube import catalog
+from spcube import catalog, spterm
+from spcube.embeddings import enumerate_maps
 from spcube.multigraph import _is_bridge, least_twins
 from spcube.spterm import enumerate_terms, to_marked_graph
 from spcube.verify import (
+    _redundant_terms,
     check_blocks_partition,
     check_deletion_contraction,
     check_sp_closure,
@@ -480,6 +482,26 @@ class TestNoCyclicGarbage:
         graphs = [to_marked_graph(t) for t in self.terms]
         assert _cyclic_garbage(canonical_form, graphs) == 0
         assert _cyclic_garbage(lambda g: canonical_form(g, marked=True), graphs) == 0
+
+    def test_enumerate_maps(self):
+        layers = [(1, 1, 2, 2, False), (1, 1, 3, 2, True), (2, 1, 3, 3, False)]
+        assert _cyclic_garbage(lambda args: list(enumerate_maps(*args)), layers) == 0
+
+    def test_redundant_terms(self):
+        assert _cyclic_garbage(_redundant_terms, range(1, 7)) == 0
+
+    def test_fresh_term_enumeration(self):
+        caches = (
+            spterm._norm_terms, spterm._non_series_norm, spterm._non_parallel_norm,
+            spterm._series_norm, spterm._parallel_norm, spterm._all_terms,
+        )
+
+        def fresh(d):
+            for cache in caches:
+                cache.cache_clear()
+            return list(enumerate_terms(d))
+
+        assert _cyclic_garbage(fresh, range(1, 8)) == 0
 
 
 class TestJson:
