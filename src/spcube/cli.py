@@ -20,7 +20,7 @@ from .constructions import (
 )
 from .embeddings import contains_pattern, density_t, ex_cube, ex_layer
 from .errors import SizeGuardError
-from .multigraph import load_graph
+from .multigraph import load_graph, tree_count
 from .operators import CODUP, DUP, duplicate_e, duplicate_v
 from .patterns import (
     EdgePattern,
@@ -47,6 +47,11 @@ from .verify import run_all
 
 __all__ = ["main"]
 
+# ``pattern x|y|h --graph`` builds strings from every spanning tree; at this
+# many trees ``pattern h`` takes about 4 s and 110 MB (Python 3.11, shared
+# 2-core x86 machine), and K_9 has 4.8 million
+PATTERN_TREE_LIMIT = 2**18
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -67,7 +72,11 @@ def _build_parser() -> _Parser:
 
     pat = sub.add_parser("pattern", help="derive or emit patterns")
     pat.add_argument("kind", choices=["x", "y", "h", "named"])
-    pat.add_argument("--graph", help="graph JSON file (for x/y/h)")
+    pat.add_argument(
+        "--graph",
+        help=f"graph JSON file (for x/y/h); refused (exit 2) above {PATTERN_TREE_LIMIT} "
+        "spanning trees",
+    )
     pat.add_argument("--edge", type=int, help="marked edge index (0-based)")
     pat.add_argument("--name", help="named pattern: alon, partite, x16, y18, x_k4, y_k4")
     pat.add_argument("--params", help="comma-separated block sizes for alon/partite")
@@ -176,6 +185,9 @@ def _cmd_pattern(args) -> int:
     if not args.graph:
         raise ValueError(f"pattern {args.kind} requires --graph")
     g = load_graph(args.graph)
+    trees = tree_count(g) if g.n else 0  # spanning_trees reports an empty graph
+    if trees > PATTERN_TREE_LIMIT:
+        raise SizeGuardError(f"{trees} spanning trees exceed the pattern guard {PATTERN_TREE_LIMIT}")
     if args.kind == "x":
         _emit_pattern(x_pattern(g), args.out)
         return 0

@@ -126,31 +126,150 @@ def _is_bridge(g: Multigraph, i: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# spanning trees
+# spanning trees by series-parallel reduction
+
+_PARALLEL, _SERIES, _PENDANT = 0, 1, 2
+
+
+def _sp_reduce(g: Multigraph) -> tuple[list[tuple[int, int, int]], list[dict[int, int] | None]]:
+    """Series-parallel reduction of g (Valdes, Tarjan and Lawler, SIAM J.
+    Comput. 1982), recorded as steps on numbered objects.
+
+    Objects 0..e-1 are g's edges; loops are dropped.  ``(_PARALLEL, a, b)``
+    merges two objects between one pair of vertices and ``(_SERIES, a, b)``
+    joins the two objects at a vertex of degree 2; each step makes the next
+    object number.  ``(_PENDANT, a, -1)`` removes a vertex of degree 1 with
+    its object a.  Also returns ``adj``: for each vertex left, a map from
+    its neighbours to the objects between them; None for a removed vertex.
+    Every vertex left has degree 0 or at least 3, so the ones of degree at
+    least 3 and their objects are the irreducible core.  The order of the
+    worklist does not change whether a core is left.
+    """
+    adj: list[dict[int, int] | None] = [{} for _ in range(g.n)]
+    steps: list[tuple[int, int, int]] = []
+    nxt = g.e
+    for i, (u, v) in enumerate(g.edges):
+        if u == v:
+            continue
+        k = adj[u].get(v)
+        if k is not None:
+            steps.append((_PARALLEL, k, i))
+            i, nxt = nxt, nxt + 1
+        adj[u][v] = adj[v][u] = i
+    # a vertex's degree never grows, so it is queued once it is at most 2
+    work = [v for v in range(g.n) if len(adj[v]) <= 2]
+    while work:
+        w = work.pop()
+        nbrs = adj[w]
+        if not nbrs:  # removed, or isolated
+            continue
+        adj[w] = None
+        if len(nbrs) == 1:
+            ((a, k),) = nbrs.items()
+            steps.append((_PENDANT, k, -1))
+            del adj[a][w]
+        else:
+            (a, ka), (b, kb) = nbrs.items()
+            steps.append((_SERIES, ka, kb))
+            k, nxt = nxt, nxt + 1
+            del adj[a][w], adj[b][w]
+            m = adj[a].get(b)
+            if m is None:
+                adj[a][b] = adj[b][a] = k
+                continue  # a and b keep their degrees
+            steps.append((_PARALLEL, m, k))
+            adj[a][b] = adj[b][a] = nxt
+            nxt += 1
+            if len(adj[b]) <= 2:
+                work.append(b)
+        if len(adj[a]) <= 2:
+            work.append(a)
+    return steps, adj
 
 
 def spanning_trees(g: Multigraph) -> list[int]:
     """All spanning trees of a connected multigraph, as sorted edge bitmasks.
 
     Bit ``i`` of a mask corresponds to edge ``i``.  Raises ``ValueError``
-    on a disconnected (or empty) graph.  One enumerator serves every size:
-    backtracking over acyclic edge sets grown in edge-index order (Read and
-    Tarjan, Networks 1975).  Each level keeps one list of component labels;
-    an edge inside one component would close a cycle and is never taken, a
-    branch stops when fewer edges remain than it still needs, and the last
-    edge of each tree is emitted in bulk.
+    on a disconnected (or empty) graph.
+
+    The trees are composed along ``_sp_reduce``.  Each object carries its
+    (T, F) mask sets: the spanning trees of its two-terminal network, and
+    the 2-component spanning forests separating its terminals.  An edge has
+    T = {itself} and F = {no edge}.  A parallel merge gives
+    T = T_a F_b + F_a T_b and F = F_a F_b, a series join T = T_a T_b and
+    F = T_a F_b + F_a T_b, where a product joins one mask of each set and
+    the two sets' bits are disjoint.  A pendant object is in every tree
+    with one of its T masks.  Whatever does not reduce, such as K4 and its
+    subdivisions, is an irreducible core.  The backtracking enumerator runs
+    on it, with its objects as edges, and each core tree expands into T_k
+    for its objects and F_k for the others.
     """
     if g.n == 0:
         raise ValueError("spanning trees of the empty graph are undefined")
-    if not g.is_connected():
-        raise ValueError("spanning trees require a connected graph")
-    if g.n == 1:
-        return [0]
-    edges = [(u, v, 1 << i) for i, (u, v) in enumerate(g.edges) if u != v]
+    steps, adj = _sp_reduce(g)
+    trees = [[1 << i] for i in range(g.e)]
+    forests = [[0]] * g.e
+    pendant: list[list[int]] = []
+    for op, a, b in steps:
+        if op == _PENDANT:
+            pendant.append(trees[a])
+        elif op == _SERIES:
+            trees.append(_join(trees[a], trees[b]))
+            forests.append(_join(trees[a], forests[b]) + _join(forests[a], trees[b]))
+        else:
+            trees.append(_join(trees[a], forests[b]) + _join(forests[a], trees[b]))
+            forests.append(_join(forests[a], forests[b]))
+    fixed = [0]
+    for part in sorted(pendant, key=len):  # small products first
+        fixed = _join(fixed, part)
+    left = [v for v, nbrs in enumerate(adj) if nbrs is not None]
+    if len(left) == 1:
+        fixed.sort()
+        return fixed
+    objects, cores = _core_trees(adj, left)
     out: list[int] = []
-    _grow(edges, 0, g.n - 1, 0, list(range(g.n)), out)
+    for core in cores:
+        acc = [0]
+        for j, k in enumerate(objects):
+            acc = _join(acc, trees[k] if core >> j & 1 else forests[k])
+        out += acc
+    out = _join(out, fixed)
     out.sort()
     return out
+
+
+def _core_trees(
+    adj: list[dict[int, int] | None], left: list[int]
+) -> tuple[list[int], list[int]]:
+    """The core's objects, and its spanning trees as masks over them (bit j
+    for ``objects[j]``).  Raises ``ValueError`` when what is left of the
+    graph after the reduction is disconnected: then so was the graph."""
+    seen = {left[0]}
+    stack = [left[0]]
+    while stack:
+        for u in adj[stack.pop()]:
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    if len(seen) != len(left):
+        raise ValueError("spanning trees require a connected graph")
+    label = {v: x for x, v in enumerate(left)}
+    objects: list[int] = []
+    edges: list[tuple[int, int, int]] = []
+    for v in left:
+        for u, k in adj[v].items():
+            if v < u:
+                edges.append((label[v], label[u], 1 << len(objects)))
+                objects.append(k)
+    cores: list[int] = []
+    _grow(edges, 0, len(left) - 1, 0, list(range(len(left))), cores)
+    return objects, cores
+
+
+def _join(xs: list[int], ys: list[int]) -> list[int]:
+    """Every union of one mask of xs with one of ys (their bits are disjoint)."""
+    return [x | y for y in ys for x in xs]
 
 
 def _grow(
@@ -161,9 +280,12 @@ def _grow(
     comp: list[int],
     out: list[int],
 ) -> None:
-    # Extends ``mask`` by ``need`` more edges from ``edges[start:]``, each
-    # joining two components of ``comp``.  The output list is an argument:
-    # a closure over it that calls itself would keep it alive in a cycle.
+    # Backtracking over acyclic edge sets grown in edge-index order (Read
+    # and Tarjan, Networks 1975): extends ``mask`` by ``need`` more edges
+    # from ``edges[start:]``, each joining two components of ``comp``; the
+    # last edge of each tree is emitted in bulk.  The output list is an
+    # argument: a closure over it that calls itself would keep it alive in
+    # a cycle.
     if need == 1:
         out.extend(mask | bit for u, v, bit in edges[start:] if comp[u] != comp[v])
         return
@@ -428,71 +550,14 @@ def blocks(g: Multigraph) -> list[Block]:
 def is_series_parallel(g: Multigraph) -> bool:
     """True iff g has no K4 minor.
 
-    Implemented by exhaustive reduction (drop loops, merge parallel edges,
-    suppress degree-2 vertices); a component is series-parallel iff it
-    reduces to a single vertex or a single edge.  Validated against the
-    brute-force minor search ``has_k4_minor`` on all small multigraphs.
+    A component is series-parallel iff ``_sp_reduce`` (drop loops, merge
+    parallel edges, remove pendant vertices, suppress degree-2 vertices)
+    leaves no core of it: a reduction that is stuck with edges left has
+    minimum degree 3, hence a K4 minor.  Validated against the brute-force
+    minor search ``has_k4_minor`` on all small multigraphs.
     """
-    comp_of = _component_labels(g)
-    per_comp: dict[int, list[tuple[int, int]]] = {}
-    for (u, v) in g.edges:
-        per_comp.setdefault(comp_of[u], []).append((u, v))
-    return all(_reduces_to_edge(edges) for edges in per_comp.values())
-
-
-def _component_labels(g: Multigraph) -> list[int]:
-    label = [-1] * g.n
-    adj = g.adjacency()
-    c = 0
-    for s in range(g.n):
-        if label[s] != -1:
-            continue
-        label[s] = c
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for u, _ in adj[v]:
-                if label[u] == -1:
-                    label[u] = c
-                    stack.append(u)
-        c += 1
-    return label
-
-
-def _reduces_to_edge(edges: list[tuple[int, int]]) -> bool:
-    work = list(edges)
-    while True:
-        work = [(u, v) for u, v in work if u != v]
-        # merge one parallel class
-        seen: dict[tuple[int, int], int] = {}
-        dup = None
-        for j, e in enumerate(work):
-            if e in seen:
-                dup = j
-                break
-            seen[e] = j
-        if dup is not None:
-            work.pop(dup)
-            continue
-        inc: dict[int, list[int]] = {}
-        for j, (u, v) in enumerate(work):
-            inc.setdefault(u, []).append(j)
-            inc.setdefault(v, []).append(j)
-        # prune one pendant edge
-        leaf = next((w for w, js in inc.items() if len(js) == 1), None)
-        if leaf is not None:
-            work.pop(inc[leaf][0])
-            continue
-        # suppress one degree-2 vertex
-        target = next((w for w, js in inc.items() if len(js) == 2), None)
-        if target is None:
-            # a stuck nonempty reduction has min degree >= 3, hence a K4 minor
-            return len(work) == 0
-        j1, j2 = inc[target]
-        ends = [w for e in (work[j1], work[j2]) for w in e if w != target]
-        a, b = (ends + [target, target])[:2]  # both edges to the same vertex -> loop
-        work = [e for j, e in enumerate(work) if j not in (j1, j2)]
-        work.append((min(a, b), max(a, b)))
+    _, adj = _sp_reduce(g)
+    return not any(adj)
 
 
 def has_k4_minor(g: Multigraph) -> bool:

@@ -65,7 +65,7 @@ __all__ = [
 ]
 
 EXHAUSTIVE_TREE_LIMIT = 8
-WITNESS_CHAIN_LIMIT = 16
+WITNESS_CHAIN_LIMIT = 24
 M_TABLE_LIMIT = 16
 
 
@@ -104,17 +104,14 @@ def max_spanning_trees(d: int, mode: str = "exhaustive") -> TableRow:
 
     ``exhaustive`` searches the full isomorphism census (d <= 8);
     ``witness`` only builds the alternating duplicate/subdivide chain
-    graph and reports its count (d <= 16).  The row's millis is the time
+    graph and reports its count (d <= 24).  The row's millis is the time
     this call took: census levels are kept once built, so in ``fib_table``
     an exhaustive row times building its own level from the one below,
     plus its tree counts.
     """
     start = time.perf_counter()
+    _check_fib_guard(d, mode)
     if mode == "exhaustive":
-        if d > EXHAUSTIVE_TREE_LIMIT:
-            raise SizeGuardError(
-                f"exhaustive census is guarded at {EXHAUSTIVE_TREE_LIMIT} edges"
-            )
         best = -1
         witness: Multigraph | None = None
         for g in enumerate_connected_sp(d):
@@ -124,19 +121,30 @@ def max_spanning_trees(d: int, mode: str = "exhaustive") -> TableRow:
                 witness = g
         assert witness is not None
         return TableRow(d, best, witness, _ms(start))
-    if mode == "witness":
-        if d > WITNESS_CHAIN_LIMIT:
-            raise SizeGuardError(f"witness chain is guarded at {WITNESS_CHAIN_LIMIT} edges")
-        g = fib_chain(d)
-        count = len(spanning_trees(g))
-        if count != tree_count(g):
-            raise AssertionError("tree enumeration and determinant count disagree")
-        return TableRow(d, count, g, _ms(start))
-    raise ValueError(f"unknown mode {mode!r}")
+    g = fib_chain(d)
+    count = len(spanning_trees(g))
+    if count != tree_count(g):
+        raise AssertionError("tree enumeration and determinant count disagree")
+    return TableRow(d, count, g, _ms(start))
 
 
 def fib_table(d_max: int, mode: str = "exhaustive") -> list[TableRow]:
+    """Rows 0..d_max; refuses before any row is computed."""
+    _check_fib_guard(d_max, mode)
     return [max_spanning_trees(d, mode) for d in range(d_max + 1)]
+
+
+def _check_fib_guard(d: int, mode: str) -> None:
+    if mode == "exhaustive":
+        if d > EXHAUSTIVE_TREE_LIMIT:
+            raise SizeGuardError(
+                f"exhaustive census is guarded at {EXHAUSTIVE_TREE_LIMIT} edges"
+            )
+    elif mode == "witness":
+        if d > WITNESS_CHAIN_LIMIT:
+            raise SizeGuardError(f"witness chain is guarded at {WITNESS_CHAIN_LIMIT} edges")
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
 
 
 def _ms(start: float) -> float:

@@ -19,6 +19,7 @@ from functools import lru_cache
 
 from .multigraph import (
     Multigraph,
+    _join,
     add_leaf,
     add_loop,
     canonical_form,
@@ -318,11 +319,6 @@ def _tree_sets(t: SpTerm, offset: int) -> tuple[list[int], list[int], int]:
         else:
             trees, forests = _join(trees, cf) + _join(forests, ct), _join(forests, cf)
     return trees, forests, offset
-
-
-def _join(xs: list[int], ys: list[int]) -> list[int]:
-    """Every union of one mask of xs with one of ys (their bits are disjoint)."""
-    return [x | y for y in ys for x in xs]
 
 
 # ---------------------------------------------------------------------------

@@ -141,7 +141,7 @@ def _trees_by_subsets(g: Multigraph) -> list[int]:
 
 
 def check_tree_count_routes(max_edges: int = 6) -> list[str]:
-    """The enumerator's tree lists equal the brute-force subset filter's,
+    """``spanning_trees``' lists equal the brute-force subset filter's,
     and their length equals the determinant count."""
     bad = []
     for d in range(1, max_edges + 1):
@@ -215,7 +215,9 @@ def check_sp_vs_minor(max_edges: int = 6) -> list[str]:
 
 
 def check_tf_oracle(max_d: int = 8) -> list[str]:
-    """tf_counts matches brute-force tree enumeration of the marked graph."""
+    """tf_counts matches the tree counts of the marked graph's deletion and
+    contraction, which ``spanning_trees`` finds by reducing the graph
+    rather than by walking the term."""
     bad = []
     for t in _terms_upto(max_d):
         g = to_marked_graph(t)

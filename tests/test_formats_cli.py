@@ -5,15 +5,18 @@ import pytest
 
 from spcube import (
     EdgePattern,
+    Multigraph,
     VertexPattern,
     format_pattern,
     graph_to_json,
     layer_strings,
     parse_pattern,
+    tree_count,
     x_pattern,
 )
-from spcube import catalog
-from spcube.cli import main
+from spcube import catalog, patterns
+from spcube.cli import PATTERN_TREE_LIMIT, main
+from spcube.search import fib
 from spcube.patterns import pg_from_json, pg_to_json, h_graph
 
 
@@ -236,6 +239,42 @@ class TestCli:
         assert main(["table", "fib", "--max-d", "4"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert [ln.split(",")[1] for ln in lines[1:]] == ["1", "1", "2", "3", "5"]
+
+    def test_table_fib_witness_chain_at_guard(self, capsys):
+        assert main(["table", "fib", "--max-d", "24", "--witness-only"]) == 0
+        rows = [ln.split(",") for ln in capsys.readouterr().out.strip().splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == list(range(25))
+        for d, value, *_ in rows:
+            d, value = int(d), int(value)
+            assert value == fib(d + 1) == tree_count(catalog.fib_chain(d))
+
+    def test_table_fib_witness_chain_above_guard_exit_2(self, capsys):
+        assert main(["table", "fib", "--max-d", "25", "--witness-only"]) == 2
+        assert "refused: witness chain is guarded at 24 edges" in capsys.readouterr().err
+
+    def test_pattern_at_tree_guard(self, tmp_path, capsys):
+        pairs = PATTERN_TREE_LIMIT.bit_length() - 1  # a chain of parallel pairs
+        g = Multigraph(pairs + 1, tuple(e for j in range(pairs) for e in ((j, j + 1),) * 2))
+        assert tree_count(g) == PATTERN_TREE_LIMIT
+        path = tmp_path / "g.json"
+        path.write_text(graph_to_json(g))
+        assert main(["pattern", "x", "--graph", str(path)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + PATTERN_TREE_LIMIT
+        # one more edge in the last pair: 3/2 of the limit
+        path.write_text(graph_to_json(Multigraph(g.n, g.edges + ((pairs - 1, pairs),))))
+        assert main(["pattern", "x", "--graph", str(path)]) == 2
+
+    @pytest.mark.parametrize("kind", ["x", "y", "h"])
+    def test_pattern_above_tree_guard_refused_before_work(self, kind, tmp_path, capsys, monkeypatch):
+        def no_trees(g):
+            raise AssertionError("spanning trees enumerated past the guard")
+
+        monkeypatch.setattr(patterns, "spanning_trees", no_trees)
+        k10 = Multigraph(10, tuple((u, v) for u in range(10) for v in range(u + 1, 10)), 0)
+        path = tmp_path / "k10.json"
+        path.write_text(graph_to_json(k10))
+        assert main(["pattern", kind, "--graph", str(path)]) == 2
+        assert "refused: 100000000 spanning trees exceed the pattern guard" in capsys.readouterr().err
 
     def test_table_m_markdown(self, capsys):
         assert main(["table", "m", "--max-d", "5", "--emit", "md"]) == 0

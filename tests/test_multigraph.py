@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from iso_oracle import backtrack_isomorphic
+from tree_oracle import whole_graph_trees
 from spcube import (
     Multigraph,
     add_leaf,
@@ -36,7 +37,9 @@ from spcube.embeddings import enumerate_maps
 from spcube.multigraph import _is_bridge, least_twins
 from spcube.spterm import enumerate_terms, to_marked_graph
 from spcube.verify import (
+    _all_connected_multigraphs,
     _redundant_terms,
+    _trees_by_subsets,
     check_blocks_partition,
     check_deletion_contraction,
     check_sp_closure,
@@ -132,6 +135,102 @@ class TestSpanningTreesAbove20Edges:
         g = _random_sp(rng, rng.randint(21, 26))
         assert is_series_parallel(g) and g.is_connected()
         self._check(g)
+
+
+def _union(g, h):
+    """Disjoint union: h's vertices and edges come after g's."""
+    return Multigraph(g.n + h.n, g.edges + tuple((u + g.n, v + g.n) for u, v in h.edges))
+
+
+def _decorated_k4(rng):
+    """K4 with its edges replaced by random series and parallel terms (one
+    duplicate/subdivide step at a time), pendant trees and loops added, and
+    the edge order shuffled."""
+    g = catalog.k4_x16()
+    for _ in range(rng.randint(0, 7)):
+        kind = rng.choice(("duplicate", "subdivide"))
+        g = apply_operation(g, (kind, rng.randrange(g.e)))
+    for _ in range(rng.randint(0, 3)):
+        g = add_leaf(g, rng.randrange(g.n))
+    for _ in range(rng.randint(0, 2)):
+        g = add_loop(g, rng.randrange(g.n))
+    order = list(range(g.e))
+    rng.shuffle(order)
+    return permute_edges(g, tuple(order))
+
+
+@st.composite
+def _connected_multigraphs(draw):
+    """A random spanning tree plus random extra edges (loops, parallel
+    edges and K4 subgraphs included), in a random edge order."""
+    n = draw(st.integers(1, 6))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    vertex = st.integers(0, n - 1)
+    edges += draw(st.lists(st.tuples(vertex, vertex), max_size=8))
+    return Multigraph(n, tuple(draw(st.permutations(edges))))
+
+
+class TestSpanningTreesByReduction:
+    """The series-parallel reduction with its core enumerator gives the
+    whole-graph enumerator's lists (``tree_oracle``)."""
+
+    def test_census(self):
+        for d in range(1, 8):
+            for g in enumerate_connected_sp(d):
+                assert spanning_trees(g) == whole_graph_trees(g), g
+
+    def test_all_connected_multigraphs(self):
+        graphs = [g for d in range(7) for g in _all_connected_multigraphs(d)]
+        assert any(not is_series_parallel(g) for g in graphs)  # K4 takes the core path
+        for g in graphs:
+            assert spanning_trees(g) == whole_graph_trees(g), g
+
+    def test_term_graphs(self):
+        for d in range(1, 10):
+            for t in enumerate_terms(d):
+                g = to_marked_graph(t)
+                assert spanning_trees(g) == whole_graph_trees(g), t
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_decorated_k4_cores(self, seed):
+        g = _decorated_k4(random.Random(seed))
+        assert not is_series_parallel(g)
+        assert spanning_trees(g) == whole_graph_trees(g)
+
+    def test_two_cores_joined_by_a_path(self):
+        k4 = catalog.k4_x16()
+        g = _union(k4, k4)
+        g = Multigraph(g.n + 1, g.edges + ((3, 8), (8, 4)))
+        masks = spanning_trees(g)
+        assert len(masks) == 16 * 16
+        assert masks == whole_graph_trees(g)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_connected_multigraphs())
+    def test_random_connected_multigraphs(self, g):
+        masks = spanning_trees(g)
+        assert len(masks) == tree_count(g)
+        assert masks == _trees_by_subsets(g)
+
+    def test_empty_graph_rejected(self):
+        with pytest.raises(ValueError, match="spanning trees of the empty graph are undefined"):
+            spanning_trees(Multigraph(0, ()))
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            Multigraph(2, ()),
+            Multigraph(3, ((0, 1), (0, 1), (2, 2))),
+            _union(catalog.triangle(), catalog.c2()),
+            _union(catalog.k4_x16(), Multigraph(1, ())),
+            _union(catalog.k1(), catalog.k4_x16()),
+            _union(catalog.k4_x16(), catalog.triangle()),
+            _union(catalog.k4_x16(), catalog.k4_x16()),
+        ],
+    )
+    def test_disconnected_rejected_with_message(self, g):
+        with pytest.raises(ValueError, match="spanning trees require a connected graph"):
+            spanning_trees(g)
 
 
 class TestMinor:
@@ -247,6 +346,17 @@ class TestSeriesParallel:
     def test_k4_plus_decorations_still_detected(self):
         g = add_loop(add_leaf(catalog.k4_x16(), 2), 0)
         assert not is_series_parallel(g)
+
+    def test_disconnected_unions_against_minor_search(self):
+        small = [g for d in range(4) for g in _all_connected_multigraphs(d)]
+        k4 = catalog.k4_x16()
+        cores = [k4, subdivide_edge(subdivide_edge(k4, 0), 3), add_loop(duplicate_edge(k4, 2), 1)]
+        for g in [g for d in range(5) for g in _all_connected_multigraphs(d)] + cores:
+            for h in small:
+                u = _union(g, h)
+                assert is_series_parallel(u) == (not has_k4_minor(u)), u
+        u = _union(catalog.k4_x16(), catalog.k4_x16())
+        assert not is_series_parallel(u) and has_k4_minor(u)
 
 
 class TestTwoSum:

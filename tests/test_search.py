@@ -113,7 +113,7 @@ class TestMaxSpanningTrees:
         with pytest.raises(SizeGuardError):
             max_spanning_trees(9, "exhaustive")
         with pytest.raises(SizeGuardError):
-            max_spanning_trees(17, "witness")
+            max_spanning_trees(25, "witness")
 
     def test_exhaustive_suite(self):
         assert check_fib_exhaustive(max_d=6) == []
