@@ -9,7 +9,7 @@ of the edge pattern Y, which here forms an 8-cycle inside Q4.
 
 from spcube import catalog
 from spcube.multigraph import contract, delete_edge
-from spcube.patterns import h_graph, pg_shape, x_pattern, y_pattern
+from spcube.patterns import format_string, h_graph, pg_shape, x_pattern, y_pattern
 
 
 def main():
@@ -32,8 +32,10 @@ def main():
 
     h = h_graph(g, 4)
     print(f"\nas a bipartite graph: {pg_shape(h)}")
-    adj = h.adjacency()
-    walk = [min(h.lower)]
+    # the graph holds masks (bit j = coordinate j); walk it by their strings
+    name = {v: format_string(v, h.width) for v in h.lower | h.upper}
+    adj = {name[v]: {name[u] for u in us} for v, us in h.adjacency().items()}
+    walk = [min(name[v] for v in h.lower)]
     prev = None
     for _ in range(len(adj)):
         nxt = sorted(v for v in adj[walk[-1]] if v != prev)[0]

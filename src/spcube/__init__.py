@@ -61,11 +61,14 @@ from .patterns import (
     dual_pattern,
     edge_pattern_from_pattern_graph,
     format_pattern,
+    format_string,
     h_graph,
+    layer_masks,
     layer_strings,
     load_pattern,
     named_pattern,
     parse_pattern,
+    parse_string,
     partite_pattern,
     pattern_graph_from_edge_pattern,
     pg_components,
@@ -75,6 +78,7 @@ from .patterns import (
     product_join,
     psi,
     save_pattern,
+    starred_layer_masks,
     starred_layer_strings,
     x16_pattern,
     x_k4_pattern,

@@ -32,6 +32,7 @@ from .patterns import (
     named_pattern,
     NAMED_PATTERN_NOTES,
     parse_pattern,
+    parse_string,
     pg_from_json,
     pg_is_connected,
     pg_shape,
@@ -162,14 +163,30 @@ def _emit_pattern(pattern, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_any_set(path: str):
-    """Pattern file (layer mode) or bare strings, one per line (cube mode)."""
+def _load_any_set(path: str, starred: bool):
+    """Pattern file (layer mode) or bare strings, one per line (cube mode).
+
+    Cube-mode lines must be 0/1 strings of one length, with one ``*``
+    each when the pattern is an edge pattern; the first line that is not
+    is named in the error.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     first = next((ln for ln in text.splitlines() if ln.strip()), "")
     if first.split() and first.split()[0] in ("vertex", "edge"):
         return parse_pattern(text)
-    return frozenset(ln.strip() for ln in text.splitlines() if ln.strip())
+    width = len(first.strip())
+    strings = []
+    for number, line in enumerate(text.splitlines(), 1):
+        s = line.strip()
+        if not s:
+            continue
+        try:
+            parse_string(s, width, starred)
+        except ValueError as exc:
+            raise ValueError(f"{path} line {number}: {exc}") from None
+        strings.append(s)
+    return frozenset(strings)
 
 
 def _cmd_pattern(args) -> int:
@@ -259,8 +276,8 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_contains(args) -> int:
-    target = _load_any_set(args.set_file)
     pattern = load_pattern(args.pattern)
+    target = _load_any_set(args.set_file, isinstance(pattern, EdgePattern))
     found, witness = contains_pattern(target, pattern)
     if found:
         print(f"contains: yes  witness: {witness}")
@@ -296,17 +313,17 @@ def _cmd_ex_cube(args) -> int:
 def _cmd_f2(args) -> int:
     if args.mode == "vertex":
         pattern = f2_vertex_set(args.a, args.b, args.seed)
-        density = Fraction(len(pattern.strings), comb(args.a + args.b, args.b))
+        density = Fraction(len(pattern), comb(args.a + args.b, args.b))
         bound = density_lower_bound(args.b)
     else:
         pattern = f2_edge_set(args.a, args.b, args.seed)
         layer = (args.a + args.b + 1) * comb(args.a + args.b, args.b)
-        density = Fraction(len(pattern.strings), layer)
+        density = Fraction(len(pattern), layer)
         # 1/4 times prod_{i=1..b} (1 - 2^-(i+1))
         bound = density_lower_bound(args.b + 1) / 2
     _emit_pattern(pattern, args.out)
     sys.stderr.write(
-        f"# seed {args.seed} size {len(pattern.strings)} "
+        f"# seed {args.seed} size {len(pattern)} "
         f"density {density.numerator}/{density.denominator} "
         f"(~{float(density):.4f}, basis probability ~{float(bound):.4f})\n"
     )

@@ -1,14 +1,14 @@
 """Dense pattern-avoiding layer subsets from GF(2) linear algebra.
 
-Strings are admitted to the set when the random vectors indexed by their
-1-positions (plus, for edge sets, a fixed extra vector and the starred
-position's vector) form a basis.  Vector sampling is driven by a
+A vertex of the layer is admitted to the set when the random vectors
+indexed by its 1-positions (plus, for an edge, a fixed extra vector and
+the star position's vector) form a basis.  Vector sampling is driven by a
 counter-based generator keyed by an explicit seed, an integer with
 0 <= seed < 2**128, so every constructed set is reproducible from
 (a, b, seed) alone.
 
 One depth-first basis-extension search (``_bases``) decides admission:
-``f2_vertex_set_from_vectors`` takes the strings at its leaves,
+``f2_vertex_set_from_vectors`` takes the position masks at its leaves,
 ``f2_vertex_count`` counts them, and ``f2_edge_set_from_vectors`` runs it
 once per star position with two partial bases, seeded by the extra vector
 and by the starred position's vector.  Its work grows with its output:
@@ -62,13 +62,13 @@ def _reduce(v: int, basis: dict[int, int]) -> int:
     return 0
 
 
-def _bases(vectors: list[int], need: int, seeds: list[int], out: list[str] | None) -> int:
-    """Count the 0/1 strings over the positions of ``vectors`` with ``need``
-    ones whose vectors stay independent when joined with each of the
-    ``seeds`` (none or two); append them to ``out`` unless it is None.
+def _bases(vectors: list[int], need: int, seeds: list[int], out: list[int] | None) -> int:
+    """Count the position masks (bit i = position i of ``vectors``) with
+    ``need`` bits whose vectors stay independent when joined with each of
+    the ``seeds`` (none or two); append them to ``out`` unless it is None.
 
-    Depth-first basis extension in position order, so the strings come
-    out in lexicographic order of their 1-positions.  Each partial basis
+    Depth-first basis extension in position order, so the masks come out
+    in lexicographic order of their 1-positions.  Each partial basis
     (one per seed, or one empty basis) is kept by Gaussian elimination:
     every vector still to be tried has the basis's pivot bits cleared, so
     it extends the basis exactly when it is nonzero.
@@ -84,16 +84,16 @@ def _bases(vectors: list[int], need: int, seeds: list[int], out: list[str] | Non
     child: with ``need == 1`` the leaves are the nonzero positions, and
     with ``need == 2`` each nonzero pivot pairs with every later position
     whose vector is neither 0 nor the pivot, exactly those that stay
-    nonzero once it is eliminated; counting them needs no strings.
+    nonzero once it is eliminated; counting them needs no masks.
     """
     n = len(vectors)
     if not all(seeds):
         return 0
     if need == 0:
         if out is not None:
-            out.append("0" * n)
+            out.append(0)
         return 1
-    args = (1 << (n - 1), need, 0, f"0{n}b", out)
+    args = (1, need, 0, out)
     if seeds:
         return _extend_pair(*[_eliminate(vectors, seed) for seed in seeds], *args)
     return _extend(vectors, *args)
@@ -116,29 +116,22 @@ def _last_start(row: list[int], need: int) -> int:
     return -1
 
 
-def _extend(
-    row: list[int], bit: int, need: int, ones: int, fmt: str, out: list[str] | None
-) -> int:
-    # One partial basis.  ``bit`` marks row[0]'s position, most
-    # significant first, so format(ones, fmt) is the string.  State lives
-    # in the arguments: a closure that calls itself would keep it alive in
-    # a cycle.
+def _extend(row: list[int], bit: int, need: int, ones: int, out: list[int] | None) -> int:
+    # One partial basis.  ``bit`` is row[0]'s position as a mask bit, and
+    # ``ones`` the positions taken so far.  State lives in the arguments: a
+    # closure that calls itself would keep it alive in a cycle.
     if need < 3:
-        return _bulk(row, bit, need, ones, fmt, out)
+        return _bulk(row, bit, need, ones, out)
     step = _extend if need > 3 else _bulk
     found = 0
     for i in range(_last_start(row, need) + 1):
         p = row[i]
         if p:
-            found += step(
-                _eliminate(row[i + 1:], p), bit >> (i + 1), need - 1, ones | bit >> i, fmt, out
-            )
+            found += step(_eliminate(row[i + 1:], p), bit << (i + 1), need - 1, ones | bit << i, out)
     return found
 
 
-def _bulk(
-    row: list[int], bit: int, need: int, ones: int, fmt: str, out: list[str] | None
-) -> int:
+def _bulk(row: list[int], bit: int, need: int, ones: int, out: list[int] | None) -> int:
     # The last two levels, with no call and no eliminated row per child.
     # With need == 1 the leaves are the nonzero positions.  With need == 2,
     # position i pairs with every later nonzero j with row[j] != row[i]:
@@ -157,23 +150,22 @@ def _bulk(
     nonzero = [i for i, x in enumerate(row) if x]
     before = len(out)
     if need == 1:
-        out.extend([format(ones | bit >> i, fmt) for i in nonzero])
+        out.extend([ones | bit << i for i in nonzero])
     else:
         for k, i in enumerate(nonzero):
-            p, here = row[i], ones | bit >> i
-            out.extend([format(here | bit >> j, fmt) for j in nonzero[k + 1:] if row[j] != p])
+            p, here = row[i], ones | bit << i
+            out.extend([here | bit << j for j in nonzero[k + 1:] if row[j] != p])
     return len(out) - before
 
 
 def _extend_pair(
-    row_a: list[int], row_b: list[int], bit: int, need: int, ones: int, fmt: str,
-    out: list[str] | None,
+    row_a: list[int], row_b: list[int], bit: int, need: int, ones: int, out: list[int] | None
 ) -> int:
     # Two partial bases, one row each: a position joins when it extends
     # both.  The same search as ``_extend``, kept apart so that the
     # one-row search works on plain ints.  The cutoff is taken per row.
     if need < 3:
-        return _bulk_pair(row_a, row_b, bit, need, ones, fmt, out)
+        return _bulk_pair(row_a, row_b, bit, need, ones, out)
     step = _extend_pair if need > 3 else _bulk_pair
     found = 0
     for i in range(min(_last_start(row_a, need), _last_start(row_b, need)) + 1):
@@ -181,27 +173,26 @@ def _extend_pair(
         if p and q:
             found += step(
                 _eliminate(row_a[i + 1:], p), _eliminate(row_b[i + 1:], q),
-                bit >> (i + 1), need - 1, ones | bit >> i, fmt, out,
+                bit << (i + 1), need - 1, ones | bit << i, out,
             )
     return found
 
 
 def _bulk_pair(
-    row_a: list[int], row_b: list[int], bit: int, need: int, ones: int, fmt: str,
-    out: list[str] | None,
+    row_a: list[int], row_b: list[int], bit: int, need: int, ones: int, out: list[int] | None
 ) -> int:
     both = [i for i, (x, y) in enumerate(zip(row_a, row_b)) if x and y]
     if need == 1:
-        leaves = [ones | bit >> i for i in both]
+        leaves = [ones | bit << i for i in both]
     else:
         leaves = []
         for k, i in enumerate(both):
-            p, q, here = row_a[i], row_b[i], ones | bit >> i
+            p, q, here = row_a[i], row_b[i], ones | bit << i
             leaves.extend([
-                here | bit >> j for j in both[k + 1:] if row_a[j] != p and row_b[j] != q
+                here | bit << j for j in both[k + 1:] if row_a[j] != p and row_b[j] != q
             ])
     if out is not None:
-        out.extend([format(leaf, fmt) for leaf in leaves])
+        out.extend(leaves)
     return len(leaves)
 
 
@@ -226,9 +217,9 @@ def f2_vertex_set_from_vectors(
         raise ValueError(f"need {a + b} vectors, got {len(vectors)}")
     if comb(a + b, b) > max_layer:
         raise SizeGuardError("layer too large to materialize; use f2_vertex_density")
-    strings: list[str] = []
-    _bases(vectors, b, [], strings)
-    return VertexPattern(a, b, frozenset(strings))
+    masks: list[int] = []
+    _bases(vectors, b, [], masks)
+    return VertexPattern.from_masks(a, b, masks)
 
 
 def f2_vertex_set(a: int, b: int, seed: int) -> VertexPattern:
@@ -240,7 +231,7 @@ def f2_vertex_set(a: int, b: int, seed: int) -> VertexPattern:
 
 def f2_vertex_count(a: int, b: int, seed: int) -> int:
     """|f2_vertex_set(a, b, seed)|, counted by the same search without
-    materializing the strings."""
+    materializing the set."""
     if b < 1:
         raise ValueError("b must be at least 1")
     return _bases(random_vectors(a + b, b, seed), b, [], None)
@@ -254,7 +245,7 @@ def f2_vertex_density(a: int, b: int, seed: int) -> Fraction:
 def f2_edge_set_from_vectors(
     a: int, b: int, vectors: list[int], *, max_layer: int = 500_000
 ) -> EdgePattern:
-    """Starred strings of L'(a,b) admitted when the 1-position vectors
+    """Edges of L'(a,b) admitted when the 1-position vectors
     extend to a basis of GF(2)^(b+1) both by vectors[0] and by the starred
     position's vector.
 
@@ -267,14 +258,14 @@ def f2_edge_set_from_vectors(
     if n * comb(n - 1, b) > max_layer:
         raise SizeGuardError("starred layer too large to materialize")
     pos = vectors[1:]
-    strings = set()
+    pairs: list[tuple[int, int]] = []
     for star in range(n):
         # a zero vector never extends a basis, so the star never joins
         rest = pos[:star] + [0] + pos[star + 1:]
-        texts: list[str] = []
-        _bases(rest, b, [vectors[0], pos[star]], texts)
-        strings.update(text[:star] + "*" + text[star + 1:] for text in texts)
-    return EdgePattern(a, b, frozenset(strings))
+        masks: list[int] = []
+        _bases(rest, b, [vectors[0], pos[star]], masks)
+        pairs.extend((m, star) for m in masks)
+    return EdgePattern.from_pairs(a, b, pairs)
 
 
 def f2_edge_set(a: int, b: int, seed: int) -> EdgePattern:

@@ -8,30 +8,37 @@ all built on these maps.  Every search here is exact; oversized requests
 raise ``SizeGuardError`` instead of approximating.
 
 One search finds the maps that send a pattern into a set
-(``_embeddings``).  It fixes a map one target coordinate at a time, trying
-tokens in ``enumerate_maps`` order, and grows each pattern string's image
-as an int; a branch ends as soon as one image prefix is the prefix of no
-target string.  ``density_t`` counts its leaves, ``contains_pattern``
-takes the first, and ``ex_layer`` collects the images of every map into
-the layer.  One branch and bound (``_max_avoiding``) then gives ``ex_layer``
+(``_embeddings``).  It works on image codes, two bits per coordinate (0,
+1, or 2 at an edge's star), derived from the patterns' masks.  It fixes a
+map one target coordinate at a time, trying tokens in ``enumerate_maps``
+order, and grows each pattern element's image code; a branch ends as soon
+as one image prefix is the prefix of no target element.  ``density_t``
+counts its leaves, ``contains_pattern`` takes the first, and ``ex_layer``
+collects the images of every map into the layer.  One branch and bound (``_max_avoiding``) then gives ``ex_layer``
 and ``ex_cube`` their value and lexicographically least witness in a
-single solve.  ``enumerate_maps`` and ``apply_map`` remain the definition
-of a map; ``ex_layer_bruteforce`` is built on them alone.
+single solve, over a universe listed in the canonical string order; the
+witness is written as strings only at the end.  ``enumerate_maps`` and
+``apply_map`` remain the definition of a map, on strings;
+``ex_layer_bruteforce`` is built on them alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from math import factorial
 
 from .errors import SizeGuardError
 from .patterns import (
     EdgePattern,
     VertexPattern,
+    element_key,
+    format_string,
+    layer_masks,
     layer_strings,
-    sort_key,
+    parse_string,
+    starred_layer_masks,
     starred_layer_strings,
 )
 
@@ -109,35 +116,45 @@ def apply_map(p: EmbeddingMap, s: str) -> str:
     return "".join(s[t] if isinstance(t, int) else t for t in p.tokens)
 
 
-_CODE = {"0": 0, "1": 1, "*": 2}
-
-
-def _code(s: str) -> int:
-    """A string as an int, two bits per character: 0, 1, * as 0, 1, 2, any
-    other character as 3, which no image carries."""
+def _spread(m: int) -> int:
+    """Bit j of m moved to bit 2j."""
     out = 0
-    for j, ch in enumerate(s):
-        out |= _CODE.get(ch, 3) << (2 * j)
+    while m:
+        bit = m & -m
+        out |= bit * bit
+        m ^= bit
     return out
 
 
-def _embeddings(src: list[str], target, a: int, b: int, a2: int, b2: int, starred: bool):
-    """Yield ``(tokens, images)`` for every map sending each src string into
-    ``target`` (strings of the map's length), in ``enumerate_maps`` order.
+def _image_code(e) -> int:
+    """A vertex mask or a (lower mask, star) edge as an image code: two
+    bits per coordinate, 0 or 1 for the bit and 2 at the star."""
+    if isinstance(e, tuple):
+        lower, star = e
+        return _spread(lower) | 2 << (2 * star)
+    return _spread(e)
+
+
+def _elements(p) -> frozenset:
+    return p.pairs if isinstance(p, EdgePattern) else p.masks
+
+
+def _embeddings(src: list[int], target: list[int], a: int, b: int, a2: int, b2: int, starred: bool):
+    """Yield ``(tokens, images)`` for every map sending each src code into
+    ``target`` (codes of the map's length), in ``enumerate_maps`` order.
 
     ``tokens`` is the search's working list (copy it before resuming) and
-    ``images`` holds the codes of the src strings' images.
+    ``images`` holds the codes of the src elements' images.
     """
     k = a + b + (1 if starred else 0)
     n = k + (a2 - a) + (b2 - b)
-    codes = [_code(t) for t in target]
     # prefixes[d]: the target's prefixes of length d; each step checks the
     # next length, and the root check catches an empty target when n = 0
-    prefixes = [{c & ((1 << 2 * depth) - 1) for c in codes} for depth in range(n + 1)]
+    prefixes = [{c & ((1 << 2 * depth) - 1) for c in target} for depth in range(n + 1)]
     images = [0] * len(src)
     if not prefixes[0].issuperset(images):
         return
-    columns = [[_CODE[s[t]] for s in src] for t in range(k)]
+    columns = [[c >> 2 * t & 3 for c in src] for t in range(k)]
     counts = [1] * k + [a2 - a, b2 - b]
     yield from _grow_maps(0, images, [], counts, prefixes, columns)
 
@@ -179,6 +196,10 @@ def _layer_params(pat) -> tuple[int, int, bool]:
     return pat.a, pat.b, isinstance(pat, EdgePattern)
 
 
+def _codes(p) -> list[int]:
+    return [_image_code(e) for e in _elements(p)]
+
+
 def density_t(small, big) -> Fraction:
     """Exact fraction of embedding maps sending ``small`` into ``big``.
 
@@ -191,8 +212,7 @@ def density_t(small, big) -> Fraction:
     a2, b2, _ = _layer_params(big)
     if a > a2 or b > b2:
         raise ValueError("layer mismatch: big must dominate small")
-    src = sorted(small.strings, key=sort_key)
-    good = sum(1 for _ in _embeddings(src, big.strings, a, b, a2, b2, starred))
+    good = sum(1 for _ in _embeddings(_codes(small), _codes(big), a, b, a2, b2, starred))
     return Fraction(good, count_maps(a, b, a2, b2, starred))
 
 
@@ -201,19 +221,20 @@ def contains_pattern(s, x) -> tuple[bool, EmbeddingMap | None]:
 
     ``s`` may be a VertexPattern/EdgePattern (single-layer mode) or a
     plain set of strings of uniform length (oriented full-cube mode:
-    strings of every weight, all layers are tried).  Returns a witness
-    map on success: the first in ``enumerate_maps`` order, lightest
-    target layer first in cube mode.
+    strings of every weight, all layers are tried), which must be 0/1
+    strings for a vertex pattern and hold one ``*`` each for an edge
+    pattern.  Returns a witness map on success: the first in
+    ``enumerate_maps`` order, lightest target layer first in cube mode.
     """
     a, b, starred = _layer_params(x)
-    src = sorted(x.strings, key=sort_key)
+    src = _codes(x)
     if isinstance(s, (VertexPattern, EdgePattern)):
         if isinstance(s, EdgePattern) != starred:
             raise ValueError("set and pattern kinds differ")
         a2, b2, _ = _layer_params(s)
         if a2 < a or b2 < b:
             return (False, None)
-        return _first_map(src, s.strings, a, b, a2, b2, starred)
+        return _first_map(src, _codes(s), a, b, a2, b2, starred)
 
     pool = frozenset(s)
     if not pool:
@@ -222,12 +243,14 @@ def contains_pattern(s, x) -> tuple[bool, EmbeddingMap | None]:
     if len(lengths) != 1:
         raise ValueError("cube-mode set must have strings of uniform length")
     n = lengths.pop()
+    elements = [parse_string(t, n, starred) for t in pool]
+    weight = [(e[0] if starred else e).bit_count() for e in elements]
     width = n - (1 if starred else 0)
     for a2 in range(a, width - b + 1):
         b2 = width - a2
         if b2 < b:
             continue
-        layer = [t for t in pool if t.count("1") == b2]
+        layer = [_image_code(e) for e, w in zip(elements, weight) if w == b2]
         found = _first_map(src, layer, a, b, a2, b2, starred)
         if found[0]:
             return found
@@ -247,7 +270,7 @@ def _forbidden_masks(universe: list, image_sets) -> list[int]:
             m |= 1 << index[s]
         masks.add(m)
     # drop supersets: hitting a subset hits the superset
-    masks = sorted(masks, key=lambda m: bin(m).count("1"))
+    masks = sorted(masks, key=int.bit_count)
     kept: list[int] = []
     for m in masks:
         if not any(k & m == k for k in kept):
@@ -363,14 +386,12 @@ def ex_layer(
     Refuses (``SizeGuardError``) above the desk-scale guards; the layer
     guard is the size of L(4,4).
     """
-    if not x.strings:
+    if not len(x):
         raise ValueError("the empty pattern embeds in every set; ex is undefined")
     a, b, starred = _layer_params(x)
     if a > a2 or b > b2:
         raise ValueError("target layer must dominate the pattern's layer")
-    universe = (
-        starred_layer_strings(a2, b2) if starred else layer_strings(a2, b2)
-    )
+    universe = starred_layer_masks(a2, b2) if starred else layer_masks(a2, b2)
     if len(universe) > max_layer:
         raise SizeGuardError(
             f"layer size {len(universe)} exceeds the exact-search guard {max_layer}"
@@ -378,17 +399,19 @@ def ex_layer(
     total_maps = count_maps(a, b, a2, b2, starred)
     if total_maps > max_maps:
         raise SizeGuardError(f"{total_maps} embedding maps exceed the guard {max_maps}")
-    src = sorted(x.strings, key=sort_key)
+    codes = [_image_code(e) for e in universe]
     images = (
-        frozenset(img) for _, img in _embeddings(src, universe, a, b, a2, b2, starred)
+        frozenset(img) for _, img in _embeddings(_codes(x), codes, a, b, a2, b2, starred)
     )
-    masks = _forbidden_masks([_code(s) for s in universe], images)
-    return _max_avoiding(universe, masks)
+    size, witness = _max_avoiding(universe, _forbidden_masks(codes, images))
+    width = a2 + b2 + (1 if starred else 0)
+    return size, [format_string(e, width) for e in witness]
 
 
 def ex_layer_bruteforce(a2: int, b2: int, x, *, max_layer: int = 16) -> tuple[int, list[str]]:
-    """Plain subset enumeration; validation oracle for ``ex_layer``."""
-    if not x.strings:
+    """Plain subset enumeration on strings, every map applied by
+    ``apply_map``; validation oracle for ``ex_layer``."""
+    if not len(x):
         raise ValueError("the empty pattern embeds in every set; ex is undefined")
     a, b, starred = _layer_params(x)
     if a > a2 or b > b2:
@@ -398,7 +421,7 @@ def ex_layer_bruteforce(a2: int, b2: int, x, *, max_layer: int = 16) -> tuple[in
     )
     if len(universe) > max_layer:
         raise SizeGuardError(f"layer size {len(universe)} exceeds {max_layer}")
-    src = sorted(x.strings, key=sort_key)
+    src = x.sorted_strings
     images = (
         frozenset(apply_map(p, s) for s in src)
         for p in enumerate_maps(a, b, a2, b2, starred)
@@ -415,46 +438,45 @@ def ex_layer_bruteforce(a2: int, b2: int, x, *, max_layer: int = 16) -> tuple[in
     raise AssertionError("unreachable: the empty set avoids everything")
 
 
-def _cube_vertex_universe(n: int) -> list[str]:
-    return sorted(
-        ("".join(bits) for bits in product("01", repeat=n)), key=sort_key
-    )
+def _cube_vertex_universe(n: int) -> list[int]:
+    """Every vertex mask of the n-cube, in the canonical string order."""
+    return sorted(range(1 << n), key=lambda m: element_key(m, n))
 
 
-def _cube_edge_universe(n: int) -> list[str]:
-    out = []
-    for star in range(n):
-        for bits in product("01", repeat=n - 1):
-            s = "".join(bits[:star]) + "*" + "".join(bits[star:])
-            out.append(s)
-    return sorted(out, key=sort_key)
+def _cube_edge_universe(n: int) -> list[tuple[int, int]]:
+    """Every (lower mask, star) edge of the n-cube, in the canonical
+    string order."""
+    edges = [(m, star) for star in range(n) for m in range(1 << n) if not m >> star & 1]
+    return sorted(edges, key=lambda e: element_key(e, n))
 
 
-def _cube_images(n: int, x) -> set[frozenset[str]]:
+def _place(m: int, positions: tuple[int, ...]) -> int:
+    """Bit j of m moved to bit positions[j]."""
+    return sum(1 << pos for j, pos in enumerate(positions) if m >> j & 1)
+
+
+def _cube_images(n: int, x) -> set[frozenset]:
     """Images of pattern x under every sub-cube (face) embedding: ordered
-    coordinate injections, per-coordinate flips, constants elsewhere."""
+    coordinate injections, per-coordinate flips (never of a star),
+    constants elsewhere."""
     a, b, starred = _layer_params(x)
     d = a + b + (1 if starred else 0)
-    src = sorted(x.strings, key=sort_key)
-    images: set[frozenset[str]] = set()
+    images: set[frozenset] = set()
     if d > n:
         return images
-    flip = {"0": "1", "1": "0", "*": "*"}
+    src = list(_elements(x))
     for positions in permutations(range(n), d):
-        for flips in product((False, True), repeat=d):
-            for consts in product("01", repeat=n - d):
-                img = []
-                for s in src:
-                    out = [""] * n
-                    free = set(positions)
-                    for j, pos in enumerate(positions):
-                        ch = s[j]
-                        out[pos] = flip[ch] if (flips[j] and ch != "*") else ch
-                    it = iter(consts)
-                    for pos in range(n):
-                        if pos not in free:
-                            out[pos] = next(it)
-                    img.append("".join(out))
+        rest = tuple(pos for pos in range(n) if pos not in positions)
+        for flips in range(1 << d):
+            for consts in range(1 << (n - d)):
+                const = _place(consts, rest)
+                if starred:
+                    img = (
+                        (const | _place((lower ^ flips) & ~(1 << star), positions), positions[star])
+                        for lower, star in src
+                    )
+                else:
+                    img = (const | _place(m ^ flips, positions) for m in src)
                 images.add(frozenset(img))
     return images
 
@@ -463,14 +485,15 @@ def ex_cube(n: int, x, *, max_n: int = 4) -> tuple[int, list[str]]:
     """Exact extremal number over the whole n-cube: the largest set of
     vertices (or edges, for an EdgePattern) of the n-cube containing no
     face-embedded copy of x.  Desk-scale oracle, guarded at n <= 4."""
-    if not x.strings:
+    if not len(x):
         raise ValueError("the empty pattern embeds in every set; ex is undefined")
     if n > max_n:
         raise SizeGuardError(f"cube dimension {n} exceeds the exact-search guard {max_n}")
     starred = isinstance(x, EdgePattern)
     universe = _cube_edge_universe(n) if starred else _cube_vertex_universe(n)
     images = _cube_images(n, x)
-    if not images:
-        return len(universe), list(universe)
-    masks = _forbidden_masks(universe, images)
-    return _max_avoiding(universe, masks)
+    if images:
+        size, witness = _max_avoiding(universe, _forbidden_masks(universe, images))
+    else:
+        size, witness = len(universe), universe
+    return size, [format_string(e, n) for e in witness]

@@ -13,6 +13,11 @@ pads the star with 0 ({s0*, s*0} from s*) and coduplication pads it with
 1 ({s1*, s*1}); note the coduplication pad is a 1, not a second star or a
 mirrored copy, a point easy to get wrong when transcribing the displayed
 set definitions.
+
+Both operators work on the patterns' masks (bit j = coordinate j) by
+shift-and-insert: the bits above i move up one place, and the pair's two
+bits are written at i and i+1.  An edge's star moves up with them when it
+lies above i.
 """
 
 from __future__ import annotations
@@ -36,18 +41,18 @@ def duplicate_v(x: VertexPattern, i: int, kind: str) -> VertexPattern:
     """Expand coordinate i of a vertex pattern; result in L(a+1, b) for
     duplication, L(a, b+1) for coduplication."""
     _check(kind, i, x.a + x.b)
-    double, split = ("0", "1") if kind == DUP else ("1", "0")
-    out = set()
-    for s in x.strings:
-        pre, c, suf = s[:i], s[i], s[i + 1 :]
-        if c == double:
-            out.add(pre + c + c + suf)
+    double = 0 if kind == DUP else 1
+    low = (1 << i) - 1
+    masks = []
+    for m in x.masks:
+        base = m & low | m >> (i + 1) << (i + 2)
+        if m >> i & 1 == double:
+            masks.append(base | double * 3 << i)
         else:
-            out.add(pre + c + double + suf)
-            out.add(pre + double + c + suf)
+            masks += (base | 1 << i, base | 2 << i)
     if kind == DUP:
-        return VertexPattern(x.a + 1, x.b, frozenset(out))
-    return VertexPattern(x.a, x.b + 1, frozenset(out))
+        return VertexPattern.from_masks(x.a + 1, x.b, masks)
+    return VertexPattern.from_masks(x.a, x.b + 1, masks)
 
 
 def duplicate_e(y: EdgePattern, i: int, kind: str) -> EdgePattern:
@@ -55,16 +60,19 @@ def duplicate_e(y: EdgePattern, i: int, kind: str) -> EdgePattern:
     into {pad+*, *+pad} where pad is 0 for duplication and 1 for
     coduplication; 0/1 behave as in ``duplicate_v``."""
     _check(kind, i, y.a + y.b + 1)
-    double, pad = ("0", "0") if kind == DUP else ("1", "1")
-    out = set()
-    for s in y.strings:
-        pre, c, suf = s[:i], s[i], s[i + 1 :]
-        if c == double:
-            out.add(pre + c + c + suf)
+    pad = 0 if kind == DUP else 1
+    low = (1 << i) - 1
+    pairs = []
+    for lower, star in y.pairs:
+        base = lower & low | lower >> (i + 1) << (i + 2)
+        if star == i:
+            pairs += ((base | pad << (i + 1), i), (base | pad << i, i + 1))
         else:
-            # a split coordinate (the other constant, or the star)
-            out.add(pre + c + pad + suf)
-            out.add(pre + pad + c + suf)
+            moved = star if star < i else star + 1
+            if lower >> i & 1 == pad:
+                pairs.append((base | pad * 3 << i, moved))
+            else:
+                pairs += ((base | 1 << i, moved), (base | 2 << i, moved))
     if kind == DUP:
-        return EdgePattern(y.a + 1, y.b, frozenset(out))
-    return EdgePattern(y.a, y.b + 1, frozenset(out))
+        return EdgePattern.from_pairs(y.a + 1, y.b, pairs)
+    return EdgePattern.from_pairs(y.a, y.b + 1, pairs)

@@ -1,20 +1,33 @@
 """Layer patterns: tree sets, starred edge sets, and the maps between them.
 
-Vertex patterns live in the layer L(a,b) of binary strings with a zeros
-and b ones; edge patterns live in L'(a,b), strings with one extra ``*``
-marking an edge direction.  Coordinate i of every string is edge i of the
-originating graph.  All string sets are canonically ordered with
-0 < 1 < *.
+A vertex pattern is a set of vertices of the layer L(a,b) of the
+(a+b)-cube, the vertices with b ones.  An edge pattern is a set of edges
+of the (a+b+1)-cube from L(a+1,b) up to L(a,b+1), the starred layer
+L'(a,b).  Coordinate i is edge i of the originating graph.
 
-X, Y, H, psi and y18 are computed on int masks (bit j = coordinate j)
-and turned into strings once, at the end: X from G's spanning trees; Y
-and H by splitting those same trees on bit i (the trees of G/i and of
-G - i) and pairing the two sides at Hamming distance 1.
+Patterns are stored as ints.  A vertex is a mask, bit j = coordinate j,
+the convention of the tree masks it comes from; an edge is a (lower mask,
+star) pair, its lower endpoint and the coordinate it climbs, whose bit is
+clear in the mask.  A pattern graph holds its two parts as masks and its
+edges as (lower, upper) mask pairs.
+
+Strings exist only at the I/O boundary.  A vertex is written as a 0/1
+string whose character j is coordinate j, an edge as its lower endpoint
+with ``*`` at the star; ``parse_string`` and ``format_string`` convert one
+element, and the string constructors, ``.strings``, ``sorted_strings``,
+the pattern files and the pattern-graph JSON all go through them.  Written
+sets are ordered with 0 < 1 < *.  That is not the numeric order of the
+masks, because coordinate 0 is the first character but the lowest bit, so
+``sort_key`` orders strings and ``element_key`` orders masks and pairs.
+
+X, Y, H, psi and y18 work on tree masks: X is G's spanning trees; Y and H
+split those same trees on bit i (the trees of G/i and of G - i) and pair
+the two sides at Hamming distance 1.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -25,7 +38,12 @@ __all__ = [
     "VertexPattern",
     "EdgePattern",
     "PatternGraph",
+    "parse_string",
+    "format_string",
     "sort_key",
+    "element_key",
+    "layer_masks",
+    "starred_layer_masks",
     "layer_strings",
     "starred_layer_strings",
     "x_pattern",
@@ -57,177 +75,305 @@ __all__ = [
     "save_pattern",
 ]
 
+# ---------------------------------------------------------------------------
+# the string boundary
+
+
+def parse_string(s: str, width: int, starred: bool = False):
+    """The element a pattern string names, the inverse of ``format_string``.
+
+    A 0/1 string of length ``width`` gives its mask (bit j = character j).
+    With ``starred``, a string of length ``width`` holding one ``*`` and
+    otherwise 0/1 gives its (lower mask, star) pair.  Any other value
+    raises ``ValueError``.
+    """
+    if not isinstance(s, str) or len(s) != width:
+        raise ValueError(f"{s!r} is not a string of length {width}")
+    bits = s
+    if starred:
+        star = s.find("*")
+        if star < 0:
+            raise ValueError(f"{s!r} has no '*'")
+        bits = s[:star] + "0" + s[star + 1 :]
+    if bits.strip("01"):
+        raise ValueError(f"{s!r} is not a {'starred ' if starred else ''}0/1 string")
+    mask = int(bits[::-1], 2) if bits else 0
+    return (mask, star) if starred else mask
+
+
+def format_string(e, width: int) -> str:
+    """The string of a vertex mask, or of a (lower mask, star) edge, over
+    ``width`` coordinates."""
+    if isinstance(e, tuple):
+        lower, star = e
+        s = bin(lower | 1 << width)[:2:-1]  # drop "0b" and the sentinel bit, reversed
+        return s[:star] + "*" + s[star + 1 :]
+    return bin(e | 1 << width)[:2:-1]
+
+
 _ORDER = str.maketrans("01*", "012")
 
 
 def sort_key(s: str) -> str:
-    """Sort key realizing the character order 0 < 1 < *."""
+    """Sort key of a string realizing the character order 0 < 1 < *."""
     return s.translate(_ORDER)
 
 
-_BITS = frozenset("01")
+def element_key(e, width: int) -> tuple[int, ...]:
+    """Sort key of a vertex mask or an edge pair that orders elements as
+    ``sort_key`` orders their strings: the characters as 0, 1 and 2."""
+    if isinstance(e, tuple):
+        lower, star = e
+        return tuple(2 if j == star else lower >> j & 1 for j in range(width))
+    return tuple(e >> j & 1 for j in range(width))
 
 
-def _weight(s: str) -> int:
-    return s.count("1")
+def layer_masks(a: int, b: int) -> list[int]:
+    """All of L(a,b) as masks, in the canonical order of their strings."""
+    n = a + b
+    full = (1 << n) - 1
+    # ascending tuples of zero positions give ascending strings
+    return [full ^ sum(1 << j for j in zeros) for zeros in combinations(range(n), a)]
 
 
-@dataclass(frozen=True)
+def starred_layer_masks(a: int, b: int) -> list[tuple[int, int]]:
+    """All of L'(a,b) as (lower mask, star) pairs, in the canonical order
+    of their strings."""
+    n = a + b + 1
+    pairs = []
+    for star in range(n):
+        rest = [j for j in range(n) if j != star]
+        pairs.extend((sum(1 << j for j in ones), star) for ones in combinations(rest, b))
+    return sorted(pairs, key=lambda e: element_key(e, n))
+
+
+def layer_strings(a: int, b: int) -> list[str]:
+    """All of L(a,b), canonically sorted."""
+    return [format_string(m, a + b) for m in layer_masks(a, b)]
+
+
+def starred_layer_strings(a: int, b: int) -> list[str]:
+    """All of L'(a,b), canonically sorted."""
+    return [format_string(e, a + b + 1) for e in starred_layer_masks(a, b)]
+
+
+def _parse_all(strings: Iterable[str], width: int, starred: bool, where: str) -> list:
+    out = []
+    for s in strings:
+        try:
+            out.append(parse_string(s, width, starred))
+        except ValueError:
+            raise ValueError(f"string {s!r} is not in {where}") from None
+    return out
+
+
+# ---------------------------------------------------------------------------
+# pattern types
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class VertexPattern:
-    """A subset of the layer L(a, b)."""
+    """A subset of the layer L(a, b), as masks of a + b bits with b ones.
 
-    a: int
-    b: int
-    strings: frozenset[str]
-
-    def __post_init__(self):
-        object.__setattr__(self, "strings", frozenset(self.strings))
-        if self.a < 0 or self.b < 0:
-            raise ValueError("layer parameters must be nonnegative")
-        n = self.a + self.b
-        for s in self.strings:
-            if len(s) != n or s.count("0") != self.a or s.count("1") != self.b:
-                raise ValueError(f"string {s!r} is not in L({self.a},{self.b})")
-
-    @property
-    def sorted_strings(self) -> list[str]:
-        # 0/1 strings: the order 0 < 1 is code-point order, so no sort key
-        return sorted(self.strings)
-
-    def __len__(self) -> int:
-        return len(self.strings)
-
-
-@dataclass(frozen=True)
-class EdgePattern:
-    """A subset of the starred layer L'(a, b): one ``*`` per string."""
-
-    a: int
-    b: int
-    strings: frozenset[str]
-
-    def __post_init__(self):
-        object.__setattr__(self, "strings", frozenset(self.strings))
-        if self.a < 0 or self.b < 0:
-            raise ValueError("layer parameters must be nonnegative")
-        n = self.a + self.b + 1
-        for s in self.strings:
-            if (
-                len(s) != n
-                or s.count("*") != 1
-                or s.count("0") != self.a
-                or s.count("1") != self.b
-            ):
-                raise ValueError(f"string {s!r} is not in L'({self.a},{self.b})")
-
-    @property
-    def sorted_strings(self) -> list[str]:
-        return sorted(self.strings, key=sort_key)
-
-    def __len__(self) -> int:
-        return len(self.strings)
-
-
-def _endpoints(starred: str) -> tuple[str, str]:
-    """(lower, upper) endpoints of a starred edge string."""
-    return starred.replace("*", "0"), starred.replace("*", "1")
-
-
-def _star_between(lower: str, upper: str) -> str:
-    """Starred string of a Hamming-1 pair with weight(upper) = weight(lower)+1."""
-    diff = [j for j in range(len(lower)) if lower[j] != upper[j]]
-    if len(diff) != 1 or lower[diff[0]] != "0":
-        raise ValueError(f"{lower!r}/{upper!r} is not an upward Hamming-1 pair")
-    j = diff[0]
-    return lower[:j] + "*" + lower[j + 1 :]
-
-
-@dataclass(frozen=True)
-class PatternGraph:
-    """Bipartite graph between two consecutive-weight string sets, with
-    edges only at Hamming distance 1 (an induced-subgraph-of-the-cube shape).
-    Every string of either part is a 0/1 string, all of one length.
+    ``VertexPattern(a, b, strings)`` reads 0/1 strings, the public
+    boundary; code that has masks calls ``VertexPattern.from_masks``.
     """
 
-    lower: frozenset[str]
-    upper: frozenset[str]
-    edges: frozenset[tuple[str, str]]
+    a: int
+    b: int
+    masks: frozenset[int]
 
-    def __post_init__(self):
-        object.__setattr__(self, "lower", frozenset(self.lower))
-        object.__setattr__(self, "upper", frozenset(self.upper))
-        object.__setattr__(self, "edges", frozenset(tuple(e) for e in self.edges))
-        strings = self.lower | self.upper
-        n = len(min(strings, default=""))
-        bad = [s for s in strings if len(s) != n or not set(s) <= _BITS]
-        if bad:
-            raise ValueError(f"pattern-graph string {min(bad)!r} is not a 0/1 string of length {n}")
-        if self.lower:
-            w = _weight(next(iter(self.lower)))
-            if any(_weight(s) != w for s in self.lower):
-                raise ValueError("lower part must sit in a single layer")
-            if any(_weight(s) != w + 1 for s in self.upper):
-                raise ValueError("upper part must sit one layer above the lower part")
-        for lo, hi in self.edges:
-            if lo not in self.lower or hi not in self.upper:
+    def __init__(self, a: int, b: int, strings: Iterable[str] = frozenset()):
+        _init_vertex(self, a, b, _parse_all(strings, a + b, False, f"L({a},{b})"))
+
+    @classmethod
+    def from_masks(cls, a: int, b: int, masks: Iterable[int]) -> VertexPattern:
+        p = object.__new__(cls)
+        _init_vertex(p, a, b, masks)
+        return p
+
+    @property
+    def strings(self) -> frozenset[str]:
+        """The 0/1 strings, made at each access."""
+        n = self.a + self.b
+        return frozenset(format_string(m, n) for m in self.masks)
+
+    @property
+    def sorted_strings(self) -> list[str]:
+        n = self.a + self.b
+        strings = [format_string(m, n) for m in self.masks]
+        strings.sort()  # 0/1 strings: the order 0 < 1 is code-point order
+        return strings
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+
+def _init_vertex(p: VertexPattern, a: int, b: int, masks: Iterable[int]) -> None:
+    if a < 0 or b < 0:
+        raise ValueError("layer parameters must be nonnegative")
+    masks = frozenset(masks)
+    n = a + b
+    bad = [m for m in masks if m >> n or m.bit_count() != b]
+    if bad:
+        raise ValueError(f"{_describe(min(bad), n)} is not in L({a},{b})")
+    object.__setattr__(p, "a", a)
+    object.__setattr__(p, "b", b)
+    object.__setattr__(p, "masks", masks)
+
+
+@dataclass(frozen=True, slots=True, init=False)
+class EdgePattern:
+    """A subset of the starred layer L'(a, b), as (lower mask, star)
+    pairs over a + b + 1 coordinates: b ones in the mask and the star's
+    bit clear.
+
+    ``EdgePattern(a, b, strings)`` reads strings with one ``*``, the
+    public boundary; code that has pairs calls ``EdgePattern.from_pairs``.
+    """
+
+    a: int
+    b: int
+    pairs: frozenset[tuple[int, int]]
+
+    def __init__(self, a: int, b: int, strings: Iterable[str] = frozenset()):
+        _init_edge(self, a, b, _parse_all(strings, a + b + 1, True, f"L'({a},{b})"))
+
+    @classmethod
+    def from_pairs(cls, a: int, b: int, pairs: Iterable[tuple[int, int]]) -> EdgePattern:
+        p = object.__new__(cls)
+        _init_edge(p, a, b, pairs)
+        return p
+
+    @property
+    def strings(self) -> frozenset[str]:
+        """The starred strings, made at each access."""
+        n = self.a + self.b + 1
+        return frozenset(format_string(e, n) for e in self.pairs)
+
+    @property
+    def sorted_strings(self) -> list[str]:
+        n = self.a + self.b + 1
+        strings = [format_string(e, n) for e in self.pairs]
+        strings.sort(key=sort_key)
+        return strings
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+
+def _init_edge(p: EdgePattern, a: int, b: int, pairs: Iterable[tuple[int, int]]) -> None:
+    if a < 0 or b < 0:
+        raise ValueError("layer parameters must be nonnegative")
+    pairs = frozenset(pairs)
+    n = a + b + 1
+    bad = [
+        (lower, star)
+        for lower, star in pairs
+        if not 0 <= star < n or lower >> star & 1 or lower >> n or lower.bit_count() != b
+    ]
+    if bad:
+        raise ValueError(f"{_describe(min(bad), n)} is not in L'({a},{b})")
+    object.__setattr__(p, "a", a)
+    object.__setattr__(p, "b", b)
+    object.__setattr__(p, "pairs", pairs)
+
+
+def _describe(e, width: int) -> str:
+    """An element for an error message: its string when it has one."""
+    lower, star = e if isinstance(e, tuple) else (e, None)
+    if lower >> width or star is not None and not (0 <= star < width and not lower >> star & 1):
+        return f"element {e!r}"
+    return f"string {format_string(e, width)!r}"
+
+
+@dataclass(frozen=True, slots=True, init=False)
+class PatternGraph:
+    """Bipartite graph between two consecutive layers of the width-cube,
+    with edges only at Hamming distance 1 (an induced-subgraph-of-the-cube
+    shape): ``lower`` and ``upper`` are masks, ``edges`` (lower, upper)
+    mask pairs.
+
+    ``PatternGraph(lower, upper, edges)`` reads 0/1 strings, all of one
+    length, the public boundary; code that has masks calls
+    ``PatternGraph.from_masks``.
+    """
+
+    width: int
+    lower: frozenset[int]
+    upper: frozenset[int]
+    edges: frozenset[tuple[int, int]]
+
+    def __init__(self, lower: Iterable[str], upper: Iterable[str], edges: Iterable[tuple[str, str]]):
+        lower, upper = list(lower), list(upper)
+        width = len(min(lower + upper, default=""))
+        mask = {}
+        for s in lower + upper:
+            try:
+                mask[s] = parse_string(s, width)
+            except ValueError:
+                raise ValueError(
+                    f"pattern-graph string {s!r} is not a 0/1 string of length {width}"
+                ) from None
+        pairs = []
+        for lo, hi in edges:
+            if lo not in mask or hi not in mask:
                 raise ValueError(f"edge ({lo},{hi}) has an endpoint outside the parts")
-            _star_between(lo, hi)  # validates Hamming distance 1
+            pairs.append((mask[lo], mask[hi]))
+        _init_graph(self, width, map(mask.get, lower), map(mask.get, upper), pairs)
+
+    @classmethod
+    def from_masks(
+        cls, width: int, lower: Iterable[int], upper: Iterable[int], edges: Iterable[tuple[int, int]]
+    ) -> PatternGraph:
+        h = object.__new__(cls)
+        _init_graph(h, width, lower, upper, edges)
+        return h
 
     @property
     def vertex_count(self) -> int:
         return len(self.lower) + len(self.upper)
 
-    def adjacency(self) -> dict[str, set[str]]:
-        adj: dict[str, set[str]] = {s: set() for s in self.lower | self.upper}
+    def adjacency(self) -> dict[int, set[int]]:
+        adj: dict[int, set[int]] = {s: set() for s in self.lower | self.upper}
         for lo, hi in self.edges:
             adj[lo].add(hi)
             adj[hi].add(lo)
         return adj
 
 
-def layer_strings(a: int, b: int) -> list[str]:
-    """All of L(a,b), canonically sorted."""
-    n = a + b
-    out = []
-    for ones in combinations(range(n), b):
-        s = "".join("1" if j in ones else "0" for j in range(n))
-        out.append(s)
-    return sorted(out, key=sort_key)
-
-
-def starred_layer_strings(a: int, b: int) -> list[str]:
-    """All of L'(a,b), canonically sorted."""
-    n = a + b + 1
-    out = []
-    for star in range(n):
-        rest = [j for j in range(n) if j != star]
-        for ones in combinations(rest, b):
-            s = "".join(
-                "*" if j == star else ("1" if j in ones else "0") for j in range(n)
+def _init_graph(h: PatternGraph, width: int, lower, upper, edges) -> None:
+    lower, upper, edges = frozenset(lower), frozenset(upper), frozenset(edges)
+    if any(m >> width for m in lower | upper):
+        raise ValueError(f"pattern-graph vertex wider than {width} coordinates")
+    if lower:
+        w = next(iter(lower)).bit_count()
+        if any(m.bit_count() != w for m in lower):
+            raise ValueError("lower part must sit in a single layer")
+        if any(m.bit_count() != w + 1 for m in upper):
+            raise ValueError("upper part must sit one layer above the lower part")
+    for lo, hi in edges:
+        if lo not in lower or hi not in upper:
+            raise ValueError(f"edge {(lo, hi)} has an endpoint outside the parts")
+        if lo & ~hi or (hi ^ lo).bit_count() != 1:
+            raise ValueError(
+                f"{format_string(lo, width)!r}/{format_string(hi, width)!r} is not an upward "
+                "Hamming-1 pair"
             )
-            out.append(s)
-    return sorted(out, key=sort_key)
+    object.__setattr__(h, "width", width)
+    object.__setattr__(h, "lower", lower)
+    object.__setattr__(h, "upper", upper)
+    object.__setattr__(h, "edges", edges)
 
 
 # ---------------------------------------------------------------------------
 # patterns from graphs
 
 
-def _mask_string(mask: int, width: int, star: int | None = None) -> str:
-    """The 0/1 string of a mask (coordinate j = bit j), with ``*`` at
-    coordinate ``star`` when one is given."""
-    s = bin(mask | 1 << width)[:2:-1]  # drop "0b" and the sentinel bit, reversed
-    return s if star is None else s[:star] + "*" + s[star + 1 :]
-
-
-def _string_mask(s: str) -> int:
-    return int(s[::-1], 2)
-
-
-def _split(masks: list[int], i: int) -> tuple[list[int], list[int]]:
-    """Split tree masks of G on bit i and drop that bit, shifting higher
-    bits down: (the masks that had bit i, the masks that did not), that is,
-    the trees of G/i and the trees of G - i."""
+def _split(masks: Iterable[int], i: int) -> tuple[list[int], list[int]]:
+    """Split masks on bit i and drop that bit, shifting higher bits down:
+    (the masks that had bit i, the masks that did not).  On the tree masks
+    of G these are the trees of G/i and the trees of G - i."""
     low = (1 << i) - 1
     with_i: list[int] = []
     without_i: list[int] = []
@@ -248,16 +394,15 @@ def _hamming1_pairs(lower: list[int], upper: list[int]) -> Iterator[tuple[int, i
                 yield t ^ bit, t, bit.bit_length() - 1
 
 
-def _starred(lower: list[int], upper: list[int], width: int) -> frozenset[str]:
-    """The starred strings of the Hamming-1 pairs between two mask sets."""
-    return frozenset(_mask_string(s, width, j) for s, _, j in _hamming1_pairs(lower, upper))
+def _starred(lower: list[int], upper: list[int]) -> list[tuple[int, int]]:
+    """The (lower mask, star) edges of the Hamming-1 pairs between two mask sets."""
+    return [(s, j) for s, _, j in _hamming1_pairs(lower, upper)]
 
 
 def x_pattern(g: Multigraph) -> VertexPattern:
-    """Tree pattern X of a connected multigraph: one string per spanning
+    """Tree pattern X of a connected multigraph: one mask per spanning
     tree, coordinate i = edge i.  Lands in L(e-v+1, v-1)."""
-    strings = frozenset(_mask_string(m, g.e) for m in spanning_trees(g))
-    return VertexPattern(g.e - g.n + 1, g.n - 1, strings)
+    return VertexPattern.from_masks(g.e - g.n + 1, g.n - 1, spanning_trees(g))
 
 
 def _marked_edge(g: Multigraph, i: int | None) -> int:
@@ -272,9 +417,9 @@ def _marked_edge(g: Multigraph, i: int | None) -> int:
 
 
 def y_pattern(g: Multigraph, i: int | None = None) -> EdgePattern:
-    """Edge pattern Y of (g, edge i): starred strings over the remaining
-    coordinates, pairing each tree of g/i against the trees of g - i at
-    Hamming distance 1.  Lands in L'(e-v, v-2).
+    """Edge pattern Y of (g, edge i): edges over the remaining coordinates,
+    pairing each tree of g/i with the trees of g - i at Hamming distance
+    1.  Lands in L'(e-v, v-2).
 
     Both tree sets come from one enumeration of g's trees: those that
     contain i are the trees of g/i, the others the trees of g - i.  ``i``
@@ -282,7 +427,7 @@ def y_pattern(g: Multigraph, i: int | None = None) -> EdgePattern:
     bridge nor a loop.
     """
     lower, upper = _split(spanning_trees(g), _marked_edge(g, i))
-    return EdgePattern(g.e - g.n, g.n - 2, _starred(lower, upper, g.e - 1))
+    return EdgePattern.from_pairs(g.e - g.n, g.n - 2, _starred(lower, upper))
 
 
 def h_graph(g: Multigraph, i: int | None = None) -> PatternGraph:
@@ -290,12 +435,8 @@ def h_graph(g: Multigraph, i: int | None = None) -> PatternGraph:
     upper part = trees of g-minus-i, edges = the Hamming-1 pairs.  The
     tree sets come from g's trees as in ``y_pattern``."""
     lower, upper = _split(spanning_trees(g), _marked_edge(g, i))
-    name = {m: _mask_string(m, g.e - 1) for m in lower + upper}
-    return PatternGraph(
-        frozenset(name[m] for m in lower),
-        frozenset(name[m] for m in upper),
-        frozenset((name[s], name[t]) for s, t, _ in _hamming1_pairs(lower, upper)),
-    )
+    edges = [(s, t) for s, t, _ in _hamming1_pairs(lower, upper)]
+    return PatternGraph.from_masks(g.e - 1, lower, upper, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -303,23 +444,26 @@ def h_graph(g: Multigraph, i: int | None = None) -> PatternGraph:
 
 
 def dual_pattern(p: VertexPattern | EdgePattern):
-    """Swap 0s and 1s in every string (stars fixed); an involution."""
-    table = str.maketrans("01", "10")
-    strings = frozenset(s.translate(table) for s in p.strings)
+    """Swap 0s and 1s in every element (stars fixed); an involution."""
     if isinstance(p, VertexPattern):
-        return VertexPattern(p.b, p.a, strings)
-    return EdgePattern(p.b, p.a, strings)
+        full = (1 << (p.a + p.b)) - 1
+        return VertexPattern.from_masks(p.b, p.a, (m ^ full for m in p.masks))
+    full = (1 << (p.a + p.b + 1)) - 1
+    return EdgePattern.from_pairs(
+        p.b, p.a, ((lower ^ full ^ 1 << star, star) for lower, star in p.pairs)
+    )
 
 
 def phi(y: EdgePattern) -> VertexPattern:
-    """Vertex pattern in L(a+1, b+1) whose strings, after deleting the
-    last character, are endpoints of edges of y."""
-    strings = set()
-    for s in y.strings:
-        lo, hi = _endpoints(s)
-        strings.add(lo + "1")
-        strings.add(hi + "0")
-    return VertexPattern(y.a + 1, y.b + 1, frozenset(strings))
+    """Vertex pattern in L(a+1, b+1) whose elements, after deleting the
+    last coordinate, are endpoints of edges of y: the lower endpoint with
+    a 1 appended, the upper one with a 0."""
+    top = 1 << (y.a + y.b + 1)
+    masks = set()
+    for lower, star in y.pairs:
+        masks.add(lower | top)
+        masks.add(lower | 1 << star)
+    return VertexPattern.from_masks(y.a + 1, y.b + 1, masks)
 
 
 def psi(x: VertexPattern, i: int) -> EdgePattern:
@@ -327,69 +471,62 @@ def psi(x: VertexPattern, i: int) -> EdgePattern:
     the induced Hamming-1 edges between the two image weights.
 
     Requires x in L(a+1, b+1) with a, b >= 0; the result lies in L'(a, b).
-    Coordinates above i shift down by one.  The strings are read as masks
-    and split and paired as in ``y_pattern``, so psi(X(G), i) = Y(G, i).
+    Coordinates above i shift down by one.  The masks are split and paired
+    as in ``y_pattern``, so psi(X(G), i) = Y(G, i).
     """
     if x.a < 1 or x.b < 1:
         raise ValueError("psi needs at least one zero and one one per string")
     if not (0 <= i < x.a + x.b):
         raise ValueError(f"coordinate {i} out of range")
-    lower, upper = _split([_string_mask(s) for s in x.strings], i)
-    return EdgePattern(x.a - 1, x.b - 1, _starred(lower, upper, x.a + x.b - 1))
+    lower, upper = _split(x.masks, i)
+    return EdgePattern.from_pairs(x.a - 1, x.b - 1, _starred(lower, upper))
 
 
 def product_join(h1: PatternGraph, h2: PatternGraph) -> PatternGraph:
     """Product-join along the lower parts.
 
-    Vertex pairs are encoded by string concatenation: the new lower part
-    is lower1 x lower2, and (l1+l2) ~ (l1+u2) whenever l2 ~ u2, likewise
-    on the other side.  Inputs must be connected.
+    A vertex pair is the concatenation of its strings, the mask
+    ``v1 | v2 << width1``: the new lower part is lower1 x lower2, and
+    (l1,l2) ~ (l1,u2) whenever l2 ~ u2, likewise on the other side.
+    Inputs must be connected.
     """
     if not pg_is_connected(h1) or not pg_is_connected(h2):
         raise ValueError("product_join requires connected inputs")
-    lower = frozenset(l1 + l2 for l1 in h1.lower for l2 in h2.lower)
-    upper = {l1 + u2 for l1 in h1.lower for u2 in h2.upper}
-    upper.update(u1 + l2 for u1 in h1.upper for l2 in h2.lower)
-    edges = set()
-    for l1 in h1.lower:
-        for lo2, hi2 in h2.edges:
-            edges.add((l1 + lo2, l1 + hi2))
-    for lo1, hi1 in h1.edges:
-        for l2 in h2.lower:
-            edges.add((lo1 + l2, hi1 + l2))
-    return PatternGraph(lower, frozenset(upper), frozenset(edges))
+    w = h1.width
+    lower = [l1 | l2 << w for l1 in h1.lower for l2 in h2.lower]
+    upper = [l1 | u2 << w for l1 in h1.lower for u2 in h2.upper]
+    upper += [u1 | l2 << w for u1 in h1.upper for l2 in h2.lower]
+    edges = [(l1 | lo2 << w, l1 | hi2 << w) for l1 in h1.lower for lo2, hi2 in h2.edges]
+    edges += [(lo1 | l2 << w, hi1 | l2 << w) for lo1, hi1 in h1.edges for l2 in h2.lower]
+    return PatternGraph.from_masks(w + h2.width, lower, upper, edges)
 
 
 def pattern_graph_from_edge_pattern(y: EdgePattern) -> PatternGraph:
     """The graph spanned by an edge pattern (no isolated vertices)."""
-    lower = set()
-    upper = set()
-    edges = set()
-    for s in y.strings:
-        lo, hi = _endpoints(s)
-        lower.add(lo)
-        upper.add(hi)
-        edges.add((lo, hi))
-    return PatternGraph(frozenset(lower), frozenset(upper), frozenset(edges))
+    edges = [(lower, lower | 1 << star) for lower, star in y.pairs]
+    return PatternGraph.from_masks(
+        y.a + y.b + 1, (lo for lo, _ in edges), (hi for _, hi in edges), edges
+    )
 
 
 def edge_pattern_from_pattern_graph(h: PatternGraph) -> EdgePattern:
-    strings = frozenset(_star_between(lo, hi) for lo, hi in h.edges)
-    if not strings:
+    if not h.edges:
         raise ValueError("pattern graph has no edges")
-    sample = next(iter(strings))
-    return EdgePattern(sample.count("0"), sample.count("1"), strings)
+    pairs = [(lo, (hi ^ lo).bit_length() - 1) for lo, hi in h.edges]
+    ones = pairs[0][0].bit_count()
+    return EdgePattern.from_pairs(h.width - 1 - ones, ones, pairs)
 
 
 # ---------------------------------------------------------------------------
 # pattern-graph structure helpers
 
 
-def pg_components(h: PatternGraph) -> list[set[str]]:
+def pg_components(h: PatternGraph) -> list[set[int]]:
+    """The vertex sets of the components, in order of their least mask."""
     adj = h.adjacency()
-    seen: set[str] = set()
+    seen: set[int] = set()
     comps = []
-    for start in sorted(adj, key=sort_key):
+    for start in sorted(adj):
         if start in seen:
             continue
         comp = {start}
@@ -413,12 +550,11 @@ def pg_is_two_connected(h: PatternGraph) -> bool:
     """Graph 2-connectivity: >= 2 edges and no cut vertex (loops cannot occur)."""
     if len(h.edges) < 2 or not pg_is_connected(h):
         return False
-    verts = h.lower | h.upper
-    for v in verts:
+    for v in h.lower | h.upper:
         adj = {s: {u for u in ns if u != v} for s, ns in h.adjacency().items() if s != v}
         if not adj:
             continue
-        start = next(iter(sorted(adj, key=sort_key)))
+        start = min(adj)
         comp = {start}
         stack = [start]
         while stack:
@@ -446,13 +582,17 @@ def pg_shape(h: PatternGraph) -> str:
 
 
 def pg_to_json(h: PatternGraph) -> str:
+    """The pattern-graph format: ``lower`` and ``upper`` lists of 0/1
+    strings and ``edges`` a list of [lower, upper] string pairs, sorted."""
     import json
 
+    name = {m: format_string(m, h.width) for m in h.lower | h.upper}
     return json.dumps(
         {
-            "lower": sorted(h.lower, key=sort_key),
-            "upper": sorted(h.upper, key=sort_key),
-            "edges": sorted(([lo, hi] for lo, hi in h.edges)),
+            # 0/1 strings: the order 0 < 1 is code-point order
+            "lower": sorted(name[m] for m in h.lower),
+            "upper": sorted(name[m] for m in h.upper),
+            "edges": sorted([name[lo], name[hi]] for lo, hi in h.edges),
         }
     )
 
@@ -474,11 +614,7 @@ def pg_from_json(text: str) -> PatternGraph:
         _strings(e) and len(e) == 2 for e in edges
     ):
         raise ValueError("pattern-graph JSON 'edges' must be a list of [lower, upper] string pairs")
-    return PatternGraph(
-        frozenset(data["lower"]),
-        frozenset(data["upper"]),
-        frozenset((lo, hi) for lo, hi in edges),
-    )
+    return PatternGraph(data["lower"], data["upper"], edges)
 
 
 def _strings(value) -> bool:
@@ -489,66 +625,63 @@ def _strings(value) -> bool:
 # named pattern families
 
 
+def _blocks(sizes: tuple[int, ...]) -> list[int]:
+    """The first coordinate of each block, refusing an empty or
+    non-positive size list."""
+    if not sizes or any(a < 1 for a in sizes):
+        raise ValueError("need at least one positive block size")
+    starts = [0]
+    for a in sizes[:-1]:
+        starts.append(starts[-1] + a)
+    return starts
+
+
 def alon_pattern(sizes: tuple[int, ...]) -> VertexPattern:
     """Strings split into blocks of the given sizes: one block all zeros,
     every other block containing exactly one 1.  Equals the tree pattern
     of the matching cycle-of-parallel-classes graph."""
+    starts = _blocks(sizes)
     k = len(sizes)
-    if k == 0 or any(a < 1 for a in sizes):
-        raise ValueError("need at least one positive block size")
-    d = sum(sizes)
-    strings = set()
+    masks = set()
     for omit in range(k):
-        slots = [range(a) if i != omit else (None,) for i, a in enumerate(sizes)]
-        for choice in product(*slots):
-            parts = []
-            for i, a in enumerate(sizes):
-                block = ["0"] * a
-                if choice[i] is not None:
-                    block[choice[i]] = "1"
-                parts.append("".join(block))
-            strings.add("".join(parts))
-    return VertexPattern(d - k + 1, k - 1, frozenset(strings))
+        slots = [
+            [1 << (start + j) for j in range(a)] if i != omit else [0]
+            for i, (start, a) in enumerate(zip(starts, sizes))
+        ]
+        masks.update(sum(choice) for choice in product(*slots))
+    return VertexPattern.from_masks(sum(sizes) - k + 1, k - 1, masks)
 
 
 def partite_pattern(sizes: tuple[int, ...]) -> EdgePattern:
     """Strings split into blocks: one block holds a single *, every other
     block a single 1.  Equals the edge pattern of the matching marked
     path-of-parallel-classes graph."""
+    starts = _blocks(sizes)
     k = len(sizes)
-    if k == 0 or any(a < 1 for a in sizes):
-        raise ValueError("need at least one positive block size")
-    n = sum(sizes)
-    strings = set()
-    for star_block in range(k):
-        slots = [range(a) for a in sizes]
-        for choice in product(*slots):
-            parts = []
-            for i, a in enumerate(sizes):
-                block = ["0"] * a
-                block[choice[i]] = "*" if i == star_block else "1"
-                parts.append("".join(block))
-            strings.add("".join(parts))
-    return EdgePattern(n - k, k - 1, frozenset(strings))
+    pairs = set()
+    for choice in product(*(range(a) for a in sizes)):
+        coords = [start + j for start, j in zip(starts, choice)]
+        ones = sum(1 << c for c in coords)
+        pairs.update((ones ^ 1 << star, star) for star in coords)
+    return EdgePattern.from_pairs(sum(sizes) - k, k - 1, pairs)
 
 
-_X16_MISSING = ("010101", "011010", "100110", "101001")
-_Y18_MISSING_LOWER = ("00011", "01100")
-_Y18_MISSING_UPPER = ("10101", "11010")
+_X16_MISSING = frozenset(parse_string(s, 6) for s in ("010101", "011010", "100110", "101001"))
+_Y18_MISSING_LOWER = frozenset(parse_string(s, 5) for s in ("00011", "01100"))
+_Y18_MISSING_UPPER = frozenset(parse_string(s, 5) for s in ("10101", "11010"))
 
 
 def x16_pattern() -> VertexPattern:
     """The 16-element subset of L(3,3): everything except four strings."""
-    strings = frozenset(layer_strings(3, 3)) - frozenset(_X16_MISSING)
-    return VertexPattern(3, 3, strings)
+    return VertexPattern.from_masks(3, 3, frozenset(layer_masks(3, 3)) - _X16_MISSING)
 
 
 def y18_pattern() -> EdgePattern:
     """The 18 Hamming-1 pairs between L(3,2) minus two strings and L(2,3)
     minus two strings."""
-    lower = [_string_mask(s) for s in layer_strings(3, 2) if s not in _Y18_MISSING_LOWER]
-    upper = [_string_mask(s) for s in layer_strings(2, 3) if s not in _Y18_MISSING_UPPER]
-    return EdgePattern(2, 2, _starred(lower, upper, 5))
+    lower = [m for m in layer_masks(3, 2) if m not in _Y18_MISSING_LOWER]
+    upper = [m for m in layer_masks(2, 3) if m not in _Y18_MISSING_UPPER]
+    return EdgePattern.from_pairs(2, 2, _starred(lower, upper))
 
 
 def x_k4_pattern() -> VertexPattern:
@@ -596,12 +729,14 @@ def format_pattern(p: VertexPattern | EdgePattern) -> str:
     """Header line ``vertex a b`` or ``edge a b``, then one string per
     line in canonical order."""
     kind = "vertex" if isinstance(p, VertexPattern) else "edge"
-    lines = [f"{kind} {p.a} {p.b}"]
-    lines.extend(p.sorted_strings)
-    return "\n".join(lines) + "\n"
+    lines = p.sorted_strings  # a new list: extended in place, not copied
+    lines.insert(0, f"{kind} {p.a} {p.b}")
+    lines.append("")  # the final newline
+    return "\n".join(lines)
 
 
 def parse_pattern(text: str):
+    """Read the pattern file format written by ``format_pattern``."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty pattern file")
@@ -609,10 +744,9 @@ def parse_pattern(text: str):
     if len(head) != 3 or head[0] not in ("vertex", "edge"):
         raise ValueError(f"bad pattern header {lines[0]!r}")
     a, b = int(head[1]), int(head[2])
-    strings = frozenset(lines[1:])
     if head[0] == "vertex":
-        return VertexPattern(a, b, strings)
-    return EdgePattern(a, b, strings)
+        return VertexPattern(a, b, lines[1:])
+    return EdgePattern(a, b, lines[1:])
 
 
 def load_pattern(path):

@@ -238,8 +238,8 @@ def _frontier_best(frontier: dict) -> tuple[int, SpTerm]:
 
 def _y_size(t: SpTerm) -> int:
     """|Y(G, 0)| for t's marked graph (G, 0): the Hamming-1 pairs between
-    t's forests (lower) and trees (upper).  Each pair is one starred
-    string, so this is ``len(y_pattern(to_marked_graph(t), 0))``."""
+    t's forests (lower) and trees (upper).  Each pair is one edge of the
+    pattern, so this is ``len(y_pattern(to_marked_graph(t), 0))``."""
     trees, forests = tree_sets(t)
     return sum(1 for _ in _hamming1_pairs(forests, trees))
 

@@ -56,7 +56,9 @@ from .patterns import (
     alon_pattern,
     dual_pattern,
     h_graph,
+    layer_masks,
     layer_strings,
+    parse_string,
     partite_pattern,
     pg_components,
     pg_is_connected,
@@ -114,7 +116,7 @@ def check_tree_weights(max_edges: int = 6) -> list[str]:
     for d in range(1, max_edges + 1):
         for g in enumerate_connected_sp(d):
             for m in spanning_trees(g):
-                if bin(m).count("1") != g.n - 1:
+                if m.bit_count() != g.n - 1:
                     bad.append(f"tree mask {m:b} of {g} has wrong size")
     return bad
 
@@ -403,7 +405,7 @@ def check_phi_psi(max_d: int = 8) -> list[str]:
 
 def check_gluing(samples: int = 200, max_combined: int = 10, seed: int = 20240901) -> list[str]:
     """Pattern graph of a 2-sum equals the product-join of the pattern
-    graphs (exact string-level equality)."""
+    graphs (exact equality of masks)."""
     rng = random.Random(seed)
     by_size = {d: list(enumerate_terms(d)) for d in range(1, max_combined)}
     bad = []
@@ -475,9 +477,9 @@ def check_named_patterns(max_total: int = 7) -> list[str]:
 
 
 def _random_vertex_pattern(rng: random.Random, a: int, b: int) -> VertexPattern:
-    pool = layer_strings(a, b)
+    pool = layer_masks(a, b)
     k = rng.randint(0, len(pool))
-    return VertexPattern(a, b, frozenset(rng.sample(pool, k)))
+    return VertexPattern.from_masks(a, b, rng.sample(pool, k))
 
 
 def check_operator_laws(trials: int = 60, seed: int = 77) -> list[str]:
@@ -497,7 +499,7 @@ def check_operator_laws(trials: int = 60, seed: int = 77) -> list[str]:
             bad.append("dual involution fails")
         if (dx.a, dx.b) != (a + 1, b) or (cx.a, cx.b) != (a, b + 1):
             bad.append("layer arithmetic fails")
-        ones = sum(1 for s in x.strings if s[i] == "1")
+        ones = sum(m >> i & 1 for m in x.masks)
         zeros = len(x) - ones
         if len(dx) != zeros + 2 * ones or len(dx) > 2 * len(x):
             bad.append("duplication cardinality fails")
@@ -537,7 +539,11 @@ def check_map_weights(trials: int = 40, seed: int = 5) -> list[str]:
         p = rng.choice(maps)
         for s in layer_strings(a, b):
             out = apply_map(p, s)
-            if out.count("1") != b2 or out.count("0") != a2:
+            try:
+                ok = parse_string(out, a2 + b2).bit_count() == b2
+            except ValueError:
+                ok = False
+            if not ok:
                 bad.append(f"weight law fails for {p} on {s}")
     return bad
 
@@ -547,19 +553,19 @@ def check_density_properties(seed: int = 11) -> list[str]:
     density 1, empty-pattern density 1, and duality invariance."""
     rng = random.Random(seed)
     bad = []
-    xc2 = VertexPattern(1, 1, frozenset({"01", "10"}))
-    full = VertexPattern(2, 2, frozenset(layer_strings(2, 2)))
+    xc2 = VertexPattern.from_masks(1, 1, {0b10, 0b01})  # {01, 10}
+    full = VertexPattern.from_masks(2, 2, layer_masks(2, 2))
     if density_t(xc2, full) != 1:
         bad.append("full-layer density is not 1")
-    empty = VertexPattern(1, 1, frozenset())
-    if density_t(empty, VertexPattern(2, 2, frozenset({"0011"}))) != 1:
+    empty = VertexPattern.from_masks(1, 1, ())
+    if density_t(empty, VertexPattern.from_masks(2, 2, {0b1100})) != 1:  # {0011}
         bad.append("empty-pattern density is not 1")
+    pool = layer_masks(2, 2)
     for _ in range(25):
-        pool = layer_strings(2, 2)
-        big = frozenset(rng.sample(pool, rng.randint(0, 6)))
-        sub = frozenset(s for s in big if rng.random() < 0.7)
-        x1 = VertexPattern(2, 2, sub)
-        x2 = VertexPattern(2, 2, big)
+        big = rng.sample(pool, rng.randint(0, 6))
+        sub = [m for m in big if rng.random() < 0.7]
+        x1 = VertexPattern.from_masks(2, 2, sub)
+        x2 = VertexPattern.from_masks(2, 2, big)
         t1 = density_t(xc2, x1)
         t2 = density_t(xc2, x2)
         if t1 > t2:
@@ -585,9 +591,9 @@ def check_ex_bnb_vs_bruteforce(trials: int = 20, seed: int = 321) -> list[str]:
         a2, b2 = rng.choice(layers)
         a = rng.randint(0, min(a2, 2))
         b = rng.randint(0, min(b2, 2))
-        pool = layer_strings(a, b)
+        pool = layer_masks(a, b)
         k = rng.randint(1, len(pool))
-        x = VertexPattern(a, b, frozenset(rng.sample(pool, k)))
+        x = VertexPattern.from_masks(a, b, rng.sample(pool, k))
         got = ex_layer(a2, b2, x)
         want = ex_layer_bruteforce(a2, b2, x)
         if got != want:
@@ -602,7 +608,7 @@ def check_ex_bnb_vs_bruteforce(trials: int = 20, seed: int = 321) -> list[str]:
 def check_f2_avoidance(seeds: int = 50) -> list[str]:
     """The (4,4) construction never contains the full middle layer of the
     4-cube."""
-    full = VertexPattern(2, 2, frozenset(layer_strings(2, 2)))
+    full = VertexPattern.from_masks(2, 2, layer_masks(2, 2))
     bad = []
     for seed in range(seeds):
         s = f2_vertex_set(4, 4, seed)
@@ -648,7 +654,7 @@ def check_f2_b2_extraction(seeds: int = 8) -> list[str]:
     for seed in range(seeds):
         s = f2_vertex_set(4, 4, seed)
         vectors = random_vectors(8, 4, seed)
-        x = VertexPattern(2, 2, frozenset({"1100", "0110", "0011"}))
+        x = VertexPattern.from_masks(2, 2, {0b0011, 0b0110, 0b1100})  # {1100, 0110, 0011}
         contained, p = contains_pattern(s, x)
         if not contained or p is None:
             continue  # nothing to extract for this seed
@@ -677,7 +683,7 @@ def check_f2_b2_extraction(seeds: int = 8) -> list[str]:
             else:
                 edges.append(pair_of[nonzero_ids.index(c)])
         g = Multigraph(3, tuple(edges))
-        if not x.strings <= x_pattern(g).strings:
+        if not x.masks <= x_pattern(g).masks:
             bad.append(f"seed {seed}: extracted class graph misses the pattern")
     return bad
 

@@ -6,12 +6,12 @@ def pytest_addoption(parser):
         "--runslow",
         action="store_true",
         default=False,
-        help="also run tests marked slow (full documented search bounds)",
+        help="also run tests marked slow (full documented search bounds, over 3 s each)",
     )
 
 
 def pytest_configure(config):
-    config.addinivalue_line("markers", "slow: deep search bounds, several minutes")
+    config.addinivalue_line("markers", "slow: deep search bounds, over 3 s each")
 
 
 def pytest_collection_modifyitems(config, items):

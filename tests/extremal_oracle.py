@@ -3,23 +3,19 @@
 ``spcube.embeddings`` answers density, containment and ex with one pruned
 map search and one branch and bound.  These are the plain routes they
 replaced: every map from ``enumerate_maps`` applied string by string with
-``apply_map``, and a minimum hitting-set search run once for the value and
-once more per universe element to grow the lexicographically least
-witness.  The tests require identical answers and witnesses.
+``apply_map``, face embeddings of the cube built character by character,
+and a minimum hitting-set search run once for the value and once more per
+universe element to grow the lexicographically least witness.  Everything
+here works on strings, so it shares no code with the mask kernels.  The
+tests require identical answers and witnesses.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations, product
 
-from spcube.embeddings import (
-    EmbeddingMap,
-    _cube_edge_universe,
-    _cube_images,
-    _cube_vertex_universe,
-    apply_map,
-    enumerate_maps,
-)
+from spcube.embeddings import EmbeddingMap, apply_map, enumerate_maps
 from spcube.patterns import (
     EdgePattern,
     VertexPattern,
@@ -41,10 +37,11 @@ def density_by_maps(small, big) -> Fraction:
     a, b, starred = _params(small)
     a2, b2, _ = _params(big)
     src = sorted(small.strings, key=sort_key)
+    target = big.strings
     good = total = 0
     for p in enumerate_maps(a, b, a2, b2, starred):
         total += 1
-        good += _inside(p, src, big.strings)
+        good += _inside(p, src, target)
     return Fraction(good, total)
 
 
@@ -55,8 +52,9 @@ def contains_by_maps(s, x) -> tuple[bool, EmbeddingMap | None]:
         a2, b2, _ = _params(s)
         if a2 < a or b2 < b:
             return (False, None)
+        target = s.strings
         for p in enumerate_maps(a, b, a2, b2, starred):
-            if _inside(p, src, s.strings):
+            if _inside(p, src, target):
                 return (True, p)
         return (False, None)
     pool = frozenset(s)
@@ -147,7 +145,49 @@ def ex_layer_by_hitting_sets(a2: int, b2: int, x) -> tuple[int, list[str]]:
     return max_avoiding_by_hitting_sets(universe, _masks(universe, images))
 
 
+def cube_vertex_universe(n: int) -> list[str]:
+    return sorted(("".join(bits) for bits in product("01", repeat=n)), key=sort_key)
+
+
+def cube_edge_universe(n: int) -> list[str]:
+    out = []
+    for star in range(n):
+        for bits in product("01", repeat=n - 1):
+            out.append("".join(bits[:star]) + "*" + "".join(bits[star:]))
+    return sorted(out, key=sort_key)
+
+
+def cube_images(n: int, x) -> set[frozenset[str]]:
+    """Images of pattern x under every face embedding: ordered coordinate
+    injections, per-coordinate flips, constants elsewhere."""
+    a, b, starred = _params(x)
+    d = a + b + (1 if starred else 0)
+    src = sorted(x.strings, key=sort_key)
+    images: set[frozenset[str]] = set()
+    if d > n:
+        return images
+    flip = {"0": "1", "1": "0", "*": "*"}
+    for positions in permutations(range(n), d):
+        for flips in product((False, True), repeat=d):
+            for consts in product("01", repeat=n - d):
+                img = []
+                for s in src:
+                    out = [""] * n
+                    for j, pos in enumerate(positions):
+                        out[pos] = flip[s[j]] if flips[j] else s[j]
+                    it = iter(consts)
+                    for pos in range(n):
+                        if pos not in positions:
+                            out[pos] = next(it)
+                    img.append("".join(out))
+                images.add(frozenset(img))
+    return images
+
+
 def ex_cube_by_hitting_sets(n: int, x) -> tuple[int, list[str]]:
     starred = isinstance(x, EdgePattern)
-    universe = _cube_edge_universe(n) if starred else _cube_vertex_universe(n)
-    return max_avoiding_by_hitting_sets(universe, _masks(universe, _cube_images(n, x)))
+    universe = cube_edge_universe(n) if starred else cube_vertex_universe(n)
+    images = cube_images(n, x)
+    if not images:
+        return len(universe), universe
+    return max_avoiding_by_hitting_sets(universe, _masks(universe, images))

@@ -1,17 +1,22 @@
-"""Test oracle for the edge pattern Y, the pattern graph H and psi, by
-their definitions on strings.
+"""Test oracle for the pattern maps, by their definitions on strings.
 
-Y and H take the trees of G/i and of G - i from two separate minors,
-and psi forgets a coordinate by string slicing; both pair by string
-comparison.  None of this shares code with ``spcube.patterns``' mask
-split-and-pair kernel, so the two can check each other.
+``spcube.patterns`` and ``spcube.operators`` store patterns as masks and
+work by shifts and XORs.  The bodies here are the string-level
+definitions those replaced: Y and H take the trees of G/i and of G - i
+from two separate minors, psi forgets a coordinate by string slicing, the
+operators rewrite one character, and the pattern-graph maps read endpoints
+off starred strings.  Pairs are found by string comparison.  Patterns come
+in and go out through the public string boundary (``.strings`` and the
+string constructors) only, so none of this shares code with the mask
+kernels and the two can check each other.
 """
 
 from __future__ import annotations
 
 from spcube import EdgePattern, Multigraph, PatternGraph, VertexPattern
 from spcube.multigraph import contract, delete_edge
-from spcube.patterns import x_pattern
+from spcube.operators import DUP
+from spcube.patterns import format_string, x_pattern
 
 
 def _pairs(lower: set[str], upper: set[str]) -> list[tuple[str, str, str]]:
@@ -50,3 +55,93 @@ def psi_reference(x: VertexPattern, i: int) -> EdgePattern:
         (highs if s[i] == "0" else lows).add(s[:i] + s[i + 1 :])
     strings = frozenset(star for _, _, star in _pairs(lows, highs))
     return EdgePattern(x.a - 1, x.b - 1, strings)
+
+
+def duplicate_v_reference(x: VertexPattern, i: int, kind: str) -> VertexPattern:
+    double = "0" if kind == DUP else "1"
+    out = set()
+    for s in x.strings:
+        pre, c, suf = s[:i], s[i], s[i + 1 :]
+        if c == double:
+            out.add(pre + c + c + suf)
+        else:
+            out.add(pre + c + double + suf)
+            out.add(pre + double + c + suf)
+    if kind == DUP:
+        return VertexPattern(x.a + 1, x.b, out)
+    return VertexPattern(x.a, x.b + 1, out)
+
+
+def duplicate_e_reference(y: EdgePattern, i: int, kind: str) -> EdgePattern:
+    double = pad = "0" if kind == DUP else "1"
+    out = set()
+    for s in y.strings:
+        pre, c, suf = s[:i], s[i], s[i + 1 :]
+        if c == double:
+            out.add(pre + c + c + suf)
+        else:
+            # a split coordinate (the other constant, or the star)
+            out.add(pre + c + pad + suf)
+            out.add(pre + pad + c + suf)
+    if kind == DUP:
+        return EdgePattern(y.a + 1, y.b, out)
+    return EdgePattern(y.a, y.b + 1, out)
+
+
+def dual_reference(p):
+    table = str.maketrans("01", "10")
+    strings = {s.translate(table) for s in p.strings}
+    return type(p)(p.b, p.a, strings)
+
+
+def _endpoints(starred: str) -> tuple[str, str]:
+    return starred.replace("*", "0"), starred.replace("*", "1")
+
+
+def phi_reference(y: EdgePattern) -> VertexPattern:
+    strings = set()
+    for s in y.strings:
+        lo, hi = _endpoints(s)
+        strings.add(lo + "1")
+        strings.add(hi + "0")
+    return VertexPattern(y.a + 1, y.b + 1, strings)
+
+
+def _graph_strings(h: PatternGraph):
+    def name(m: int) -> str:
+        return format_string(m, h.width)
+
+    lower = {name(m) for m in h.lower}
+    upper = {name(m) for m in h.upper}
+    edges = {(name(lo), name(hi)) for lo, hi in h.edges}
+    return lower, upper, edges
+
+
+def product_join_reference(h1: PatternGraph, h2: PatternGraph) -> PatternGraph:
+    """Vertex pairs as string concatenations; inputs assumed connected."""
+    lower1, upper1, edges1 = _graph_strings(h1)
+    lower2, upper2, edges2 = _graph_strings(h2)
+    lower = {l1 + l2 for l1 in lower1 for l2 in lower2}
+    upper = {l1 + u2 for l1 in lower1 for u2 in upper2}
+    upper |= {u1 + l2 for u1 in upper1 for l2 in lower2}
+    edges = {(l1 + lo2, l1 + hi2) for l1 in lower1 for lo2, hi2 in edges2}
+    edges |= {(lo1 + l2, hi1 + l2) for lo1, hi1 in edges1 for l2 in lower2}
+    return PatternGraph(lower, upper, edges)
+
+
+def pattern_graph_reference(y: EdgePattern) -> PatternGraph:
+    """The graph spanned by an edge pattern."""
+    edges = {_endpoints(s) for s in y.strings}
+    return PatternGraph({lo for lo, _ in edges}, {hi for _, hi in edges}, edges)
+
+
+def edge_pattern_reference(h: PatternGraph) -> EdgePattern:
+    """The starred string of each edge: the one place its ends differ."""
+    _, _, edges = _graph_strings(h)
+    strings = set()
+    for lo, hi in edges:
+        diff = [j for j in range(len(lo)) if lo[j] != hi[j]]
+        assert len(diff) == 1 and lo[diff[0]] == "0"
+        strings.add(lo[: diff[0]] + "*" + lo[diff[0] + 1 :])
+    sample = next(iter(strings))
+    return EdgePattern(sample.count("0"), sample.count("1"), strings)

@@ -268,7 +268,6 @@ class TestAvoidance:
     def test_middle_layer_never_contained(self):
         assert check_f2_avoidance(seeds=10) == []
 
-    @pytest.mark.slow
     def test_middle_layer_never_contained_deep(self):
         assert check_f2_avoidance(seeds=50) == []
 
@@ -283,7 +282,6 @@ class TestEmpiricalDensity:
     def test_mean_near_bound(self):
         assert check_f2_density(seeds=25) == []
 
-    @pytest.mark.slow
     def test_mean_near_bound_deep(self):
         assert check_f2_density(seeds=100) == []
 

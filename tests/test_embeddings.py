@@ -153,7 +153,6 @@ class TestExLayer:
     def test_bruteforce_agrees(self):
         assert check_ex_bnb_vs_bruteforce(trials=8) == []
 
-    @pytest.mark.slow
     def test_bruteforce_agrees_deep(self):
         assert check_ex_bnb_vs_bruteforce(trials=20) == []
 

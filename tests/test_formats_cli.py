@@ -168,6 +168,35 @@ class TestCli:
         assert main(["contains", "--set", str(big), "--pattern", str(small)]) == 0
         assert "contains: no" in capsys.readouterr().out
 
+    def test_contains_cube_mode(self, tmp_path, capsys):
+        pattern = tmp_path / "p.txt"
+        pattern.write_text("vertex 1 1\n01\n10\n")
+        pool = tmp_path / "pool.txt"
+        pool.write_text("000\n011\n\n101\n110\n")  # even-weight class of Q3
+        assert main(["contains", "--set", str(pool), "--pattern", str(pattern)]) == 0
+        assert capsys.readouterr().out.startswith("contains: yes")
+
+    @pytest.mark.parametrize(
+        "kind, pattern, lines, bad",
+        [
+            ("vertex", "vertex 1 1\n01\n", "0a\n10\n", "line 1: '0a' is not a 0/1 string"),
+            ("vertex", "vertex 1 1\n01\n", "01\n\n0*\n", "line 3: '0*' is not a 0/1 string"),
+            ("vertex", "vertex 1 1\n01\n", "01\n011\n", "line 2: '011' is not a string of length 2"),
+            ("edge", "edge 0 1\n1*\n", "1*1\n101\n", "line 2: '101' has no '*'"),
+            ("edge", "edge 0 1\n1*\n", "1**\n", "line 1: '1**' is not a starred 0/1 string"),
+        ],
+        ids=["bad-character", "star-for-vertex", "length", "no-star-for-edge", "two-stars"],
+    )
+    def test_contains_cube_mode_malformed_exit_1(self, tmp_path, capsys, kind, pattern, lines, bad):
+        p = tmp_path / "p.txt"
+        p.write_text(pattern)
+        pool = tmp_path / "pool.txt"
+        pool.write_text(lines)
+        assert main(["contains", "--set", str(pool), "--pattern", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: {pool} {bad}\n")
+
     def test_ex_layer(self, tmp_path, capsys):
         small = tmp_path / "s.txt"
         small.write_text("vertex 1 1\n01\n10\n")

@@ -652,7 +652,6 @@ class TestPropertySuites:
     def test_sp_vs_minor(self):
         assert check_sp_vs_minor(max_edges=5) == []
 
-    @pytest.mark.slow
     def test_sp_vs_minor_deep(self):
         assert check_sp_vs_minor(max_edges=6) == []
 

@@ -80,7 +80,6 @@ class TestCorrespondence:
     def test_census(self):
         assert check_core_correspondence_census(max_edges=5) == []
 
-    @pytest.mark.slow
     def test_census_deep(self):
         assert check_core_correspondence_census(max_edges=6) == []
 

@@ -18,6 +18,8 @@ from spcube import (
     layer_strings,
     named_pattern,
     partite_pattern,
+    format_string,
+    parse_string,
     pattern_graph_from_edge_pattern,
     pg_is_two_connected,
     phi,
@@ -68,7 +70,23 @@ class TestTypes:
             PatternGraph(frozenset(), frozenset({"1a"}), frozenset())
         with pytest.raises(ValueError):
             PatternGraph(frozenset(), frozenset({"01", "011"}), frozenset())
-        assert PatternGraph(frozenset(), frozenset({"01"}), frozenset()).upper == {"01"}
+        h = PatternGraph(frozenset(), frozenset({"01"}), frozenset())
+        assert (h.width, h.upper) == (2, {0b10})  # character j is bit j
+
+    def test_string_boundary(self):
+        # character j is coordinate j, bit j of the mask
+        assert parse_string("1000", 4) == 0b0001
+        assert parse_string("0110", 4) == 0b0110
+        assert parse_string("01*", 3, starred=True) == (0b010, 2)
+        assert format_string(0b0001, 4) == "1000"
+        assert format_string((0b010, 0), 3) == "*10"
+        assert format_string(0, 0) == ""
+        for bad, width, starred in [
+            ("0a", 2, False), ("01", 3, False), ("0*", 2, False), ("01", 2, True),
+            ("**", 2, True), (" 1", 2, False), ("1_0", 3, False), (5, 1, False),
+        ]:
+            with pytest.raises(ValueError):
+                parse_string(bad, width, starred)
 
     def test_sort_order_zero_one_star(self):
         strings = ["1*", "*1", "10", "01"]
@@ -140,7 +158,7 @@ class TestHGraph:
         for i, s in enumerate(cycle):
             t = cycle[(i + 1) % 8]
             lo, hi = (s, t) if s.count("1") < t.count("1") else (t, s)
-            want.add((lo, hi))
+            want.add((parse_string(lo, 4), parse_string(hi, 4)))
         assert h.edges == want
 
     def test_triangle_path(self):

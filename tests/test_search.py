@@ -197,7 +197,6 @@ class TestMTable:
     def test_methods_agree(self):
         assert check_m_methods_agree(max_d=6) == []
 
-    @pytest.mark.slow
     def test_methods_agree_deep(self):
         assert check_m_methods_agree(max_d=8) == []
 
@@ -220,7 +219,6 @@ class TestMTable:
     def test_onesum_guard(self):
         assert check_m_onesum_guard(max_d=4) == []
 
-    @pytest.mark.slow
     def test_onesum_guard_deep(self):
         assert check_m_onesum_guard(max_d=6) == []
 

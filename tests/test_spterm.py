@@ -161,7 +161,6 @@ class TestEnumeration:
     def test_matches_isomorphism_oracle(self):
         assert check_term_enumeration(max_d=5) == []
 
-    @pytest.mark.slow
     def test_matches_isomorphism_oracle_deep(self):
         assert check_term_enumeration(max_d=7) == []
 
