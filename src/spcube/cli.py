@@ -9,6 +9,7 @@ Randomized commands require an explicit --seed.
 from __future__ import annotations
 
 import argparse
+import shlex
 import sys
 from fractions import Fraction
 from math import comb
@@ -137,21 +138,26 @@ def _build_parser() -> _Parser:
 
 
 _POSITIONAL = {"pattern": "kind", "op": "op_name", "table": "which"}
+_TOP_LEVEL = {"threads"}  # options of the main parser, echoed before the subcommand
 
 
 def _echo(args: argparse.Namespace) -> None:
+    """Write the resolved invocation to stderr as a command line that runs
+    again as it stands: main-parser options, then the subcommand and its
+    own options, each value shell-quoted."""
     pos_key = _POSITIONAL.get(args.command)
-    parts = [args.command]
+    top, parts = [], [args.command]
     if pos_key:
-        parts.append(str(getattr(args, pos_key)))
+        parts.append(shlex.quote(str(getattr(args, pos_key))))
     for key, val in sorted(vars(args).items()):
         if key in ("command", pos_key) or val is None or val is False:
             continue
         name = key.replace("_", "-")
         if name == "set-file":
             name = "set"
-        parts.append(f"--{name}" if val is True else f"--{name} {val}")
-    sys.stderr.write("# spcube " + " ".join(parts) + "\n")
+        option = f"--{name}" if val is True else f"--{name} {shlex.quote(str(val))}"
+        (top if key in _TOP_LEVEL else parts).append(option)
+    sys.stderr.write("# spcube " + " ".join(top + parts) + "\n")
 
 
 def _emit_pattern(pattern, out: str | None) -> None:

@@ -7,6 +7,14 @@ counter-based generator keyed by an explicit seed, an integer with
 0 <= seed < 2**128, so every constructed set is reproducible from
 (a, b, seed) alone.
 
+The generator is Philox4x64-10 (Salmon, Moraes, Dror and Shaw, SC'11),
+in pure Python.  The key is (seed mod 2**64, seed >> 64); the 256-bit
+counter starts at 1 and goes up by one per block; each block of ten
+rounds yields the four words (c0, c1, c2, c3) in that order; and the
+i-th vector is the i-th word masked to its low ``dim`` bits.  This is
+the standard Philox4x64-10 stream that earlier versions drew through a
+compiled library, so every seeded set is unchanged.
+
 One depth-first basis-extension search (``_bases``) decides admission:
 ``f2_vertex_set_from_vectors`` takes the position masks at its leaves,
 ``f2_vertex_count`` counts them, and ``f2_edge_set_from_vectors`` runs it
@@ -22,8 +30,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-
-import numpy as np
 
 from .errors import SizeGuardError
 from .patterns import EdgePattern, VertexPattern
@@ -203,10 +209,33 @@ def random_vectors(count: int, dim: int, seed: int) -> list[int]:
         raise ValueError("dimension must be between 1 and 64")
     if not 0 <= seed < 1 << 128:
         raise ValueError(f"seed must be between 0 and 2**128 - 1, got {seed}")
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    words = gen.integers(0, 2**64 - 1, size=count, dtype=np.uint64, endpoint=True)
     mask = (1 << dim) - 1
-    return [int(w) & mask for w in words]
+    return [w & mask for w in _philox_words(count, seed)]
+
+
+_M64 = (1 << 64) - 1
+
+
+def _philox_words(count: int, seed: int) -> list[int]:
+    """The first ``count`` 64-bit words of the Philox4x64-10 stream keyed
+    by ``seed``, as the module docstring defines it."""
+    key0, key1 = seed & _M64, seed >> 64
+    words: list[int] = []
+    counter = 0
+    while len(words) < count:
+        counter += 1
+        c0, c1 = counter & _M64, counter >> 64 & _M64
+        c2, c3 = counter >> 128 & _M64, counter >> 192
+        k0, k1 = key0, key1
+        for _ in range(10):
+            p = c0 * 0xD2E7470EE14C6C93  # 128-bit products: high and low words
+            q = c2 * 0xCA5A826395121157
+            c0, c1, c2, c3 = q >> 64 ^ c1 ^ k0, q & _M64, p >> 64 ^ c3 ^ k1, p & _M64
+            k0 = k0 + 0x9E3779B97F4A7C15 & _M64
+            k1 = k1 + 0xBB67AE8584CAA73B & _M64
+        words += (c0, c1, c2, c3)
+    del words[count:]
+    return words
 
 
 def f2_vertex_set_from_vectors(

@@ -727,7 +727,9 @@ def named_pattern(name: str, sizes: tuple[int, ...] = ()):
 
 def format_pattern(p: VertexPattern | EdgePattern) -> str:
     """Header line ``vertex a b`` or ``edge a b``, then one string per
-    line in canonical order."""
+    line in canonical order.  The one string of L(0,0) is empty, so its
+    line is blank: ``vertex 0 0`` alone is the empty pattern, and with a
+    blank line after it the pattern {""}."""
     kind = "vertex" if isinstance(p, VertexPattern) else "edge"
     lines = p.sorted_strings  # a new list: extended in place, not copied
     lines.insert(0, f"{kind} {p.a} {p.b}")
@@ -736,17 +738,24 @@ def format_pattern(p: VertexPattern | EdgePattern) -> str:
 
 
 def parse_pattern(text: str):
-    """Read the pattern file format written by ``format_pattern``."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    """Read the pattern file format written by ``format_pattern``.
+
+    Blank lines are skipped, except after the header of L(0,0): there
+    each line, blank or not, is a string, and a blank one is the empty
+    string.
+    """
+    lines = [ln.strip() for ln in text.splitlines()]
+    start = next((i for i, ln in enumerate(lines) if ln), None)
+    if start is None:
         raise ValueError("empty pattern file")
-    head = lines[0].split()
+    head = lines[start].split()
     if len(head) != 3 or head[0] not in ("vertex", "edge"):
-        raise ValueError(f"bad pattern header {lines[0]!r}")
+        raise ValueError(f"bad pattern header {lines[start]!r}")
     a, b = int(head[1]), int(head[2])
+    body = lines[start + 1:]
     if head[0] == "vertex":
-        return VertexPattern(a, b, lines[1:])
-    return EdgePattern(a, b, lines[1:])
+        return VertexPattern(a, b, body if a + b == 0 else [ln for ln in body if ln])
+    return EdgePattern(a, b, [ln for ln in body if ln])
 
 
 def load_pattern(path):

@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -186,6 +190,46 @@ class TestRank:
         assert gf2_rank([0b1, 0b10, 0b11]) == 2
         assert gf2_rank([0b101, 0b011, 0b110]) == 2
         assert gf2_rank([1, 2, 4, 8]) == 4
+
+
+# Seeds of the stream's known-answer and cross-checks: both key words at
+# their extremes, and a key with a high word only.
+STREAM_SEEDS = [0, 1, 7, 2**63 + 5, 2**64 - 1, 2**64, 46116860184273879040, 2**128 - 1]
+
+
+class TestStream:
+    """The Philox4x64-10 stream behind ``random_vectors``."""
+
+    def test_known_answers(self):
+        # words recorded from numpy 2.4.6's Generator(Philox(key=seed))
+        assert random_vectors(5, 64, 1) == [
+            0x4DB6A27B756282DF, 0xD944FA03BABE0E2F, 0x27F872E577060D32,
+            0x07F697696A0482A2, 0xE677FE4BBD0452EC,
+        ]
+        assert random_vectors(2, 64, 2**128 - 1) == [0x6D46CC0E71F0BE7E, 0x924EA1693F9A8BC0]
+
+    def test_low_bits_and_prefixes(self):
+        words = random_vectors(22, 64, 7)
+        assert random_vectors(22, 5, 7) == [w & 0b11111 for w in words]
+        for count in (0, 1, 3, 4, 5):  # within the first block and across it
+            assert random_vectors(count, 64, 7) == words[:count]
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_against_numpy(self, seed):
+        np = pytest.importorskip("numpy")
+        for count in (1, 3, 4, 5, 22, 100):
+            gen = np.random.Generator(np.random.Philox(key=seed))
+            words = gen.integers(0, 2**64 - 1, size=count, dtype=np.uint64, endpoint=True)
+            assert random_vectors(count, 64, seed) == [int(w) for w in words]
+
+    def test_cli_import_leaves_numpy_out(self):
+        src = str(Path(constructions.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        probe = "import sys, spcube.cli; print('numpy' in sys.modules)"
+        run = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert run.stdout == "False\n"
 
 
 class TestVertexSet:

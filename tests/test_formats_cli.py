@@ -1,5 +1,7 @@
 import hashlib
 import json
+import re
+import shlex
 
 import pytest
 
@@ -35,6 +37,16 @@ class TestPatternFiles:
         assert lines[0] == "vertex 2 2"
         assert lines[1:] == sorted(lines[1:])
 
+    def test_empty_string_layer(self):
+        # L(0,0) has one string, the empty one: {""} and {} are two files
+        full, empty = VertexPattern(0, 0, {""}), VertexPattern(0, 0, set())
+        assert format_pattern(full) == "vertex 0 0\n\n"
+        assert format_pattern(empty) == "vertex 0 0\n"
+        assert parse_pattern(format_pattern(full)) == full
+        assert parse_pattern(format_pattern(empty)) == empty
+        with pytest.raises(ValueError):
+            parse_pattern("vertex 0 0\n0\n")
+
     def test_bad_header(self):
         with pytest.raises(ValueError):
             parse_pattern("widget 1 1\n01\n")
@@ -42,6 +54,10 @@ class TestPatternFiles:
     def test_pattern_graph_json_round_trip(self):
         h = h_graph(catalog.k4_minus_edge(), 4)
         assert pg_from_json(pg_to_json(h)) == h
+
+
+# the time columns: csv and markdown millis, and verify's seconds
+_TIMES = re.compile(r"(,[\d.]+|\| [\d.]+ \||\([\d.]+s\))(?=\r?$)", re.MULTILINE)
 
 
 @pytest.fixture
@@ -344,7 +360,34 @@ class TestCli:
     def test_invocation_echoed(self, k4me_file, capsys):
         main(["pattern", "x", "--graph", k4me_file])
         err = capsys.readouterr().err
-        assert err.startswith("# spcube pattern")
+        assert err.startswith("# spcube --threads 1 pattern")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["verify"], marks=pytest.mark.slow),
+            ["--threads", "2", "table", "fib", "--max-d", "4"],
+            ["table", "m", "--max-d", "6", "--emit", "md"],
+            ["f2", "--a", "3", "--b", "2", "--seed", "7", "--mode", "edge"],
+            ["pattern", "named", "--name", "partite", "--params", "1,2"],
+            ["ex-layer", "--a", "2", "--b", "2", "--pattern", "{xc2}"],
+        ],
+        ids=["verify", "table-fib", "table-m", "f2", "pattern-named", "ex-layer"],
+    )
+    def test_echo_reruns(self, tmp_path, capsys, argv):
+        # the echoed line, run again, does the same work
+        xc2 = tmp_path / "x c2.pat"  # a space, so the path must be quoted
+        xc2.write_text("vertex 1 1\n01\n10\n")
+        argv = [arg.format(xc2=xc2) for arg in argv]
+        code = main(argv)
+        first = capsys.readouterr()
+        echo = first.err.splitlines()[0]
+        assert echo.startswith("# spcube ")
+        again = shlex.split(echo.removeprefix("# spcube "))
+        assert main(again) == code
+        second = capsys.readouterr()
+        assert _TIMES.sub("", second.out) == _TIMES.sub("", first.out)
+        assert second.err.splitlines()[0] == echo
 
     def test_echo_keeps_zero_seed(self, tmp_path, capsys):
         out = tmp_path / "s.txt"
