@@ -12,7 +12,6 @@ import argparse
 import shlex
 import sys
 from fractions import Fraction
-from math import comb
 
 from .constructions import (
     density_lower_bound,
@@ -29,6 +28,7 @@ from .patterns import (
     dual_pattern,
     format_pattern,
     h_graph,
+    layer_size,
     load_pattern,
     named_pattern,
     NAMED_PATTERN_NOTES,
@@ -64,12 +64,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     p = _Parser(prog="spcube", description=__doc__)
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="parallelism hint; results are independent of it (execution is sequential)",
-    )
     sub = p.add_subparsers(dest="command", required=True)
 
     pat = sub.add_parser("pattern", help="derive or emit patterns")
@@ -113,7 +107,6 @@ def _build_parser() -> _Parser:
     exc = sub.add_parser("ex-cube", help="exact extremal number over the whole cube")
     exc.add_argument("--n", type=int, required=True)
     exc.add_argument("--pattern", required=True)
-    exc.add_argument("--mode", choices=["vertex", "edge"], help="cross-checked against the pattern file")
 
     f2 = sub.add_parser("f2", help="GF(2) basis-selected layer subset")
     f2.add_argument("--a", type=int, required=True)
@@ -138,15 +131,14 @@ def _build_parser() -> _Parser:
 
 
 _POSITIONAL = {"pattern": "kind", "op": "op_name", "table": "which"}
-_TOP_LEVEL = {"threads"}  # options of the main parser, echoed before the subcommand
 
 
 def _echo(args: argparse.Namespace) -> None:
     """Write the resolved invocation to stderr as a command line that runs
-    again as it stands: main-parser options, then the subcommand and its
-    own options, each value shell-quoted."""
+    again as it stands: the subcommand and its options, each value
+    shell-quoted."""
     pos_key = _POSITIONAL.get(args.command)
-    top, parts = [], [args.command]
+    parts = [args.command]
     if pos_key:
         parts.append(shlex.quote(str(getattr(args, pos_key))))
     for key, val in sorted(vars(args).items()):
@@ -155,9 +147,8 @@ def _echo(args: argparse.Namespace) -> None:
         name = key.replace("_", "-")
         if name == "set-file":
             name = "set"
-        option = f"--{name}" if val is True else f"--{name} {shlex.quote(str(val))}"
-        (top if key in _TOP_LEVEL else parts).append(option)
-    sys.stderr.write("# spcube " + " ".join(top + parts) + "\n")
+        parts.append(f"--{name}" if val is True else f"--{name} {shlex.quote(str(val))}")
+    sys.stderr.write("# spcube " + " ".join(parts) + "\n")
 
 
 def _emit_pattern(pattern, out: str | None) -> None:
@@ -306,11 +297,7 @@ def _cmd_ex_layer(args) -> int:
 
 
 def _cmd_ex_cube(args) -> int:
-    pattern = load_pattern(args.pattern)
-    is_edge = isinstance(pattern, EdgePattern)
-    if args.mode and (args.mode == "edge") != is_edge:
-        raise ValueError("--mode contradicts the pattern file kind")
-    value, witness = ex_cube(args.n, pattern)
+    value, witness = ex_cube(args.n, load_pattern(args.pattern))
     print(f"ex = {value}")
     print("witness " + " ".join(witness))
     return 0
@@ -319,14 +306,12 @@ def _cmd_ex_cube(args) -> int:
 def _cmd_f2(args) -> int:
     if args.mode == "vertex":
         pattern = f2_vertex_set(args.a, args.b, args.seed)
-        density = Fraction(len(pattern), comb(args.a + args.b, args.b))
         bound = density_lower_bound(args.b)
     else:
         pattern = f2_edge_set(args.a, args.b, args.seed)
-        layer = (args.a + args.b + 1) * comb(args.a + args.b, args.b)
-        density = Fraction(len(pattern), layer)
         # 1/4 times prod_{i=1..b} (1 - 2^-(i+1))
         bound = density_lower_bound(args.b + 1) / 2
+    density = Fraction(len(pattern), layer_size(args.a, args.b, args.mode == "edge"))
     _emit_pattern(pattern, args.out)
     sys.stderr.write(
         f"# seed {args.seed} size {len(pattern)} "
@@ -355,8 +340,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.threads < 1:
-            parser.error("--threads must be at least 1")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 64
     _echo(args)

@@ -29,10 +29,9 @@ without a call per leaf.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
 from .errors import SizeGuardError
-from .patterns import EdgePattern, VertexPattern
+from .patterns import EdgePattern, VertexPattern, layer_size
 
 __all__ = [
     "gf2_rank",
@@ -45,6 +44,9 @@ __all__ = [
     "f2_edge_set_from_vectors",
     "density_lower_bound",
 ]
+
+# the largest layer, or starred layer, that the f2 sets are listed in
+F2_LAYER_LIMIT = 500_000
 
 
 def gf2_rank(vectors: list[int]) -> int:
@@ -238,13 +240,13 @@ def _philox_words(count: int, seed: int) -> list[int]:
     return words
 
 
-def f2_vertex_set_from_vectors(
-    a: int, b: int, vectors: list[int], *, max_layer: int = 500_000
-) -> VertexPattern:
+def f2_vertex_set_from_vectors(a: int, b: int, vectors: list[int]) -> VertexPattern:
     """Strings of L(a,b) whose 1-positions index a basis of GF(2)^b."""
     if len(vectors) != a + b:
         raise ValueError(f"need {a + b} vectors, got {len(vectors)}")
-    if comb(a + b, b) > max_layer:
+    if a < 0 or b < 0:
+        raise ValueError("layer parameters must be nonnegative")
+    if layer_size(a, b) > F2_LAYER_LIMIT:
         raise SizeGuardError("layer too large to materialize; use f2_vertex_density")
     masks: list[int] = []
     _bases(vectors, b, [], masks)
@@ -268,12 +270,10 @@ def f2_vertex_count(a: int, b: int, seed: int) -> int:
 
 def f2_vertex_density(a: int, b: int, seed: int) -> Fraction:
     """Exact density |S| / |L(a,b)| of the seeded construction."""
-    return Fraction(f2_vertex_count(a, b, seed), comb(a + b, b))
+    return Fraction(f2_vertex_count(a, b, seed), layer_size(a, b))
 
 
-def f2_edge_set_from_vectors(
-    a: int, b: int, vectors: list[int], *, max_layer: int = 500_000
-) -> EdgePattern:
+def f2_edge_set_from_vectors(a: int, b: int, vectors: list[int]) -> EdgePattern:
     """Edges of L'(a,b) admitted when the 1-position vectors
     extend to a basis of GF(2)^(b+1) both by vectors[0] and by the starred
     position's vector.
@@ -284,7 +284,9 @@ def f2_edge_set_from_vectors(
     n = a + b + 1
     if len(vectors) != n + 1:
         raise ValueError(f"need {n + 1} vectors, got {len(vectors)}")
-    if n * comb(n - 1, b) > max_layer:
+    if a < 0 or b < 0:
+        raise ValueError("layer parameters must be nonnegative")
+    if layer_size(a, b, starred=True) > F2_LAYER_LIMIT:
         raise SizeGuardError("starred layer too large to materialize")
     pos = vectors[1:]
     pairs: list[tuple[int, int]] = []

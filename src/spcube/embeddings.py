@@ -36,6 +36,7 @@ from .patterns import (
     element_key,
     format_string,
     layer_masks,
+    layer_size,
     layer_strings,
     parse_string,
     starred_layer_masks,
@@ -53,6 +54,14 @@ __all__ = [
     "ex_layer_bruteforce",
     "ex_cube",
 ]
+
+# The map search recurses once per target coordinate, inside Python's
+# default recursion limit of 1000 frames.
+MAP_WIDTH_LIMIT = 512
+EX_LAYER_LIMIT = 70  # the size of L(4,4)
+EX_MAPS_LIMIT = 200_000
+BRUTEFORCE_LAYER_LIMIT = 16
+EX_CUBE_LIMIT = 4
 
 
 @dataclass(frozen=True)
@@ -148,6 +157,8 @@ def _embeddings(src: list[int], target: list[int], a: int, b: int, a2: int, b2: 
     """
     k = a + b + (1 if starred else 0)
     n = k + (a2 - a) + (b2 - b)
+    if n > MAP_WIDTH_LIMIT:
+        raise SizeGuardError(f"target width {n} exceeds the map-search guard {MAP_WIDTH_LIMIT}")
     # prefixes[d]: the target's prefixes of length d; each step checks the
     # next length, and the root check catches an empty target when n = 0
     prefixes = [{c & ((1 << 2 * depth) - 1) for c in target} for depth in range(n + 1)]
@@ -371,34 +382,26 @@ def _branch(free: int, chosen: int, size: int, through, bound, best: list[int]) 
     _branch(free ^ bit, chosen, size, through, bound, best)
 
 
-def ex_layer(
-    a2: int,
-    b2: int,
-    x,
-    *,
-    max_layer: int = 70,
-    max_maps: int = 200_000,
-) -> tuple[int, list[str]]:
+def ex_layer(a2: int, b2: int, x) -> tuple[int, list[str]]:
     """Exact extremal number: the largest subset of the (a2, b2) layer
     into which no embedded copy of x fits, plus one witness set.
 
     The witness is the lexicographically least among maximum witnesses.
-    Refuses (``SizeGuardError``) above the desk-scale guards; the layer
-    guard is the size of L(4,4).
+    Refuses (``SizeGuardError``), before listing the layer, above
+    ``EX_LAYER_LIMIT`` strings or ``EX_MAPS_LIMIT`` maps.
     """
     if not len(x):
         raise ValueError("the empty pattern embeds in every set; ex is undefined")
     a, b, starred = _layer_params(x)
     if a > a2 or b > b2:
         raise ValueError("target layer must dominate the pattern's layer")
-    universe = starred_layer_masks(a2, b2) if starred else layer_masks(a2, b2)
-    if len(universe) > max_layer:
-        raise SizeGuardError(
-            f"layer size {len(universe)} exceeds the exact-search guard {max_layer}"
-        )
+    layer = layer_size(a2, b2, starred)
+    if layer > EX_LAYER_LIMIT:
+        raise SizeGuardError(f"layer size {layer} exceeds the exact-search guard {EX_LAYER_LIMIT}")
     total_maps = count_maps(a, b, a2, b2, starred)
-    if total_maps > max_maps:
-        raise SizeGuardError(f"{total_maps} embedding maps exceed the guard {max_maps}")
+    if total_maps > EX_MAPS_LIMIT:
+        raise SizeGuardError(f"{total_maps} embedding maps exceed the guard {EX_MAPS_LIMIT}")
+    universe = starred_layer_masks(a2, b2) if starred else layer_masks(a2, b2)
     codes = [_image_code(e) for e in universe]
     images = (
         frozenset(img) for _, img in _embeddings(_codes(x), codes, a, b, a2, b2, starred)
@@ -408,19 +411,19 @@ def ex_layer(
     return size, [format_string(e, width) for e in witness]
 
 
-def ex_layer_bruteforce(a2: int, b2: int, x, *, max_layer: int = 16) -> tuple[int, list[str]]:
+def ex_layer_bruteforce(a2: int, b2: int, x) -> tuple[int, list[str]]:
     """Plain subset enumeration on strings, every map applied by
-    ``apply_map``; validation oracle for ``ex_layer``."""
+    ``apply_map``; validation oracle for ``ex_layer``.  Refuses above
+    ``BRUTEFORCE_LAYER_LIMIT`` strings, before listing the layer."""
     if not len(x):
         raise ValueError("the empty pattern embeds in every set; ex is undefined")
     a, b, starred = _layer_params(x)
     if a > a2 or b > b2:
         raise ValueError("target layer must dominate the pattern's layer")
-    universe = (
-        starred_layer_strings(a2, b2) if starred else layer_strings(a2, b2)
-    )
-    if len(universe) > max_layer:
-        raise SizeGuardError(f"layer size {len(universe)} exceeds {max_layer}")
+    layer = layer_size(a2, b2, starred)
+    if layer > BRUTEFORCE_LAYER_LIMIT:
+        raise SizeGuardError(f"layer size {layer} exceeds {BRUTEFORCE_LAYER_LIMIT}")
+    universe = starred_layer_strings(a2, b2) if starred else layer_strings(a2, b2)
     src = x.sorted_strings
     images = (
         frozenset(apply_map(p, s) for s in src)
@@ -481,14 +484,15 @@ def _cube_images(n: int, x) -> set[frozenset]:
     return images
 
 
-def ex_cube(n: int, x, *, max_n: int = 4) -> tuple[int, list[str]]:
+def ex_cube(n: int, x) -> tuple[int, list[str]]:
     """Exact extremal number over the whole n-cube: the largest set of
     vertices (or edges, for an EdgePattern) of the n-cube containing no
-    face-embedded copy of x.  Desk-scale oracle, guarded at n <= 4."""
+    face-embedded copy of x.  Desk-scale oracle, guarded at
+    n <= ``EX_CUBE_LIMIT``."""
     if not len(x):
         raise ValueError("the empty pattern embeds in every set; ex is undefined")
-    if n > max_n:
-        raise SizeGuardError(f"cube dimension {n} exceeds the exact-search guard {max_n}")
+    if n > EX_CUBE_LIMIT:
+        raise SizeGuardError(f"cube dimension {n} exceeds the exact-search guard {EX_CUBE_LIMIT}")
     starred = isinstance(x, EdgePattern)
     universe = _cube_edge_universe(n) if starred else _cube_vertex_universe(n)
     images = _cube_images(n, x)

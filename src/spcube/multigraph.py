@@ -67,15 +67,8 @@ class Multigraph:
         for u, v in self.edges:
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"edge ({u},{v}) has an endpoint outside 0..{self.n - 1}")
-        d = self.distinguished
-        if d is not None:
-            if not (0 <= d < len(self.edges)):
-                raise ValueError(f"distinguished edge index {d} out of range")
-            u, v = self.edges[d]
-            if u == v:
-                raise ValueError("distinguished edge must not be a loop")
-            if _is_bridge(self, d):
-                raise ValueError("distinguished edge must not be a bridge")
+        if self.distinguished is not None:
+            check_marked_edge(self, self.distinguished)
 
     @property
     def e(self) -> int:
@@ -116,6 +109,18 @@ def _reach(g: Multigraph, start: int, skip_edge: int | None) -> set[int]:
             seen.add(u)
             stack.append(u)
     return seen
+
+
+def check_marked_edge(g: Multigraph, i: int) -> None:
+    """Raise ``ValueError`` unless edge i of g can be marked: an index in
+    range, neither a loop nor a bridge."""
+    if not (0 <= i < len(g.edges)):
+        raise ValueError(f"distinguished edge index {i} out of range")
+    u, v = g.edges[i]
+    if u == v:
+        raise ValueError("distinguished edge must not be a loop")
+    if _is_bridge(g, i):
+        raise ValueError("distinguished edge must not be a bridge")
 
 
 def _is_bridge(g: Multigraph, i: int) -> bool:

@@ -30,9 +30,10 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import comb
 
 from . import catalog
-from .multigraph import Multigraph, spanning_trees
+from .multigraph import Multigraph, check_marked_edge, spanning_trees
 
 __all__ = [
     "VertexPattern",
@@ -42,6 +43,7 @@ __all__ = [
     "format_string",
     "sort_key",
     "element_key",
+    "layer_size",
     "layer_masks",
     "starred_layer_masks",
     "layer_strings",
@@ -128,6 +130,12 @@ def element_key(e, width: int) -> tuple[int, ...]:
     return tuple(e >> j & 1 for j in range(width))
 
 
+def layer_size(a: int, b: int, starred: bool = False) -> int:
+    """|L(a,b)|, or |L'(a,b)| when ``starred``, without listing it."""
+    size = comb(a + b, b)
+    return (a + b + 1) * size if starred else size
+
+
 def layer_masks(a: int, b: int) -> list[int]:
     """All of L(a,b) as masks, in the canonical order of their strings."""
     n = a + b
@@ -157,18 +165,32 @@ def starred_layer_strings(a: int, b: int) -> list[str]:
     return [format_string(e, a + b + 1) for e in starred_layer_masks(a, b)]
 
 
-def _parse_all(strings: Iterable[str], width: int, starred: bool, where: str) -> list:
-    out = []
+def _parse_layer(strings: Iterable[str], a: int, b: int, starred: bool) -> frozenset:
+    """The elements the strings name, each checked to lie in L(a,b), or in
+    L'(a,b) when ``starred``."""
+    where = f"L'({a},{b})" if starred else f"L({a},{b})"
+    width = a + b + starred
+    elements = set()
     for s in strings:
         try:
-            out.append(parse_string(s, width, starred))
+            elements.add(parse_string(s, width, starred))
         except ValueError:
             raise ValueError(f"string {s!r} is not in {where}") from None
-    return out
+    if a < 0 or b < 0:
+        raise ValueError("layer parameters must be nonnegative")
+    bad = [e for e in elements if (e[0] if starred else e).bit_count() != b]
+    if bad:
+        raise ValueError(f"string {format_string(min(bad), width)!r} is not in {where}")
+    return frozenset(elements)
 
 
 # ---------------------------------------------------------------------------
 # pattern types
+
+
+def _fill(obj, **fields) -> None:
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -176,7 +198,8 @@ class VertexPattern:
     """A subset of the layer L(a, b), as masks of a + b bits with b ones.
 
     ``VertexPattern(a, b, strings)`` reads 0/1 strings, the public
-    boundary; code that has masks calls ``VertexPattern.from_masks``.
+    boundary, and checks them; code that has masks calls
+    ``VertexPattern.from_masks``.
     """
 
     a: int
@@ -184,12 +207,14 @@ class VertexPattern:
     masks: frozenset[int]
 
     def __init__(self, a: int, b: int, strings: Iterable[str] = frozenset()):
-        _init_vertex(self, a, b, _parse_all(strings, a + b, False, f"L({a},{b})"))
+        _fill(self, a=a, b=b, masks=_parse_layer(strings, a, b, False))
 
     @classmethod
     def from_masks(cls, a: int, b: int, masks: Iterable[int]) -> VertexPattern:
+        """The pattern of ``masks``, trusted to lie in L(a, b): nothing is
+        checked."""
         p = object.__new__(cls)
-        _init_vertex(p, a, b, masks)
+        _fill(p, a=a, b=b, masks=frozenset(masks))
         return p
 
     @property
@@ -209,19 +234,6 @@ class VertexPattern:
         return len(self.masks)
 
 
-def _init_vertex(p: VertexPattern, a: int, b: int, masks: Iterable[int]) -> None:
-    if a < 0 or b < 0:
-        raise ValueError("layer parameters must be nonnegative")
-    masks = frozenset(masks)
-    n = a + b
-    bad = [m for m in masks if m >> n or m.bit_count() != b]
-    if bad:
-        raise ValueError(f"{_describe(min(bad), n)} is not in L({a},{b})")
-    object.__setattr__(p, "a", a)
-    object.__setattr__(p, "b", b)
-    object.__setattr__(p, "masks", masks)
-
-
 @dataclass(frozen=True, slots=True, init=False)
 class EdgePattern:
     """A subset of the starred layer L'(a, b), as (lower mask, star)
@@ -229,7 +241,8 @@ class EdgePattern:
     bit clear.
 
     ``EdgePattern(a, b, strings)`` reads strings with one ``*``, the
-    public boundary; code that has pairs calls ``EdgePattern.from_pairs``.
+    public boundary, and checks them; code that has pairs calls
+    ``EdgePattern.from_pairs``.
     """
 
     a: int
@@ -237,12 +250,14 @@ class EdgePattern:
     pairs: frozenset[tuple[int, int]]
 
     def __init__(self, a: int, b: int, strings: Iterable[str] = frozenset()):
-        _init_edge(self, a, b, _parse_all(strings, a + b + 1, True, f"L'({a},{b})"))
+        _fill(self, a=a, b=b, pairs=_parse_layer(strings, a, b, True))
 
     @classmethod
     def from_pairs(cls, a: int, b: int, pairs: Iterable[tuple[int, int]]) -> EdgePattern:
+        """The pattern of ``pairs``, trusted to lie in L'(a, b): nothing is
+        checked."""
         p = object.__new__(cls)
-        _init_edge(p, a, b, pairs)
+        _fill(p, a=a, b=b, pairs=frozenset(pairs))
         return p
 
     @property
@@ -262,31 +277,6 @@ class EdgePattern:
         return len(self.pairs)
 
 
-def _init_edge(p: EdgePattern, a: int, b: int, pairs: Iterable[tuple[int, int]]) -> None:
-    if a < 0 or b < 0:
-        raise ValueError("layer parameters must be nonnegative")
-    pairs = frozenset(pairs)
-    n = a + b + 1
-    bad = [
-        (lower, star)
-        for lower, star in pairs
-        if not 0 <= star < n or lower >> star & 1 or lower >> n or lower.bit_count() != b
-    ]
-    if bad:
-        raise ValueError(f"{_describe(min(bad), n)} is not in L'({a},{b})")
-    object.__setattr__(p, "a", a)
-    object.__setattr__(p, "b", b)
-    object.__setattr__(p, "pairs", pairs)
-
-
-def _describe(e, width: int) -> str:
-    """An element for an error message: its string when it has one."""
-    lower, star = e if isinstance(e, tuple) else (e, None)
-    if lower >> width or star is not None and not (0 <= star < width and not lower >> star & 1):
-        return f"element {e!r}"
-    return f"string {format_string(e, width)!r}"
-
-
 @dataclass(frozen=True, slots=True, init=False)
 class PatternGraph:
     """Bipartite graph between two consecutive layers of the width-cube,
@@ -295,8 +285,8 @@ class PatternGraph:
     mask pairs.
 
     ``PatternGraph(lower, upper, edges)`` reads 0/1 strings, all of one
-    length, the public boundary; code that has masks calls
-    ``PatternGraph.from_masks``.
+    length, the public boundary, and checks them; code that has masks
+    calls ``PatternGraph.from_masks``.
     """
 
     width: int
@@ -320,14 +310,32 @@ class PatternGraph:
             if lo not in mask or hi not in mask:
                 raise ValueError(f"edge ({lo},{hi}) has an endpoint outside the parts")
             pairs.append((mask[lo], mask[hi]))
-        _init_graph(self, width, map(mask.get, lower), map(mask.get, upper), pairs)
+        lower, upper = frozenset(map(mask.get, lower)), frozenset(map(mask.get, upper))
+        edges = frozenset(pairs)
+        if lower:
+            w = next(iter(lower)).bit_count()
+            if any(m.bit_count() != w for m in lower):
+                raise ValueError("lower part must sit in a single layer")
+            if any(m.bit_count() != w + 1 for m in upper):
+                raise ValueError("upper part must sit one layer above the lower part")
+        for lo, hi in edges:
+            if lo not in lower or hi not in upper:
+                raise ValueError(f"edge {(lo, hi)} has an endpoint outside the parts")
+            if lo & ~hi or (hi ^ lo).bit_count() != 1:
+                raise ValueError(
+                    f"{format_string(lo, width)!r}/{format_string(hi, width)!r} is not an upward "
+                    "Hamming-1 pair"
+                )
+        _fill(self, width=width, lower=lower, upper=upper, edges=edges)
 
     @classmethod
     def from_masks(
         cls, width: int, lower: Iterable[int], upper: Iterable[int], edges: Iterable[tuple[int, int]]
     ) -> PatternGraph:
+        """The pattern graph of these masks and (lower, upper) pairs,
+        trusted to form one: nothing is checked."""
         h = object.__new__(cls)
-        _init_graph(h, width, lower, upper, edges)
+        _fill(h, width=width, lower=frozenset(lower), upper=frozenset(upper), edges=frozenset(edges))
         return h
 
     @property
@@ -340,30 +348,6 @@ class PatternGraph:
             adj[lo].add(hi)
             adj[hi].add(lo)
         return adj
-
-
-def _init_graph(h: PatternGraph, width: int, lower, upper, edges) -> None:
-    lower, upper, edges = frozenset(lower), frozenset(upper), frozenset(edges)
-    if any(m >> width for m in lower | upper):
-        raise ValueError(f"pattern-graph vertex wider than {width} coordinates")
-    if lower:
-        w = next(iter(lower)).bit_count()
-        if any(m.bit_count() != w for m in lower):
-            raise ValueError("lower part must sit in a single layer")
-        if any(m.bit_count() != w + 1 for m in upper):
-            raise ValueError("upper part must sit one layer above the lower part")
-    for lo, hi in edges:
-        if lo not in lower or hi not in upper:
-            raise ValueError(f"edge {(lo, hi)} has an endpoint outside the parts")
-        if lo & ~hi or (hi ^ lo).bit_count() != 1:
-            raise ValueError(
-                f"{format_string(lo, width)!r}/{format_string(hi, width)!r} is not an upward "
-                "Hamming-1 pair"
-            )
-    object.__setattr__(h, "width", width)
-    object.__setattr__(h, "lower", lower)
-    object.__setattr__(h, "upper", upper)
-    object.__setattr__(h, "edges", edges)
 
 
 # ---------------------------------------------------------------------------
@@ -406,13 +390,14 @@ def x_pattern(g: Multigraph) -> VertexPattern:
 
 
 def _marked_edge(g: Multigraph, i: int | None) -> int:
-    """Edge i, defaulting to the distinguished edge; ``Multigraph`` itself
-    rejects an index out of range, a loop or a bridge with ``ValueError``."""
+    """Edge i, defaulting to the distinguished edge; an index out of range,
+    a loop or a bridge raises ``ValueError``, as it does for a graph's
+    distinguished edge."""
     if i is None:
         if g.distinguished is None:
             raise ValueError("no edge index given and the graph is unmarked")
         return g.distinguished
-    g.with_distinguished(i)
+    check_marked_edge(g, i)
     return i
 
 

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -21,7 +22,8 @@ from spcube import (
     layer_strings,
     starred_layer_strings,
 )
-from spcube.embeddings import EmbeddingMap
+from spcube import embeddings
+from spcube.embeddings import MAP_WIDTH_LIMIT, EmbeddingMap
 from spcube.verify import (
     check_density_properties,
     check_ex_bnb_vs_bruteforce,
@@ -150,6 +152,18 @@ class TestExLayer:
         with pytest.raises(SizeGuardError):
             ex_layer(5, 5, X_C2)
 
+    @pytest.mark.parametrize("x", [X_C2, EdgePattern(0, 0, {"*"})], ids=["vertex", "edge"])
+    def test_size_guards_run_before_the_layer_is_listed(self, monkeypatch, x):
+        # L(3000,3000) has C(6000,3000) strings: listing it would never end
+        def unlisted(*args):
+            raise AssertionError("the layer was listed before its guard")
+
+        for name in ("layer_masks", "starred_layer_masks", "layer_strings", "starred_layer_strings"):
+            monkeypatch.setattr(embeddings, name, unlisted)
+        for search in (ex_layer, ex_layer_bruteforce):
+            with pytest.raises(SizeGuardError, match="^layer size [0-9]+ exceeds"):
+                search(3000, 3000, x)
+
     def test_bruteforce_agrees(self):
         assert check_ex_bnb_vs_bruteforce(trials=8) == []
 
@@ -160,6 +174,31 @@ class TestExLayer:
         y = EdgePattern(0, 0, frozenset({"*"}))
         value, witness = ex_layer(1, 0, y)
         assert value == 0  # a single starred string embeds into any nonempty set
+
+
+class TestMapWidthGuard:
+    # The empty string of L(0,0) maps onto one string of the target by
+    # exactly one map: the search runs one branch to the full width.
+    EMPTY = VertexPattern(0, 0, {""})
+
+    @staticmethod
+    def _one_string(width: int) -> VertexPattern:
+        ones = width // 2
+        return VertexPattern(width - ones, ones, {"0" * (width - ones) + "1" * ones})
+
+    def test_at_the_guard(self):
+        big = self._one_string(MAP_WIDTH_LIMIT)
+        assert density_t(self.EMPTY, big) == Fraction(1, comb(MAP_WIDTH_LIMIT, big.b))
+        assert contains_pattern(big, self.EMPTY)[0]
+
+    def test_beyond_the_guard(self):
+        big = self._one_string(MAP_WIDTH_LIMIT + 1)
+        with pytest.raises(SizeGuardError, match="map-search guard"):
+            density_t(self.EMPTY, big)
+        with pytest.raises(SizeGuardError, match="map-search guard"):
+            contains_pattern(big, self.EMPTY)
+        with pytest.raises(SizeGuardError, match="map-search guard"):
+            contains_pattern(big.strings, self.EMPTY)  # cube mode
 
 
 class TestExCube:

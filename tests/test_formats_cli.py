@@ -4,6 +4,7 @@ import re
 import shlex
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from spcube import (
     EdgePattern,
@@ -16,7 +17,7 @@ from spcube import (
     tree_count,
     x_pattern,
 )
-from spcube import catalog, patterns
+from spcube import catalog, embeddings, patterns
 from spcube.cli import PATTERN_TREE_LIMIT, main
 from spcube.search import fib
 from spcube.patterns import pg_from_json, pg_to_json, h_graph
@@ -225,6 +226,27 @@ class TestCli:
         small.write_text("vertex 1 1\n01\n10\n")
         assert main(["ex-layer", "--a", "5", "--b", "5", "--pattern", str(small)]) == 2
 
+    def test_ex_layer_guard_before_listing_exit_2(self, tmp_path, capsys, monkeypatch):
+        # L(3000,3000) cannot be listed: the guard must come first
+        def unlisted(*args):
+            raise AssertionError("the layer was listed before its guard")
+
+        monkeypatch.setattr(embeddings, "layer_masks", unlisted)
+        small = tmp_path / "s.txt"
+        small.write_text("vertex 1 1\n01\n10\n")
+        assert main(["ex-layer", "--a", "3000", "--b", "3000", "--pattern", str(small)]) == 2
+        assert "refused: layer size " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["density", "contains"])
+    def test_wide_layer_refused_exit_2(self, tmp_path, capsys, command):
+        # one string of L(500,500): the map search would recurse 1,000 deep
+        wide = tmp_path / "wide.pat"
+        wide.write_text("vertex 500 500\n" + "0" * 500 + "1" * 500 + "\n")
+        flags = ["--small", "--big"] if command == "density" else ["--set", "--pattern"]
+        assert main([command, flags[0], str(wide), flags[1], str(wide)]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith("refused: target width 1000 exceeds the map-search guard 512\n")
+
     def test_ex_cube(self, tmp_path, capsys):
         small = tmp_path / "s.txt"
         small.write_text("vertex 1 1\n01\n10\n")
@@ -360,13 +382,13 @@ class TestCli:
     def test_invocation_echoed(self, k4me_file, capsys):
         main(["pattern", "x", "--graph", k4me_file])
         err = capsys.readouterr().err
-        assert err.startswith("# spcube --threads 1 pattern")
+        assert err.startswith("# spcube pattern")
 
     @pytest.mark.parametrize(
         "argv",
         [
             pytest.param(["verify"], marks=pytest.mark.slow),
-            ["--threads", "2", "table", "fib", "--max-d", "4"],
+            ["table", "fib", "--max-d", "4"],
             ["table", "m", "--max-d", "6", "--emit", "md"],
             ["f2", "--a", "3", "--b", "2", "--seed", "7", "--mode", "edge"],
             ["pattern", "named", "--name", "partite", "--params", "1,2"],
@@ -400,5 +422,57 @@ class TestCli:
         assert main(["op", "dup", "--pattern", str(p), "--coord", "0"]) == 0
         assert "--coord 0" in capsys.readouterr().err.splitlines()[0]
 
-    def test_threads_flag_accepted(self, k4me_file, capsys):
-        assert main(["--threads", "4", "pattern", "x", "--graph", k4me_file]) == 0
+    def test_removed_options_rejected(self, k4me_file, tmp_path, capsys):
+        # --threads changed nothing, and ex-cube --mode only re-asked the
+        # pattern file's header
+        xc2 = tmp_path / "xc2.pat"
+        xc2.write_text("vertex 1 1\n01\n10\n")
+        assert main(["--threads", "4", "pattern", "x", "--graph", k4me_file]) == 64
+        assert main(["ex-cube", "--n", "2", "--pattern", str(xc2), "--mode", "vertex"]) == 64
+
+
+# every subcommand that reads a file, with {f} the fuzzed file, {x} a valid
+# pattern file and {h} a valid pattern-graph file
+_READS_A_FILE = {
+    "pattern-x": ["pattern", "x", "--graph", "{f}"],
+    "pattern-y": ["pattern", "y", "--graph", "{f}", "--edge", "0"],
+    "pattern-h": ["pattern", "h", "--graph", "{f}"],
+    "op-dup": ["op", "dup", "--pattern", "{f}", "--coord", "0"],
+    "op-codup": ["op", "codup", "--pattern", "{f}", "--coord", "1"],
+    "op-dual": ["op", "dual", "--pattern", "{f}"],
+    "op-phi": ["op", "phi", "--pattern", "{f}"],
+    "op-psi": ["op", "psi", "--pattern", "{f}", "--coord", "0"],
+    "product-join-h1": ["op", "product-join", "--h1", "{f}", "--h2", "{h}"],
+    "product-join-h2": ["op", "product-join", "--h1", "{h}", "--h2", "{f}"],
+    "density-small": ["density", "--small", "{f}", "--big", "{x}"],
+    "density-big": ["density", "--small", "{x}", "--big", "{f}"],
+    "density-both": ["density", "--small", "{f}", "--big", "{f}"],
+    "contains-set": ["contains", "--set", "{f}", "--pattern", "{x}"],
+    "contains-pattern": ["contains", "--set", "{x}", "--pattern", "{f}"],
+    "contains-both": ["contains", "--set", "{f}", "--pattern", "{f}"],
+    "ex-layer": ["ex-layer", "--a", "2", "--b", "2", "--pattern", "{f}"],
+    "ex-layer-huge": ["ex-layer", "--a", "3000", "--b", "3000", "--pattern", "{f}"],
+    "ex-layer-brute-force": ["ex-layer", "--a", "2", "--b", "2", "--pattern", "{f}", "--brute-force"],
+    "ex-cube": ["ex-cube", "--n", "2", "--pattern", "{f}"],
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "x.pat").write_text("vertex 1 1\n01\n10\n")
+    (path / "h.json").write_text(pg_to_json(h_graph(catalog.c2_marked(), 0)) + "\n")
+    return path
+
+
+class TestFuzz:
+    @pytest.mark.parametrize("argv", _READS_A_FILE.values(), ids=_READS_A_FILE.keys())
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @given(data=st.binary())
+    @example(data=b"vertex 1 1\n01\n10\n")
+    @example(data=b"vertex 500 500\n" + b"0" * 500 + b"1" * 500 + b"\n")
+    def test_any_bytes_exit_with_a_documented_code(self, fuzz_dir, argv, data):
+        fuzzed = fuzz_dir / "fuzzed"
+        fuzzed.write_bytes(data)
+        names = {"f": fuzzed, "x": fuzz_dir / "x.pat", "h": fuzz_dir / "h.json"}
+        assert main([arg.format(**names) for arg in argv]) in (0, 1, 2, 64)
