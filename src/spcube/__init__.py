@@ -14,7 +14,6 @@ from .multigraph import (
     Multigraph,
     add_leaf,
     add_loop,
-    apply_operation,
     blocks,
     canonical_form,
     contract,
@@ -27,7 +26,6 @@ from .multigraph import (
     is_series_parallel,
     is_two_connected,
     load_graph,
-    minor,
     one_sum,
     permute_edges,
     save_graph,

@@ -19,14 +19,12 @@ __all__ = [
     "Multigraph",
     "spanning_trees",
     "tree_count",
-    "minor",
     "contract",
     "delete_edge",
     "add_loop",
     "add_leaf",
     "duplicate_edge",
     "subdivide_edge",
-    "apply_operation",
     "Block",
     "blocks",
     "is_series_parallel",
@@ -201,30 +199,23 @@ def spanning_trees(g: Multigraph) -> list[int]:
     The trees are composed along ``_sp_reduce``.  Each object carries its
     (T, F) mask sets: the spanning trees of its two-terminal network, and
     the 2-component spanning forests separating its terminals.  An edge has
-    T = {itself} and F = {no edge}.  A parallel merge gives
-    T = T_a F_b + F_a T_b and F = F_a F_b, a series join T = T_a T_b and
-    F = T_a F_b + F_a T_b, where a product joins one mask of each set and
-    the two sets' bits are disjoint.  A pendant object is in every tree
-    with one of its T masks.  Whatever does not reduce, such as K4 and its
-    subdivisions, is an irreducible core.  The backtracking enumerator runs
-    on it, with its objects as edges, and each core tree expands into T_k
-    for its objects and F_k for the others.
+    T = {itself} and F = {no edge}; each series or parallel step composes
+    two objects' sets by ``_compose_tf``.  A pendant object is in every
+    tree with one of its T masks.  Whatever does not reduce, such as K4 and
+    its subdivisions, is an irreducible core.  The backtracking enumerator
+    runs on it, with its objects as edges, and each core tree expands into
+    T_k for its objects and F_k for the others.
     """
     if g.n == 0:
         raise ValueError("spanning trees of the empty graph are undefined")
     steps, adj = _sp_reduce(g)
-    trees = [[1 << i] for i in range(g.e)]
-    forests = [[0]] * g.e
+    tf = [([1 << i], [0]) for i in range(g.e)]
     pendant: list[list[int]] = []
     for op, a, b in steps:
         if op == _PENDANT:
-            pendant.append(trees[a])
-        elif op == _SERIES:
-            trees.append(_join(trees[a], trees[b]))
-            forests.append(_join(trees[a], forests[b]) + _join(forests[a], trees[b]))
+            pendant.append(tf[a][0])
         else:
-            trees.append(_join(trees[a], forests[b]) + _join(forests[a], trees[b]))
-            forests.append(_join(forests[a], forests[b]))
+            tf.append(_compose_tf(op == _SERIES, tf[a], tf[b]))
     fixed = [0]
     for part in sorted(pendant, key=len):  # small products first
         fixed = _join(fixed, part)
@@ -237,7 +228,7 @@ def spanning_trees(g: Multigraph) -> list[int]:
     for core in cores:
         acc = [0]
         for j, k in enumerate(objects):
-            acc = _join(acc, trees[k] if core >> j & 1 else forests[k])
+            acc = _join(acc, tf[k][0] if core >> j & 1 else tf[k][1])
         out += acc
     out = _join(out, fixed)
     out.sort()
@@ -275,6 +266,20 @@ def _core_trees(
 def _join(xs: list[int], ys: list[int]) -> list[int]:
     """Every union of one mask of xs with one of ys (their bits are disjoint)."""
     return [x | y for y in ys for x in xs]
+
+
+def _compose_tf(
+    series: bool, a: tuple[list[int], list[int]], b: tuple[list[int], list[int]]
+) -> tuple[list[int], list[int]]:
+    """The (T, F) rule: the tree and terminal-separating 2-forest masks of
+    two networks a and b, on disjoint bits, composed in series or in
+    parallel.  A series tree is a tree of both, and a series forest a
+    forest of one and a tree of the other; parallel composition is the
+    dual, with T and F swapped."""
+    (ta, fa), (tb, fb) = a, b
+    if series:
+        return _join(ta, tb), _join(ta, fb) + _join(fa, tb)
+    return _join(ta, fb) + _join(fa, tb), _join(fa, fb)
 
 
 def _grow(
@@ -380,15 +385,6 @@ def delete_edge(g: Multigraph, i: int) -> Multigraph:
     return Multigraph(g.n, edges)
 
 
-def minor(g: Multigraph, i: int, mode: str) -> Multigraph:
-    """Contract or delete edge i; ``mode`` is ``"contract"`` or ``"delete"``."""
-    if mode == "contract":
-        return contract(g, i)
-    if mode == "delete":
-        return delete_edge(g, i)
-    raise ValueError(f"unknown minor mode {mode!r}")
-
-
 def _check_edge_index(g: Multigraph, i: int) -> None:
     if not (0 <= i < g.e):
         raise ValueError(f"edge index {i} out of range for a graph with {g.e} edges")
@@ -445,24 +441,6 @@ def subdivide_edge(g: Multigraph, i: int) -> Multigraph:
     w = g.n
     edges = g.edges[:i] + ((u, w), (w, v)) + g.edges[i + 1 :]
     return Multigraph(g.n + 1, edges, _shifted_distinguished(g.distinguished, i))
-
-
-def apply_operation(g: Multigraph, op: tuple[str, int]) -> Multigraph:
-    """Apply one elementary operation, given as a (name, argument) pair.
-
-    Names: ``loop``/``leaf`` take a vertex id, ``duplicate``/``subdivide``
-    an edge index.
-    """
-    kind, arg = op
-    if kind == "loop":
-        return add_loop(g, arg)
-    if kind == "leaf":
-        return add_leaf(g, arg)
-    if kind == "duplicate":
-        return duplicate_edge(g, arg)
-    if kind == "subdivide":
-        return subdivide_edge(g, arg)
-    raise ValueError(f"unknown operation {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -838,7 +816,7 @@ def graph_from_json(text: str) -> Multigraph:
     """Parse the interchange format strictly: integers only (not booleans),
     edges as 2-element lists, ``distinguished`` an integer or null.  Any
     other shape raises ``ValueError``."""
-    data = json.loads(text)
+    data = _load_json(text)
     if not isinstance(data, dict) or "vertices" not in data or "edges" not in data:
         raise ValueError("graph JSON needs 'vertices' and 'edges' fields")
     edges = data["edges"]
@@ -852,6 +830,15 @@ def graph_from_json(text: str) -> Multigraph:
         tuple((_json_int(u, "an edge end"), _json_int(v, "an edge end")) for u, v in edges),
         None if dist is None else _json_int(dist, "'distinguished'"),
     )
+
+
+def _load_json(text: str):
+    """``json.loads``, with input nested too deeply for the decoder raising
+    ``ValueError`` like any other malformed JSON."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON is nested too deeply") from None
 
 
 def _json_int(value, what: str) -> int:

@@ -20,9 +20,12 @@ sets are ordered with 0 < 1 < *.  That is not the numeric order of the
 masks, because coordinate 0 is the first character but the lowest bit, so
 ``sort_key`` orders strings and ``element_key`` orders masks and pairs.
 
-X, Y, H, psi and y18 work on tree masks: X is G's spanning trees; Y and H
+X, H, psi and y18 work on tree masks: X is G's spanning trees; H and psi
 split those same trees on bit i (the trees of G/i and of G - i) and pair
-the two sides at Hamming distance 1.
+the two sides at Hamming distance 1.  Y is psi of X, Y(G, i) =
+psi(X(G), i), so a caller that needs X and Y of one graph enumerates its
+trees once.  The series and parallel rule that composes the tree sets
+lives in ``multigraph._compose_tf``.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from itertools import combinations, product
 from math import comb
 
 from . import catalog
-from .multigraph import Multigraph, check_marked_edge, spanning_trees
+from .multigraph import Multigraph, _load_json, check_marked_edge, spanning_trees
 
 __all__ = [
     "VertexPattern",
@@ -392,12 +395,14 @@ def x_pattern(g: Multigraph) -> VertexPattern:
 def _marked_edge(g: Multigraph, i: int | None) -> int:
     """Edge i, defaulting to the distinguished edge; an index out of range,
     a loop or a bridge raises ``ValueError``, as it does for a graph's
-    distinguished edge."""
+    distinguished edge.  The graph checked its own mark when it was built,
+    so only another index is checked here."""
     if i is None:
         if g.distinguished is None:
             raise ValueError("no edge index given and the graph is unmarked")
         return g.distinguished
-    check_marked_edge(g, i)
+    if i != g.distinguished:
+        check_marked_edge(g, i)
     return i
 
 
@@ -406,19 +411,19 @@ def y_pattern(g: Multigraph, i: int | None = None) -> EdgePattern:
     pairing each tree of g/i with the trees of g - i at Hamming distance
     1.  Lands in L'(e-v, v-2).
 
-    Both tree sets come from one enumeration of g's trees: those that
-    contain i are the trees of g/i, the others the trees of g - i.  ``i``
-    defaults to the graph's distinguished edge and must be neither a
-    bridge nor a loop.
+    Y is psi of X: g's trees that contain i are the trees of g/i, the
+    others the trees of g - i, so Y(g, i) = psi(X(g), i).  ``i`` defaults
+    to the graph's distinguished edge and must be neither a bridge nor a
+    loop.  The trees are enumerated before the edge is checked.
     """
-    lower, upper = _split(spanning_trees(g), _marked_edge(g, i))
-    return EdgePattern.from_pairs(g.e - g.n, g.n - 2, _starred(lower, upper))
+    return psi(x_pattern(g), _marked_edge(g, i))
 
 
 def h_graph(g: Multigraph, i: int | None = None) -> PatternGraph:
     """Bipartite pattern graph of (g, edge i): lower part = trees of g/i,
-    upper part = trees of g-minus-i, edges = the Hamming-1 pairs.  The
-    tree sets come from g's trees as in ``y_pattern``."""
+    upper part = trees of g-minus-i, edges = the Hamming-1 pairs.  Both
+    tree sets come from one enumeration of g's trees, split on bit i as
+    ``psi`` splits them."""
     lower, upper = _split(spanning_trees(g), _marked_edge(g, i))
     edges = [(s, t) for s, t, _ in _hamming1_pairs(lower, upper)]
     return PatternGraph.from_masks(g.e - 1, lower, upper, edges)
@@ -456,8 +461,9 @@ def psi(x: VertexPattern, i: int) -> EdgePattern:
     the induced Hamming-1 edges between the two image weights.
 
     Requires x in L(a+1, b+1) with a, b >= 0; the result lies in L'(a, b).
-    Coordinates above i shift down by one.  The masks are split and paired
-    as in ``y_pattern``, so psi(X(G), i) = Y(G, i).
+    Coordinates above i shift down by one.  On a tree pattern the two
+    sides are the trees of G/i and of G - i, so psi(X(G), i) = Y(G, i),
+    which is how ``y_pattern`` computes Y.
     """
     if x.a < 1 or x.b < 1:
         raise ValueError("psi needs at least one zero and one one per string")
@@ -586,9 +592,7 @@ def pg_from_json(text: str) -> PatternGraph:
     """Parse the pattern-graph format strictly: ``lower`` and ``upper``
     lists of strings, ``edges`` a list of 2-element lists of strings.  Any
     other shape raises ``ValueError``."""
-    import json
-
-    data = json.loads(text)
+    data = _load_json(text)
     if not isinstance(data, dict) or not {"lower", "upper", "edges"} <= data.keys():
         raise ValueError("pattern-graph JSON needs 'lower', 'upper' and 'edges' fields")
     for part in ("lower", "upper"):

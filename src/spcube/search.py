@@ -39,8 +39,8 @@ from fractions import Fraction
 
 from .catalog import fib_chain
 from .errors import SizeGuardError
-from .multigraph import Multigraph, graph_to_json, tree_count, spanning_trees
-from .patterns import _hamming1_pairs, y_pattern
+from .multigraph import Multigraph, check_marked_edge, graph_to_json, tree_count, spanning_trees
+from .patterns import _hamming1_pairs, psi, x_pattern
 from .spterm import (
     EDGE,
     SpTerm,
@@ -308,14 +308,13 @@ def m_value_all_marked_graphs(d: int) -> int:
     """
     best = -1
     for g in enumerate_connected_sp(d + 1):
-        for i, (u, v) in enumerate(g.edges):
-            if u == v:
-                continue
+        x = x_pattern(g)
+        for i in range(g.e):
             try:
-                y = y_pattern(g, i)
+                check_marked_edge(g, i)
             except ValueError:
-                continue  # bridge
-            best = max(best, len(y))
+                continue  # a loop or a bridge
+            best = max(best, len(psi(x, i)))
     return best
 
 

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from .multigraph import (
     Multigraph,
-    _join,
+    _compose_tf,
     add_leaf,
     add_loop,
     canonical_form,
@@ -295,30 +295,24 @@ def tree_sets(t: SpTerm) -> tuple[list[int], list[int]]:
 
     For the marked graph (G, 0) of t these are the trees of G \\ 0 and of
     G / 0, that is ``patterns._split(spanning_trees(to_marked_graph(t)), 0)``
-    in reverse, with no graph built: the sets compose as ``tf_counts`` does.
-    An edge has T = {itself} and F = {no edge}.  A series tree is a tree of
-    every child, and a series forest a forest of one child and a tree of
-    every other: T = prod T_i and F = U_j F_j prod_{i != j} T_i.  Parallel
-    composition is the dual, with T and F swapped.  Children are folded in
-    one at a time, so each union is of two disjoint lists.
+    in reverse, with no graph built.  An edge has T = {itself} and
+    F = {no edge}; children are folded in one at a time by
+    ``multigraph._compose_tf``, the rule ``spanning_trees`` composes by.
     """
-    trees, forests, _ = _tree_sets(t, 0)
-    return trees, forests
+    tf, _ = _tree_sets(t, 0)
+    return tf
 
 
-def _tree_sets(t: SpTerm, offset: int) -> tuple[list[int], list[int], int]:
+def _tree_sets(t: SpTerm, offset: int) -> tuple[tuple[list[int], list[int]], int]:
     """``tree_sets`` with t's leaves from bit ``offset``; also returns the
     bit after t's last leaf."""
     if t.kind == "e":
-        return [1 << offset], [0], offset + 1
-    trees, forests, offset = _tree_sets(t.children[0], offset)
+        return ([1 << offset], [0]), offset + 1
+    tf, offset = _tree_sets(t.children[0], offset)
     for c in t.children[1:]:
-        ct, cf, offset = _tree_sets(c, offset)
-        if t.kind == "S":
-            trees, forests = _join(trees, ct), _join(forests, ct) + _join(trees, cf)
-        else:
-            trees, forests = _join(trees, cf) + _join(forests, ct), _join(forests, cf)
-    return trees, forests, offset
+        child, offset = _tree_sets(c, offset)
+        tf = _compose_tf(t.kind == "S", tf, child)
+    return tf, offset
 
 
 # ---------------------------------------------------------------------------

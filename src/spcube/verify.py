@@ -3,9 +3,9 @@ callable checks returning violation lists.
 
 Each check returns a list of human-readable violation strings (empty =
 pass).  ``run_all`` drives them; the deep profile raises the search
-bounds to their full documented ranges and takes several minutes, the
-default profile keeps a whole run comfortably fast.  The pytest suite
-calls the same functions.
+bounds to their full documented ranges and takes about half a minute,
+the default profile a few seconds.  The pytest suite calls the same
+functions.
 """
 
 from __future__ import annotations
@@ -67,6 +67,7 @@ from .patterns import (
     x_pattern,
     y_pattern,
     product_join,
+    _starred,
 )
 from .search import fib, m_value, m_value_all_marked_graphs
 from .spterm import (
@@ -323,15 +324,23 @@ def check_census_small_counts() -> list[str]:
 
 
 def check_weight_law(max_d: int = 7) -> list[str]:
-    """x lands in L(e-v+1, v-1); y lands in L'(e-v, v-2)."""
+    """Every element of x lies in L(e-v+1, v-1): a mask below bit e with
+    v-1 ones.  Every element of y lies in L'(e-v, v-2): a star below e-1
+    and a lower mask below bit e-1 with the star's bit clear and v-2 ones."""
     bad = []
     for t in _terms_upto(max_d):
         g = to_marked_graph(t)
         x = x_pattern(g)
-        if (x.a, x.b) != (g.e - g.n + 1, g.n - 1):
+        if any(m >> g.e or m.bit_count() != g.n - 1 for m in x.masks):
             bad.append(f"x layer law fails on {format_term(t)}")
-        y = y_pattern(g, 0)
-        if (y.a, y.b) != (g.e - g.n, g.n - 2):
+        width = g.e - 1
+        if any(
+            not 0 <= star < width
+            or lower >> star & 1
+            or lower >> width
+            or lower.bit_count() != g.n - 2
+            for lower, star in psi(x, 0).pairs
+        ):
             bad.append(f"y layer law fails on {format_term(t)}")
     return bad
 
@@ -344,15 +353,15 @@ def check_core_correspondence_terms(max_d: int = 8) -> list[str]:
     for t in _terms_upto(max_d):
         g = to_marked_graph(t)
         x = x_pattern(g)
-        y = y_pattern(g, 0)
+        y = psi(x, 0)
         for i in range(1, g.e):
             for op, kind in ((duplicate_edge, DUP), (subdivide_edge, CODUP)):
-                g2 = op(g, i)
-                if x_pattern(g2) != duplicate_v(x, i, kind):
+                x2 = x_pattern(op(g, i))
+                if x2 != duplicate_v(x, i, kind):
                     bad.append(
                         f"vertex correspondence fails: {format_term(t)}, edge {i}, {kind}"
                     )
-                if y_pattern(g2, 0) != duplicate_e(y, i - 1, kind):
+                if psi(x2, 0) != duplicate_e(y, i - 1, kind):
                     bad.append(
                         f"edge correspondence fails: {format_term(t)}, edge {i}, {kind}"
                     )
@@ -377,24 +386,27 @@ def check_duality(max_d: int = 8) -> list[str]:
     """Swapping series/parallel in the term complements both patterns."""
     bad = []
     for t in _terms_upto(max_d):
-        g = to_marked_graph(t)
-        gd = to_marked_graph(dual(t))
-        if dual_pattern(x_pattern(g)) != x_pattern(gd):
+        x = x_pattern(to_marked_graph(t))
+        xd = x_pattern(to_marked_graph(dual(t)))
+        if dual_pattern(x) != xd:
             bad.append(f"x duality fails on {format_term(t)}")
-        if dual_pattern(y_pattern(g, 0)) != y_pattern(gd, 0):
+        if dual_pattern(psi(x, 0)) != psi(xd, 0):
             bad.append(f"y duality fails on {format_term(t)}")
     return bad
 
 
 def check_phi_psi(max_d: int = 8) -> list[str]:
     """phi recovers x from y when the marked edge is the last coordinate;
-    psi at the marked coordinate recovers y from x."""
+    psi at the marked coordinate gives y, the Hamming-1 pairs between the
+    trees of G/0 (lower) and of G - 0 (upper), each graph's trees
+    enumerated on its own."""
     from .multigraph import permute_edges
 
     bad = []
     for t in _terms_upto(max_d):
         g = to_marked_graph(t)
-        if psi(x_pattern(g), 0) != y_pattern(g, 0):
+        lower, upper = spanning_trees(contract(g, 0)), spanning_trees(delete_edge(g, 0))
+        if psi(x_pattern(g), 0).pairs != frozenset(_starred(lower, upper)):
             bad.append(f"psi fails on {format_term(t)}")
         order = tuple(range(1, g.e)) + (0,)
         g_last = permute_edges(g, order)

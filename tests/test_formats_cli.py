@@ -471,6 +471,7 @@ class TestFuzz:
     @given(data=st.binary())
     @example(data=b"vertex 1 1\n01\n10\n")
     @example(data=b"vertex 500 500\n" + b"0" * 500 + b"1" * 500 + b"\n")
+    @example(data=b"[" * 100_000 + b"]" * 100_000)  # deeper than the JSON decoder recurses
     def test_any_bytes_exit_with_a_documented_code(self, fuzz_dir, argv, data):
         fuzzed = fuzz_dir / "fuzzed"
         fuzzed.write_bytes(data)

@@ -3,7 +3,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from iso_oracle import backtrack_isomorphic
 from tree_oracle import whole_graph_trees
@@ -11,7 +11,6 @@ from spcube import (
     Multigraph,
     add_leaf,
     add_loop,
-    apply_operation,
     blocks,
     canonical_form,
     contract,
@@ -24,7 +23,6 @@ from spcube import (
     is_isomorphic,
     is_series_parallel,
     is_two_connected,
-    minor,
     one_sum,
     permute_edges,
     spanning_trees,
@@ -99,7 +97,8 @@ def _random_sp(rng, e):
     while g.e < e:
         kind = rng.choice(("loop", "leaf") + ("duplicate", "subdivide") * 3)
         if kind in ("duplicate", "subdivide") and g.e:
-            g = apply_operation(g, (kind, rng.randrange(g.e)))
+            op = duplicate_edge if kind == "duplicate" else subdivide_edge
+            g = op(g, rng.randrange(g.e))
         elif kind == "loop":
             g = add_loop(g, rng.randrange(g.n))
         else:
@@ -148,8 +147,8 @@ def _decorated_k4(rng):
     the edge order shuffled."""
     g = catalog.k4_x16()
     for _ in range(rng.randint(0, 7)):
-        kind = rng.choice(("duplicate", "subdivide"))
-        g = apply_operation(g, (kind, rng.randrange(g.e)))
+        op = rng.choice((duplicate_edge, subdivide_edge))
+        g = op(g, rng.randrange(g.e))
     for _ in range(rng.randint(0, 3)):
         g = add_leaf(g, rng.randrange(g.n))
     for _ in range(rng.randint(0, 2)):
@@ -243,7 +242,7 @@ class TestMinor:
         assert masks_to_strings(spanning_trees(g), 4) == {"0111", "1011", "1101", "1110"}
 
     def test_contract_c2_gives_loop(self):
-        g = minor(catalog.c2(), 0, "contract")
+        g = contract(catalog.c2(), 0)
         assert g.n == 1 and g.edges == ((0, 0),)
 
     def test_contract_loop_rejected(self):
@@ -252,7 +251,7 @@ class TestMinor:
 
     def test_bad_index_rejected(self):
         with pytest.raises(ValueError):
-            minor(catalog.c2(), 5, "delete")
+            delete_edge(catalog.c2(), 5)
 
     def test_edge_count_drops_by_one(self):
         g = catalog.k4_minus_edge()
@@ -294,13 +293,6 @@ class TestOperations:
     def test_mark_shifts_when_pair_inserted_before(self):
         g = Multigraph(3, ((0, 1), (1, 2), (0, 2)), distinguished=2)
         assert duplicate_edge(g, 0).distinguished == 3
-
-    def test_apply_operation_dispatch(self):
-        g = catalog.c2()
-        assert apply_operation(g, ("duplicate", 0)).e == 3
-        assert apply_operation(g, ("subdivide", 0)).n == 3
-        assert apply_operation(g, ("loop", 1)).edges[-1] == (1, 1)
-        assert apply_operation(g, ("leaf", 0)).n == 3
 
 
 class TestBlocks:
@@ -614,10 +606,33 @@ class TestNoCyclicGarbage:
         assert _cyclic_garbage(fresh, range(1, 8)) == 0
 
 
+@st.composite
+def _multigraphs(draw):
+    """Any multigraph on up to 6 vertices: disconnected, loops and parallel
+    edges included."""
+    n = draw(st.integers(0, 6))
+    if n == 0:
+        return Multigraph(0, ())
+    vertex = st.integers(0, n - 1)
+    return Multigraph(n, tuple(draw(st.lists(st.tuples(vertex, vertex), max_size=10))))
+
+
 class TestJson:
     def test_round_trip(self):
         g = catalog.k4_y18()
         assert graph_from_json(graph_to_json(g)) == g
+
+    @pytest.mark.parametrize("marked", [False, True])
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(g=_multigraphs(), data=st.data())
+    def test_round_trip_random(self, marked, g, data):
+        if marked:
+            markable = [i for i, (u, v) in enumerate(g.edges) if u != v and not _is_bridge(g, i)]
+            assume(markable)
+            g = g.with_distinguished(data.draw(st.sampled_from(markable)))
+        text = graph_to_json(g)
+        assert graph_from_json(text) == g
+        assert graph_to_json(graph_from_json(text)) == text
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
