@@ -121,8 +121,14 @@ def _build_parser() -> _Parser:
     tab = sub.add_parser("table", help="reproduce the quantitative tables")
     tab.add_argument("which", choices=["fib", "m"])
     tab.add_argument("--max-d", type=int, required=True)
-    tab.add_argument("--witness-only", action="store_true", help="fib: chain mode only")
-    tab.add_argument("--method", choices=["dp", "terms"], default="dp", help="m only")
+    tab.add_argument(
+        "--witness-only", action="store_true",
+        help="table fib only: the witness chain's lower bound instead of the census",
+    )
+    tab.add_argument(
+        "--method", choices=["dp", "terms"],
+        help="table m only: the frontier DP (the default) or every canonical term",
+    )
     tab.add_argument("--emit", choices=["csv", "md"], default="csv")
 
     ver = sub.add_parser("verify", help="run the full invariant suite")
@@ -131,6 +137,17 @@ def _build_parser() -> _Parser:
 
 
 _POSITIONAL = {"pattern": "kind", "op": "op_name", "table": "which"}
+
+
+def _check_table_options(parser: _Parser, args: argparse.Namespace) -> None:
+    """Refuse (exit 64) a ``table`` option that the chosen table does not
+    read, and resolve ``table m``'s default method."""
+    if args.which == "fib" and args.method is not None:
+        parser.error("--method applies to table m only")
+    if args.which == "m" and args.witness_only:
+        parser.error("--witness-only applies to table fib only")
+    if args.which == "m" and args.method is None:
+        args.method = "dp"
 
 
 def _echo(args: argparse.Namespace) -> None:
@@ -340,6 +357,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "table":
+            _check_table_options(parser, args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 64
     _echo(args)

@@ -92,28 +92,35 @@ def count_maps(a: int, b: int, a2: int, b2: int, starred: bool = False) -> int:
 
 def enumerate_maps(a: int, b: int, a2: int, b2: int, starred: bool = False):
     """All embedding maps, in a fixed deterministic order."""
+    k = a + b + (1 if starred else 0)
+    for tokens in _map_tokens(a, b, a2, b2, starred):
+        yield EmbeddingMap(tokens, k)
+
+
+def _map_tokens(a: int, b: int, a2: int, b2: int, starred: bool):
+    """The token tuples of ``enumerate_maps``, in its order, with no map
+    built."""
     if a > a2 or b > b2:
         raise ValueError("target layer must dominate the source layer")
     k = a + b + (1 if starred else 0)
     counts: list[tuple[object, int]] = [(j, 1) for j in range(k)]
     counts.append(("0", a2 - a))
     counts.append(("1", b2 - b))
-    length = k + (a2 - a) + (b2 - b)
-    yield from _map_tokens(counts, [], length, k)
+    return _token_tuples(counts, [], k + (a2 - a) + (b2 - b))
 
 
-def _map_tokens(counts: list[tuple[object, int]], prefix: list, length: int, k: int):
+def _token_tuples(counts: list[tuple[object, int]], prefix: list, length: int):
     # The state is in the arguments: a generator closure that calls itself
     # would keep it alive in a reference cycle.
     if len(prefix) == length:
-        yield EmbeddingMap(tuple(prefix), k)
+        yield tuple(prefix)
         return
     for idx, (tok, cnt) in enumerate(counts):
         if cnt == 0:
             continue
         counts[idx] = (tok, cnt - 1)
         prefix.append(tok)
-        yield from _map_tokens(counts, prefix, length, k)
+        yield from _token_tuples(counts, prefix, length)
         prefix.pop()
         counts[idx] = (tok, cnt)
 

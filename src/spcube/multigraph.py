@@ -43,30 +43,50 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Multigraph:
     """A multigraph with ``n`` vertices and an ordered tuple of edges.
 
     ``edges[i]`` is an unordered pair ``(u, v)`` stored with ``u <= v``;
     loops have ``u == v``.  ``distinguished`` optionally marks one edge,
     which must be neither a loop nor a bridge.
+
+    ``Multigraph(n, edges, distinguished)`` is the public boundary: it
+    orders each pair and checks the vertex count, the endpoints and the
+    mark.  Code that derives a graph from a valid one, so that all of this
+    holds by construction, calls ``Multigraph.derived``.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
     distinguished: int | None = None
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "edges", tuple((u, v) if u <= v else (v, u) for u, v in self.edges)
-        )
-        if self.n < 0:
+    def __init__(self, n: int, edges, distinguished: int | None = None):
+        edges = _ordered(edges)
+        if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        for u, v in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u},{v}) has an endpoint outside 0..{self.n - 1}")
-        if self.distinguished is not None:
-            check_marked_edge(self, self.distinguished)
+        for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
+        self._fill(n, edges, distinguished)
+        if distinguished is not None:
+            check_marked_edge(self, distinguished)
+
+    @classmethod
+    def derived(
+        cls, n: int, edges: tuple[tuple[int, int], ...], distinguished: int | None = None
+    ) -> Multigraph:
+        """The graph of these fields, trusted to be valid: every pair
+        ordered (``u <= v``) with both ends in ``0..n-1``, and the mark,
+        if any, neither a loop nor a bridge.  Nothing is checked."""
+        g = object.__new__(cls)
+        g._fill(n, edges, distinguished)
+        return g
+
+    def _fill(self, n: int, edges: tuple[tuple[int, int], ...], distinguished: int | None) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "distinguished", distinguished)
 
     @property
     def e(self) -> int:
@@ -93,6 +113,11 @@ class Multigraph:
 
     def with_distinguished(self, i: int | None) -> "Multigraph":
         return Multigraph(self.n, self.edges, i)
+
+
+def _ordered(pairs) -> tuple[tuple[int, int], ...]:
+    """The pairs as a tuple, each stored as ``(u, v)`` with ``u <= v``."""
+    return tuple((u, v) if u <= v else (v, u) for u, v in pairs)
 
 
 def _reach(g: Multigraph, start: int, skip_edge: int | None) -> set[int]:
@@ -404,13 +429,13 @@ def _shifted_distinguished(d: int | None, i: int) -> int | None:
 def add_loop(g: Multigraph, v: int) -> Multigraph:
     """Append a loop at v as the last edge."""
     _check_vertex(g, v)
-    return Multigraph(g.n, g.edges + ((v, v),), g.distinguished)
+    return Multigraph.derived(g.n, g.edges + ((v, v),), g.distinguished)
 
 
 def add_leaf(g: Multigraph, v: int) -> Multigraph:
     """Attach a new vertex to v; the new edge is appended last."""
     _check_vertex(g, v)
-    return Multigraph(g.n + 1, g.edges + ((v, g.n),), g.distinguished)
+    return Multigraph.derived(g.n + 1, g.edges + ((v, g.n),), g.distinguished)
 
 
 def duplicate_edge(g: Multigraph, i: int) -> Multigraph:
@@ -424,7 +449,7 @@ def duplicate_edge(g: Multigraph, i: int) -> Multigraph:
         raise ValueError("cannot duplicate the distinguished edge")
     e = g.edges[i]
     edges = g.edges[: i + 1] + (e,) + g.edges[i + 1 :]
-    return Multigraph(g.n, edges, _shifted_distinguished(g.distinguished, i))
+    return Multigraph.derived(g.n, edges, _shifted_distinguished(g.distinguished, i))
 
 
 def subdivide_edge(g: Multigraph, i: int) -> Multigraph:
@@ -439,8 +464,8 @@ def subdivide_edge(g: Multigraph, i: int) -> Multigraph:
         raise ValueError("cannot subdivide the distinguished edge")
     u, v = g.edges[i]
     w = g.n
-    edges = g.edges[:i] + ((u, w), (w, v)) + g.edges[i + 1 :]
-    return Multigraph(g.n + 1, edges, _shifted_distinguished(g.distinguished, i))
+    edges = g.edges[:i] + ((u, w), (v, w)) + g.edges[i + 1 :]  # w is the largest vertex
+    return Multigraph.derived(g.n + 1, edges, _shifted_distinguished(g.distinguished, i))
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +542,8 @@ def blocks(g: Multigraph) -> list[Block]:
     for grp in groups:
         idxs = tuple(sorted(grp))
         verts = sorted({w for i in idxs for w in g.edges[i]})
-        vmap = {w: x for x, w in enumerate(verts)}
-        sub = Multigraph(
+        vmap = {w: x for x, w in enumerate(verts)}  # keeps each pair ordered
+        sub = Multigraph.derived(
             len(verts), tuple((vmap[u], vmap[v]) for u, v in (g.edges[i] for i in idxs))
         )
         out.append(Block(sub, idxs, tuple(verts)))
@@ -594,8 +619,8 @@ def is_two_connected(g: Multigraph) -> bool:
         return False
     for v in range(g.n):
         keep = [w for w in range(g.n) if w != v]
-        vmap = {w: x for x, w in enumerate(keep)}
-        sub = Multigraph(
+        vmap = {w: x for x, w in enumerate(keep)}  # keeps each pair ordered
+        sub = Multigraph.derived(
             len(keep),
             tuple((vmap[a], vmap[b]) for a, b in g.edges if a != v and b != v),
         )
@@ -770,7 +795,9 @@ def two_sum(g1: Multigraph, g2: Multigraph) -> Multigraph:
     edges += [
         (vmap[u], vmap[v]) for j, (u, v) in enumerate(g2.edges) if j != d2
     ]
-    return Multigraph(nxt, tuple(edges), distinguished=0)
+    # g2's mark is not a bridge, so g2 less it joins a1 and b1 and the
+    # merged edge is not one either
+    return Multigraph.derived(nxt, _ordered(edges), 0)
 
 
 def one_sum(g1: Multigraph, v1: int, g2: Multigraph, v2: int) -> Multigraph:
@@ -785,8 +812,8 @@ def one_sum(g1: Multigraph, v1: int, g2: Multigraph, v2: int) -> Multigraph:
         if v not in vmap:
             vmap[v] = nxt
             nxt += 1
-    edges = g1.edges + tuple((vmap[u], vmap[v]) for u, v in g2.edges)
-    return Multigraph(nxt, edges, g1.distinguished)
+    edges = g1.edges + _ordered((vmap[u], vmap[v]) for u, v in g2.edges)
+    return Multigraph.derived(nxt, edges, g1.distinguished)
 
 
 def permute_edges(g: Multigraph, order: tuple[int, ...]) -> Multigraph:
@@ -794,7 +821,7 @@ def permute_edges(g: Multigraph, order: tuple[int, ...]) -> Multigraph:
     if sorted(order) != list(range(g.e)):
         raise ValueError("order must be a permutation of the edge indices")
     d = None if g.distinguished is None else order.index(g.distinguished)
-    return Multigraph(g.n, tuple(g.edges[o] for o in order), d)
+    return Multigraph.derived(g.n, tuple(g.edges[o] for o in order), d)
 
 
 # ---------------------------------------------------------------------------

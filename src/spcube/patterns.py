@@ -36,6 +36,7 @@ from itertools import combinations, product
 from math import comb
 
 from . import catalog
+from .errors import SizeGuardError
 from .multigraph import Multigraph, _load_json, check_marked_edge, spanning_trees
 
 __all__ = [
@@ -79,6 +80,13 @@ __all__ = [
     "load_pattern",
     "save_pattern",
 ]
+
+# The widest pattern-file header, a + b, that ``parse_pattern`` reads.  A
+# string of the layer is that many characters long, and the operators
+# build masks up to 1 << (a + b), 128 KiB at the limit; without it a
+# one-line file "vertex 10000000000 0" asks ``dual_pattern`` for a 1.25 GB
+# integer.
+PATTERN_WIDTH_LIMIT = 2**20
 
 # ---------------------------------------------------------------------------
 # the string boundary
@@ -731,7 +739,8 @@ def parse_pattern(text: str):
 
     Blank lines are skipped, except after the header of L(0,0): there
     each line, blank or not, is a string, and a blank one is the empty
-    string.
+    string.  A header whose a + b exceeds ``PATTERN_WIDTH_LIMIT`` is
+    refused (``SizeGuardError``) before anything is built.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     start = next((i for i, ln in enumerate(lines) if ln), None)
@@ -741,6 +750,10 @@ def parse_pattern(text: str):
     if len(head) != 3 or head[0] not in ("vertex", "edge"):
         raise ValueError(f"bad pattern header {lines[start]!r}")
     a, b = int(head[1]), int(head[2])
+    if a + b > PATTERN_WIDTH_LIMIT:
+        raise SizeGuardError(
+            f"pattern width {a + b} exceeds the pattern-file guard {PATTERN_WIDTH_LIMIT}"
+        )
     body = lines[start + 1:]
     if head[0] == "vertex":
         return VertexPattern(a, b, body if a + b == 0 else [ln for ln in body if ln])

@@ -242,7 +242,8 @@ def to_marked_graph(t: SpTerm) -> Multigraph:
     terminals, followed by t's edges in left-to-right leaf order."""
     edges: list[tuple[int, int]] = [(0, 1)]
     n = _place(t, 0, 1, edges, 2)
-    return Multigraph(n, tuple(edges), distinguished=0)
+    # t's network joins the terminals, so the mark is not a bridge
+    return Multigraph.derived(n, tuple(edges), 0)
 
 
 def _place(t: SpTerm, s: int, u: int, edges: list[tuple[int, int]], free: int) -> int:
@@ -251,7 +252,7 @@ def _place(t: SpTerm, s: int, u: int, edges: list[tuple[int, int]], free: int) -
     list is an argument: a closure over it that calls itself would keep it
     alive in a reference cycle."""
     if t.kind == "e":
-        edges.append((s, u))
+        edges.append((s, u) if s < u else (u, s))
     elif t.kind == "S":
         prev = s
         for c in t.children[:-1]:
@@ -442,18 +443,30 @@ def enumerate_terms(d: int):
 class GraphDedup:
     """Isomorphism-deduplicated collection of small multigraphs.
 
-    Holds the ``canonical_form`` certificate of every item, so each
-    insertion is one certificate and one set lookup.  ``items`` keeps the
-    first-inserted representative of each class, in insertion order.
+    Remembers every labelled graph offered, as a tuple of small ints, so
+    a repeat is one set lookup, and holds the ``canonical_form``
+    certificate of every class, so any other insertion is one certificate
+    and one set lookup.  ``items`` keeps the first-inserted representative
+    of each class, in insertion order.
     """
 
     def __init__(self, *, use_distinguished: bool = False):
+        self._offered: set[tuple] = set()
         self._certificates: set[tuple] = set()
         self._marked = use_distinguished
         self.items: list[Multigraph] = []
 
     def add(self, g: Multigraph) -> bool:
         """Insert g unless an isomorphic graph is present; True if new."""
+        # the labelled graph as the certificate sees it, so equal keys mean
+        # equal certificates: n, the marked edge (or -1) and the sorted
+        # edges, each edge (u, v) as the int u * n + v
+        n, d = g.n, g.distinguished
+        mark = -1 if d is None or not self._marked else g.edges[d][0] * n + g.edges[d][1]
+        key = (n, mark, *sorted([u * n + v for u, v in g.edges]))
+        if key in self._offered:
+            return False
+        self._offered.add(key)
         cert = canonical_form(g, self._marked)
         if cert in self._certificates:
             return False
@@ -480,26 +493,50 @@ def enumerate_connected_sp(d: int) -> list[Multigraph]:
 def _census_level(d: int) -> tuple[Multigraph, ...]:
     """Level d of the census in insertion order, grown from level d - 1.
 
-    Operations whose result is isomorphic to an earlier operation's on the
-    same parent are skipped: duplicating or subdividing a parallel copy of
-    an earlier edge, and adding a loop or a leaf at a twin of an earlier
-    vertex (see ``least_twins``).  A skipped graph would only have been
-    rejected as a duplicate, so the classes, their order of first insertion
-    and their representatives are exactly those of the unskipped closure.
+    Each parent is offered, in order, a loop and a leaf at every vertex,
+    then a duplicate and a subdivision of every edge.  ``_operations``
+    skips an operation whose result is isomorphic to an earlier one's on
+    the same parent, by four rules:
+
+    - a loop or a leaf at a vertex whose least twin u is smaller (see
+      ``least_twins``): the same operation at u;
+    - duplicating or subdividing a parallel copy of an earlier edge: the
+      same operation on that edge;
+    - duplicating a loop at v: ``add_loop`` at v's least twin;
+    - subdividing a pendant edge, one with an end of degree 1 (loops
+      counting twice): ``add_leaf`` at that end's least twin.
+
+    A skipped graph would only have been rejected as a duplicate, so the
+    classes, their order of first insertion and their representatives are
+    exactly those of the unskipped closure.
     """
     if d == 0:
         return (Multigraph(1, ()),)
     dedup = GraphDedup()
     for g in _census_level(d - 1):
-        twins = least_twins(g)
-        for v in range(g.n):
-            if twins[v] == v:
-                dedup.add(add_loop(g, v))
-                dedup.add(add_leaf(g, v))
-        seen = set()
-        for i, e in enumerate(g.edges):
-            if e not in seen:
-                seen.add(e)
-                dedup.add(duplicate_edge(g, i))
-                dedup.add(subdivide_edge(g, i))
+        for op, x in _operations(g):
+            dedup.add(op(g, x))
     return tuple(dedup.items)
+
+
+def _operations(g: Multigraph):
+    """The census operations on parent g that the skip rules of
+    ``_census_level`` keep, in order, as (operation, vertex or edge index)."""
+    twins = least_twins(g)
+    for v in range(g.n):
+        if twins[v] == v:
+            yield add_loop, v
+            yield add_leaf, v
+    degree = [0] * g.n
+    for u, v in g.edges:
+        degree[u] += 1
+        degree[v] += 1
+    seen = set()
+    for i, (u, v) in enumerate(g.edges):
+        if (u, v) in seen:
+            continue
+        seen.add((u, v))
+        if u != v:
+            yield duplicate_edge, i
+        if degree[u] > 1 and degree[v] > 1:
+            yield subdivide_edge, i

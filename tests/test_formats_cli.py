@@ -343,6 +343,16 @@ class TestCli:
         assert main(["pattern", kind, "--graph", str(path)]) == 2
         assert "refused: 100000000 spanning trees exceed the pattern guard" in capsys.readouterr().err
 
+    def test_pattern_header_above_width_guard_exit_2(self, tmp_path, capsys):
+        huge = tmp_path / "huge.pat"
+        huge.write_text("vertex 10000000000 0\n")
+        assert main(["op", "dual", "--pattern", str(huge)]) == 2
+        assert "refused: pattern width 10000000000 exceeds" in capsys.readouterr().err
+        at_guard = tmp_path / "at_guard.pat"
+        at_guard.write_text(f"vertex 0 {patterns.PATTERN_WIDTH_LIMIT}\n")
+        assert main(["op", "dual", "--pattern", str(at_guard)]) == 0
+        assert capsys.readouterr().out == f"vertex {patterns.PATTERN_WIDTH_LIMIT} 0\n"
+
     def test_table_m_markdown(self, capsys):
         assert main(["table", "m", "--max-d", "5", "--emit", "md"]) == 0
         out = capsys.readouterr().out
@@ -385,18 +395,20 @@ class TestCli:
         assert err.startswith("# spcube pattern")
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, want",
         [
-            pytest.param(["verify"], marks=pytest.mark.slow),
-            ["table", "fib", "--max-d", "4"],
-            ["table", "m", "--max-d", "6", "--emit", "md"],
-            ["f2", "--a", "3", "--b", "2", "--seed", "7", "--mode", "edge"],
-            ["pattern", "named", "--name", "partite", "--params", "1,2"],
-            ["ex-layer", "--a", "2", "--b", "2", "--pattern", "{xc2}"],
+            pytest.param(["verify"], None, marks=pytest.mark.slow),
+            # table fib reads no --method, so its echo names none
+            (["table", "fib", "--max-d", "4"], "# spcube table fib --emit csv --max-d 4"),
+            (["table", "m", "--max-d", "6", "--emit", "md"],
+             "# spcube table m --emit md --max-d 6 --method dp"),
+            (["f2", "--a", "3", "--b", "2", "--seed", "7", "--mode", "edge"], None),
+            (["pattern", "named", "--name", "partite", "--params", "1,2"], None),
+            (["ex-layer", "--a", "2", "--b", "2", "--pattern", "{xc2}"], None),
         ],
         ids=["verify", "table-fib", "table-m", "f2", "pattern-named", "ex-layer"],
     )
-    def test_echo_reruns(self, tmp_path, capsys, argv):
+    def test_echo_reruns(self, tmp_path, capsys, argv, want):
         # the echoed line, run again, does the same work
         xc2 = tmp_path / "x c2.pat"  # a space, so the path must be quoted
         xc2.write_text("vertex 1 1\n01\n10\n")
@@ -405,6 +417,7 @@ class TestCli:
         first = capsys.readouterr()
         echo = first.err.splitlines()[0]
         assert echo.startswith("# spcube ")
+        assert want is None or echo == want
         again = shlex.split(echo.removeprefix("# spcube "))
         assert main(again) == code
         second = capsys.readouterr()
@@ -421,6 +434,18 @@ class TestCli:
         p.write_text("vertex 1 1\n01\n10\n")
         assert main(["op", "dup", "--pattern", str(p), "--coord", "0"]) == 0
         assert "--coord 0" in capsys.readouterr().err.splitlines()[0]
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["table", "fib", "--max-d", "3", "--method", "dp"], "--method"),
+            (["table", "fib", "--max-d", "3", "--method", "terms"], "--method"),
+            (["table", "m", "--max-d", "3", "--witness-only"], "--witness-only"),
+        ],
+    )
+    def test_option_of_the_other_table_exit_64(self, capsys, argv, option):
+        assert main(argv) == 64
+        assert f"error: {option} applies to table" in capsys.readouterr().err
 
     def test_removed_options_rejected(self, k4me_file, tmp_path, capsys):
         # --threads changed nothing, and ex-cube --mode only re-asked the
@@ -472,6 +497,7 @@ class TestFuzz:
     @example(data=b"vertex 1 1\n01\n10\n")
     @example(data=b"vertex 500 500\n" + b"0" * 500 + b"1" * 500 + b"\n")
     @example(data=b"[" * 100_000 + b"]" * 100_000)  # deeper than the JSON decoder recurses
+    @example(data=b"vertex 10000000000 0\n")  # 1 << (a + b) would be 1.25 GB
     def test_any_bytes_exit_with_a_documented_code(self, fuzz_dir, argv, data):
         fuzzed = fuzz_dir / "fuzzed"
         fuzzed.write_bytes(data)

@@ -639,6 +639,41 @@ class TestJson:
             graph_from_json("[1,2,3]")
 
 
+class TestDerivedGraphsAreValid:
+    """Every producer that builds with the unchecked ``Multigraph.derived``
+    gives the graph that the checking constructor builds from its fields:
+    pairs ordered, ends in range and the mark neither a loop nor a
+    bridge."""
+
+    @pytest.mark.parametrize("marked", [False, True])
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(g=_connected_multigraphs(), h=_connected_multigraphs(), data=st.data())
+    def test_random_producers(self, marked, g, h, data):
+        markable = [i for i, (u, v) in enumerate(g.edges) if u != v and not _is_bridge(g, i)]
+        if marked:
+            assume(markable)
+            g = g.with_distinguished(data.draw(st.sampled_from(markable)))
+        made = [op(g, v) for op in (add_loop, add_leaf) for v in range(g.n)]
+        made += [
+            op(g, i) for op in (duplicate_edge, subdivide_edge) for i in range(g.e)
+            if i != g.distinguished
+        ]
+        made.append(permute_edges(g, tuple(data.draw(st.permutations(range(g.e))))))
+        made += [b.graph for b in blocks(g)]
+        v, w = data.draw(st.integers(0, g.n - 1)), data.draw(st.integers(0, h.n - 1))
+        made.append(one_sum(g, v, h, w))
+        if marked:
+            made += [two_sum(g, g.with_distinguished(i)) for i in markable]
+        for f in made:
+            assert f == Multigraph(f.n, f.edges, f.distinguished)
+
+    def test_term_graphs_and_the_all_connected_census(self):
+        made = [to_marked_graph(t) for d in range(1, 7) for t in _redundant_terms(d)]
+        made += [g for d in range(6) for g in _all_connected_multigraphs(d)]
+        for f in made:
+            assert f == Multigraph(f.n, f.edges, f.distinguished)
+
+
 class TestTreeCount:
     def test_matches_enumeration(self):
         for g in (catalog.k4_minus_edge(), catalog.triangle(), catalog.c2()):

@@ -24,10 +24,25 @@ from spcube import (
     tree_count,
     tree_sets,
 )
-from spcube import catalog
-from spcube.multigraph import contract, delete_edge
+from spcube import catalog, spterm
+from spcube.multigraph import (
+    add_leaf,
+    add_loop,
+    canonical_form,
+    contract,
+    delete_edge,
+    duplicate_edge,
+    subdivide_edge,
+)
 from spcube.patterns import _split
-from spcube.spterm import _norm, _norm_terms, _reversed_key, compose_canonical, reverse_term
+from spcube.spterm import (
+    GraphDedup,
+    _norm,
+    _norm_terms,
+    _reversed_key,
+    compose_canonical,
+    reverse_term,
+)
 from spcube.verify import (
     check_census_small_counts,
     check_dual_tf,
@@ -283,6 +298,32 @@ class TestTreeSets:
         assert len(forests) == tree_count(contract(g, 0))
 
 
+class TestGraphDedup:
+    # a doubled edge (0,1) and the path 0-2-1: 0 and 1 are twins
+    G = Multigraph(3, ((0, 1), (0, 1), (1, 2), (0, 2)))
+
+    def test_marks_tell_classes_apart(self):
+        dedup = GraphDedup(use_distinguished=True)
+        assert dedup.add(self.G.with_distinguished(0))
+        assert not dedup.add(self.G.with_distinguished(1))  # the parallel copy
+        assert dedup.add(self.G.with_distinguished(2))
+        assert not dedup.add(self.G.with_distinguished(3))  # the twin swap
+        assert dedup.add(self.G)
+        plain = GraphDedup()
+        assert plain.add(self.G.with_distinguished(0))
+        assert not plain.add(self.G.with_distinguished(2))
+
+    def test_labelled_repeat_needs_no_certificate(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(spterm, "canonical_form", lambda g, marked: calls.append(g) or (g.n,))
+        dedup = GraphDedup()
+        relabelled = Multigraph(3, ((1, 2), (0, 2), (0, 2), (1, 0)))  # G, vertices 1 and 2 swapped
+        assert dedup.add(self.G)
+        assert not dedup.add(Multigraph(3, tuple(reversed(self.G.edges))))
+        assert not dedup.add(relabelled)
+        assert calls == [self.G, relabelled]
+
+
 class TestCensus:
     def test_d0(self):
         assert enumerate_connected_sp(0) == [Multigraph(1, ())]
@@ -328,6 +369,24 @@ class TestCensus:
         for d, want in enumerate(CENSUS_SHA256):
             text = repr([(g.n, g.edges) for g in enumerate_connected_sp(d)])
             assert hashlib.sha256(text.encode()).hexdigest()[:16] == want, d
+
+    def test_skipped_children_repeat_an_earlier_kept_child(self):
+        # each operation the skip rules drop gives the class of a child the
+        # same parent was offered before it, so no class is lost
+        for d in range(7):
+            for g in spterm._census_level(d):
+                every = [(op, v) for v in range(g.n) for op in (add_loop, add_leaf)]
+                every += [(op, i) for i in range(g.e) for op in (duplicate_edge, subdivide_edge)]
+                kept = list(spterm._operations(g))
+                rest = iter(every)
+                assert all(k in rest for k in kept)  # kept in census order
+                offered = set()
+                for op, x in every:
+                    cert = canonical_form(op(g, x))
+                    if (op, x) in kept:
+                        offered.add(cert)
+                    else:
+                        assert cert in offered, (g, op.__name__, x)
 
     def test_returns_a_fresh_list(self):
         got = enumerate_connected_sp(3)
