@@ -17,10 +17,10 @@ from spcube.spterm import to_marked_graph
 def main():
     print("d : exhaustive max trees / chain value / F(d+1)")
     chain = fib_table(12, "witness")
-    for d in range(9):
-        exhaustive = fib_table(d)[-1].value
-        print(f"{d:2d}: {exhaustive:4d} {chain[d].value:4d} {fib(d + 1):4d}")
-    for d in range(9, 13):
+    exhaustive = fib_table(9)
+    for d in range(10):
+        print(f"{d:2d}: {exhaustive[d].value:4d} {chain[d].value:4d} {fib(d + 1):4d}")
+    for d in range(10, 13):
         print(f"{d:2d}:    - {chain[d].value:4d} {fib(d + 1):4d}")
 
     print("\nd : m(d)  bounds F(d+2)-1 .. d*F(d+2)/2   witness")

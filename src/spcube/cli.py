@@ -44,7 +44,16 @@ from .patterns import (
     x_pattern,
     y_pattern,
 )
-from .search import fib_table, m_table, check_m_bounds, rows_to_csv, rows_to_markdown
+from .search import (
+    EXHAUSTIVE_TREE_LIMIT,
+    M_TABLE_LIMIT,
+    WITNESS_CHAIN_LIMIT,
+    check_m_bounds,
+    fib_table,
+    m_table,
+    rows_to_csv,
+    rows_to_markdown,
+)
 from .verify import run_all
 
 __all__ = ["main"]
@@ -120,7 +129,11 @@ def _build_parser() -> _Parser:
 
     tab = sub.add_parser("table", help="reproduce the quantitative tables")
     tab.add_argument("which", choices=["fib", "m"])
-    tab.add_argument("--max-d", type=int, required=True)
+    tab.add_argument(
+        "--max-d", type=int, required=True,
+        help=f"last row; table fib is guarded at {EXHAUSTIVE_TREE_LIMIT} "
+        f"({WITNESS_CHAIN_LIMIT} with --witness-only), table m at {M_TABLE_LIMIT}",
+    )
     tab.add_argument(
         "--witness-only", action="store_true",
         help="table fib only: the witness chain's lower bound instead of the census",

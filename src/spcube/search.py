@@ -43,7 +43,10 @@ from .multigraph import Multigraph, check_marked_edge, graph_to_json, tree_count
 from .patterns import _hamming1_pairs, psi, x_pattern
 from .spterm import (
     EDGE,
+    GraphDedup,
     SpTerm,
+    _census_level,
+    _children,
     compose_canonical,
     enumerate_connected_sp,
     enumerate_terms,
@@ -64,7 +67,7 @@ __all__ = [
     "rows_to_markdown",
 ]
 
-EXHAUSTIVE_TREE_LIMIT = 8
+EXHAUSTIVE_TREE_LIMIT = 9
 WITNESS_CHAIN_LIMIT = 24
 M_TABLE_LIMIT = 16
 
@@ -102,30 +105,59 @@ def max_spanning_trees(d: int, mode: str = "exhaustive") -> TableRow:
     """Maximum spanning-tree count over connected series-parallel
     multigraphs with d edges.
 
-    ``exhaustive`` searches the full isomorphism census (d <= 8);
-    ``witness`` only builds the alternating duplicate/subdivide chain
-    graph and reports its count (d <= 24).  The row's millis is the time
-    this call took: census levels are kept once built, so in ``fib_table``
-    an exhaustive row times building its own level from the one below,
-    plus its tree counts.
+    ``exhaustive`` is exact (d <= 9): it reports the maximum over the
+    isomorphism census at d edges and, as witness, the first optimal
+    graph of ``enumerate_connected_sp(d)``, which is sorted by
+    (vertex count, edges).  It does not build census level d; it scans
+    the children of level d - 1 (see ``_census_maximum``).  ``witness``
+    only builds the alternating duplicate/subdivide chain graph and
+    reports its count (d <= 24).  The row's millis is the time this call
+    took: census levels are kept once built, so in ``fib_table`` an
+    exhaustive row times building level d - 1 from the one below, plus
+    the scan of its children.
     """
     start = time.perf_counter()
     _check_fib_guard(d, mode)
     if mode == "exhaustive":
-        best = -1
-        witness: Multigraph | None = None
-        for g in enumerate_connected_sp(d):
-            c = tree_count(g)
-            if c > best:
-                best = c
-                witness = g
-        assert witness is not None
-        return TableRow(d, best, witness, _ms(start))
+        return TableRow(d, *_census_maximum(d), _ms(start))
     g = fib_chain(d)
     count = len(spanning_trees(g))
     if count != tree_count(g):
         raise AssertionError("tree enumeration and determinant count disagree")
     return TableRow(d, count, g, _ms(start))
+
+
+def _census_maximum(d: int) -> tuple[int, Multigraph]:
+    """The largest tree count at d edges and the (n, edges)-least census
+    representative that reaches it, from the children of census level
+    d - 1 in census order.
+
+    ``add_loop`` and ``add_leaf`` keep T(P), ``subdivide_edge(e)`` gives
+    T(P) + T(P - e) and ``duplicate_edge(e)`` gives T(P) + T(P / e), so
+    no child of P has more than 2 T(P) trees, and a parent below half the
+    best count so far has no child worth offering.  Tree count is an
+    isomorphism invariant, so every candidate of an optimal class is
+    optimal: the children that reach the final best, deduplicated in
+    census order, give exactly the census representatives of the optimal
+    classes.
+    """
+    if d == 0:
+        (k1,) = _census_level(0)
+        return tree_count(k1), k1
+    best, optima = -1, GraphDedup()
+    for parent in _census_level(d - 1):
+        # strictly below: a parent with 2 T(P) == best can still have a
+        # child that ties the best.  Pruning with <= changes no row to
+        # d = 8, so no test would catch that slip.
+        if 2 * tree_count(parent) < best:
+            continue
+        for child in _children(parent):
+            count = tree_count(child)
+            if count > best:
+                best, optima = count, GraphDedup()
+            if count == best:
+                optima.add(child)
+    return best, min(optima.items, key=lambda g: (g.n, g.edges))
 
 
 def fib_table(d_max: int, mode: str = "exhaustive") -> list[TableRow]:

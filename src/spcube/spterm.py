@@ -514,9 +514,16 @@ def _census_level(d: int) -> tuple[Multigraph, ...]:
         return (Multigraph(1, ()),)
     dedup = GraphDedup()
     for g in _census_level(d - 1):
-        for op, x in _operations(g):
-            dedup.add(op(g, x))
+        for child in _children(g):
+            dedup.add(child)
     return tuple(dedup.items)
+
+
+def _children(g: Multigraph):
+    """The children that the census offers parent g, in order: each
+    operation that ``_operations`` keeps, applied to g."""
+    for op, x in _operations(g):
+        yield op(g, x)
 
 
 def _operations(g: Multigraph):

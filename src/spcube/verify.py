@@ -716,6 +716,14 @@ def check_fib_exhaustive(max_d: int = 6) -> list[str]:
             bad.append(f"max tree count at {d} edges is {row.value}, not F({d + 1})")
         if tree_count(row.witness) != row.value:
             bad.append(f"witness at {d} edges does not revalidate")
+        # the row is the first optimum of the whole sorted census level
+        best, first = -1, None
+        for g in enumerate_connected_sp(d):
+            c = tree_count(g)
+            if c > best:
+                best, first = c, g
+        if (row.value, row.witness) != (best, first):
+            bad.append(f"row {d} is not the first optimum of the census level")
     return bad
 
 

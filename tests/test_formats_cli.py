@@ -17,7 +17,7 @@ from spcube import (
     tree_count,
     x_pattern,
 )
-from spcube import catalog, embeddings, patterns
+from spcube import catalog, embeddings, patterns, search
 from spcube.cli import PATTERN_TREE_LIMIT, main
 from spcube.search import fib
 from spcube.patterns import pg_from_json, pg_to_json, h_graph
@@ -314,6 +314,16 @@ class TestCli:
         for d, value, *_ in rows:
             d, value = int(d), int(value)
             assert value == fib(d + 1) == tree_count(catalog.fib_chain(d))
+
+    def test_table_fib_census_above_guard_exit_2(self, monkeypatch, capsys):
+        def no_row(d):
+            raise AssertionError(f"row {d} computed above the guard")
+
+        monkeypatch.setattr(search, "_census_maximum", no_row)
+        assert main(["table", "fib", "--max-d", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "refused: exhaustive census is guarded at 9 edges" in captured.err
 
     def test_table_fib_witness_chain_above_guard_exit_2(self, capsys):
         assert main(["table", "fib", "--max-d", "25", "--witness-only"]) == 2

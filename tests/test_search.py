@@ -5,7 +5,10 @@ import pytest
 from spcube import search, spterm
 from spcube import (
     SizeGuardError,
+    add_leaf,
+    add_loop,
     check_m_bounds,
+    enumerate_connected_sp,
     fib,
     fib_table,
     m_table,
@@ -15,6 +18,7 @@ from spcube import (
     rows_to_markdown,
     spanning_trees,
     to_marked_graph,
+    tree_count,
     y_pattern,
 )
 from spcube.search import m_value_all_marked_graphs
@@ -68,6 +72,17 @@ FIB_WITNESSES = [
 ]
 
 
+def _full_census_row(d):
+    """Row d as the whole census level gives it: the first optimum, by
+    strict >, of the sorted ``enumerate_connected_sp(d)``."""
+    best, witness = -1, None
+    for g in enumerate_connected_sp(d):
+        c = tree_count(g)
+        if c > best:
+            best, witness = c, g
+    return best, witness
+
+
 def _prune_reference(cands):
     """Quadratic maxima of vectors: the oracle for the staircase prune."""
     items = sorted(cands.items(), key=lambda kv: (-kv[0][0], -kv[0][1], -kv[0][2]))
@@ -111,7 +126,7 @@ class TestMaxSpanningTrees:
 
     def test_guards(self):
         with pytest.raises(SizeGuardError):
-            max_spanning_trees(9, "exhaustive")
+            max_spanning_trees(10, "exhaustive")
         with pytest.raises(SizeGuardError):
             max_spanning_trees(25, "witness")
 
@@ -123,23 +138,58 @@ class TestMaxSpanningTrees:
         assert [r.value for r in rows] == [fib(d + 1) for d in range(9)]
         assert [r.witness_text() for r in rows] == FIB_WITNESSES
 
+    @pytest.mark.parametrize("d", range(9))
+    def test_scan_matches_full_census(self, d):
+        row = max_spanning_trees(d)
+        assert (row.value, row.witness) == _full_census_row(d)
+
+    @pytest.mark.slow
+    def test_row_9_matches_full_census_level(self):
+        row = max_spanning_trees(9)
+        assert row.value == 55 == fib(10)
+        assert (row.value, row.witness) == _full_census_row(9)
+        assert len(spterm._census_level(9)) == 19694
+
+    def test_children_reach_at_most_twice_the_parent(self):
+        # the scan's bound: a loop or a leaf keeps T(P), and a duplicated
+        # or subdivided edge adds T(P / e) or T(P - e), each at most T(P)
+        for d in range(7):
+            for g in spterm._census_level(d):
+                t = tree_count(g)
+                for op, x in spterm._operations(g):
+                    c = tree_count(op(g, x))
+                    if op in (add_loop, add_leaf):
+                        assert c == t
+                    else:
+                        assert t <= c <= 2 * t
+
     def test_row_millis_time_each_level(self, monkeypatch):
-        # the clock steps only on census insertions, one tick per candidate
+        # the clock steps only on dedup insertions, one tick per candidate;
+        # row d times building census level d - 1 plus the scan of its
+        # children, and census level 5 is never built
         clock = [0.0]
-        adds = [0] * 6
+        census = [0] * 6
+        scan = [0] * 6
         real_add = spterm.GraphDedup.add
 
+        class ScanDedup(spterm.GraphDedup):
+            pass
+
         def counting_add(self, g):
-            adds[g.e] += 1
+            (scan if isinstance(self, ScanDedup) else census)[g.e] += 1
             clock[0] += 1
             return real_add(self, g)
 
         spterm._census_level.cache_clear()
         monkeypatch.setattr(search.time, "perf_counter", lambda: clock[0])
         monkeypatch.setattr(spterm.GraphDedup, "add", counting_add)
+        monkeypatch.setattr(search, "GraphDedup", ScanDedup)
         rows = fib_table(5)
-        assert adds[0] == 0 and all(adds[1:])
-        assert [r.millis for r in rows] == [1000.0 * n for n in adds]
+        assert census[0] == census[5] == 0 and all(census[1:5])
+        assert scan[0] == 0 and all(scan[1:])
+        assert [r.millis for r in rows] == [
+            1000.0 * ((census[d - 1] if d else 0) + scan[d]) for d in range(6)
+        ]
 
     def test_chain_recurrence_to_16(self):
         assert check_fib_chain(max_d=16) == []
