@@ -62,6 +62,9 @@ __all__ = ["main"]
 # many trees ``pattern h`` takes about 4 s and 110 MB (Python 3.11, shared
 # 2-core x86 machine), and K_9 has 4.8 million
 PATTERN_TREE_LIMIT = 2**18
+# and the dense Kirchhoff count that checks it is cubic in the vertices: a
+# 256-vertex path takes about 0.76 s, a 400-vertex one about 3.4 s
+PATTERN_VERTEX_LIMIT = 256
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,8 +82,8 @@ def _build_parser() -> _Parser:
     pat.add_argument("kind", choices=["x", "y", "h", "named"])
     pat.add_argument(
         "--graph",
-        help=f"graph JSON file (for x/y/h); refused (exit 2) above {PATTERN_TREE_LIMIT} "
-        "spanning trees",
+        help=f"graph JSON file (for x/y/h); refused (exit 2) above {PATTERN_VERTEX_LIMIT} "
+        f"vertices or {PATTERN_TREE_LIMIT} spanning trees",
     )
     pat.add_argument("--edge", type=int, help="marked edge index (0-based)")
     pat.add_argument("--name", help="named pattern: alon, partite, x16, y18, x_k4, y_k4")
@@ -229,6 +232,8 @@ def _cmd_pattern(args) -> int:
     if not args.graph:
         raise ValueError(f"pattern {args.kind} requires --graph")
     g = load_graph(args.graph)
+    if g.n > PATTERN_VERTEX_LIMIT:
+        raise SizeGuardError(f"{g.n} vertices exceed the pattern guard {PATTERN_VERTEX_LIMIT}")
     trees = tree_count(g) if g.n else 0  # spanning_trees reports an empty graph
     if trees > PATTERN_TREE_LIMIT:
         raise SizeGuardError(f"{trees} spanning trees exceed the pattern guard {PATTERN_TREE_LIMIT}")

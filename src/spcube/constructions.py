@@ -16,14 +16,19 @@ the standard Philox4x64-10 stream that earlier versions drew through a
 compiled library, so every seeded set is unchanged.
 
 One depth-first basis-extension search (``_bases``) decides admission:
-``f2_vertex_set_from_vectors`` takes the position masks at its leaves,
-``f2_vertex_count`` counts them, and ``f2_edge_set_from_vectors`` runs it
-once per star position with two partial bases, seeded by the extra vector
-and by the starred position's vector.  Its work grows with its output:
-each node stops its position loop where the remaining vectors can no
-longer complete a basis, and the last two levels are read off in bulk
-(the nonzero positions, then the pairs of unequal nonzero vectors),
-without a call per leaf.
+``f2_vertex_set_from_vectors`` takes the position masks at its leaves and
+``f2_vertex_count`` counts them.  An edge set is psi of a vertex set at
+coordinate 0, as Y(G, e) = psi(X(G), e) for tree patterns.  The edge rule
+admits (W, s) of L'(a, b) when W + {v0} and W + {v_s} are both bases of
+GF(2)^(b+1); those are the elements ``1 | W << 1`` and
+``(W | 1 << s) << 1`` of the vertex set of L(a+1, b+1) built from the same
+list (v0 first, then one vector per position), exactly the Hamming-1
+pairs that psi joins across coordinate 0.  So
+``f2_edge_set_from_vectors`` runs the one search once and applies psi.
+Its work grows with its output: each node stops its position loop where
+the remaining vectors can no longer complete a basis, and the last two
+levels are read off in bulk (the nonzero positions, then the pairs of
+unequal nonzero vectors), without a call per leaf.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import SizeGuardError
-from .patterns import EdgePattern, VertexPattern, layer_size
+from .patterns import EdgePattern, VertexPattern, layer_size, psi
 
 __all__ = [
     "gf2_rank",
@@ -70,41 +75,37 @@ def _reduce(v: int, basis: dict[int, int]) -> int:
     return 0
 
 
-def _bases(vectors: list[int], need: int, seeds: list[int], out: list[int] | None) -> int:
+def _bases(vectors: list[int], need: int, out: list[int] | None) -> int:
     """Count the position masks (bit i = position i of ``vectors``) with
-    ``need`` bits whose vectors stay independent when joined with each of
-    the ``seeds`` (none or two); append them to ``out`` unless it is None.
+    ``need`` bits whose vectors are independent; append them to ``out``
+    unless it is None.
 
     Depth-first basis extension in position order, so the masks come out
-    in lexicographic order of their 1-positions.  Each partial basis
-    (one per seed, or one empty basis) is kept by Gaussian elimination:
-    every vector still to be tried has the basis's pivot bits cleared, so
-    it extends the basis exactly when it is nonzero.
+    in lexicographic order of their 1-positions.  The partial basis is
+    kept by Gaussian elimination: every vector still to be tried has the
+    basis's pivot bits cleared, so it extends the basis exactly when it is
+    nonzero.  This is the only search.  An edge set is psi of the vertex
+    set at coordinate 0: (W, s) is admitted when W + {v0} and W + {v_s}
+    are bases, and those are the vertex-set elements ``1 | W << 1`` and
+    ``(W | 1 << s) << 1``.
 
     The search is output-sensitive.  A node's position loop stops at the
     last position from which the remaining vectors still have rank
-    ``need`` (``_last_start``): beyond it no leaf can be reached.  With
-    one partial basis the cutoff is exact, because a nonzero pivot taken
-    at or before it leaves vectors of rank at least ``need - 1`` behind
-    it, so every call below the root reaches a leaf.  With two it is
-    taken per basis, which is still safe.  The last two levels run in
-    bulk (``_bulk``), with no recursive call and no eliminated row per
-    child: with ``need == 1`` the leaves are the nonzero positions, and
-    with ``need == 2`` each nonzero pivot pairs with every later position
-    whose vector is neither 0 nor the pivot, exactly those that stay
-    nonzero once it is eliminated; counting them needs no masks.
+    ``need`` (``_last_start``): beyond it no leaf can be reached.  The
+    cutoff is exact, because a nonzero pivot taken at or before it leaves
+    vectors of rank at least ``need - 1`` behind it, so every call below
+    the root reaches a leaf.  The last two levels run in bulk (``_bulk``),
+    with no recursive call and no eliminated row per child: with
+    ``need == 1`` the leaves are the nonzero positions, and with
+    ``need == 2`` each nonzero pivot pairs with every later position whose
+    vector is neither 0 nor the pivot, exactly those that stay nonzero
+    once it is eliminated; counting them needs no masks.
     """
-    n = len(vectors)
-    if not all(seeds):
-        return 0
     if need == 0:
         if out is not None:
             out.append(0)
         return 1
-    args = (1, need, 0, out)
-    if seeds:
-        return _extend_pair(*[_eliminate(vectors, seed) for seed in seeds], *args)
-    return _extend(vectors, *args)
+    return _extend(vectors, 1, need, 0, out)
 
 
 def _eliminate(row: list[int], pivot: int) -> list[int]:
@@ -166,44 +167,6 @@ def _bulk(row: list[int], bit: int, need: int, ones: int, out: list[int] | None)
     return len(out) - before
 
 
-def _extend_pair(
-    row_a: list[int], row_b: list[int], bit: int, need: int, ones: int, out: list[int] | None
-) -> int:
-    # Two partial bases, one row each: a position joins when it extends
-    # both.  The same search as ``_extend``, kept apart so that the
-    # one-row search works on plain ints.  The cutoff is taken per row.
-    if need < 3:
-        return _bulk_pair(row_a, row_b, bit, need, ones, out)
-    step = _extend_pair if need > 3 else _bulk_pair
-    found = 0
-    for i in range(min(_last_start(row_a, need), _last_start(row_b, need)) + 1):
-        p, q = row_a[i], row_b[i]
-        if p and q:
-            found += step(
-                _eliminate(row_a[i + 1:], p), _eliminate(row_b[i + 1:], q),
-                bit << (i + 1), need - 1, ones | bit << i, out,
-            )
-    return found
-
-
-def _bulk_pair(
-    row_a: list[int], row_b: list[int], bit: int, need: int, ones: int, out: list[int] | None
-) -> int:
-    both = [i for i, (x, y) in enumerate(zip(row_a, row_b)) if x and y]
-    if need == 1:
-        leaves = [ones | bit << i for i in both]
-    else:
-        leaves = []
-        for k, i in enumerate(both):
-            p, q, here = row_a[i], row_b[i], ones | bit << i
-            leaves.extend([
-                here | bit << j for j in both[k + 1:] if row_a[j] != p and row_b[j] != q
-            ])
-    if out is not None:
-        out.extend(leaves)
-    return len(leaves)
-
-
 def random_vectors(count: int, dim: int, seed: int) -> list[int]:
     """``count`` uniform vectors in GF(2)^dim from a Philox stream keyed by
     ``seed``, an integer with 0 <= seed < 2**128."""
@@ -249,7 +212,7 @@ def f2_vertex_set_from_vectors(a: int, b: int, vectors: list[int]) -> VertexPatt
     if layer_size(a, b) > F2_LAYER_LIMIT:
         raise SizeGuardError("layer too large to materialize; use f2_vertex_density")
     masks: list[int] = []
-    _bases(vectors, b, [], masks)
+    _bases(vectors, b, masks)
     return VertexPattern.from_masks(a, b, masks)
 
 
@@ -265,7 +228,7 @@ def f2_vertex_count(a: int, b: int, seed: int) -> int:
     materializing the set."""
     if b < 1:
         raise ValueError("b must be at least 1")
-    return _bases(random_vectors(a + b, b, seed), b, [], None)
+    return _bases(random_vectors(a + b, b, seed), b, None)
 
 
 def f2_vertex_density(a: int, b: int, seed: int) -> Fraction:
@@ -279,7 +242,8 @@ def f2_edge_set_from_vectors(a: int, b: int, vectors: list[int]) -> EdgePattern:
     position's vector.
 
     ``vectors`` has length a+b+2: one extra leading vector, then one per
-    string position.
+    string position.  The set is psi at coordinate 0 of the vertex set of
+    L(a+1, b+1) that the same list selects, built by one search.
     """
     n = a + b + 1
     if len(vectors) != n + 1:
@@ -288,15 +252,9 @@ def f2_edge_set_from_vectors(a: int, b: int, vectors: list[int]) -> EdgePattern:
         raise ValueError("layer parameters must be nonnegative")
     if layer_size(a, b, starred=True) > F2_LAYER_LIMIT:
         raise SizeGuardError("starred layer too large to materialize")
-    pos = vectors[1:]
-    pairs: list[tuple[int, int]] = []
-    for star in range(n):
-        # a zero vector never extends a basis, so the star never joins
-        rest = pos[:star] + [0] + pos[star + 1:]
-        masks: list[int] = []
-        _bases(rest, b, [vectors[0], pos[star]], masks)
-        pairs.extend((m, star) for m in masks)
-    return EdgePattern.from_pairs(a, b, pairs)
+    masks: list[int] = []
+    _bases(vectors, b + 1, masks)
+    return psi(VertexPattern.from_masks(a + 1, b + 1, masks), 0)
 
 
 def f2_edge_set(a: int, b: int, seed: int) -> EdgePattern:

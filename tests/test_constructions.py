@@ -21,6 +21,7 @@ from spcube import (
     f2_vertex_set_from_vectors,
     gf2_rank,
     layer_strings,
+    psi,
 )
 from spcube import constructions
 from spcube.constructions import _bases, random_vectors
@@ -119,7 +120,7 @@ class TestAgainstSubsetRanks:
             vectors = _edge_cases(rng, a + b, dim)
             want = _vertex_by_ranks(a, b, vectors)
             assert f2_vertex_set_from_vectors(a, b, vectors).strings == want
-            assert _bases(vectors, b, [], None) == len(want)
+            assert _bases(vectors, b, None) == len(want)
 
     def test_edge_sets_with_dependent_extra_vector(self):
         # vectors[0] equal to a position's vector, or in the span of some
@@ -136,10 +137,6 @@ class TestAgainstSubsetRanks:
                     vectors[0] ^= v
             want = _edge_by_ranks(a, b, vectors)
             assert f2_edge_set_from_vectors(a, b, vectors).strings == want
-            assert sum(
-                _bases(pos[:star] + [0] + pos[star + 1:], b, [vectors[0], pos[star]], None)
-                for star in range(a + b + 1)
-            ) == len(want)
 
     def test_counts_and_seeded_sets(self):
         for a, b, seed in [(3, 3, 0), (4, 4, 1), (5, 3, 2), (2, 6, 3), (6, 5, 4)]:
@@ -149,6 +146,36 @@ class TestAgainstSubsetRanks:
         for a, b, seed in [(2, 2, 0), (3, 3, 1), (4, 3, 5)]:
             want = _edge_by_ranks(a, b, random_vectors(a + b + 2, b + 1, seed))
             assert f2_edge_set(a, b, seed).strings == want
+
+
+class TestEdgeSetIsPsiOfVertexSet:
+    """An f2 edge set is psi at coordinate 0 of the vertex set one level up
+    that the same vector list selects."""
+
+    def test_from_vectors(self):
+        rng = random.Random(43)
+        for _ in range(200):
+            a, b = rng.randint(0, 4), rng.randint(0, 4)
+            vectors = _edge_cases(rng, a + b + 2, b + 1 + rng.choice([0, 0, 1]))
+            pos = vectors[1:]
+            kind = rng.randrange(4)
+            if kind == 0:  # v0 equal to one position's vector
+                vectors[0] = rng.choice(pos)
+            elif kind == 1 and len(pos) > 1:  # v0 in the span of some
+                vectors[0] = 0
+                for v in rng.sample(pos, rng.randint(2, min(3, len(pos)))):
+                    vectors[0] ^= v
+            elif kind == 2:
+                vectors[0] = 0
+            want = psi(f2_vertex_set_from_vectors(a + 1, b + 1, vectors), 0)
+            assert f2_edge_set_from_vectors(a, b, vectors) == want
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_seeded(self, seed):
+        for a in range(5):
+            for b in range(1, 5):
+                want = psi(f2_vertex_set(a + 1, b + 1, seed), 0)
+                assert f2_edge_set(a, b, seed) == want
 
 
 class TestOutputSensitive:
@@ -166,13 +193,29 @@ class TestOutputSensitive:
 
         with monkeypatch.context() as patch:
             patch.setattr(constructions, "_extend", counted)
-            total = _bases(vectors, need, [], None)
+            total = _bases(vectors, need, None)
         assert found[-1] == total  # the root returns last
         return found[:-1]
 
     def test_seeded_10_10(self, monkeypatch):
         below = self._calls(monkeypatch, random_vectors(20, 10, 1), 10)
         assert len(below) == 14345 and 0 not in below
+
+    def test_seeded_edge_7_7(self, monkeypatch):
+        # f2_edge_set(7, 7, 1) is one vertex search with need 8, then psi
+        searches = []
+        search = constructions._bases
+
+        def recorded(vectors, need, out):
+            searches.append((list(vectors), need))
+            return search(vectors, need, out)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(constructions, "_bases", recorded)
+            f2_edge_set(7, 7, 1)
+        assert searches == [(random_vectors(16, 8, 1), 8)]
+        below = self._calls(monkeypatch, random_vectors(16, 8, 1), 8)
+        assert len(below) == 891 and 0 not in below
 
     def test_low_rank(self, monkeypatch):
         # the root may find nothing (rank below need), calls below it never do

@@ -17,8 +17,8 @@ from spcube import (
     tree_count,
     x_pattern,
 )
-from spcube import catalog, embeddings, patterns, search
-from spcube.cli import PATTERN_TREE_LIMIT, main
+from spcube import catalog, cli, embeddings, patterns, search
+from spcube.cli import PATTERN_TREE_LIMIT, PATTERN_VERTEX_LIMIT, main
 from spcube.search import fib
 from spcube.patterns import pg_from_json, pg_to_json, h_graph
 
@@ -352,6 +352,25 @@ class TestCli:
         path.write_text(graph_to_json(k10))
         assert main(["pattern", kind, "--graph", str(path)]) == 2
         assert "refused: 100000000 spanning trees exceed the pattern guard" in capsys.readouterr().err
+
+    def test_pattern_vertex_guard(self, tmp_path, capsys, monkeypatch):
+        def path_json(n: int) -> str:
+            return graph_to_json(Multigraph(n, tuple((i, i + 1) for i in range(n - 1))))
+
+        path = tmp_path / "path.json"
+        path.write_text(path_json(PATTERN_VERTEX_LIMIT))
+        assert main(["pattern", "x", "--graph", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "1" * (PATTERN_VERTEX_LIMIT - 1)
+
+        def no_count(g):
+            raise AssertionError("trees counted past the vertex guard")
+
+        monkeypatch.setattr(cli, "tree_count", no_count)
+        path.write_text(path_json(PATTERN_VERTEX_LIMIT + 1))
+        assert main(["pattern", "x", "--graph", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "refused: 257 vertices exceed the pattern guard 256" in captured.err
 
     def test_pattern_header_above_width_guard_exit_2(self, tmp_path, capsys):
         huge = tmp_path / "huge.pat"
