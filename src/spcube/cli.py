@@ -20,7 +20,7 @@ from .constructions import (
 )
 from .embeddings import contains_pattern, density_t, ex_cube, ex_layer
 from .errors import SizeGuardError
-from .multigraph import load_graph, tree_count
+from .multigraph import CORE_VERTEX_LIMIT, load_graph, tree_count
 from .operators import CODUP, DUP, duplicate_e, duplicate_v
 from .patterns import (
     EdgePattern,
@@ -60,11 +60,13 @@ __all__ = ["main"]
 
 # ``pattern x|y|h --graph`` builds strings from every spanning tree; at this
 # many trees ``pattern h`` takes about 4 s and 110 MB (Python 3.11, shared
-# 2-core x86 machine), and K_9 has 4.8 million
+# 2-core x86 machine), and K_9 has 4.8 million.  ``tree_count``, which
+# checks it, refuses a graph whose irreducible core exceeds
+# ``multigraph.CORE_VERTEX_LIMIT`` vertices.
 PATTERN_TREE_LIMIT = 2**18
-# and the dense Kirchhoff count that checks it is cubic in the vertices: a
-# 256-vertex path takes about 0.76 s, a 400-vertex one about 3.4 s
-PATTERN_VERTEX_LIMIT = 256
+# each tree's string has one character per edge, so the output grows as
+# trees x edges: 2,048 parallel edges between two vertices write 4.2 MB
+PATTERN_OUTPUT_LIMIT = 2**24
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,8 +84,9 @@ def _build_parser() -> _Parser:
     pat.add_argument("kind", choices=["x", "y", "h", "named"])
     pat.add_argument(
         "--graph",
-        help=f"graph JSON file (for x/y/h); refused (exit 2) above {PATTERN_VERTEX_LIMIT} "
-        f"vertices or {PATTERN_TREE_LIMIT} spanning trees",
+        help=f"graph JSON file (for x/y/h); refused (exit 2) above {PATTERN_TREE_LIMIT} "
+        f"spanning trees, above {PATTERN_OUTPUT_LIMIT} for trees x edges, or with an "
+        f"irreducible (non-series-parallel) core above {CORE_VERTEX_LIMIT} vertices",
     )
     pat.add_argument("--edge", type=int, help="marked edge index (0-based)")
     pat.add_argument("--name", help="named pattern: alon, partite, x16, y18, x_k4, y_k4")
@@ -232,11 +235,14 @@ def _cmd_pattern(args) -> int:
     if not args.graph:
         raise ValueError(f"pattern {args.kind} requires --graph")
     g = load_graph(args.graph)
-    if g.n > PATTERN_VERTEX_LIMIT:
-        raise SizeGuardError(f"{g.n} vertices exceed the pattern guard {PATTERN_VERTEX_LIMIT}")
     trees = tree_count(g) if g.n else 0  # spanning_trees reports an empty graph
     if trees > PATTERN_TREE_LIMIT:
         raise SizeGuardError(f"{trees} spanning trees exceed the pattern guard {PATTERN_TREE_LIMIT}")
+    if trees * g.e > PATTERN_OUTPUT_LIMIT:
+        raise SizeGuardError(
+            f"{trees} spanning trees of {g.e} edges exceed the pattern output guard "
+            f"{PATTERN_OUTPUT_LIMIT} (trees x edges)"
+        )
     if args.kind == "x":
         _emit_pattern(x_pattern(g), args.out)
         return 0

@@ -14,6 +14,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
+from math import lcm
+
+from .errors import SizeGuardError
 
 __all__ = [
     "Multigraph",
@@ -158,6 +161,11 @@ def _is_bridge(g: Multigraph, i: int) -> bool:
 
 _PARALLEL, _SERIES, _PENDANT = 0, 1, 2
 
+# ``tree_count`` takes a determinant only on the irreducible core, cubic in
+# its vertices: a 256-vertex cubic core takes about 2 s (Python 3.11,
+# shared 2-core x86 machine)
+CORE_VERTEX_LIMIT = 256
+
 
 def _sp_reduce(g: Multigraph) -> tuple[list[tuple[int, int, int]], list[dict[int, int] | None]]:
     """Series-parallel reduction of g (Valdes, Tarjan and Lawler, SIAM J.
@@ -248,24 +256,30 @@ def spanning_trees(g: Multigraph) -> list[int]:
     if len(left) == 1:
         fixed.sort()
         return fixed
-    objects, cores = _core_trees(adj, left)
+    core = _core(adj, left)
+    if core is None:
+        raise ValueError("spanning trees require a connected graph")
+    cores: list[int] = []
+    edges = [(x, y, 1 << j) for j, (x, y, _) in enumerate(core)]
+    _grow(edges, 0, len(left) - 1, 0, list(range(len(left))), cores)
     out: list[int] = []
-    for core in cores:
+    for mask in cores:
         acc = [0]
-        for j, k in enumerate(objects):
-            acc = _join(acc, tf[k][0] if core >> j & 1 else tf[k][1])
+        for j, (_, _, k) in enumerate(core):
+            acc = _join(acc, tf[k][0] if mask >> j & 1 else tf[k][1])
         out += acc
     out = _join(out, fixed)
     out.sort()
     return out
 
 
-def _core_trees(
+def _core(
     adj: list[dict[int, int] | None], left: list[int]
-) -> tuple[list[int], list[int]]:
-    """The core's objects, and its spanning trees as masks over them (bit j
-    for ``objects[j]``).  Raises ``ValueError`` when what is left of the
-    graph after the reduction is disconnected: then so was the graph."""
+) -> list[tuple[int, int, int]] | None:
+    """The irreducible core that ``_sp_reduce`` left, as one (x, y, k) per
+    object k, between core vertices x < y numbered by their place in
+    ``left``.  None when what is left of the graph is disconnected: then
+    so was the graph."""
     seen = {left[0]}
     stack = [left[0]]
     while stack:
@@ -274,18 +288,9 @@ def _core_trees(
                 seen.add(u)
                 stack.append(u)
     if len(seen) != len(left):
-        raise ValueError("spanning trees require a connected graph")
+        return None
     label = {v: x for x, v in enumerate(left)}
-    objects: list[int] = []
-    edges: list[tuple[int, int, int]] = []
-    for v in left:
-        for u, k in adj[v].items():
-            if v < u:
-                edges.append((label[v], label[u], 1 << len(objects)))
-                objects.append(k)
-    cores: list[int] = []
-    _grow(edges, 0, len(left) - 1, 0, list(range(len(left))), cores)
-    return objects, cores
+    return [(label[v], label[u], k) for v in left for u, k in adj[v].items() if v < u]
 
 
 def _join(xs: list[int], ys: list[int]) -> list[int]:
@@ -305,6 +310,15 @@ def _compose_tf(
     if series:
         return _join(ta, tb), _join(ta, fb) + _join(fa, tb)
     return _join(ta, fb) + _join(fa, tb), _join(fa, fb)
+
+
+def _count_tf(series: bool, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """The count form of ``_compose_tf``: the (T, F) counts of two
+    networks a and b composed in series or in parallel."""
+    (ta, fa), (tb, fb) = a, b
+    if series:
+        return ta * tb, ta * fb + fa * tb
+    return ta * fb + fa * tb, fa * fb
 
 
 def _grow(
@@ -332,25 +346,69 @@ def _grow(
 
 
 def tree_count(g: Multigraph) -> int:
-    """Number of spanning trees, via an integer determinant (Kirchhoff).
+    """Number of spanning trees; 0 for a disconnected graph.
 
-    Returns 0 for disconnected graphs.  Cross-checked against
-    ``len(spanning_trees(g))`` in the test suite.
+    Counted along ``_sp_reduce`` as ``spanning_trees`` enumerates, with
+    (T, F) counts in place of mask sets: an edge has (1, 1), each series
+    or parallel step composes two objects' counts by ``_count_tf``, and a
+    pendant object multiplies the count by its T.  Only an irreducible
+    core takes a determinant (``_core_count``), so a series-parallel graph
+    of any size costs linear time.  Raises ``SizeGuardError`` before any
+    matrix is built when the core has more than ``CORE_VERTEX_LIMIT``
+    vertices, and ``ValueError`` on the empty graph.
     """
     if g.n == 0:
         raise ValueError("tree count of the empty graph is undefined")
-    if g.n == 1:
-        return 1
-    lap = [[0] * g.n for _ in range(g.n)]
-    for u, v in g.edges:
-        if u == v:
-            continue
-        lap[u][u] += 1
-        lap[v][v] += 1
-        lap[u][v] -= 1
-        lap[v][u] -= 1
-    minor_m = [row[1:] for row in lap[1:]]
-    return _int_det(minor_m)
+    steps, adj = _sp_reduce(g)
+    tf = [(1, 1)] * g.e
+    count = 1
+    for op, a, b in steps:
+        if op == _PENDANT:
+            count *= tf[a][0]
+        else:
+            tf.append(_count_tf(op == _SERIES, tf[a], tf[b]))
+    left = [v for v, nbrs in enumerate(adj) if nbrs is not None]
+    if len(left) == 1:
+        return count
+    core = _core(adj, left)
+    if core is None:
+        return 0
+    if len(left) > CORE_VERTEX_LIMIT:
+        raise SizeGuardError(
+            f"an irreducible core of {len(left)} vertices exceeds the tree-count guard "
+            f"{CORE_VERTEX_LIMIT}"
+        )
+    return count * _core_count(len(left), [(x, y, *tf[k]) for x, y, k in core])
+
+
+def _core_count(size: int, objects: list[tuple[int, int, int, int]]) -> int:
+    """The sum, over the spanning trees S of a core with ``size`` vertices
+    and objects (x, y, T, F), of the product of T over S and of F over the
+    other objects.
+
+    That is Kirchhoff's determinant with weight T / F on each object, times
+    the product of every F (each F is at least 1).  To stay in integers,
+    row x of the Laplacian is scaled by D_x, the lcm of the F's at x; the
+    determinant of the reduced matrix (row and column 0 dropped) then
+    gains the factor D_1 ... D_{size-1}, which divides out exactly.
+    """
+    scale = [1] * size
+    for x, y, _, f in objects:
+        scale[x] = lcm(scale[x], f)
+        scale[y] = lcm(scale[y], f)
+    lap = [[0] * size for _ in range(size)]
+    weights = 1
+    for x, y, t, f in objects:
+        weights *= f
+        wx, wy = scale[x] // f * t, scale[y] // f * t
+        lap[x][x] += wx
+        lap[x][y] -= wx
+        lap[y][y] += wy
+        lap[y][x] -= wy
+    scaled = 1
+    for d in scale[1:]:
+        scaled *= d
+    return weights * _int_det([row[1:] for row in lap[1:]]) // scaled
 
 
 def _int_det(m: list[list[int]]) -> int:

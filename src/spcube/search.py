@@ -39,14 +39,23 @@ from fractions import Fraction
 
 from .catalog import fib_chain
 from .errors import SizeGuardError
-from .multigraph import Multigraph, check_marked_edge, graph_to_json, tree_count, spanning_trees
+from .multigraph import (
+    Multigraph,
+    _count_tf,
+    add_leaf,
+    add_loop,
+    check_marked_edge,
+    graph_to_json,
+    spanning_trees,
+    tree_count,
+)
 from .patterns import _hamming1_pairs, psi, x_pattern
 from .spterm import (
     EDGE,
     GraphDedup,
     SpTerm,
     _census_level,
-    _children,
+    _operations,
     compose_canonical,
     enumerate_connected_sp,
     enumerate_terms,
@@ -123,7 +132,7 @@ def max_spanning_trees(d: int, mode: str = "exhaustive") -> TableRow:
     g = fib_chain(d)
     count = len(spanning_trees(g))
     if count != tree_count(g):
-        raise AssertionError("tree enumeration and determinant count disagree")
+        raise AssertionError("tree enumeration and tree_count disagree")
     return TableRow(d, count, g, _ms(start))
 
 
@@ -132,27 +141,29 @@ def _census_maximum(d: int) -> tuple[int, Multigraph]:
     representative that reaches it, from the children of census level
     d - 1 in census order.
 
-    ``add_loop`` and ``add_leaf`` keep T(P), ``subdivide_edge(e)`` gives
-    T(P) + T(P - e) and ``duplicate_edge(e)`` gives T(P) + T(P / e), so
-    no child of P has more than 2 T(P) trees, and a parent below half the
-    best count so far has no child worth offering.  Tree count is an
-    isomorphism invariant, so every candidate of an optimal class is
-    optimal: the children that reach the final best, deduplicated in
-    census order, give exactly the census representatives of the optimal
-    classes.
+    ``add_loop`` and ``add_leaf`` keep T(P), so their children are not
+    recounted.  ``subdivide_edge(e)`` gives T(P) + T(P - e) and
+    ``duplicate_edge(e)`` gives T(P) + T(P / e), so no child of P has more
+    than 2 T(P) trees, and a parent below half the best count so far has
+    no child worth offering.  Tree count is an isomorphism invariant, so
+    every candidate of an optimal class is optimal: the children that
+    reach the final best, deduplicated in census order, give exactly the
+    census representatives of the optimal classes.
     """
     if d == 0:
         (k1,) = _census_level(0)
         return tree_count(k1), k1
     best, optima = -1, GraphDedup()
     for parent in _census_level(d - 1):
+        parent_count = tree_count(parent)
         # strictly below: a parent with 2 T(P) == best can still have a
         # child that ties the best.  Pruning with <= changes no row to
         # d = 8, so no test would catch that slip.
-        if 2 * tree_count(parent) < best:
+        if 2 * parent_count < best:
             continue
-        for child in _children(parent):
-            count = tree_count(child)
+        for op, x in _operations(parent):
+            child = op(parent, x)
+            count = parent_count if op in (add_loop, add_leaf) else tree_count(child)
             if count > best:
                 best, optima = count, GraphDedup()
             if count == best:
@@ -189,12 +200,14 @@ def _ms(start: float) -> float:
 
 def _combine_series(x, y):
     (a1, b1, e1), (a2, b2, e2) = x, y
-    return (a1 * b2 + a2 * b1, b1 * b2, e1 * b2 + e2 * b1)
+    t, f = _count_tf(True, (b1, a1), (b2, a2))
+    return (f, t, e1 * b2 + e2 * b1)
 
 
 def _combine_parallel(x, y):
     (a1, b1, e1), (a2, b2, e2) = x, y
-    return (a1 * a2, b1 * a2 + b2 * a1, e1 * a2 + e2 * a1)
+    t, f = _count_tf(False, (b1, a1), (b2, a2))
+    return (f, t, e1 * a2 + e2 * a1)
 
 
 def _prune(cands: dict[tuple[int, int, int], object]) -> dict:

@@ -20,6 +20,7 @@ from functools import lru_cache
 from .multigraph import (
     Multigraph,
     _compose_tf,
+    _count_tf,
     add_leaf,
     add_loop,
     canonical_form,
@@ -198,9 +199,15 @@ def canonical_key(t: SpTerm) -> str:
 
 
 def parse_term(text: str) -> SpTerm:
-    """Parse the text syntax ``e``, ``S(t1,t2,...)``, ``P(t1,t2,...)``."""
+    """Parse the text syntax ``e``, ``S(t1,t2,...)``, ``P(t1,t2,...)``.
+
+    Malformed text, and text nested too deeply for the recursive parser,
+    raises ``ValueError``."""
     text = text.strip()
-    term, pos = _parse_at(text, 0)
+    try:
+        term, pos = _parse_at(text, 0)
+    except RecursionError:
+        raise ValueError("term is nested too deeply") from None
     if pos != len(text):
         raise ValueError(f"trailing input at position {pos}: {text[pos:]!r}")
     return term
@@ -271,21 +278,14 @@ def tf_counts(t: SpTerm) -> tuple[int, int]:
     forests separating the two terminals.
 
     For the marked graph (G, e) of t these are |X(G \\ e)| and |X(G / e)|.
+    Children are folded in one at a time by ``multigraph._count_tf``.
     """
     if t.kind == "e":
         return (1, 1)
-    sub = [tf_counts(c) for c in t.children]
-    if t.kind == "S":
-        prod_t = 1
-        for T, _ in sub:
-            prod_t *= T
-        f = sum(F * prod_t // T for T, F in sub)
-        return (prod_t, f)
-    prod_f = 1
-    for _, F in sub:
-        prod_f *= F
-    tt = sum(T * prod_f // F for T, F in sub)
-    return (tt, prod_f)
+    tf = tf_counts(t.children[0])
+    for c in t.children[1:]:
+        tf = _count_tf(t.kind == "S", tf, tf_counts(c))
+    return tf
 
 
 def tree_sets(t: SpTerm) -> tuple[list[int], list[int]]:

@@ -35,6 +35,7 @@ from .embeddings import (
 )
 from .multigraph import (
     Multigraph,
+    _int_det,
     add_leaf,
     add_loop,
     blocks,
@@ -144,15 +145,32 @@ def _trees_by_subsets(g: Multigraph) -> list[int]:
     return sorted(out)
 
 
+def _kirchhoff_count(g: Multigraph) -> int:
+    """Oracle for ``tree_count``: the determinant of the whole graph's
+    Laplacian with row and column 0 dropped (Kirchhoff), with no
+    series-parallel reduction.  0 for a disconnected graph."""
+    if g.n == 0:
+        raise ValueError("tree count of the empty graph is undefined")
+    lap = [[0] * g.n for _ in range(g.n)]
+    for u, v in g.edges:
+        if u != v:
+            lap[u][u] += 1
+            lap[v][v] += 1
+            lap[u][v] -= 1
+            lap[v][u] -= 1
+    return _int_det([row[1:] for row in lap[1:]])
+
+
 def check_tree_count_routes(max_edges: int = 6) -> list[str]:
     """``spanning_trees``' lists equal the brute-force subset filter's,
-    and their length equals the determinant count."""
+    and their length equals ``tree_count`` and the whole-graph Kirchhoff
+    determinant."""
     bad = []
     for d in range(1, max_edges + 1):
         for g in enumerate_connected_sp(d):
             masks = spanning_trees(g)
-            if len(masks) != tree_count(g):
-                bad.append(f"enumerator vs determinant counts differ on {g}")
+            if not len(masks) == tree_count(g) == _kirchhoff_count(g):
+                bad.append(f"enumerator, tree_count and determinant counts differ on {g}")
             if _trees_by_subsets(g) != masks:
                 bad.append(f"enumerator vs subset filter differ on {g}")
     return bad

@@ -17,8 +17,8 @@ from spcube import (
     tree_count,
     x_pattern,
 )
-from spcube import catalog, cli, embeddings, patterns, search
-from spcube.cli import PATTERN_TREE_LIMIT, PATTERN_VERTEX_LIMIT, main
+from spcube import catalog, embeddings, multigraph, patterns, search
+from spcube.cli import PATTERN_OUTPUT_LIMIT, PATTERN_TREE_LIMIT, main
 from spcube.search import fib
 from spcube.patterns import pg_from_json, pg_to_json, h_graph
 
@@ -354,23 +354,44 @@ class TestCli:
         assert "refused: 100000000 spanning trees exceed the pattern guard" in capsys.readouterr().err
 
     def test_pattern_vertex_guard(self, tmp_path, capsys, monkeypatch):
-        def path_json(n: int) -> str:
-            return graph_to_json(Multigraph(n, tuple((i, i + 1) for i in range(n - 1))))
-
-        path = tmp_path / "path.json"
-        path.write_text(path_json(PATTERN_VERTEX_LIMIT))
+        # the guard is on the vertices of the irreducible core: a path
+        # reduces to nothing, so it has no determinant to take
+        n = 10_000
+        path = tmp_path / "g.json"
+        path.write_text(graph_to_json(Multigraph(n, tuple((i, i + 1) for i in range(n - 1)))))
         assert main(["pattern", "x", "--graph", str(path)]) == 0
-        assert capsys.readouterr().out.splitlines()[1] == "1" * (PATTERN_VERTEX_LIMIT - 1)
+        assert capsys.readouterr().out.splitlines()[1:] == ["1" * (n - 1)]
 
-        def no_count(g):
-            raise AssertionError("trees counted past the vertex guard")
+        def no_det(m):
+            raise AssertionError("determinant taken past the core guard")
 
-        monkeypatch.setattr(cli, "tree_count", no_count)
-        path.write_text(path_json(PATTERN_VERTEX_LIMIT + 1))
+        monkeypatch.setattr(multigraph, "_int_det", no_det)
+        rim = 256  # the wheel's hub and rim: every vertex has degree at least 3
+        edges = [(0, i) for i in range(1, rim + 1)] + [(i, i % rim + 1) for i in range(1, rim + 1)]
+        path.write_text(graph_to_json(Multigraph(rim + 1, tuple(edges))))
         assert main(["pattern", "x", "--graph", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "refused: 257 vertices exceed the pattern guard 256" in captured.err
+        assert "refused: an irreducible core of 257 vertices exceeds the tree-count guard 256" in (
+            captured.err
+        )
+
+    def test_pattern_output_guard_refused_before_trees(self, tmp_path, capsys, monkeypatch):
+        def no_trees(g):
+            raise AssertionError("spanning trees enumerated past the output guard")
+
+        monkeypatch.setattr(patterns, "spanning_trees", no_trees)
+        # k parallel edges: k trees of k characters each, one past k * k = 2^24
+        k = 4097
+        assert k * k > PATTERN_OUTPUT_LIMIT >= (k - 1) ** 2
+        path = tmp_path / "bundle.json"
+        path.write_text(graph_to_json(Multigraph(2, ((0, 1),) * k)))
+        assert main(["pattern", "x", "--graph", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "refused: 4097 spanning trees of 4097 edges exceed the pattern output guard" in (
+            captured.err
+        )
 
     def test_pattern_header_above_width_guard_exit_2(self, tmp_path, capsys):
         huge = tmp_path / "huge.pat"

@@ -30,12 +30,13 @@ from spcube import (
     tree_count,
     two_sum,
 )
-from spcube import catalog, spterm
+from spcube import SizeGuardError, catalog, multigraph, spterm
 from spcube.embeddings import enumerate_maps
 from spcube.multigraph import _is_bridge, least_twins
 from spcube.spterm import enumerate_terms, to_marked_graph
 from spcube.verify import (
     _all_connected_multigraphs,
+    _kirchhoff_count,
     _redundant_terms,
     _trees_by_subsets,
     check_blocks_partition,
@@ -118,7 +119,7 @@ class TestSpanningTreesAbove20Edges:
         for m in masks:
             assert bin(m).count("1") == g.n - 1
             assert _is_acyclic(g, m)
-        assert len(masks) == tree_count(g)
+        assert len(masks) == _kirchhoff_count(g)
 
     def test_fib_chain_22(self):
         self._check(catalog.fib_chain(22))
@@ -208,7 +209,7 @@ class TestSpanningTreesByReduction:
     @given(_connected_multigraphs())
     def test_random_connected_multigraphs(self, g):
         masks = spanning_trees(g)
-        assert len(masks) == tree_count(g)
+        assert len(masks) == tree_count(g) == _kirchhoff_count(g)
         assert masks == _trees_by_subsets(g)
 
     def test_empty_graph_rejected(self):
@@ -349,6 +350,11 @@ class TestSeriesParallel:
                 assert is_series_parallel(u) == (not has_k4_minor(u)), u
         u = _union(catalog.k4_x16(), catalog.k4_x16())
         assert not is_series_parallel(u) and has_k4_minor(u)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(_connected_multigraphs())
+    def test_random_connected_multigraphs_against_minor_search(self, g):
+        assert is_series_parallel(g) == (not has_k4_minor(g))
 
 
 class TestTwoSum:
@@ -675,12 +681,69 @@ class TestDerivedGraphsAreValid:
 
 
 class TestTreeCount:
+    """``tree_count`` by the series-parallel reduction, against the
+    whole-graph Kirchhoff determinant ``_kirchhoff_count``."""
+
     def test_matches_enumeration(self):
         for g in (catalog.k4_minus_edge(), catalog.triangle(), catalog.c2()):
             assert tree_count(g) == len(spanning_trees(g))
 
     def test_k4_cayley(self):
         assert tree_count(catalog.k4_x16()) == 16
+
+    def test_all_connected_multigraphs(self):
+        for d in range(7):
+            for g in _all_connected_multigraphs(d):
+                assert tree_count(g) == _kirchhoff_count(g), g
+
+    def test_census(self):
+        for d in range(9):
+            for g in enumerate_connected_sp(d):
+                assert tree_count(g) == _kirchhoff_count(g), g
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_decorated_k4_cores(self, rng):
+        g = _decorated_k4(rng)
+        assert tree_count(g) == _kirchhoff_count(g)
+
+    def test_two_cores_joined_by_a_path(self):
+        k4 = catalog.k4_x16()
+        g = _union(k4, k4)
+        assert tree_count(g) == _kirchhoff_count(g) == 0
+        assert tree_count(Multigraph(g.n + 1, g.edges + ((3, 8), (8, 4)))) == 16 * 16
+
+    def test_long_path_and_cycle(self):
+        n = 10_000
+        path = Multigraph(n, tuple((i, i + 1) for i in range(n - 1)))
+        assert tree_count(path) == 1
+        assert tree_count(Multigraph(n, path.edges + ((0, n - 1),))) == n
+
+    @pytest.mark.parametrize(
+        "g", [Multigraph(2, ()), _union(catalog.triangle(), catalog.k4_x16())]
+    )
+    def test_disconnected_is_zero(self, g):
+        assert tree_count(g) == _kirchhoff_count(g) == 0
+
+    def test_empty_graph_rejected(self):
+        with pytest.raises(ValueError, match="tree count of the empty graph is undefined"):
+            tree_count(Multigraph(0, ()))
+
+    def test_core_guard(self, monkeypatch):
+        # with the guard at 4, K4 and K4 with pendant and series-parallel
+        # parts still count: only the core's vertices are measured
+        monkeypatch.setattr(multigraph, "CORE_VERTEX_LIMIT", 4)
+        decorated = subdivide_edge(add_leaf(catalog.k4_x16(), 0), 0)
+        assert tree_count(decorated) == _kirchhoff_count(decorated)
+
+        def no_det(m):
+            raise AssertionError("determinant taken past the core guard")
+
+        # the 5-vertex wheel is all core, and is refused before any matrix
+        monkeypatch.setattr(multigraph, "_int_det", no_det)
+        wheel = Multigraph(5, ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (1, 4)))
+        with pytest.raises(SizeGuardError, match="core of 5 vertices exceeds the tree-count guard 4"):
+            tree_count(wheel)
 
 
 class TestPropertySuites:

@@ -148,11 +148,27 @@ class TestComposeCanonical:
                             assert r == _norm(reverse_term(c))
 
 
+@st.composite
+def _terms(draw, edges):
+    """A term with the given number of edges, from a random binary
+    series/parallel split (flattening makes every term reachable)."""
+    if edges == 1:
+        return EDGE
+    left = draw(st.integers(1, edges - 1))
+    build = draw(st.sampled_from([series, parallel]))
+    return build(draw(_terms(left)), draw(_terms(edges - left)))
+
+
 class TestParser:
     def test_round_trip(self):
         for d in range(1, 6):
             for t in enumerate_terms(d):
                 assert parse_term(format_term(t)) == t
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.integers(1, 24).flatmap(_terms))
+    def test_round_trip_random_terms(self, t):
+        assert parse_term(format_term(t)) == t
 
     def test_examples(self):
         assert parse_term("e") == EDGE
@@ -165,6 +181,10 @@ class TestParser:
     def test_rejects_malformed(self):
         with pytest.raises(ValueError):
             parse_term("S(e")
+
+    def test_deep_nesting_rejected(self):
+        with pytest.raises(ValueError, match="nested too deeply"):
+            parse_term("S(" * 5000 + "e" + ")" * 5000)
 
 
 class TestEnumeration:
@@ -246,17 +266,6 @@ def _check_tree_sets(max_d):
         for t in enumerate_terms(d):
             trees, forests = tree_sets(t)
             assert (sorted(trees), sorted(forests)) == _enumerated_sets(t), t.key
-
-
-@st.composite
-def _terms(draw, edges):
-    """A term with the given number of edges, from a random binary
-    series/parallel split (flattening makes every term reachable)."""
-    if edges == 1:
-        return EDGE
-    left = draw(st.integers(1, edges - 1))
-    build = draw(st.sampled_from([series, parallel]))
-    return build(draw(_terms(left)), draw(_terms(edges - left)))
 
 
 class TestTreeSets:
