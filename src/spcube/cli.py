@@ -65,7 +65,8 @@ __all__ = ["main"]
 # ``multigraph.CORE_VERTEX_LIMIT`` vertices.
 PATTERN_TREE_LIMIT = 2**18
 # each tree's string has one character per edge, so the output grows as
-# trees x edges: 2,048 parallel edges between two vertices write 4.2 MB
+# trees x edges: 2,048 parallel edges between two vertices write 4.2 MB.
+# ``pattern named`` bounds elements x width by the same number.
 PATTERN_OUTPUT_LIMIT = 2**24
 
 
@@ -90,7 +91,11 @@ def _build_parser() -> _Parser:
     )
     pat.add_argument("--edge", type=int, help="marked edge index (0-based)")
     pat.add_argument("--name", help="named pattern: alon, partite, x16, y18, x_k4, y_k4")
-    pat.add_argument("--params", help="comma-separated block sizes for alon/partite")
+    pat.add_argument(
+        "--params",
+        help="comma-separated block sizes for alon/partite; refused (exit 2) above "
+        f"{PATTERN_OUTPUT_LIMIT} for elements x width",
+    )
     pat.add_argument("--out", help="output file (pattern file, or JSON for h)")
 
     op = sub.add_parser("op", help="apply a pattern operator")
@@ -222,11 +227,38 @@ def _load_any_set(path: str, starred: bool):
     return frozenset(strings)
 
 
+def _named_output(name: str, sizes: tuple[int, ...]) -> int:
+    """Characters in the strings of the alon or partite pattern with these
+    block sizes, elements x width, counted without building an element.
+
+    Alon's pattern has sum_i prod_{j != i} s_j elements and partite's
+    k prod_j s_j; both are sum_j s_j characters wide.  An element count
+    past ``PATTERN_OUTPUT_LIMIT`` is cut to just above it, so long size
+    lists cost no big products.  Other names, and sizes that the builders
+    refuse, count 0.
+    """
+    if name not in ("alon", "partite") or any(s < 1 for s in sizes):
+        return 0
+    cap = PATTERN_OUTPUT_LIMIT + 1
+    prod, alon = 1, 0
+    for s in sizes:
+        # alon's all-zero block is among the earlier blocks (then the new
+        # block holds one of s ones) or is the new block
+        prod, alon = min(prod * s, cap), min(alon * s + prod, cap)
+    elements = alon if name == "alon" else min(len(sizes) * prod, cap)
+    return elements * sum(sizes)
+
+
 def _cmd_pattern(args) -> int:
     if args.kind == "named":
         if not args.name:
             raise ValueError("pattern named requires --name")
         sizes = tuple(int(x) for x in args.params.split(",")) if args.params else ()
+        if _named_output(args.name, sizes) > PATTERN_OUTPUT_LIMIT:
+            raise SizeGuardError(
+                f"the {args.name} pattern would write over {PATTERN_OUTPUT_LIMIT} "
+                "characters, the pattern output guard (elements x width)"
+            )
         pattern = named_pattern(args.name, sizes)
         if args.name in NAMED_PATTERN_NOTES:
             sys.stderr.write(f"# note: {NAMED_PATTERN_NOTES[args.name]}\n")

@@ -7,17 +7,19 @@ t(X, X'), and the exact extremal numbers ex(layer, X) and ex(cube, X) are
 all built on these maps.  Every search here is exact; oversized requests
 raise ``SizeGuardError`` instead of approximating.
 
-One search finds the maps that send a pattern into a set
-(``_embeddings``).  It works on image codes, two bits per coordinate (0,
-1, or 2 at an edge's star), derived from the patterns' masks.  It fixes a
-map one target coordinate at a time, trying tokens in ``enumerate_maps``
-order, and grows each pattern element's image code; a branch ends as soon
-as one image prefix is the prefix of no target element.  ``density_t``
-counts its leaves, ``contains_pattern`` takes the first, and ``ex_layer``
-collects the images of every map into the layer.  One branch and bound (``_max_avoiding``) then gives ``ex_layer``
-and ``ex_cube`` their value and lexicographically least witness in a
-single solve, over a universe listed in the canonical string order; the
-witness is written as strings only at the end.  ``enumerate_maps`` and
+One search finds the maps of a given shape (slots, constant 0s and 1s)
+that send a pattern into a set (``_embeddings``).  It works on image
+codes, two bits per coordinate (0, 1, or 2 at an edge's star), derived
+from the patterns' masks.  It fixes a map one target coordinate at a
+time, trying tokens in ``enumerate_maps`` order, and grows each pattern
+element's image code; a branch ends as soon as one image prefix is the
+prefix of no target element.  ``density_t`` counts its leaves,
+``contains_pattern`` takes the first, and ``ex_layer`` and ``ex_cube``
+collect the images of every map into the layer, or into the cube after
+each flip of the pattern's coordinates.  One solve (``_solve``, a branch
+and bound) then gives both their value and lexicographically least
+witness, over a universe in the canonical string order; the witness is
+written as strings only at the end.  ``enumerate_maps`` and
 ``apply_map`` remain the definition of a map, on strings;
 ``ex_layer_bruteforce`` is built on them alone.
 """
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from math import factorial
 
 from .errors import SizeGuardError
@@ -155,15 +157,16 @@ def _elements(p) -> frozenset:
     return p.pairs if isinstance(p, EdgePattern) else p.masks
 
 
-def _embeddings(src: list[int], target: list[int], a: int, b: int, a2: int, b2: int, starred: bool):
-    """Yield ``(tokens, images)`` for every map sending each src code into
-    ``target`` (codes of the map's length), in ``enumerate_maps`` order.
+def _embeddings(src: list[int], target: list[int], slots: int, zeros: int, ones: int):
+    """Yield ``(tokens, images)`` for every map with ``slots`` slots,
+    ``zeros`` constant 0s and ``ones`` constant 1s that sends each src
+    code into ``target`` (codes of the map's length), in ``enumerate_maps``
+    order.
 
     ``tokens`` is the search's working list (copy it before resuming) and
     ``images`` holds the codes of the src elements' images.
     """
-    k = a + b + (1 if starred else 0)
-    n = k + (a2 - a) + (b2 - b)
+    n = slots + zeros + ones
     if n > MAP_WIDTH_LIMIT:
         raise SizeGuardError(f"target width {n} exceeds the map-search guard {MAP_WIDTH_LIMIT}")
     # prefixes[d]: the target's prefixes of length d; each step checks the
@@ -172,8 +175,8 @@ def _embeddings(src: list[int], target: list[int], a: int, b: int, a2: int, b2: 
     images = [0] * len(src)
     if not prefixes[0].issuperset(images):
         return
-    columns = [[c >> 2 * t & 3 for c in src] for t in range(k)]
-    counts = [1] * k + [a2 - a, b2 - b]
+    columns = [[c >> 2 * t & 3 for c in src] for t in range(slots)]
+    counts = [1] * slots + [zeros, ones]
     yield from _grow_maps(0, images, [], counts, prefixes, columns)
 
 
@@ -203,15 +206,21 @@ def _grow_maps(
         tokens.pop()
 
 
-def _first_map(src, target, a, b, a2, b2, starred) -> tuple[bool, EmbeddingMap | None]:
-    leaf = next(_embeddings(src, target, a, b, a2, b2, starred), None)
+def _first_map(src, target, slots, zeros, ones) -> tuple[bool, EmbeddingMap | None]:
+    leaf = next(_embeddings(src, target, slots, zeros, ones), None)
     if leaf is None:
         return (False, None)
-    return (True, EmbeddingMap(tuple(leaf[0]), a + b + (1 if starred else 0)))
+    return (True, EmbeddingMap(tuple(leaf[0]), slots))
 
 
 def _layer_params(pat) -> tuple[int, int, bool]:
     return pat.a, pat.b, isinstance(pat, EdgePattern)
+
+
+def _shape(x, a2: int, b2: int) -> tuple[int, int, int]:
+    """The (slots, zeros, ones) of a map from x's layer into L(a2, b2)."""
+    a, b, starred = _layer_params(x)
+    return a + b + (1 if starred else 0), a2 - a, b2 - b
 
 
 def _codes(p) -> list[int]:
@@ -230,7 +239,7 @@ def density_t(small, big) -> Fraction:
     a2, b2, _ = _layer_params(big)
     if a > a2 or b > b2:
         raise ValueError("layer mismatch: big must dominate small")
-    good = sum(1 for _ in _embeddings(_codes(small), _codes(big), a, b, a2, b2, starred))
+    good = sum(1 for _ in _embeddings(_codes(small), _codes(big), *_shape(small, a2, b2)))
     return Fraction(good, count_maps(a, b, a2, b2, starred))
 
 
@@ -242,7 +251,11 @@ def contains_pattern(s, x) -> tuple[bool, EmbeddingMap | None]:
     strings of every weight, all layers are tried), which must be 0/1
     strings for a vertex pattern and hold one ``*`` each for an edge
     pattern.  Returns a witness map on success: the first in
-    ``enumerate_maps`` order, lightest target layer first in cube mode.
+    ``enumerate_maps`` order, heaviest target layer first in cube mode.
+
+    Cube mode flips no coordinate: a copy is the image of an embedding
+    map into one layer.  ``ex_cube`` counts the wider face embeddings,
+    which may flip the pattern's coordinates first.
     """
     a, b, starred = _layer_params(x)
     src = _codes(x)
@@ -252,7 +265,7 @@ def contains_pattern(s, x) -> tuple[bool, EmbeddingMap | None]:
         a2, b2, _ = _layer_params(s)
         if a2 < a or b2 < b:
             return (False, None)
-        return _first_map(src, _codes(s), a, b, a2, b2, starred)
+        return _first_map(src, _codes(s), *_shape(x, a2, b2))
 
     pool = frozenset(s)
     if not pool:
@@ -269,7 +282,7 @@ def contains_pattern(s, x) -> tuple[bool, EmbeddingMap | None]:
         if b2 < b:
             continue
         layer = [_image_code(e) for e, w in zip(elements, weight) if w == b2]
-        found = _first_map(src, layer, a, b, a2, b2, starred)
+        found = _first_map(src, layer, *_shape(x, a2, b2))
         if found[0]:
             return found
     return (False, None)
@@ -410,11 +423,15 @@ def ex_layer(a2: int, b2: int, x) -> tuple[int, list[str]]:
         raise SizeGuardError(f"{total_maps} embedding maps exceed the guard {EX_MAPS_LIMIT}")
     universe = starred_layer_masks(a2, b2) if starred else layer_masks(a2, b2)
     codes = [_image_code(e) for e in universe]
-    images = (
-        frozenset(img) for _, img in _embeddings(_codes(x), codes, a, b, a2, b2, starred)
-    )
+    images = (frozenset(img) for _, img in _embeddings(_codes(x), codes, *_shape(x, a2, b2)))
+    return _solve(universe, codes, images, a2 + b2 + (1 if starred else 0))
+
+
+def _solve(universe: list, codes: list[int], images, width: int) -> tuple[int, list[str]]:
+    """The largest subset of the universe (with image codes ``codes``)
+    holding no image set, and its lexicographically least witness as
+    strings of ``width``."""
     size, witness = _max_avoiding(universe, _forbidden_masks(codes, images))
-    width = a2 + b2 + (1 if starred else 0)
     return size, [format_string(e, width) for e in witness]
 
 
@@ -448,63 +465,45 @@ def ex_layer_bruteforce(a2: int, b2: int, x) -> tuple[int, list[str]]:
     raise AssertionError("unreachable: the empty set avoids everything")
 
 
-def _cube_vertex_universe(n: int) -> list[int]:
-    """Every vertex mask of the n-cube, in the canonical string order."""
-    return sorted(range(1 << n), key=lambda m: element_key(m, n))
-
-
-def _cube_edge_universe(n: int) -> list[tuple[int, int]]:
-    """Every (lower mask, star) edge of the n-cube, in the canonical
-    string order."""
-    edges = [(m, star) for star in range(n) for m in range(1 << n) if not m >> star & 1]
-    return sorted(edges, key=lambda e: element_key(e, n))
-
-
-def _place(m: int, positions: tuple[int, ...]) -> int:
-    """Bit j of m moved to bit positions[j]."""
-    return sum(1 << pos for j, pos in enumerate(positions) if m >> j & 1)
-
-
-def _cube_images(n: int, x) -> set[frozenset]:
-    """Images of pattern x under every sub-cube (face) embedding: ordered
-    coordinate injections, per-coordinate flips (never of a star),
-    constants elsewhere."""
-    a, b, starred = _layer_params(x)
-    d = a + b + (1 if starred else 0)
-    images: set[frozenset] = set()
-    if d > n:
-        return images
-    src = list(_elements(x))
-    for positions in permutations(range(n), d):
-        rest = tuple(pos for pos in range(n) if pos not in positions)
-        for flips in range(1 << d):
-            for consts in range(1 << (n - d)):
-                const = _place(consts, rest)
-                if starred:
-                    img = (
-                        (const | _place((lower ^ flips) & ~(1 << star), positions), positions[star])
-                        for lower, star in src
-                    )
-                else:
-                    img = (const | _place(m ^ flips, positions) for m in src)
-                images.add(frozenset(img))
-    return images
+def _cube_universe(n: int, starred: bool) -> list:
+    """Every vertex mask, or every (lower mask, star) edge, of the n-cube,
+    in the canonical string order."""
+    if starred:
+        elements = [(m, star) for star in range(n) for m in range(1 << n) if not m >> star & 1]
+    else:
+        elements = range(1 << n)
+    return sorted(elements, key=lambda e: element_key(e, n))
 
 
 def ex_cube(n: int, x) -> tuple[int, list[str]]:
     """Exact extremal number over the whole n-cube: the largest set of
     vertices (or edges, for an EdgePattern) of the n-cube containing no
-    face-embedded copy of x.  Desk-scale oracle, guarded at
-    n <= ``EX_CUBE_LIMIT``."""
+    face-embedded copy of x, with its lexicographically least witness.
+
+    A face embedding first flips any of the pattern's own coordinates
+    (never a star), then applies an embedding map into some layer of the
+    n-cube.  This is wider than ``contains_pattern``'s cube mode, which
+    flips nothing.  Desk-scale oracle, guarded at n <= ``EX_CUBE_LIMIT``.
+    """
     if not len(x):
         raise ValueError("the empty pattern embeds in every set; ex is undefined")
+    if n < 0:
+        raise ValueError("cube dimension must be nonnegative")
     if n > EX_CUBE_LIMIT:
         raise SizeGuardError(f"cube dimension {n} exceeds the exact-search guard {EX_CUBE_LIMIT}")
-    starred = isinstance(x, EdgePattern)
-    universe = _cube_edge_universe(n) if starred else _cube_vertex_universe(n)
-    images = _cube_images(n, x)
-    if images:
-        size, witness = _max_avoiding(universe, _forbidden_masks(universe, images))
-    else:
-        size, witness = len(universe), universe
-    return size, [format_string(e, n) for e in witness]
+    a, b, starred = _layer_params(x)
+    d = a + b + (1 if starred else 0)
+    universe = _cube_universe(n, starred)
+    codes = [_image_code(e) for e in universe]
+    src = _codes(x)
+    # flipping coordinate j XORs bit 2j of a code; c >> 1 has bit 2j set
+    # exactly where coordinate j is a star, which stays unflipped
+    images = (
+        frozenset(img)
+        for ones in range(n - d + 1)
+        for flip in map(_spread, range(1 << d))
+        for _, img in _embeddings(
+            [c ^ (flip & ~(c >> 1)) for c in src], codes, d, n - d - ones, ones
+        )
+    )
+    return _solve(universe, codes, images, n)

@@ -178,6 +178,8 @@ def fib_table(d_max: int, mode: str = "exhaustive") -> list[TableRow]:
 
 
 def _check_fib_guard(d: int, mode: str) -> None:
+    if d < 0:
+        raise ValueError(f"the edge count must be nonnegative, not {d}")
     if mode == "exhaustive":
         if d > EXHAUSTIVE_TREE_LIMIT:
             raise SizeGuardError(

@@ -184,10 +184,15 @@ def cube_images(n: int, x) -> set[frozenset[str]]:
     return images
 
 
-def ex_cube_by_hitting_sets(n: int, x) -> tuple[int, list[str]]:
+def cube_masks(n: int, x) -> tuple[list[str], list[int]]:
+    """The n-cube's vertices (or edges) and the masks of x's face images."""
     starred = isinstance(x, EdgePattern)
     universe = cube_edge_universe(n) if starred else cube_vertex_universe(n)
-    images = cube_images(n, x)
-    if not images:
+    return universe, _masks(universe, cube_images(n, x))
+
+
+def ex_cube_by_hitting_sets(n: int, x) -> tuple[int, list[str]]:
+    universe, masks = cube_masks(n, x)
+    if not masks:
         return len(universe), universe
-    return max_avoiding_by_hitting_sets(universe, _masks(universe, images))
+    return max_avoiding_by_hitting_sets(universe, masks)

@@ -133,6 +133,11 @@ class TestContains:
         found2, w2 = contains_pattern(frozenset({"000", "011"}), X_C2)
         assert not found2 and w2 is None
 
+    def test_cube_mode_tries_the_heaviest_layer_first(self):
+        # {"1"} maps into weight 1 by "s1 0 0" and into weight 2 by "s1 1 0"
+        found, witness = contains_pattern(frozenset({"100", "110"}), VertexPattern(0, 1, {"1"}))
+        assert found and str(witness) == "s1 1 0"
+
 
 class TestExLayer:
     def test_l11(self):
@@ -221,13 +226,34 @@ class TestExCube:
         with pytest.raises(SizeGuardError):
             ex_cube(5, X_C2)
 
+    @pytest.mark.parametrize("n", [-1, -2])
+    @pytest.mark.parametrize("x", [X_C2, EdgePattern(0, 0, {"*"})], ids=["vertex", "edge"])
+    def test_negative_dimension(self, monkeypatch, n, x):
+        def unlisted(n, starred):
+            raise AssertionError("the cube was listed before its dimension was checked")
+
+        monkeypatch.setattr(embeddings, "_cube_universe", unlisted)
+        with pytest.raises(ValueError, match="^cube dimension must be nonnegative$"):
+            ex_cube(n, x)
+
+    def test_pattern_wider_than_the_cube(self):
+        # no face of Q2 has 40 dimensions, so there is no image and every
+        # vertex stays; the search must not walk the pattern's 2^40 flips
+        x = VertexPattern(40, 0, {"0" * 40})
+        assert ex_cube(2, x) == (4, ["00", "01", "10", "11"])
+        assert ex_cube(0, EdgePattern(0, 0, {"*"})) == (0, [])
+
+    def test_faces_flip_but_contains_does_not(self):
+        # ex_cube's face embeddings flip the pattern's coordinates, so "0"
+        # is a copy of X at every vertex of Q1; contains_pattern's cube
+        # mode maps without flips, so {"1"} holds no copy of X
+        x = VertexPattern(1, 0, {"0"})
+        assert contains_pattern(frozenset({"1"}), x) == (False, None)
+        assert ex_cube(1, x) == (0, [])
+
     def test_matches_exhaustive_subsets(self):
-        from itertools import combinations
-
-        from spcube.embeddings import _cube_images, _cube_vertex_universe
-
-        universe = _cube_vertex_universe(2)
-        images = _cube_images(2, X_C2)
+        universe = oracle.cube_vertex_universe(2)
+        images = oracle.cube_images(2, X_C2)
         best = 0
         for size in range(len(universe), -1, -1):
             found = False
@@ -338,14 +364,23 @@ class TestExAgainstOracles:
         assert ex_layer_bruteforce(a2, b2, x) == (0, [])
 
     def test_ex_cube_random(self):
+        # At n = 4 an edge pattern of three strings can take seconds in the
+        # branch and bound (see the README), so there the draws hold at most
+        # two; and the hitting-set oracle takes 3-15 s on those, so the
+        # string-level face images go to the branch and bound instead.
         rng = random.Random(5)
-        for _ in range(30):
+        for _ in range(80):
             starred = rng.random() < 0.4
-            n = rng.randint(1, 3)
-            a, b = rng.randint(0, 1), rng.randint(0, 2)
+            n = rng.randint(0, 4)
+            a, b = rng.randint(0, 2), rng.randint(0, 2)
             pool = _layer(starred, a, b)
-            x = _pattern(starred, a, b, rng.sample(pool, rng.randint(1, len(pool))))
-            assert ex_cube(n, x) == oracle.ex_cube_by_hitting_sets(n, x)
+            most = min(2, len(pool)) if starred and n == 4 else len(pool)
+            x = _pattern(starred, a, b, rng.sample(pool, rng.randint(1, most)))
+            if starred and n == 4:
+                want = embeddings._max_avoiding(*oracle.cube_masks(n, x))
+            else:
+                want = oracle.ex_cube_by_hitting_sets(n, x)
+            assert ex_cube(n, x) == want
 
     def test_ex_cube_q4_xc2(self):
         assert ex_cube(4, X_C2) == oracle.ex_cube_by_hitting_sets(4, X_C2)

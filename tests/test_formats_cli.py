@@ -18,7 +18,7 @@ from spcube import (
     x_pattern,
 )
 from spcube import catalog, embeddings, multigraph, patterns, search
-from spcube.cli import PATTERN_OUTPUT_LIMIT, PATTERN_TREE_LIMIT, main
+from spcube.cli import PATTERN_OUTPUT_LIMIT, PATTERN_TREE_LIMIT, _named_output, main
 from spcube.search import fib
 from spcube.patterns import pg_from_json, pg_to_json, h_graph
 
@@ -253,6 +253,16 @@ class TestCli:
         assert main(["ex-cube", "--n", "2", "--pattern", str(small)]) == 0
         assert "ex = 2" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("n", ["-1", "-2"])
+    @pytest.mark.parametrize("text", ["vertex 1 1\n01\n10\n", "edge 0 0\n*\n"], ids=["xc2", "star"])
+    def test_ex_cube_negative_dimension_exit_1(self, tmp_path, capsys, n, text):
+        path = tmp_path / "p.txt"
+        path.write_text(text)
+        assert main(["ex-cube", "--n", n, "--pattern", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("error: cube dimension must be nonnegative\n")
+
     def test_f2_requires_seed(self, capsys):
         assert main(["f2", "--a", "4", "--b", "4"]) == 64
 
@@ -328,6 +338,45 @@ class TestCli:
     def test_table_fib_witness_chain_above_guard_exit_2(self, capsys):
         assert main(["table", "fib", "--max-d", "25", "--witness-only"]) == 2
         assert "refused: witness chain is guarded at 24 edges" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [[], ["--witness-only"]], ids=["census", "witness-only"])
+    def test_table_fib_negative_size_exit_1(self, capsys, extra):
+        assert main(["table", "fib", "--max-d", "-1", *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("error: the edge count must be nonnegative, not -1\n")
+
+    @pytest.mark.parametrize(
+        "name, sizes",
+        [("alon", (1,)), ("alon", (1, 1)), ("alon", (2, 3, 2)), ("alon", (1, 4, 1, 2)),
+         ("partite", (1,)), ("partite", (1, 1)), ("partite", (2, 2, 3)), ("partite", (3, 1, 2, 1))],
+    )
+    def test_named_output_count(self, name, sizes):
+        p = patterns.named_pattern(name, sizes)
+        width = p.a + p.b + (name == "partite")
+        assert _named_output(name, sizes) == len(p) * width == len(p) * sum(sizes)
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [("partite", "100000"), ("alon", "300,300,300"), ("alon", ",".join(["300"] * 5000))],
+    )
+    def test_pattern_named_above_output_guard_exit_2(self, monkeypatch, capsys, name, params):
+        def unbuilt(sizes):
+            raise AssertionError("a pattern was built above the output guard")
+
+        monkeypatch.setattr(patterns, "alon_pattern", unbuilt)
+        monkeypatch.setattr(patterns, "partite_pattern", unbuilt)
+        assert main(["pattern", "named", "--name", name, "--params", params]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"refused: the {name} pattern would write over {PATTERN_OUTPUT_LIMIT}" in captured.err
+
+    def test_named_output_at_the_guard(self):
+        # partite (2^12) has 2^12 strings of 2^12 characters
+        side = 2**12
+        assert _named_output("partite", (side,)) == PATTERN_OUTPUT_LIMIT
+        assert _named_output("partite", (side + 1,)) > PATTERN_OUTPUT_LIMIT
+        assert _named_output("alon", (1, 1, 0)) == _named_output("x16", ()) == 0
 
     def test_pattern_at_tree_guard(self, tmp_path, capsys):
         pairs = PATTERN_TREE_LIMIT.bit_length() - 1  # a chain of parallel pairs

@@ -130,6 +130,12 @@ class TestMaxSpanningTrees:
         with pytest.raises(SizeGuardError):
             max_spanning_trees(25, "witness")
 
+    @pytest.mark.parametrize("mode", ["exhaustive", "witness"])
+    def test_negative_size_refused(self, mode):
+        for call in (max_spanning_trees, fib_table):
+            with pytest.raises(ValueError, match="^the edge count must be nonnegative, not -1$"):
+                call(-1, mode)
+
     def test_exhaustive_suite(self):
         assert check_fib_exhaustive(max_d=6) == []
 
