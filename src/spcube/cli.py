@@ -47,6 +47,7 @@ from .patterns import (
 from .search import (
     EXHAUSTIVE_TREE_LIMIT,
     M_TABLE_LIMIT,
+    M_TERMS_LIMIT,
     WITNESS_CHAIN_LIMIT,
     check_m_bounds,
     fib_table,
@@ -143,7 +144,8 @@ def _build_parser() -> _Parser:
     tab.add_argument(
         "--max-d", type=int, required=True,
         help=f"last row; table fib is guarded at {EXHAUSTIVE_TREE_LIMIT} "
-        f"({WITNESS_CHAIN_LIMIT} with --witness-only), table m at {M_TABLE_LIMIT}",
+        f"({WITNESS_CHAIN_LIMIT} with --witness-only), table m at {M_TABLE_LIMIT} "
+        f"({M_TERMS_LIMIT} with --method terms)",
     )
     tab.add_argument(
         "--witness-only", action="store_true",

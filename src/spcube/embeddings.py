@@ -300,8 +300,9 @@ def _forbidden_masks(universe: list, image_sets) -> list[int]:
         for s in img:
             m |= 1 << index[s]
         masks.add(m)
-    # drop supersets: hitting a subset hits the superset
-    masks = sorted(masks, key=int.bit_count)
+    # drop supersets: hitting a subset hits the superset.  Ties in size go
+    # by value, so the list does not depend on the order images arrive in.
+    masks = sorted(masks, key=lambda m: (m.bit_count(), m))
     kept: list[int] = []
     for m in masks:
         if not any(k & m == k for k in kept):

@@ -9,11 +9,11 @@ Two independent routes compute the edge-count maximum m(d) over marked
   a product-join, which is what the parallel rule computes; the series
   rule is its 0/1-swapped dual), and all three combination rules are
   monotone, so dominated triples can be pruned without losing maxima.
-  The frontier carries each triple's witness as a canonical pair (the
-  canonical term and its normalized reversal), so a candidate's canonical
-  form is composed from its parts' pairs (``compose_canonical``) and
-  compared by cached key, never recomputed.  Dominated triples are
-  pruned by an O(n log n) staircase sweep.
+  Dominated triples are pruned by an O(n log n) staircase sweep that
+  reads the triples alone, so witnesses are built only for the kept
+  ones: each producer of a kept triple is composed from its parts'
+  canonical terms and oriented by the enumeration's rule (its key
+  against ``spterm._reversed_key``, memoized over one DP call).
 * ``method="terms"``: literal iteration over all canonical terms,
   counting Hamming-1 pairs between the two tree sets of each marked
   graph.  The sets (the network's spanning trees and its 2-forests that
@@ -55,11 +55,15 @@ from .spterm import (
     GraphDedup,
     SpTerm,
     _census_level,
+    _merge_parallel,
+    _norm,
     _operations,
-    compose_canonical,
+    _reversed_key,
     enumerate_connected_sp,
     enumerate_terms,
     format_term,
+    reverse_term,
+    series,
     tree_sets,
 )
 
@@ -79,6 +83,8 @@ __all__ = [
 EXHAUSTIVE_TREE_LIMIT = 9
 WITNESS_CHAIN_LIMIT = 24
 M_TABLE_LIMIT = 16
+# the terms route visits every canonical term, about 5x more per edge
+M_TERMS_LIMIT = 11
 
 
 def fib(k: int) -> int:
@@ -242,29 +248,50 @@ def _prune(cands: dict[tuple[int, int, int], object]) -> dict:
 
 def _dp_frontiers(d_max: int) -> tuple[list[dict], list[float]]:
     """frontier[d]: undominated (|X(G/e)|, |X(G\\e)|, |Y(G,e)|) triples for
-    d-edge networks, each with the canonical pair (c, r) of its witness
-    term (see ``compose_canonical``); millis[d]: the time frontier[d] took
-    to build."""
+    d-edge networks, each with its canonical witness term; millis[d]: the
+    time frontier[d] took to build.
+
+    A candidate triple records its producers, (series or parallel, part,
+    part) on the parts' canonical terms; only the producers of a triple
+    that survives ``_prune`` build a term (see ``_witness``)."""
     frontier: list[dict] = [dict() for _ in range(d_max + 1)]
     millis = [0.0] * (d_max + 1)
+    memo: dict[str, str] = {}
     for d in range(1, d_max + 1):
         start = time.perf_counter()
-        cands: dict[tuple[int, int, int], tuple[SpTerm, SpTerm]] = {}
+        cands: dict[tuple[int, int, int], list] = {}
         if d == 1:
-            cands[(1, 1, 1)] = (EDGE, EDGE)
+            cands[(1, 1, 1)] = [(series, EDGE)]  # a series of one part is that part
         for d1 in range(1, d // 2 + 1):
             d2 = d - d1
-            for t1_trip, p1 in frontier[d1].items():
-                for t2_trip, p2 in frontier[d2].items():
-                    for combine, kind in ((_combine_series, "S"), (_combine_parallel, "P")):
+            for t1_trip, w1 in frontier[d1].items():
+                for t2_trip, w2 in frontier[d2].items():
+                    for combine, build in (
+                        (_combine_series, series), (_combine_parallel, _merge_parallel)
+                    ):
                         trip = combine(t1_trip, t2_trip)
-                        pair = compose_canonical(kind, p1, p2)
-                        old = cands.get(trip)
-                        if old is None or pair[0].key < old[0].key:
-                            cands[trip] = pair
-        frontier[d] = _prune(cands)
+                        cands.setdefault(trip, []).append((build, w1, w2))
+        frontier[d] = {
+            trip: _witness(producers, memo) for trip, producers in _prune(cands).items()
+        }
         millis[d] = _ms(start)
     return frontier, millis
+
+
+def _witness(producers: list, memo: dict[str, str]) -> SpTerm:
+    """The key-least canonical term among the producers' compositions.
+
+    The parts are canonical, so each composition n is normalized, and
+    ``canonical(n)`` is n when ``n.key <= _reversed_key(n)`` and its
+    normalized reversal otherwise: the rule the term enumeration keeps
+    its representatives by.  Only the winner's reversal is built."""
+    best_key, best = None, None
+    for build, *parts in producers:
+        n = build(*parts)
+        key = min(n.key, _reversed_key(n, memo))
+        if best is None or key < best_key:
+            best_key, best = key, n
+    return best if best.key == best_key else _norm(reverse_term(best))
 
 
 def _best(scored) -> tuple[int, SpTerm]:
@@ -280,7 +307,7 @@ def _best(scored) -> tuple[int, SpTerm]:
 
 
 def _frontier_best(frontier: dict) -> tuple[int, SpTerm]:
-    return _best((e, c) for (_, _, e), (c, _) in frontier.items())
+    return _best((e, w) for (_, _, e), w in frontier.items())
 
 
 def _y_size(t: SpTerm) -> int:
@@ -294,25 +321,18 @@ def _y_size(t: SpTerm) -> int:
 def m_value(d: int, method: str = "dp") -> tuple[int, SpTerm]:
     """m(d): the maximum edge-pattern size over marked 2-connected
     series-parallel graphs with d+1 edges, with a witness term."""
-    if d < 1:
-        raise ValueError("d must be at least 1")
-    if d > M_TABLE_LIMIT:
-        raise SizeGuardError(f"m table is guarded at d = {M_TABLE_LIMIT}")
+    _check_m_guard(d, method)
     if method == "dp":
         frontiers, _ = _dp_frontiers(d)
         return _frontier_best(frontiers[d])
-    if method == "terms":
-        return _best((_y_size(t), t) for t in enumerate_terms(d))
-    raise ValueError(f"unknown method {method!r}")
+    return _best((_y_size(t), t) for t in enumerate_terms(d))
 
 
 def m_table(d_max: int, method: str = "dp") -> list[TableRow]:
     """Rows (d, m(d), witness term, millis) for d = 1..d_max.  With the DP
-    a row's millis is the time its frontier took to build."""
-    if d_max < 1:
-        raise ValueError("d_max must be at least 1")
-    if d_max > M_TABLE_LIMIT:
-        raise SizeGuardError(f"m table is guarded at d = {M_TABLE_LIMIT}")
+    a row's millis is the time its frontier took to build.  Refuses
+    before any row is computed."""
+    _check_m_guard(d_max, method)
     if method == "dp":
         frontiers, millis = _dp_frontiers(d_max)
         return [
@@ -325,6 +345,19 @@ def m_table(d_max: int, method: str = "dp") -> list[TableRow]:
         value, witness = m_value(d, method)
         rows.append(TableRow(d, value, witness, _ms(start)))
     return rows
+
+
+def _check_m_guard(d: int, method: str) -> None:
+    if d < 1:
+        raise ValueError("d must be at least 1")
+    if method == "dp":
+        if d > M_TABLE_LIMIT:
+            raise SizeGuardError(f"m table is guarded at d = {M_TABLE_LIMIT}")
+    elif method == "terms":
+        if d > M_TERMS_LIMIT:
+            raise SizeGuardError(f"m table by terms is guarded at d = {M_TERMS_LIMIT}")
+    else:
+        raise ValueError(f"unknown method {method!r}")
 
 
 def check_m_bounds(rows: list[TableRow]) -> list[dict]:

@@ -39,7 +39,6 @@ __all__ = [
     "reverse_term",
     "canonical",
     "canonical_key",
-    "compose_canonical",
     "format_term",
     "parse_term",
     "to_marked_graph",
@@ -147,41 +146,13 @@ def canonical(t: SpTerm) -> SpTerm:
     Parallel reordering and the global terminal swap are exactly the term
     moves that leave the marked graph unchanged up to isomorphism, so the
     representative is the keywise-smaller of the normalized term and its
-    normalized reversal.  (Exactness is pinned against the pairwise
-    graph-isomorphism oracle in the test suite.)
+    normalized reversal.  The reversal's key comes from ``_reversed_key``,
+    the rule the term enumeration and the m-table DP orient by, so the
+    reversal is built only when it wins.  (Exactness is pinned against
+    the pairwise graph-isomorphism oracle in the test suite.)
     """
-    n1 = _norm(t)
-    n2 = _norm(reverse_term(t))
-    return n1 if n1.key <= n2.key else n2
-
-
-def compose_canonical(
-    kind: str, x: tuple[SpTerm, SpTerm], y: tuple[SpTerm, SpTerm]
-) -> tuple[SpTerm, SpTerm]:
-    """Canonical pair of the series (``kind="S"``) or parallel (``"P"``)
-    composition of two canonical pairs, without canonicalizing anything.
-
-    A canonical pair is ``(c, r)`` with ``c = canonical(t)`` and
-    ``r = _norm(reverse_term(c))``; the result is the canonical pair of
-    ``series(c1, c2)`` or ``parallel(c1, c2)``.
-
-    Proof.  Write N for ``_norm``, R for ``reverse_term`` and t for the
-    composition of c1 and c2.  ``canonical(t)`` is the key-smaller of N(t)
-    and N(R(t)).  Both c1 and c2 are normalized, so N(t) is
-    ``series(c1, c2)``, or the parallel children of c1 and c2 merged in key
-    order.  N∘R commutes with composition: R reverses a series list and
-    keeps a parallel multiset, and N sorts parallel children and keeps
-    series order, so N(R(t)) is ``series(r2, r1)``, or the children of r1
-    and r2 merged in key order.  Finally N(R(N(x))) = N(R(x)) and R is an
-    involution, so N∘R swaps N(t) and N(R(t)): whichever is not canonical
-    is the canonical one's r.
-    """
-    (c1, r1), (c2, r2) = x, y
-    if kind == "S":
-        n1, n2 = series(c1, c2), series(r2, r1)
-    else:
-        n1, n2 = _merge_parallel(c1, c2), _merge_parallel(r1, r2)
-    return (n1, n2) if n1.key <= n2.key else (n2, n1)
+    n = _norm(t)
+    return n if n.key <= _reversed_key(n, {}) else _norm(reverse_term(n))
 
 
 def _merge_parallel(t1: SpTerm, t2: SpTerm) -> SpTerm:
@@ -331,16 +302,6 @@ def _norm_terms(d: int) -> tuple[SpTerm, ...]:
 
 
 @lru_cache(maxsize=None)
-def _non_series_norm(d: int) -> tuple[SpTerm, ...]:
-    return tuple(t for t in _norm_terms(d) if t.kind != "S")
-
-
-@lru_cache(maxsize=None)
-def _non_parallel_norm(d: int) -> tuple[SpTerm, ...]:
-    return tuple(t for t in _norm_terms(d) if t.kind != "P")
-
-
-@lru_cache(maxsize=None)
 def _series_norm(d: int) -> tuple[SpTerm, ...]:
     """Series-rooted normalized terms: every ordered child list."""
     if d < 2:
@@ -359,7 +320,7 @@ def _series_lists(prefix: list[SpTerm], remaining: int, out: list[SpTerm]) -> No
     for size in range(1, remaining + 1):
         if size == remaining and not prefix:
             continue  # a single child is not a series node
-        for child in _non_series_norm(size):
+        for child in _parallel_norm(size) if size > 1 else (EDGE,):
             prefix.append(child)
             _series_lists(prefix, remaining - size, out)
             prefix.pop()
@@ -371,7 +332,7 @@ def _parallel_norm(d: int) -> tuple[SpTerm, ...]:
     generated with children in the same key order ``_norm`` produces."""
     if d < 2:
         return ()
-    pool = [(s, t) for s in range(1, d) for t in _non_parallel_norm(s)]
+    pool = [(s, t) for s in range(1, d) for t in (_series_norm(s) if s > 1 else (EDGE,))]
     pool.sort(key=lambda item: format_term(item[1]))
     # fits[r]: the pool positions of the children with at most r edges, in
     # key order, so that a step visits only the children that fit
@@ -412,8 +373,9 @@ def _reversed_key(t: SpTerm, memo: dict[str, str]) -> str:
     """``_norm(reverse_term(t)).key``, built from the children's reversed
     keys: a series lists them in reverse order, a parallel sorted.
     ``memo`` maps subterm keys to reversed keys.  Subterms are shared
-    across the terms of one enumeration, so most lookups hit; t's own key
-    is not stored, because only subterms recur."""
+    across the terms of one enumeration, and across the witnesses of one
+    m-table DP call (``search._dp_frontiers``), so most lookups hit; t's
+    own key is not stored, because only subterms recur."""
     if t.kind == "e":
         return "e"
     kids = []
@@ -514,16 +476,9 @@ def _census_level(d: int) -> tuple[Multigraph, ...]:
         return (Multigraph(1, ()),)
     dedup = GraphDedup()
     for g in _census_level(d - 1):
-        for child in _children(g):
-            dedup.add(child)
+        for op, x in _operations(g):
+            dedup.add(op(g, x))
     return tuple(dedup.items)
-
-
-def _children(g: Multigraph):
-    """The children that the census offers parent g, in order: each
-    operation that ``_operations`` keeps, applied to g."""
-    for op, x in _operations(g):
-        yield op(g, x)
 
 
 def _operations(g: Multigraph):

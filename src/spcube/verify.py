@@ -830,7 +830,7 @@ ALL_CHECKS = [
 ]
 
 
-def run_all(deep: bool = False, out=print) -> bool:
+def run_all(deep: bool = False) -> bool:
     """Run every check; print one line per check; True iff all pass."""
     import time
 
@@ -842,9 +842,9 @@ def run_all(deep: bool = False, out=print) -> bool:
         elapsed = time.perf_counter() - start
         if violations:
             ok = False
-            out(f"FAIL {name} ({elapsed:.2f}s): {len(violations)} violation(s)")
+            print(f"FAIL {name} ({elapsed:.2f}s): {len(violations)} violation(s)")
             for v in violations[:5]:
-                out(f"     - {v}")
+                print(f"     - {v}")
         else:
-            out(f"PASS {name} ({elapsed:.2f}s)")
+            print(f"PASS {name} ({elapsed:.2f}s)")
     return ok

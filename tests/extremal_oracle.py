@@ -191,6 +191,27 @@ def cube_masks(n: int, x) -> tuple[list[str], list[int]]:
     return universe, _masks(universe, cube_images(n, x))
 
 
+def max_avoiding_by_ilp(universe: list, masks: list[int]) -> int:
+    """The size of the largest avoiding set, as a 0/1 integer program
+    solved by scipy's ``milp``: maximize the sum of x over the universe
+    subject to sum(x_j for j in m) <= |m| - 1 for every mask m.  Needs
+    scipy, which spcube never imports."""
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    width = len(universe)
+    rows = np.array([[m >> j & 1 for j in range(width)] for m in masks])
+    result = milp(
+        -np.ones(width),
+        constraints=LinearConstraint(rows, -np.inf, rows.sum(axis=1) - 1),
+        integrality=np.ones(width),
+        bounds=Bounds(0, 1),
+    )
+    if not result.success:
+        raise AssertionError(f"milp failed: {result.message}")
+    return round(-result.fun)
+
+
 def ex_cube_by_hitting_sets(n: int, x) -> tuple[int, list[str]]:
     universe, masks = cube_masks(n, x)
     if not masks:

@@ -385,6 +385,35 @@ class TestExAgainstOracles:
     def test_ex_cube_q4_xc2(self):
         assert ex_cube(4, X_C2) == oracle.ex_cube_by_hitting_sets(4, X_C2)
 
+    @pytest.mark.parametrize(
+        "strings, want",
+        [
+            (["0*1", "01*", "10*"], 12),
+            pytest.param(["01*", "10*", "1*0", "*01", "*10"], 20, marks=pytest.mark.slow),
+        ],
+        ids=["three", "five"],
+    )
+    def test_ex_cube_q4_edge_patterns_by_ilp(self, strings, want):
+        # edge patterns at n = 4 are too slow for the hitting-set oracle
+        pytest.importorskip("scipy")
+        x = EdgePattern(1, 1, frozenset(strings))
+        universe, masks = oracle.cube_masks(4, x)
+        value, witness = ex_cube(4, x)
+        assert value == oracle.max_avoiding_by_ilp(universe, masks) == want
+        assert len(set(witness)) == value
+        picked = sum(1 << universe.index(s) for s in witness)
+        assert not any(m & picked == m for m in masks)
+
+    def test_forbidden_masks_ignore_image_order(self):
+        # equal masks in any order: the branch and bound's greedy bound
+        # reads them in list order
+        x = EdgePattern(1, 1, frozenset({"*01", "1*0", "10*"}))
+        universe = oracle.cube_edge_universe(4)
+        images = sorted(oracle.cube_images(4, x), key=sorted)
+        forward = embeddings._forbidden_masks(universe, images)
+        assert len(forward) == 192
+        assert embeddings._forbidden_masks(universe, images[::-1]) == forward
+
 
 class TestConstantWeightCodes:
     """ex(L(a,b), X_C2) = A(a+b, 4, b), the largest constant-weight code of

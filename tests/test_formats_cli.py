@@ -335,6 +335,16 @@ class TestCli:
         assert captured.out == ""
         assert "refused: exhaustive census is guarded at 9 edges" in captured.err
 
+    def test_table_m_terms_above_guard_exit_2(self, monkeypatch, capsys):
+        def no_terms(d):
+            raise AssertionError(f"terms enumerated at d = {d} above the guard")
+
+        monkeypatch.setattr(search, "enumerate_terms", no_terms)
+        assert main(["table", "m", "--max-d", "12", "--method", "terms"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "refused: m table by terms is guarded at d = 11" in captured.err
+
     def test_table_fib_witness_chain_above_guard_exit_2(self, capsys):
         assert main(["table", "fib", "--max-d", "25", "--witness-only"]) == 2
         assert "refused: witness chain is guarded at 24 edges" in capsys.readouterr().err

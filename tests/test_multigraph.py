@@ -600,8 +600,8 @@ class TestNoCyclicGarbage:
 
     def test_fresh_term_enumeration(self):
         caches = (
-            spterm._norm_terms, spterm._non_series_norm, spterm._non_parallel_norm,
-            spterm._series_norm, spterm._parallel_norm, spterm._all_terms,
+            spterm._norm_terms, spterm._series_norm, spterm._parallel_norm,
+            spterm._all_terms,
         )
 
         def fresh(d):

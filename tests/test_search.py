@@ -4,9 +4,11 @@ import pytest
 
 from spcube import search, spterm
 from spcube import (
+    EDGE,
     SizeGuardError,
     add_leaf,
     add_loop,
+    canonical,
     check_m_bounds,
     enumerate_connected_sp,
     fib,
@@ -14,8 +16,10 @@ from spcube import (
     m_table,
     m_value,
     max_spanning_trees,
+    parallel,
     rows_to_csv,
     rows_to_markdown,
+    series,
     spanning_trees,
     to_marked_graph,
     tree_count,
@@ -93,6 +97,28 @@ def _prune_reference(cands):
             continue
         kept.append((trip, term))
     return dict(kept)
+
+
+def _canonicalizing_frontiers(d_max):
+    """The m-table DP as it was first written, the route ``M_WITNESSES``
+    were pinned from: every candidate is canonicalized from scratch, the
+    key-least kept per triple, and the triples pruned afterwards."""
+    frontier = [{} for _ in range(d_max + 1)]
+    for d in range(1, d_max + 1):
+        cands = {(1, 1, 1): EDGE} if d == 1 else {}
+        for d1 in range(1, d // 2 + 1):
+            for trip1, w1 in frontier[d1].items():
+                for trip2, w2 in frontier[d - d1].items():
+                    for combine, build in (
+                        (search._combine_series, series),
+                        (search._combine_parallel, parallel),
+                    ):
+                        trip = combine(trip1, trip2)
+                        w = canonical(build(w1, w2))
+                        if trip not in cands or w.key < cands[trip].key:
+                            cands[trip] = w
+        frontier[d] = _prune_reference(cands)
+    return frontier
 
 
 class TestFib:
@@ -234,6 +260,13 @@ class TestMTable:
         assert len(sizes) == 8
         assert [r.millis for r in rows] == [1000.0 * n for n in sizes]
 
+    def test_frontiers_match_canonicalizing_dp(self):
+        frontiers, _ = search._dp_frontiers(12)
+        assert frontiers == _canonicalizing_frontiers(12)
+        for frontier in frontiers:
+            for w in frontier.values():
+                assert canonical(w) == w
+
     def test_staircase_prune_matches_quadratic(self):
         rng = random.Random(1975)
         for _ in range(400):
@@ -271,6 +304,15 @@ class TestMTable:
     def test_guard(self):
         with pytest.raises(SizeGuardError):
             m_table(17)
+
+    @pytest.mark.parametrize("call", [m_table, m_value])
+    def test_terms_guard(self, monkeypatch, call):
+        def no_terms(d):
+            raise AssertionError(f"terms enumerated at d = {d} above the guard")
+
+        monkeypatch.setattr(search, "enumerate_terms", no_terms)
+        with pytest.raises(SizeGuardError, match="guarded at d = 11"):
+            call(12, "terms")
 
     def test_onesum_guard(self):
         assert check_m_onesum_guard(max_d=4) == []

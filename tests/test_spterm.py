@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from spcube import (
     EDGE,
     Multigraph,
-    canonical,
     canonical_key,
     dual,
     edge_count,
@@ -40,7 +39,6 @@ from spcube.spterm import (
     _norm,
     _norm_terms,
     _reversed_key,
-    compose_canonical,
     reverse_term,
 )
 from spcube.verify import (
@@ -130,22 +128,6 @@ class TestCanonical:
         for d in range(1, 6):
             for t in enumerate_terms(d):
                 assert reverse_term(reverse_term(t)) == t
-
-
-class TestComposeCanonical:
-    def test_matches_canonicalizing(self):
-        pairs = {
-            d: [(c, _norm(reverse_term(c))) for c in enumerate_terms(d)]
-            for d in range(1, 9)
-        }
-        for d1 in range(1, 9):
-            for d2 in range(1, 10 - d1):
-                for p1 in pairs[d1]:
-                    for p2 in pairs[d2]:
-                        for kind, build in (("S", series), ("P", parallel)):
-                            c, r = compose_canonical(kind, p1, p2)
-                            assert c == canonical(build(p1[0], p2[0]))
-                            assert r == _norm(reverse_term(c))
 
 
 @st.composite
