@@ -34,7 +34,10 @@ def main():
     print(f"\nas a bipartite graph: {pg_shape(h)}")
     # the graph holds masks (bit j = coordinate j); walk it by their strings
     name = {v: format_string(v, h.width) for v in h.lower | h.upper}
-    adj = {name[v]: {name[u] for u in us} for v, us in h.adjacency().items()}
+    adj = {s: set() for s in name.values()}
+    for lo, hi in h.edges:
+        adj[name[lo]].add(name[hi])
+        adj[name[hi]].add(name[lo])
     walk = [min(name[v] for v in h.lower)]
     prev = None
     for _ in range(len(adj)):

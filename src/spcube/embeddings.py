@@ -68,7 +68,12 @@ EX_CUBE_LIMIT = 4
 
 @dataclass(frozen=True)
 class EmbeddingMap:
-    """A template: tokens are slot indices (int, 0-based) or '0'/'1'."""
+    """A template: tokens are slot indices (int, 0-based) or '0'/'1'.
+
+    ``EmbeddingMap(tokens, slots)`` is the public boundary and checks
+    both; the map searches, whose tokens are valid by construction, call
+    ``EmbeddingMap.derived``.
+    """
 
     tokens: tuple
     slots: int
@@ -79,6 +84,15 @@ class EmbeddingMap:
             raise ValueError("tokens must use each slot exactly once")
         if any(not isinstance(t, int) and t not in ("0", "1") for t in self.tokens):
             raise ValueError("constants must be '0' or '1'")
+
+    @classmethod
+    def derived(cls, tokens: tuple, slots: int) -> EmbeddingMap:
+        """The map of these tokens, trusted to use each of the ``slots``
+        exactly once and otherwise hold '0' and '1': nothing is checked."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "tokens", tokens)
+        object.__setattr__(p, "slots", slots)
+        return p
 
     def __str__(self) -> str:
         return " ".join(f"s{t + 1}" if isinstance(t, int) else t for t in self.tokens)
@@ -96,7 +110,7 @@ def enumerate_maps(a: int, b: int, a2: int, b2: int, starred: bool = False):
     """All embedding maps, in a fixed deterministic order."""
     k = a + b + (1 if starred else 0)
     for tokens in _map_tokens(a, b, a2, b2, starred):
-        yield EmbeddingMap(tokens, k)
+        yield EmbeddingMap.derived(tokens, k)
 
 
 def _map_tokens(a: int, b: int, a2: int, b2: int, starred: bool):
@@ -210,7 +224,7 @@ def _first_map(src, target, slots, zeros, ones) -> tuple[bool, EmbeddingMap | No
     leaf = next(_embeddings(src, target, slots, zeros, ones), None)
     if leaf is None:
         return (False, None)
-    return (True, EmbeddingMap(tuple(leaf[0]), slots))
+    return (True, EmbeddingMap.derived(tuple(leaf[0]), slots))
 
 
 def _layer_params(pat) -> tuple[int, int, bool]:
@@ -454,7 +468,7 @@ def ex_layer_bruteforce(a2: int, b2: int, x) -> tuple[int, list[str]]:
         frozenset(apply_map(p, s) for s in src)
         for p in enumerate_maps(a, b, a2, b2, starred)
     )
-    masks = list(set(_forbidden_masks(universe, images)))
+    masks = _forbidden_masks(universe, images)
     n = len(universe)
     for size in range(n, -1, -1):
         for combo in combinations(range(n), size):

@@ -124,16 +124,19 @@ def _ordered(pairs) -> tuple[tuple[int, int], ...]:
 
 
 def _reach(g: Multigraph, start: int, skip_edge: int | None) -> set[int]:
-    adj = g.adjacency()
+    """The vertices reachable from ``start`` without edge ``skip_edge``."""
+    nbrs: list[list[int]] = [[] for _ in range(g.n)]
+    for i, (u, v) in enumerate(g.edges):
+        if i != skip_edge:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
     seen = {start}
     stack = [start]
     while stack:
-        v = stack.pop()
-        for u, i in adj[v]:
-            if i == skip_edge or u in seen:
-                continue
-            seen.add(u)
-            stack.append(u)
+        for u in nbrs[stack.pop()]:
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
     return seen
 
 
@@ -280,17 +283,11 @@ def _core(
     object k, between core vertices x < y numbered by their place in
     ``left``.  None when what is left of the graph is disconnected: then
     so was the graph."""
-    seen = {left[0]}
-    stack = [left[0]]
-    while stack:
-        for u in adj[stack.pop()]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    if len(seen) != len(left):
-        return None
     label = {v: x for x, v in enumerate(left)}
-    return [(label[v], label[u], k) for v in left for u, k in adj[v].items() if v < u]
+    core = [(label[v], label[u], k) for v in left for u, k in adj[v].items() if v < u]
+    if not Multigraph.derived(len(left), tuple((x, y) for x, y, _ in core)).is_connected():
+        return None
+    return core
 
 
 def _join(xs: list[int], ys: list[int]) -> list[int]:

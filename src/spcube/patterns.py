@@ -30,14 +30,17 @@ lives in ``multigraph._compose_tf``.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import comb
 
 from . import catalog
 from .errors import SizeGuardError
-from .multigraph import Multigraph, _load_json, check_marked_edge, spanning_trees
+from .multigraph import (
+    Multigraph, _load_json, _reach, check_marked_edge, is_two_connected, spanning_trees
+)
 
 __all__ = [
     "VertexPattern",
@@ -349,17 +352,6 @@ class PatternGraph:
         _fill(h, width=width, lower=frozenset(lower), upper=frozenset(upper), edges=frozenset(edges))
         return h
 
-    @property
-    def vertex_count(self) -> int:
-        return len(self.lower) + len(self.upper)
-
-    def adjacency(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {s: set() for s in self.lower | self.upper}
-        for lo, hi in self.edges:
-            adj[lo].add(hi)
-            adj[hi].add(lo)
-        return adj
-
 
 # ---------------------------------------------------------------------------
 # patterns from graphs
@@ -520,60 +512,45 @@ def edge_pattern_from_pattern_graph(h: PatternGraph) -> EdgePattern:
 # pattern-graph structure helpers
 
 
+def _view(h: PatternGraph) -> tuple[list[int], Multigraph]:
+    """H's vertex masks in increasing order, and H as a ``Multigraph`` on
+    their places in that list.  A lower mask is a proper subset of its
+    upper end, so it comes first and every edge is already ordered."""
+    masks = sorted(h.lower | h.upper)
+    place = {m: x for x, m in enumerate(masks)}
+    return masks, Multigraph.derived(len(masks), tuple((place[lo], place[hi]) for lo, hi in h.edges))
+
+
 def pg_components(h: PatternGraph) -> list[set[int]]:
     """The vertex sets of the components, in order of their least mask."""
-    adj = h.adjacency()
+    masks, g = _view(h)
     seen: set[int] = set()
     comps = []
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in adj[v]:
-                if u not in comp:
-                    comp.add(u)
-                    stack.append(u)
-        seen |= comp
-        comps.append(comp)
+    for start in range(g.n):
+        if start not in seen:
+            comp = _reach(g, start, skip_edge=None)
+            seen |= comp
+            comps.append({masks[x] for x in comp})
     return comps
 
 
 def pg_is_connected(h: PatternGraph) -> bool:
-    return len(pg_components(h)) <= 1
+    return _view(h)[1].is_connected()
 
 
 def pg_is_two_connected(h: PatternGraph) -> bool:
     """Graph 2-connectivity: >= 2 edges and no cut vertex (loops cannot occur)."""
-    if len(h.edges) < 2 or not pg_is_connected(h):
-        return False
-    for v in h.lower | h.upper:
-        adj = {s: {u for u in ns if u != v} for s, ns in h.adjacency().items() if s != v}
-        if not adj:
-            continue
-        start = min(adj)
-        comp = {start}
-        stack = [start]
-        while stack:
-            w = stack.pop()
-            for u in adj[w]:
-                if u not in comp:
-                    comp.add(u)
-                    stack.append(u)
-        if len(comp) != len(adj):
-            return False
-    return True
+    return is_two_connected(_view(h)[1])
 
 
 def pg_shape(h: PatternGraph) -> str:
     """Coarse shape report: 'cycle(n)', 'path(n)', or 'graph(v,e)'."""
-    v = h.vertex_count
-    e = len(h.edges)
-    degs = sorted(len(ns) for ns in h.adjacency().values())
-    if v and pg_is_connected(h):
-        if e == v and degs and degs[0] == 2 and degs[-1] == 2:
+    g = _view(h)[1]
+    v, e = g.n, g.e
+    if v and g.is_connected():
+        ends = Counter(chain.from_iterable(g.edges))  # H has no loops and no parallel edges
+        degs = sorted(ends[x] for x in range(v))
+        if e == v and degs[0] == 2 and degs[-1] == 2:
             return f"cycle({v})"
         if e == v - 1 and (v == 1 or (degs[:2] == [1, 1] and degs[-1] <= 2)):
             return f"path({v})"

@@ -9,6 +9,9 @@ off starred strings.  Pairs are found by string comparison.  Patterns come
 in and go out through the public string boundary (``.strings`` and the
 string constructors) only, so none of this shares code with the mask
 kernels and the two can check each other.
+
+The pattern-graph structure helpers are checked by union-find over a
+graph's ``edges`` field, where the kernels run ``multigraph``'s search.
 """
 
 from __future__ import annotations
@@ -145,3 +148,54 @@ def edge_pattern_reference(h: PatternGraph) -> EdgePattern:
         strings.add(lo[: diff[0]] + "*" + lo[diff[0] + 1 :])
     sample = next(iter(strings))
     return EdgePattern(sample.count("0"), sample.count("1"), strings)
+
+
+def _union_find_components(vertices, edges) -> list[set[int]]:
+    """The components, each listed when its least vertex is reached."""
+    parent = {v: v for v in vertices}
+
+    def root(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for a, b in edges:
+        parent[root(a)] = root(b)
+    groups: dict[int, set[int]] = {}
+    for v in sorted(vertices):
+        groups.setdefault(root(v), set()).add(v)
+    return list(groups.values())
+
+
+def components_reference(h: PatternGraph) -> list[set[int]]:
+    return _union_find_components(h.lower | h.upper, h.edges)
+
+
+def two_connected_reference(h: PatternGraph) -> bool:
+    """At least two edges, connected, and connected after any one vertex
+    is deleted (a pattern graph has no loops)."""
+    vertices = h.lower | h.upper
+    if len(h.edges) < 2 or len(components_reference(h)) != 1:
+        return False
+    for v in vertices:
+        rest = [(a, b) for a, b in h.edges if v not in (a, b)]
+        if len(_union_find_components(vertices - {v}, rest)) > 1:
+            return False
+    return True
+
+
+def shape_reference(h: PatternGraph) -> str:
+    """A connected graph with every degree 2 and as many edges as
+    vertices is a cycle; a tree with every degree at most 2 is a path."""
+    degree = {v: 0 for v in h.lower | h.upper}
+    for a, b in h.edges:
+        degree[a] += 1
+        degree[b] += 1
+    v, e = len(degree), len(h.edges)
+    if len(components_reference(h)) == 1:
+        if e == v and all(d == 2 for d in degree.values()):
+            return f"cycle({v})"
+        if e == v - 1 and all(d <= 2 for d in degree.values()):
+            return f"path({v})"
+    return f"graph({v},{e})"

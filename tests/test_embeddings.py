@@ -86,6 +86,15 @@ class TestMaps:
         with pytest.raises(ValueError):
             apply_map(EmbeddingMap((0, 1), 2), "011")
 
+    @pytest.mark.parametrize(
+        "tokens, slots",
+        [((0, 0), 2), ((0,), 2), ((0, "2"), 1)],
+        ids=["repeated-slot", "missing-slot", "bad-constant"],
+    )
+    def test_invalid_map_refused(self, tokens, slots):
+        with pytest.raises(ValueError):
+            EmbeddingMap(tokens, slots)
+
 
 class TestDensity:
     def test_full_layer(self):

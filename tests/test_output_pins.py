@@ -1,16 +1,19 @@
-"""Byte-identity pins for the CLI's pattern outputs.
+"""Byte-identity pins for the CLI's pattern outputs and the demos.
 
 Each case runs one ``spcube`` command in process and compares the sha256
 of its stdout (and of its ``--out`` file, where it writes one) with a
 digest recorded before patterns were stored as masks.  The cases cover the
 places where string order matters: lines in 0 < 1 < * order, which is not
 the numeric order of the masks, and the lexicographically least witnesses
-of the extremal searches.
+of the extremal searches.  Each demo in ``demos/`` runs in process too,
+and the sha256 of its stdout is pinned.
 """
 
 from __future__ import annotations
 
 import hashlib
+import runpy
+from pathlib import Path
 
 import pytest
 
@@ -190,3 +193,26 @@ def test_output_pinned(case, tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     code = main(CASES[case])
     assert digest(code, capsys.readouterr().out, tmp_path) == DIGESTS[case]
+
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+# sha256 of each demo's stdout
+DEMO_DIGESTS = {
+    "01_tree_patterns.py": "98d8ae0ce57b6593c3877931e7a5c5c66e3dacb7bd6f79d7269f9b61d9842e7e",
+    "02_layer_operators.py": "a32c093936ad071bc7dfe5ef90a36bf2dbf36a916cb4cc0e0058c8766a8089f3",
+    "03_product_join.py": "58a062780044fb40553abf2d00e3159409e422be3da3ef52b310446c09234600",
+    "04_tables.py": "03ab8079ec265fd21fcb0340f9744bcb9a500554d78be6a0ec9e0dcd4755868f",
+    "05_f2_avoiding_sets.py": "ce878f879f36cc41ca16df420579f8ef1d274a561233411493030a57c5ed99e1",
+}
+
+
+def test_every_demo_is_pinned():
+    assert sorted(p.name for p in DEMOS.glob("*.py")) == sorted(DEMO_DIGESTS)
+
+
+@pytest.mark.parametrize("demo", sorted(DEMO_DIGESTS))
+def test_demo_output_pinned(demo, capsys):
+    capsys.readouterr()
+    runpy.run_path(str(DEMOS / demo), run_name="__main__")
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == DEMO_DIGESTS[demo]

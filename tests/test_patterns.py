@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from pattern_oracle import h_reference, psi_reference, y_reference
+from pattern_oracle import (
+    components_reference,
+    h_reference,
+    psi_reference,
+    shape_reference,
+    two_connected_reference,
+    y_reference,
+)
 from spcube import (
     EDGE,
     EdgePattern,
@@ -38,7 +45,7 @@ from spcube import (
 )
 from spcube import catalog
 from spcube.multigraph import _is_bridge
-from spcube.patterns import pg_components, pg_shape, sort_key
+from spcube.patterns import pg_components, pg_is_connected, pg_shape, sort_key
 from spcube.verify import (
     check_duality,
     check_g0_components,
@@ -261,6 +268,16 @@ class TestAgainstDefinitions:
                     checked += 1
         assert checked == 3569
 
+    def test_h_is_the_graph_of_y_on_census(self):
+        # when i is neither a loop nor a bridge, each tree of g/i has a
+        # Hamming-1 partner among the trees of g - i and vice versa
+        for d in range(1, 7):
+            for g in enumerate_connected_sp(d):
+                for i in _valid_edges(g):
+                    h = h_graph(g, i)
+                    assert all(len(c) > 1 for c in components_reference(h))
+                    assert h == pattern_graph_from_edge_pattern(y_pattern(g, i))
+
     def test_psi_on_random_patterns(self):
         rng = random.Random(4242)
         for _ in range(300):
@@ -269,6 +286,74 @@ class TestAgainstDefinitions:
             x = VertexPattern(a, b, frozenset(rng.sample(pool, rng.randint(0, len(pool)))))
             i = rng.randrange(a + b)
             assert psi(x, i) == psi_reference(x, i)
+
+
+def _random_pattern_graph(rng: random.Random) -> PatternGraph:
+    """Random parts of two consecutive layers and a random subset of the
+    Hamming-1 pairs between them, so isolated vertices are common."""
+    width = rng.randint(1, 6)
+    k = rng.randint(0, width - 1)
+    lower = [m for m in range(1 << width) if m.bit_count() == k and rng.random() < 0.6]
+    upper = [m for m in range(1 << width) if m.bit_count() == k + 1 and rng.random() < 0.6]
+    pairs = [(lo, hi) for lo in lower for hi in upper if lo & ~hi == 0]
+    edges = [p for p in pairs if rng.random() < 0.7]
+    return PatternGraph.from_masks(width, lower, upper, edges)
+
+
+def _cycle(m: int) -> PatternGraph:
+    """The 2m-cycle bit i - {i, i+1} - bit i+1 - ... around m coordinates."""
+    upper = [1 << i | 1 << (i + 1) % m for i in range(m)]
+    edges = [(1 << i, u) for u in upper for i in range(m) if u >> i & 1]
+    return PatternGraph.from_masks(m, [1 << i for i in range(m)], upper, edges)
+
+
+def _structure_cases() -> list[PatternGraph]:
+    rng = random.Random(1919)
+    cases = [_random_pattern_graph(rng) for _ in range(300)]
+    for _ in range(20):  # an empty lower part, upper masks of mixed weight
+        width = rng.randint(1, 5)
+        upper = rng.sample(range(1 << width), rng.randint(1, 1 << width))
+        cases.append(PatternGraph.from_masks(width, [], upper, []))
+    cases.append(PatternGraph.from_masks(3, [0b011], [], []))
+    cases.append(PatternGraph.from_masks(0, [], [], []))
+    for m in range(3, 8):
+        c = _cycle(m)
+        cases.append(c)
+        for cut in range(1, len(c.edges)):  # paths, some beside isolated vertices
+            cases.append(PatternGraph.from_masks(m, c.lower, c.upper, sorted(c.edges)[cut:]))
+    cases += [product_join(_cycle(m1), _cycle(m2)) for m1 in (3, 4, 5) for m2 in (3, 4)]
+    connected = [h for h in cases if h.edges and len(components_reference(h)) == 1]
+    for _ in range(40):
+        h1, h2 = rng.choice(connected), rng.choice(connected)
+        if h1.width + h2.width <= 10:
+            cases.append(product_join(h1, h2))
+    return cases
+
+
+class TestStructureAgainstUnionFind:
+    """pg_components, pg_is_connected, pg_is_two_connected and pg_shape
+    against the union-find definitions in pattern_oracle."""
+
+    def test_random_pattern_graphs(self):
+        shapes = set()
+        for h in _structure_cases():
+            comps = components_reference(h)
+            assert pg_components(h) == comps
+            assert pg_is_connected(h) == (len(comps) <= 1)
+            assert pg_is_two_connected(h) == two_connected_reference(h)
+            shape = pg_shape(h)
+            assert shape == shape_reference(h)
+            shapes.add(shape.split("(")[0])
+        assert shapes == {"cycle", "path", "graph"}
+
+    def test_census_pattern_graphs(self):
+        for d in range(1, 6):
+            for g in enumerate_connected_sp(d):
+                for i in _valid_edges(g):
+                    h = h_graph(g, i)
+                    assert pg_components(h) == components_reference(h)
+                    assert pg_is_two_connected(h) == two_connected_reference(h)
+                    assert pg_shape(h) == shape_reference(h)
 
 
 class TestProductJoin:
