@@ -60,12 +60,13 @@ from .verify import run_all
 __all__ = ["main"]
 
 # ``pattern x|y|h --graph`` builds strings from every spanning tree; at this
-# many trees ``pattern h`` takes about 7 s and 180 MB (``catalog.alon_graph``
+# many trees ``pattern h`` takes about 4.4 s and 180 MB (``catalog.alon_graph``
 # of classes 4, 4, 4, 4, 8, 8, 12 at edge 0; Python 3.11, shared 2-core x86
-# machine), and K_9 has 4.8 million.  Most of that time is the connectivity
-# and shape queries on H's 262,144 vertices and 454,656 edges: the trees and
-# ``h_graph`` take about 1.2 s.  ``tree_count``, which checks the guard,
-# refuses a graph whose irreducible core exceeds
+# machine), and K_9 has 4.8 million.  On ``alon_graph((8,) * 6)``, 196,608
+# trees, it takes about 3.2 s and 128 MB: ``h_graph`` about 0.7 s, then one
+# view of H (0.9 s) and one connectivity search (0.7 s) for ``connected``;
+# ``shape`` reads only H's vertex and edge counts.  ``tree_count``, which
+# checks the guard, refuses a graph whose irreducible core exceeds
 # ``multigraph.CORE_VERTEX_LIMIT`` vertices.
 PATTERN_TREE_LIMIT = 2**18
 # each tree's string has one character per edge, so the output grows as

@@ -99,20 +99,8 @@ class Multigraph:
         """Number of edge endpoints at v; a loop contributes 2."""
         return sum((u == v) + (w == v) for u, w in self.edges)
 
-    def adjacency(self) -> list[list[tuple[int, int]]]:
-        """Per-vertex list of (neighbor, edge index); loops appear once."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for i, (u, v) in enumerate(self.edges):
-            adj[u].append((v, i))
-            if u != v:
-                adj[v].append((u, i))
-        return adj
-
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        seen = _reach(self, 0, skip_edge=None)
-        return len(seen) == self.n
+        return not any(_components(self))
 
     def with_distinguished(self, i: int | None) -> "Multigraph":
         return Multigraph(self.n, self.edges, i)
@@ -123,21 +111,38 @@ def _ordered(pairs) -> tuple[tuple[int, int], ...]:
     return tuple((u, v) if u <= v else (v, u) for u, v in pairs)
 
 
-def _reach(g: Multigraph, start: int, skip_edge: int | None) -> set[int]:
-    """The vertices reachable from ``start`` without edge ``skip_edge``."""
+def _components(g: Multigraph, skip_edge: int | None = None) -> list[int]:
+    """Each vertex's component number without edge ``skip_edge``, from one
+    pass over the graph; components are numbered 0, 1, ... in order of
+    their least vertex."""
     nbrs: list[list[int]] = [[] for _ in range(g.n)]
     for i, (u, v) in enumerate(g.edges):
         if i != skip_edge:
             nbrs[u].append(v)
             nbrs[v].append(u)
-    seen = {start}
-    stack = [start]
-    while stack:
-        for u in nbrs[stack.pop()]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return seen
+    label = [-1] * g.n
+    count = 0
+    for start in range(g.n):
+        if label[start] < 0:
+            label[start] = count
+            stack = [start]
+            while stack:
+                for u in nbrs[stack.pop()]:
+                    if label[u] < 0:
+                        label[u] = count
+                        stack.append(u)
+            count += 1
+    return label
+
+
+def _groups(labels: list[int]) -> list[list[int]]:
+    """The indices of each label, for labels numbered in order of first index."""
+    out: list[list[int]] = []
+    for x, c in enumerate(labels):
+        if c == len(out):
+            out.append([])
+        out[c].append(x)
+    return out
 
 
 def check_marked_edge(g: Multigraph, i: int) -> None:
@@ -154,9 +159,8 @@ def check_marked_edge(g: Multigraph, i: int) -> None:
 
 def _is_bridge(g: Multigraph, i: int) -> bool:
     u, v = g.edges[i]
-    if u == v:
-        return False
-    return v not in _reach(g, u, skip_edge=i)
+    label = _components(g, skip_edge=i)
+    return label[u] != label[v]
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +285,8 @@ def _core(
 ) -> list[tuple[int, int, int]] | None:
     """The irreducible core that ``_sp_reduce`` left, as one (x, y, k) per
     object k, between core vertices x < y numbered by their place in
-    ``left``.  None when what is left of the graph is disconnected: then
-    so was the graph."""
+    ``left``.  None when the core's component labels show more than one
+    component: then the graph was disconnected too."""
     label = {v: x for x, v in enumerate(left)}
     core = [(label[v], label[u], k) for v in left for u, k in adj[v].items() if v < u]
     if not Multigraph.derived(len(left), tuple((x, y) for x, y, _ in core)).is_connected():
@@ -546,34 +550,55 @@ def blocks(g: Multigraph) -> list[Block]:
     Every edge index appears in exactly one block; isolated vertices
     appear in none.  Blocks are returned sorted by smallest edge index.
     """
-    adj = g.adjacency()
-    groups: list[list[int]] = [[i] for i, (u, v) in enumerate(g.edges) if u == v]
+    out = []
+    for idxs in _groups(_block_labels(g)):
+        verts = sorted({w for i in idxs for w in g.edges[i]})
+        vmap = {w: x for x, w in enumerate(verts)}  # keeps each pair ordered
+        sub = Multigraph.derived(
+            len(verts), tuple((vmap[u], vmap[v]) for u, v in (g.edges[i] for i in idxs))
+        )
+        out.append(Block(sub, tuple(idxs), tuple(verts)))
+    return out
 
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    timer = [0]
+
+def _block_labels(g: Multigraph) -> list[int]:
+    """Each edge's block number, blocks numbered 0, 1, ... in order of
+    their least edge; a loop is a block of its own.  One iterative lowpoint
+    search (Hopcroft and Tarjan, Comm. ACM 1973): an edge enters a stack
+    when first crossed, a tree edge going down and a back edge from below,
+    and a child c of p that finishes with ``low[c] >= disc[p]`` closes the
+    block of the stacked edges down to the tree edge p-c."""
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    label = [-1] * g.e
+    count = 0
+    for i, (u, v) in enumerate(g.edges):
+        if u == v:
+            label[i] = count
+            count += 1
+        else:
+            nbrs[u].append((v, i))
+            nbrs[v].append((u, i))
+    disc = [-1] * g.n
+    low = [0] * g.n
     stack: list[int] = []
-    seen_edges: set[int] = set()
-
-    def dfs(root: int) -> None:
-        # iterative DFS over (vertex, adjacency cursor, entering edge)
-        frames = [(root, 0, -1)]
-        disc[root] = low[root] = timer[0]
-        timer[0] += 1
+    clock = 0
+    for root in range(g.n):
+        if disc[root] >= 0:
+            continue
+        disc[root] = low[root] = clock
+        clock += 1
+        frames = [(root, -1, iter(nbrs[root]))]  # (vertex, entering edge, cursor)
         while frames:
-            v, ptr, in_edge = frames[-1]
-            if ptr < len(adj[v]):
-                frames[-1] = (v, ptr + 1, in_edge)
-                u, ei = adj[v][ptr]
-                if u == v or ei == in_edge or ei in seen_edges:
-                    continue
-                seen_edges.add(ei)
-                stack.append(ei)
-                if u not in disc:
-                    disc[u] = low[u] = timer[0]
-                    timer[0] += 1
-                    frames.append((u, 0, ei))
-                else:
+            v, in_edge, cursor = frames[-1]
+            for u, i in cursor:
+                if disc[u] < 0:
+                    stack.append(i)
+                    disc[u] = low[u] = clock
+                    clock += 1
+                    frames.append((u, i, iter(nbrs[u])))
+                    break
+                if disc[u] < disc[v] and i != in_edge:  # a parallel copy of in_edge is a back edge
+                    stack.append(i)
                     low[v] = min(low[v], disc[u])
             else:
                 frames.pop()
@@ -581,29 +606,14 @@ def blocks(g: Multigraph) -> list[Block]:
                     p = frames[-1][0]
                     low[p] = min(low[p], low[v])
                     if low[v] >= disc[p]:
-                        grp = []
                         while True:
-                            ei = stack.pop()
-                            grp.append(ei)
-                            if ei == in_edge:
+                            j = stack.pop()
+                            label[j] = count
+                            if j == in_edge:
                                 break
-                        groups.append(grp)
-
-    for r in range(g.n):
-        if r not in disc and adj[r]:
-            dfs(r)
-
-    out = []
-    for grp in groups:
-        idxs = tuple(sorted(grp))
-        verts = sorted({w for i in idxs for w in g.edges[i]})
-        vmap = {w: x for x, w in enumerate(verts)}  # keeps each pair ordered
-        sub = Multigraph.derived(
-            len(verts), tuple((vmap[u], vmap[v]) for u, v in (g.edges[i] for i in idxs))
-        )
-        out.append(Block(sub, idxs, tuple(verts)))
-    out.sort(key=lambda b: b.edge_indices[0])
-    return out
+                        count += 1
+    first: dict[int, int] = {}
+    return [first.setdefault(c, len(first)) for c in label]
 
 
 # ---------------------------------------------------------------------------
@@ -667,21 +677,12 @@ def _k4_rec(adj: dict[int, frozenset[int]]) -> bool:
 
 
 def is_two_connected(g: Multigraph) -> bool:
-    """At least two edges, no loops, and every single-vertex deletion stays connected."""
-    if g.e < 2 or any(u == v for u, v in g.edges):
+    """At least two edges, no loops, connected, and a single block, so that
+    no vertex deletion disconnects it (``verify._two_connected_by_deletion``
+    tests that definition, vertex by vertex, as the oracle)."""
+    if g.e < 2 or any(u == v for u, v in g.edges) or not g.is_connected():
         return False
-    if not g.is_connected():
-        return False
-    for v in range(g.n):
-        keep = [w for w in range(g.n) if w != v]
-        vmap = {w: x for x, w in enumerate(keep)}  # keeps each pair ordered
-        sub = Multigraph.derived(
-            len(keep),
-            tuple((vmap[a], vmap[b]) for a, b in g.edges if a != v and b != v),
-        )
-        if not sub.is_connected():
-            return False
-    return True
+    return not any(_block_labels(g))
 
 
 # ---------------------------------------------------------------------------

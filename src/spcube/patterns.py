@@ -39,7 +39,8 @@ from math import comb
 from . import catalog
 from .errors import SizeGuardError
 from .multigraph import (
-    Multigraph, _load_json, _reach, check_marked_edge, is_two_connected, spanning_trees
+    Multigraph, _components, _groups, _load_json, check_marked_edge, is_two_connected,
+    spanning_trees,
 )
 
 __all__ = [
@@ -524,14 +525,7 @@ def _view(h: PatternGraph) -> tuple[list[int], Multigraph]:
 def pg_components(h: PatternGraph) -> list[set[int]]:
     """The vertex sets of the components, in order of their least mask."""
     masks, g = _view(h)
-    seen: set[int] = set()
-    comps = []
-    for start in range(g.n):
-        if start not in seen:
-            comp = _reach(g, start, skip_edge=None)
-            seen |= comp
-            comps.append({masks[x] for x in comp})
-    return comps
+    return [{masks[x] for x in grp} for grp in _groups(_components(g))]
 
 
 def pg_is_connected(h: PatternGraph) -> bool:
@@ -544,16 +538,16 @@ def pg_is_two_connected(h: PatternGraph) -> bool:
 
 
 def pg_shape(h: PatternGraph) -> str:
-    """Coarse shape report: 'cycle(n)', 'path(n)', or 'graph(v,e)'."""
-    g = _view(h)[1]
-    v, e = g.n, g.e
-    if v and g.is_connected():
-        ends = Counter(chain.from_iterable(g.edges))  # H has no loops and no parallel edges
-        degs = sorted(ends[x] for x in range(v))
-        if e == v and degs[0] == 2 and degs[-1] == 2:
-            return f"cycle({v})"
-        if e == v - 1 and (v == 1 or (degs[:2] == [1, 1] and degs[-1] <= 2)):
-            return f"path({v})"
+    """Coarse shape report: 'cycle(n)', 'path(n)', or 'graph(v,e)'.  H is
+    viewed and searched only when its counts and degrees fit a path or a cycle."""
+    v, e = len(h.lower) + len(h.upper), len(h.edges)  # parts in different layers
+    if v and e in (v - 1, v):
+        ends = Counter(chain.from_iterable(h.edges))  # H has no loops and no parallel edges
+        # with no isolated vertex and no degree above 2, the degree sum 2e
+        # leaves two vertices of degree 1 when e = v - 1 and none when e = v
+        fits = (len(ends) == v or v == 1) and max(ends.values(), default=0) <= 2
+        if fits and _view(h)[1].is_connected():
+            return f"{'path' if e < v else 'cycle'}({v})"
     return f"graph({v},{e})"
 
 

@@ -190,8 +190,25 @@ def check_sp_closure(max_edges: int = 5) -> list[str]:
     return bad
 
 
+def _two_connected_by_deletion(g: Multigraph) -> bool:
+    """Oracle for ``is_two_connected``, by its definition: at least two
+    edges, no loops, connected, and still connected after any one vertex
+    is deleted, with no block search."""
+    if g.e < 2 or any(u == v for u, v in g.edges) or not g.is_connected():
+        return False
+    return all(
+        Multigraph.derived(
+            g.n - 1,
+            tuple((a - (a > v), b - (b > v)) for a, b in g.edges if v != a and v != b),
+        ).is_connected()
+        for v in range(g.n)
+    )
+
+
 def check_blocks_partition(max_edges: int = 6) -> list[str]:
-    """Blocks partition the edge set; bridges and loops are singleton blocks."""
+    """Blocks partition the edge set; bridges and loops are singleton
+    blocks; each block's edges map back to the parent's through its
+    vertex ids."""
     bad = []
     for d in range(1, max_edges + 1):
         for g in enumerate_connected_sp(d):
@@ -200,8 +217,12 @@ def check_blocks_partition(max_edges: int = 6) -> list[str]:
             if sorted(seen) != list(range(g.e)):
                 bad.append(f"blocks do not partition the edges of {g}")
             for b in bs:
-                if b.graph.e > 1 and not is_two_connected(b.graph):
+                if b.graph.e > 1 and not _two_connected_by_deletion(b.graph):
                     bad.append(f"multi-edge block of {g} is not 2-connected")
+                ids = b.vertex_ids
+                back = [(ids[x], ids[y]) for x, y in b.graph.edges]
+                if back != [g.edges[i] for i in b.edge_indices]:
+                    bad.append(f"a block of {g} does not map back to its edges")
     return bad
 
 

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from block_oracle import blocks_by_cycles
 from iso_oracle import backtrack_isomorphic
 from tree_oracle import whole_graph_trees
 from spcube import (
@@ -39,6 +40,7 @@ from spcube.verify import (
     _kirchhoff_count,
     _redundant_terms,
     _trees_by_subsets,
+    _two_connected_by_deletion,
     check_blocks_partition,
     check_deletion_contraction,
     check_sp_closure,
@@ -319,6 +321,34 @@ class TestBlocks:
         bs = blocks(g)
         assert len(bs) == 2
         assert any(b.graph.edges == ((0, 0),) for b in bs)
+
+    def test_against_cycle_union_oracle(self):
+        """``blocks`` against the union of every cycle's edges, and
+        ``is_two_connected`` against vertex deletion, on seeded random
+        multigraphs with loops, parallel edges, isolated vertices and
+        several components, on K4 and on the wheel W5."""
+        rng = random.Random(7)
+        wheel = [(0, i) for i in range(1, 5)] + [(i, i % 4 + 1) for i in range(1, 5)]
+        graphs = [catalog.k4_x16(), Multigraph(5, wheel)]
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 8))]
+            graphs.append(Multigraph(n, pairs))
+        for _ in range(300):  # no loops and more edges, so more of them 2-connected
+            n = rng.randint(2, 5)
+            graphs.append(Multigraph(n, [rng.sample(range(n), 2) for _ in range(rng.randint(n, 8))]))
+        two_connected = 0
+        for g in graphs:
+            bs = blocks(g)
+            assert [b.edge_indices for b in bs] == blocks_by_cycles(g), g
+            for b in bs:
+                ids = b.vertex_ids
+                back = [(ids[x], ids[y]) for x, y in b.graph.edges]
+                assert back == [g.edges[i] for i in b.edge_indices], g
+            assert is_two_connected(g) == _two_connected_by_deletion(g), g
+            two_connected += is_two_connected(g)
+        assert is_two_connected(graphs[0]) and is_two_connected(graphs[1])
+        assert two_connected > 50
 
 
 class TestSeriesParallel:

@@ -43,7 +43,7 @@ from spcube import (
     y_k4_pattern,
     y_pattern,
 )
-from spcube import catalog
+from spcube import catalog, multigraph, patterns
 from spcube.multigraph import _is_bridge
 from spcube.patterns import pg_components, pg_is_connected, pg_shape, sort_key
 from spcube.verify import (
@@ -345,6 +345,25 @@ class TestStructureAgainstUnionFind:
             assert shape == shape_reference(h)
             shapes.add(shape.split("(")[0])
         assert shapes == {"cycle", "path", "graph"}
+
+    def test_components_in_one_pass(self, monkeypatch):
+        """pg_components labels all of H in one search, however many
+        components H has."""
+        calls = []
+        search = multigraph._components
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(multigraph, "_components", counted)
+        monkeypatch.setattr(patterns, "_components", counted)
+        lower = [1 << j for j in range(50)]
+        edges = [(lo, lo | 1 << 50) for lo in lower]  # 50 disjoint edges
+        h = PatternGraph.from_masks(51, lower, [hi for _, hi in edges], edges)
+        comps = pg_components(h)
+        assert len(calls) == 1
+        assert len(comps) == 50 and comps == components_reference(h)
 
     def test_census_pattern_graphs(self):
         for d in range(1, 6):
