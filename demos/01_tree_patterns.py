@@ -32,13 +32,14 @@ def main():
 
     h = h_graph(g, 4)
     print(f"\nas a bipartite graph: {pg_shape(h)}")
-    # the graph holds masks (bit j = coordinate j); walk it by their strings
-    name = {v: format_string(v, h.width) for v in h.lower | h.upper}
-    adj = {s: set() for s in name.values()}
-    for lo, hi in h.edges:
-        adj[name[lo]].add(name[hi])
-        adj[name[hi]].add(name[lo])
-    walk = [min(name[v] for v in h.lower)]
+    # the graph numbers its vertices, the lower masks first (bit j =
+    # coordinate j), and its edges are pairs of numbers; walk it by strings
+    name = [format_string(m, h.width) for m in h.lower + h.upper]
+    adj = {s: set() for s in name}
+    for x, y in h.edges:
+        adj[name[x]].add(name[y])
+        adj[name[y]].add(name[x])
+    walk = [min(name[: len(h.lower)])]
     prev = None
     for _ in range(len(adj)):
         nxt = sorted(v for v in adj[walk[-1]] if v != prev)[0]

@@ -60,14 +60,14 @@ from .verify import run_all
 __all__ = ["main"]
 
 # ``pattern x|y|h --graph`` builds strings from every spanning tree; at this
-# many trees ``pattern h`` takes about 4.4 s and 180 MB (``catalog.alon_graph``
-# of classes 4, 4, 4, 4, 8, 8, 12 at edge 0; Python 3.11, shared 2-core x86
+# many trees ``pattern h --out`` takes 3.4-5.9 s and 258 MB (``alon_graph`` of
+# classes 4, 4, 4, 4, 8, 8, 12 at edge 0; Python 3.11, shared 2-core x86
 # machine), and K_9 has 4.8 million.  On ``alon_graph((8,) * 6)``, 196,608
-# trees, it takes about 3.2 s and 128 MB: ``h_graph`` about 0.7 s, then one
-# view of H (0.9 s) and one connectivity search (0.7 s) for ``connected``;
-# ``shape`` reads only H's vertex and edge counts.  ``tree_count``, which
-# checks the guard, refuses a graph whose irreducible core exceeds
-# ``multigraph.CORE_VERTEX_LIMIT`` vertices.
+# trees: ``h_graph`` 0.8-1.1 s, a search on H's edges for ``connected``
+# 0.2-0.35 s and ``pg_to_json`` 1.3-2.0 s.  At 2^19 trees (``alon_graph((2,)
+# * 16)``) it takes 7.0-11.4 s and 380 MB, half again the memory used here,
+# so the guard stays.  ``tree_count``, which checks the guard, refuses a graph
+# whose irreducible core exceeds ``multigraph.CORE_VERTEX_LIMIT`` vertices.
 PATTERN_TREE_LIMIT = 2**18
 # each tree's string has one character per edge, so the output grows as
 # trees x edges: 2,048 parallel edges between two vertices write 4.2 MB.

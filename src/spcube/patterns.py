@@ -8,8 +8,8 @@ L'(a,b).  Coordinate i is edge i of the originating graph.
 Patterns are stored as ints.  A vertex is a mask, bit j = coordinate j,
 the convention of the tree masks it comes from; an edge is a (lower mask,
 star) pair, its lower endpoint and the coordinate it climbs, whose bit is
-clear in the mask.  A pattern graph holds its two parts as masks and its
-edges as (lower, upper) mask pairs.
+clear in the mask.  A pattern graph holds its two parts as sorted masks
+and its edges as pairs of vertex numbers, the lower part numbered first.
 
 Strings exist only at the I/O boundary.  A vertex is written as a 0/1
 string whose character j is coordinate j, an edge as its lower endpoint
@@ -30,10 +30,9 @@ lives in ``multigraph._compose_tf``.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import chain, combinations, product
+from itertools import combinations, product
 from math import comb
 
 from . import catalog
@@ -296,8 +295,10 @@ class EdgePattern:
 class PatternGraph:
     """Bipartite graph between two consecutive layers of the width-cube,
     with edges only at Hamming distance 1 (an induced-subgraph-of-the-cube
-    shape): ``lower`` and ``upper`` are masks, ``edges`` (lower, upper)
-    mask pairs.
+    shape).  ``lower`` and ``upper`` are increasing tuples of masks, and
+    ``edges`` the increasing pairs (x, y) of vertex numbers, x for ``lower[x]``
+    and y for ``upper[y - len(lower)]``: H is ``Multigraph.derived(len(lower)
+    + len(upper), edges)``, and graphs with the same vertices and edges are equal.
 
     ``PatternGraph(lower, upper, edges)`` reads 0/1 strings, all of one
     length, the public boundary, and checks them; code that has masks
@@ -305,52 +306,44 @@ class PatternGraph:
     """
 
     width: int
-    lower: frozenset[int]
-    upper: frozenset[int]
-    edges: frozenset[tuple[int, int]]
+    lower: tuple[int, ...]
+    upper: tuple[int, ...]
+    edges: tuple[tuple[int, int], ...]
 
     def __init__(self, lower: Iterable[str], upper: Iterable[str], edges: Iterable[tuple[str, str]]):
-        lower, upper = list(lower), list(upper)
-        width = len(min(lower + upper, default=""))
-        mask = {}
-        for s in lower + upper:
-            try:
-                mask[s] = parse_string(s, width)
-            except ValueError:
-                raise ValueError(
-                    f"pattern-graph string {s!r} is not a 0/1 string of length {width}"
-                ) from None
-        pairs = []
-        for lo, hi in edges:
-            if lo not in mask or hi not in mask:
-                raise ValueError(f"edge ({lo},{hi}) has an endpoint outside the parts")
-            pairs.append((mask[lo], mask[hi]))
-        lower, upper = frozenset(map(mask.get, lower)), frozenset(map(mask.get, upper))
-        edges = frozenset(pairs)
-        if lower:
-            w = next(iter(lower)).bit_count()
-            if any(m.bit_count() != w for m in lower):
-                raise ValueError("lower part must sit in a single layer")
-            if any(m.bit_count() != w + 1 for m in upper):
-                raise ValueError("upper part must sit one layer above the lower part")
+        # sets in input order, so that an error names the first bad string
+        lower, upper = dict.fromkeys(lower), dict.fromkeys(upper)
+        width = len(min(lower | upper, default=""))
+        try:
+            mask = {s: parse_string(s, width) for s in lower | upper}
+        except ValueError as e:
+            raise ValueError(f"pattern-graph string {e}") from None
+        pairs = set()
         for lo, hi in edges:
             if lo not in lower or hi not in upper:
-                raise ValueError(f"edge {(lo, hi)} has an endpoint outside the parts")
-            if lo & ~hi or (hi ^ lo).bit_count() != 1:
-                raise ValueError(
-                    f"{format_string(lo, width)!r}/{format_string(hi, width)!r} is not an upward "
-                    "Hamming-1 pair"
-                )
-        _fill(self, width=width, lower=lower, upper=upper, edges=edges)
+                raise ValueError(f"edge ({lo},{hi}) has an endpoint outside the parts")
+            if mask[lo] & ~mask[hi] or (mask[hi] ^ mask[lo]).bit_count() != 1:
+                raise ValueError(f"{lo!r}/{hi!r} is not an upward Hamming-1 pair")
+            pairs.add((mask[lo], mask[hi]))
+        low, up = ({mask[s].bit_count() for s in part} for part in (lower, upper))
+        if len(low) > 1 or len(up) > 1:
+            raise ValueError("each part must sit in a single layer")
+        if low and up and up != {w + 1 for w in low}:
+            raise ValueError("upper part must sit one layer above the lower part")
+        h = PatternGraph.from_masks(width, map(mask.get, lower), map(mask.get, upper), pairs)
+        _fill(self, width=width, lower=h.lower, upper=h.upper, edges=h.edges)
 
     @classmethod
     def from_masks(
         cls, width: int, lower: Iterable[int], upper: Iterable[int], edges: Iterable[tuple[int, int]]
     ) -> PatternGraph:
-        """The pattern graph of these masks and (lower, upper) pairs,
-        trusted to form one: nothing is checked."""
+        """The pattern graph of distinct masks and distinct (lower, upper)
+        mask pairs, trusted to form one: nothing is checked."""
+        lower, upper = sorted(lower), sorted(upper)
+        place = {m: x for x, m in enumerate(lower + upper)}
+        edges = sorted((place[lo], place[hi]) for lo, hi in edges)
         h = object.__new__(cls)
-        _fill(h, width=width, lower=frozenset(lower), upper=frozenset(upper), edges=frozenset(edges))
+        _fill(h, width=width, lower=tuple(lower), upper=tuple(upper), edges=tuple(edges))
         return h
 
 
@@ -488,8 +481,9 @@ def product_join(h1: PatternGraph, h2: PatternGraph) -> PatternGraph:
     lower = [l1 | l2 << w for l1 in h1.lower for l2 in h2.lower]
     upper = [l1 | u2 << w for l1 in h1.lower for u2 in h2.upper]
     upper += [u1 | l2 << w for u1 in h1.upper for l2 in h2.lower]
-    edges = [(l1 | lo2 << w, l1 | hi2 << w) for l1 in h1.lower for lo2, hi2 in h2.edges]
-    edges += [(lo1 | l2 << w, hi1 | l2 << w) for lo1, hi1 in h1.edges for l2 in h2.lower]
+    v1, v2 = h1.lower + h1.upper, h2.lower + h2.upper  # masks by vertex number
+    edges = [(l1 | v2[x] << w, l1 | v2[y] << w) for l1 in h1.lower for x, y in h2.edges]
+    edges += [(v1[x] | l2 << w, v1[y] | l2 << w) for x, y in h1.edges for l2 in h2.lower]
     return PatternGraph.from_masks(w + h2.width, lower, upper, edges)
 
 
@@ -497,14 +491,15 @@ def pattern_graph_from_edge_pattern(y: EdgePattern) -> PatternGraph:
     """The graph spanned by an edge pattern (no isolated vertices)."""
     edges = [(lower, lower | 1 << star) for lower, star in y.pairs]
     return PatternGraph.from_masks(
-        y.a + y.b + 1, (lo for lo, _ in edges), (hi for _, hi in edges), edges
+        y.a + y.b + 1, {lo for lo, _ in edges}, {hi for _, hi in edges}, edges
     )
 
 
 def edge_pattern_from_pattern_graph(h: PatternGraph) -> EdgePattern:
     if not h.edges:
         raise ValueError("pattern graph has no edges")
-    pairs = [(lo, (hi ^ lo).bit_length() - 1) for lo, hi in h.edges]
+    v = h.lower + h.upper  # masks by vertex number
+    pairs = [(v[x], (v[y] ^ v[x]).bit_length() - 1) for x, y in h.edges]
     ones = pairs[0][0].bit_count()
     return EdgePattern.from_pairs(h.width - 1 - ones, ones, pairs)
 
@@ -513,40 +508,36 @@ def edge_pattern_from_pattern_graph(h: PatternGraph) -> EdgePattern:
 # pattern-graph structure helpers
 
 
-def _view(h: PatternGraph) -> tuple[list[int], Multigraph]:
-    """H's vertex masks in increasing order, and H as a ``Multigraph`` on
-    their places in that list.  A lower mask is a proper subset of its
-    upper end, so it comes first and every edge is already ordered."""
-    masks = sorted(h.lower | h.upper)
-    place = {m: x for x, m in enumerate(masks)}
-    return masks, Multigraph.derived(len(masks), tuple((place[lo], place[hi]) for lo, hi in h.edges))
-
-
 def pg_components(h: PatternGraph) -> list[set[int]]:
     """The vertex sets of the components, in order of their least mask."""
-    masks, g = _view(h)
-    return [{masks[x] for x in grp} for grp in _groups(_components(g))]
+    v = h.lower + h.upper  # masks by vertex number
+    groups = _groups(_components(Multigraph.derived(len(v), h.edges)))
+    # the lower part is numbered first, which is not mask order
+    return sorted(({v[x] for x in grp} for grp in groups), key=min)
 
 
 def pg_is_connected(h: PatternGraph) -> bool:
-    return _view(h)[1].is_connected()
+    return Multigraph.derived(len(h.lower) + len(h.upper), h.edges).is_connected()
 
 
 def pg_is_two_connected(h: PatternGraph) -> bool:
     """Graph 2-connectivity: >= 2 edges and no cut vertex (loops cannot occur)."""
-    return is_two_connected(_view(h)[1])
+    return is_two_connected(Multigraph.derived(len(h.lower) + len(h.upper), h.edges))
 
 
 def pg_shape(h: PatternGraph) -> str:
     """Coarse shape report: 'cycle(n)', 'path(n)', or 'graph(v,e)'.  H is
-    viewed and searched only when its counts and degrees fit a path or a cycle."""
-    v, e = len(h.lower) + len(h.upper), len(h.edges)  # parts in different layers
+    searched only when its counts and degrees fit a path or a cycle."""
+    v, e = len(h.lower) + len(h.upper), len(h.edges)
     if v and e in (v - 1, v):
-        ends = Counter(chain.from_iterable(h.edges))  # H has no loops and no parallel edges
+        degree = [0] * v  # H has no loops and no parallel edges
+        for x, y in h.edges:
+            degree[x] += 1
+            degree[y] += 1
         # with no isolated vertex and no degree above 2, the degree sum 2e
         # leaves two vertices of degree 1 when e = v - 1 and none when e = v
-        fits = (len(ends) == v or v == 1) and max(ends.values(), default=0) <= 2
-        if fits and _view(h)[1].is_connected():
+        fits = (min(degree) or v == 1) and max(degree) <= 2
+        if fits and pg_is_connected(h):
             return f"{'path' if e < v else 'cycle'}({v})"
     return f"graph({v},{e})"
 
@@ -556,13 +547,22 @@ def pg_to_json(h: PatternGraph) -> str:
     strings and ``edges`` a list of [lower, upper] string pairs, sorted."""
     import json
 
-    name = {m: format_string(m, h.width) for m in h.lower | h.upper}
+    names = [format_string(m, h.width) for m in h.lower + h.upper]
+    # strings sort in code-point order, not mask order: rank[x] is vertex x's
+    # place among them, and edge (x, y) sorts as the int rank[x] * n + rank[y]
+    n = len(names)
+    rank = [0] * n
+    for r, x in enumerate(sorted(range(n), key=names.__getitem__)):
+        rank[x] = r
+    names.sort()
     return json.dumps(
         {
-            # 0/1 strings: the order 0 < 1 is code-point order
-            "lower": sorted(name[m] for m in h.lower),
-            "upper": sorted(name[m] for m in h.upper),
-            "edges": sorted([name[lo], name[hi]] for lo, hi in h.edges),
+            "lower": [names[r] for r in sorted(rank[: len(h.lower)])],
+            "upper": [names[r] for r in sorted(rank[len(h.lower) :])],
+            "edges": [
+                [names[p // n], names[p % n]]
+                for p in sorted(rank[x] * n + rank[y] for x, y in h.edges)
+            ],
         }
     )
 

@@ -11,15 +11,20 @@ string constructors) only, so none of this shares code with the mask
 kernels and the two can check each other.
 
 The pattern-graph structure helpers are checked by union-find over a
-graph's ``edges`` field, where the kernels run ``multigraph``'s search.
+graph's edges, where the kernels run ``multigraph``'s search.  A graph
+numbers its vertices, the lower part first; ``_mask_edges`` reads the
+numbers back as masks, so these checks, the string forms and the JSON
+reference work on masks and strings and never on the numbering.
 """
 
 from __future__ import annotations
 
+import json
+
 from spcube import EdgePattern, Multigraph, PatternGraph, VertexPattern
 from spcube.multigraph import contract, delete_edge
 from spcube.operators import DUP
-from spcube.patterns import format_string, x_pattern
+from spcube.patterns import x_pattern
 
 
 def _pairs(lower: set[str], upper: set[str]) -> list[tuple[str, str, str]]:
@@ -110,14 +115,29 @@ def phi_reference(y: EdgePattern) -> VertexPattern:
     return VertexPattern(y.a + 1, y.b + 1, strings)
 
 
+def _mask_edges(h: PatternGraph) -> set[tuple[int, int]]:
+    """H's edges as (lower mask, upper mask) pairs: vertex x is lower[x],
+    and vertex len(lower) + j is upper[j]."""
+    vertices = list(h.lower) + list(h.upper)
+    return {(vertices[x], vertices[y]) for x, y in h.edges}
+
+
 def _graph_strings(h: PatternGraph):
-    def name(m: int) -> str:
-        return format_string(m, h.width)
+    def name(m: int) -> str:  # character j is bit j
+        return "".join("1" if m >> j & 1 else "0" for j in range(h.width))
 
     lower = {name(m) for m in h.lower}
     upper = {name(m) for m in h.upper}
-    edges = {(name(lo), name(hi)) for lo, hi in h.edges}
+    edges = {(name(lo), name(hi)) for lo, hi in _mask_edges(h)}
     return lower, upper, edges
+
+
+def json_reference(h: PatternGraph) -> str:
+    """The pattern-graph JSON: every list sorted as strings."""
+    lower, upper, edges = _graph_strings(h)
+    return json.dumps(
+        {"lower": sorted(lower), "upper": sorted(upper), "edges": sorted(map(list, edges))}
+    )
 
 
 def product_join_reference(h1: PatternGraph, h2: PatternGraph) -> PatternGraph:
@@ -169,17 +189,17 @@ def _union_find_components(vertices, edges) -> list[set[int]]:
 
 
 def components_reference(h: PatternGraph) -> list[set[int]]:
-    return _union_find_components(h.lower | h.upper, h.edges)
+    return _union_find_components(set(h.lower) | set(h.upper), _mask_edges(h))
 
 
 def two_connected_reference(h: PatternGraph) -> bool:
     """At least two edges, connected, and connected after any one vertex
     is deleted (a pattern graph has no loops)."""
-    vertices = h.lower | h.upper
-    if len(h.edges) < 2 or len(components_reference(h)) != 1:
+    vertices, edges = set(h.lower) | set(h.upper), _mask_edges(h)
+    if len(edges) < 2 or len(components_reference(h)) != 1:
         return False
     for v in vertices:
-        rest = [(a, b) for a, b in h.edges if v not in (a, b)]
+        rest = [(a, b) for a, b in edges if v not in (a, b)]
         if len(_union_find_components(vertices - {v}, rest)) > 1:
             return False
     return True
@@ -188,11 +208,12 @@ def two_connected_reference(h: PatternGraph) -> bool:
 def shape_reference(h: PatternGraph) -> str:
     """A connected graph with every degree 2 and as many edges as
     vertices is a cycle; a tree with every degree at most 2 is a path."""
-    degree = {v: 0 for v in h.lower | h.upper}
-    for a, b in h.edges:
+    degree = {v: 0 for v in set(h.lower) | set(h.upper)}
+    edges = _mask_edges(h)
+    for a, b in edges:
         degree[a] += 1
         degree[b] += 1
-    v, e = len(degree), len(h.edges)
+    v, e = len(degree), len(edges)
     if len(components_reference(h)) == 1:
         if e == v and all(d == 2 for d in degree.values()):
             return f"cycle({v})"

@@ -146,12 +146,17 @@ def _assert_valid(p) -> None:
     """The invariants the string constructors check, on an object that a
     mask constructor built without checking."""
     if isinstance(p, PatternGraph):
-        assert all(0 <= m < 1 << p.width for m in p.lower | p.upper)
+        for part in (p.lower, p.upper):  # strictly increasing masks
+            assert all(m < n for m, n in zip(part, part[1:]))
+            assert all(0 <= m < 1 << p.width for m in part)
         weights = {m.bit_count() for m in p.lower}
         assert len(weights) <= 1  # the lower part is one layer
         assert all(m.bit_count() == w + 1 for w in weights for m in p.upper)
-        for lo, hi in p.edges:
-            assert lo in p.lower and hi in p.upper
+        low = len(p.lower)
+        assert all(e < f for e, f in zip(p.edges, p.edges[1:]))  # canonical order
+        for x, y in p.edges:  # lower vertices first, then upper ones
+            assert 0 <= x < low <= y < low + len(p.upper)
+            lo, hi = p.lower[x], p.upper[y - low]
             assert lo & ~hi == 0 and (hi ^ lo).bit_count() == 1  # upward Hamming-1
         return
     assert p.a >= 0 and p.b >= 0
