@@ -60,10 +60,10 @@ from .verify import run_all
 __all__ = ["main"]
 
 # ``pattern x|y|h --graph`` builds strings from every spanning tree; at this
-# many trees ``pattern h --out`` takes 3.4-5.9 s and 258 MB (``alon_graph`` of
-# classes 4, 4, 4, 4, 8, 8, 12 at edge 0; Python 3.11, shared 2-core x86
+# many trees ``pattern h --out`` takes 3.1-4.8 s and 257-258 MB (``alon_graph``
+# of classes 4, 4, 4, 4, 8, 8, 12 at edge 0; Python 3.11, shared 2-core x86
 # machine), and K_9 has 4.8 million.  On ``alon_graph((8,) * 6)``, 196,608
-# trees: ``h_graph`` 0.8-1.1 s, a search on H's edges for ``connected``
+# trees: ``h_graph`` 0.6-0.8 s, a search on H's edges for ``connected``
 # 0.2-0.35 s and ``pg_to_json`` 1.3-2.0 s.  At 2^19 trees (``alon_graph((2,)
 # * 16)``) it takes 7.0-11.4 s and 380 MB, half again the memory used here,
 # so the guard stays.  ``tree_count``, which checks the guard, refuses a graph

@@ -203,14 +203,21 @@ def _philox_words(count: int, seed: int) -> list[int]:
     return words
 
 
+def _check_layer(a: int, b: int, starred: bool) -> None:
+    """The layer checks of an f2 set, made before any vector is drawn."""
+    if a < 0 or b < 0:
+        raise ValueError("layer parameters must be nonnegative")
+    if layer_size(a, b, starred) > F2_LAYER_LIMIT:
+        if starred:
+            raise SizeGuardError("starred layer too large to materialize")
+        raise SizeGuardError("layer too large to materialize; use f2_vertex_density")
+
+
 def f2_vertex_set_from_vectors(a: int, b: int, vectors: list[int]) -> VertexPattern:
     """Strings of L(a,b) whose 1-positions index a basis of GF(2)^b."""
     if len(vectors) != a + b:
         raise ValueError(f"need {a + b} vectors, got {len(vectors)}")
-    if a < 0 or b < 0:
-        raise ValueError("layer parameters must be nonnegative")
-    if layer_size(a, b) > F2_LAYER_LIMIT:
-        raise SizeGuardError("layer too large to materialize; use f2_vertex_density")
+    _check_layer(a, b, False)
     masks: list[int] = []
     _bases(vectors, b, masks)
     return VertexPattern.from_masks(a, b, masks)
@@ -220,6 +227,7 @@ def f2_vertex_set(a: int, b: int, seed: int) -> VertexPattern:
     """Seeded basis-selected subset of L(a,b); deterministic given the seed."""
     if b < 1:
         raise ValueError("b must be at least 1")
+    _check_layer(a, b, False)
     return f2_vertex_set_from_vectors(a, b, random_vectors(a + b, b, seed))
 
 
@@ -248,10 +256,7 @@ def f2_edge_set_from_vectors(a: int, b: int, vectors: list[int]) -> EdgePattern:
     n = a + b + 1
     if len(vectors) != n + 1:
         raise ValueError(f"need {n + 1} vectors, got {len(vectors)}")
-    if a < 0 or b < 0:
-        raise ValueError("layer parameters must be nonnegative")
-    if layer_size(a, b, starred=True) > F2_LAYER_LIMIT:
-        raise SizeGuardError("starred layer too large to materialize")
+    _check_layer(a, b, True)
     masks: list[int] = []
     _bases(vectors, b + 1, masks)
     return psi(VertexPattern.from_masks(a + 1, b + 1, masks), 0)
@@ -261,6 +266,7 @@ def f2_edge_set(a: int, b: int, seed: int) -> EdgePattern:
     """Seeded basis-selected subset of L'(a,b)."""
     if b < 1:
         raise ValueError("b must be at least 1")
+    _check_layer(a, b, True)
     return f2_edge_set_from_vectors(a, b, random_vectors(a + b + 2, b + 1, seed))
 
 

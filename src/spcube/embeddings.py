@@ -181,8 +181,7 @@ def _embeddings(src: list[int], target: list[int], slots: int, zeros: int, ones:
     ``images`` holds the codes of the src elements' images.
     """
     n = slots + zeros + ones
-    if n > MAP_WIDTH_LIMIT:
-        raise SizeGuardError(f"target width {n} exceeds the map-search guard {MAP_WIDTH_LIMIT}")
+    _check_width(n)
     # prefixes[d]: the target's prefixes of length d; each step checks the
     # next length, and the root check catches an empty target when n = 0
     prefixes = [{c & ((1 << 2 * depth) - 1) for c in target} for depth in range(n + 1)]
@@ -192,6 +191,11 @@ def _embeddings(src: list[int], target: list[int], slots: int, zeros: int, ones:
     columns = [[c >> 2 * t & 3 for c in src] for t in range(slots)]
     counts = [1] * slots + [zeros, ones]
     yield from _grow_maps(0, images, [], counts, prefixes, columns)
+
+
+def _check_width(n: int) -> None:
+    if n > MAP_WIDTH_LIMIT:
+        raise SizeGuardError(f"target width {n} exceeds the map-search guard {MAP_WIDTH_LIMIT}")
 
 
 def _grow_maps(
@@ -422,17 +426,10 @@ def ex_layer(a2: int, b2: int, x) -> tuple[int, list[str]]:
     into which no embedded copy of x fits, plus one witness set.
 
     The witness is the lexicographically least among maximum witnesses.
-    Refuses (``SizeGuardError``), before listing the layer, above
-    ``EX_LAYER_LIMIT`` strings or ``EX_MAPS_LIMIT`` maps.
+    Refuses (``SizeGuardError``), before listing the layer, past the
+    guards of ``_ex_params`` (``EX_LAYER_LIMIT``) or ``EX_MAPS_LIMIT`` maps.
     """
-    if not len(x):
-        raise ValueError("the empty pattern embeds in every set; ex is undefined")
-    a, b, starred = _layer_params(x)
-    if a > a2 or b > b2:
-        raise ValueError("target layer must dominate the pattern's layer")
-    layer = layer_size(a2, b2, starred)
-    if layer > EX_LAYER_LIMIT:
-        raise SizeGuardError(f"layer size {layer} exceeds the exact-search guard {EX_LAYER_LIMIT}")
+    a, b, starred = _ex_params(a2, b2, x, EX_LAYER_LIMIT)
     total_maps = count_maps(a, b, a2, b2, starred)
     if total_maps > EX_MAPS_LIMIT:
         raise SizeGuardError(f"{total_maps} embedding maps exceed the guard {EX_MAPS_LIMIT}")
@@ -440,6 +437,27 @@ def ex_layer(a2: int, b2: int, x) -> tuple[int, list[str]]:
     codes = [_image_code(e) for e in universe]
     images = (frozenset(img) for _, img in _embeddings(_codes(x), codes, *_shape(x, a2, b2)))
     return _solve(universe, codes, images, a2 + b2 + (1 if starred else 0))
+
+
+# A wider layer is refused for its width alone: its size takes seconds to
+# compute at width 400,000 and can have more digits than Python prints
+_SIZED_WIDTH = 8192
+
+
+def _ex_params(a2: int, b2: int, x, layer_limit: int) -> tuple[int, int, bool]:
+    """x's (a, b, starred), once x is not empty and L(a2, b2) dominates
+    x's layer, with at most ``layer_limit`` strings and ``MAP_WIDTH_LIMIT``
+    coordinates: the checks both ``ex_layer`` searches make first."""
+    if not len(x):
+        raise ValueError("the empty pattern embeds in every set; ex is undefined")
+    a, b, starred = _layer_params(x)
+    if a > a2 or b > b2:
+        raise ValueError("target layer must dominate the pattern's layer")
+    width = a2 + b2 + (1 if starred else 0)
+    if width <= _SIZED_WIDTH and (layer := layer_size(a2, b2, starred)) > layer_limit:
+        raise SizeGuardError(f"layer size {layer} exceeds the exact-search guard {layer_limit}")
+    _check_width(width)
+    return a, b, starred
 
 
 def _solve(universe: list, codes: list[int], images, width: int) -> tuple[int, list[str]]:
@@ -452,16 +470,9 @@ def _solve(universe: list, codes: list[int], images, width: int) -> tuple[int, l
 
 def ex_layer_bruteforce(a2: int, b2: int, x) -> tuple[int, list[str]]:
     """Plain subset enumeration on strings, every map applied by
-    ``apply_map``; validation oracle for ``ex_layer``.  Refuses above
-    ``BRUTEFORCE_LAYER_LIMIT`` strings, before listing the layer."""
-    if not len(x):
-        raise ValueError("the empty pattern embeds in every set; ex is undefined")
-    a, b, starred = _layer_params(x)
-    if a > a2 or b > b2:
-        raise ValueError("target layer must dominate the pattern's layer")
-    layer = layer_size(a2, b2, starred)
-    if layer > BRUTEFORCE_LAYER_LIMIT:
-        raise SizeGuardError(f"layer size {layer} exceeds {BRUTEFORCE_LAYER_LIMIT}")
+    ``apply_map``; validation oracle for ``ex_layer``.  Refuses past the
+    guards of ``_ex_params`` (``BRUTEFORCE_LAYER_LIMIT``), before listing."""
+    a, b, starred = _ex_params(a2, b2, x, BRUTEFORCE_LAYER_LIMIT)
     universe = starred_layer_strings(a2, b2) if starred else layer_strings(a2, b2)
     src = x.sorted_strings
     images = (

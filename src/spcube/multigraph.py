@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
-from math import lcm
+from math import lcm, prod
 
 from .errors import SizeGuardError
 
@@ -166,39 +166,35 @@ def _is_bridge(g: Multigraph, i: int) -> bool:
 # ---------------------------------------------------------------------------
 # spanning trees by series-parallel reduction
 
-_PARALLEL, _SERIES, _PENDANT = 0, 1, 2
-
 # ``tree_count`` takes a determinant only on the irreducible core, cubic in
 # its vertices: a 256-vertex cubic core takes about 2 s (Python 3.11,
 # shared 2-core x86 machine)
 CORE_VERTEX_LIMIT = 256
 
 
-def _sp_reduce(g: Multigraph) -> tuple[list[tuple[int, int, int]], list[dict[int, int] | None]]:
+def _sp_reduce(g: Multigraph, values: list, compose) -> tuple[list, list[dict | None]]:
     """Series-parallel reduction of g (Valdes, Tarjan and Lawler, SIAM J.
-    Comput. 1982), recorded as steps on numbered objects.
+    Comput. 1982), folding values as it reduces.
 
-    Objects 0..e-1 are g's edges; loops are dropped.  ``(_PARALLEL, a, b)``
-    merges two objects between one pair of vertices and ``(_SERIES, a, b)``
-    joins the two objects at a vertex of degree 2; each step makes the next
-    object number.  ``(_PENDANT, a, -1)`` removes a vertex of degree 1 with
-    its object a.  Also returns ``adj``: for each vertex left, a map from
-    its neighbours to the objects between them; None for a removed vertex.
+    ``values[i]`` is edge i's value as a two-terminal network, and
+    ``compose(series, x, y)`` joins two values in series or in parallel.
+    Loops are dropped, parallel networks merge, the two networks at a
+    vertex of degree 2 join in series, and a vertex of degree 1 leaves
+    with its network's value appended to ``pendant``.  Returns
+    ``(pendant, adj)``: for each vertex left, a map from its neighbours to
+    the value of the network between them; None for a removed vertex.
     Every vertex left has degree 0 or at least 3, so the ones of degree at
-    least 3 and their objects are the irreducible core.  The order of the
+    least 3 and their networks are the irreducible core.  The order of the
     worklist does not change whether a core is left.
     """
-    adj: list[dict[int, int] | None] = [{} for _ in range(g.n)]
-    steps: list[tuple[int, int, int]] = []
-    nxt = g.e
-    for i, (u, v) in enumerate(g.edges):
+    adj: list[dict | None] = [{} for _ in range(g.n)]
+    pendant: list = []
+    for (u, v), x in zip(g.edges, values):
         if u == v:
             continue
-        k = adj[u].get(v)
-        if k is not None:
-            steps.append((_PARALLEL, k, i))
-            i, nxt = nxt, nxt + 1
-        adj[u][v] = adj[v][u] = i
+        if v in adj[u]:
+            x = compose(False, adj[u][v], x)
+        adj[u][v] = adj[v][u] = x
     # a vertex's degree never grows, so it is queued once it is at most 2
     work = [v for v in range(g.n) if len(adj[v]) <= 2]
     while work:
@@ -208,26 +204,22 @@ def _sp_reduce(g: Multigraph) -> tuple[list[tuple[int, int, int]], list[dict[int
             continue
         adj[w] = None
         if len(nbrs) == 1:
-            ((a, k),) = nbrs.items()
-            steps.append((_PENDANT, k, -1))
+            ((a, x),) = nbrs.items()
+            pendant.append(x)
             del adj[a][w]
         else:
-            (a, ka), (b, kb) = nbrs.items()
-            steps.append((_SERIES, ka, kb))
-            k, nxt = nxt, nxt + 1
+            (a, xa), (b, xb) = nbrs.items()
+            x = compose(True, xa, xb)
             del adj[a][w], adj[b][w]
-            m = adj[a].get(b)
-            if m is None:
-                adj[a][b] = adj[b][a] = k
+            if b not in adj[a]:
+                adj[a][b] = adj[b][a] = x
                 continue  # a and b keep their degrees
-            steps.append((_PARALLEL, m, k))
-            adj[a][b] = adj[b][a] = nxt
-            nxt += 1
+            adj[a][b] = adj[b][a] = compose(False, adj[a][b], x)
             if len(adj[b]) <= 2:
                 work.append(b)
         if len(adj[a]) <= 2:
             work.append(a)
-    return steps, adj
+    return pendant, adj
 
 
 def spanning_trees(g: Multigraph) -> list[int]:
@@ -236,28 +228,23 @@ def spanning_trees(g: Multigraph) -> list[int]:
     Bit ``i`` of a mask corresponds to edge ``i``.  Raises ``ValueError``
     on a disconnected (or empty) graph.
 
-    The trees are composed along ``_sp_reduce``.  Each object carries its
-    (T, F) mask sets: the spanning trees of its two-terminal network, and
-    the 2-component spanning forests separating its terminals.  An edge has
-    T = {itself} and F = {no edge}; each series or parallel step composes
-    two objects' sets by ``_compose_tf``.  A pendant object is in every
-    tree with one of its T masks.  Whatever does not reduce, such as K4 and
-    its subdivisions, is an irreducible core.  The backtracking enumerator
-    runs on it, with its objects as edges, and each core tree expands into
-    T_k for its objects and F_k for the others.
+    ``_sp_reduce`` folds each network's (T, F) mask sets: the spanning
+    trees of the two-terminal network, and the 2-component spanning
+    forests separating its terminals.  An edge has T = {itself} and
+    F = {no edge}; series and parallel joins compose by ``_compose_tf``.
+    A pendant network is in every tree with one of its T masks.  Whatever
+    does not reduce, such as K4 and its subdivisions, is an irreducible
+    core.  The backtracking enumerator runs on it, with its networks as
+    edges, and each core tree expands into T for its networks and F for
+    the others.
     """
     if g.n == 0:
         raise ValueError("spanning trees of the empty graph are undefined")
-    steps, adj = _sp_reduce(g)
-    tf = [([1 << i], [0]) for i in range(g.e)]
-    pendant: list[list[int]] = []
-    for op, a, b in steps:
-        if op == _PENDANT:
-            pendant.append(tf[a][0])
-        else:
-            tf.append(_compose_tf(op == _SERIES, tf[a], tf[b]))
+    if g.n > g.e + 1:  # too few edges for a tree; else n is O(e)
+        raise ValueError("spanning trees require a connected graph")
+    pendant, adj = _sp_reduce(g, [([1 << i], [0]) for i in range(g.e)], _compose_tf)
     fixed = [0]
-    for part in sorted(pendant, key=len):  # small products first
+    for part in sorted((t for t, _ in pendant), key=len):  # small products first
         fixed = _join(fixed, part)
     left = [v for v, nbrs in enumerate(adj) if nbrs is not None]
     if len(left) == 1:
@@ -272,23 +259,21 @@ def spanning_trees(g: Multigraph) -> list[int]:
     out: list[int] = []
     for mask in cores:
         acc = [0]
-        for j, (_, _, k) in enumerate(core):
-            acc = _join(acc, tf[k][0] if mask >> j & 1 else tf[k][1])
+        for j, (_, _, (t, f)) in enumerate(core):
+            acc = _join(acc, t if mask >> j & 1 else f)
         out += acc
     out = _join(out, fixed)
     out.sort()
     return out
 
 
-def _core(
-    adj: list[dict[int, int] | None], left: list[int]
-) -> list[tuple[int, int, int]] | None:
-    """The irreducible core that ``_sp_reduce`` left, as one (x, y, k) per
-    object k, between core vertices x < y numbered by their place in
+def _core(adj: list[dict | None], left: list[int]) -> list[tuple[int, int, object]] | None:
+    """The irreducible core that ``_sp_reduce`` left, as one (x, y, value)
+    per network, between core vertices x < y numbered by their place in
     ``left``.  None when the core's component labels show more than one
     component: then the graph was disconnected too."""
     label = {v: x for x, v in enumerate(left)}
-    core = [(label[v], label[u], k) for v in left for u, k in adj[v].items() if v < u]
+    core = [(label[v], label[u], x) for v in left for u, x in adj[v].items() if v < u]
     if not Multigraph.derived(len(left), tuple((x, y) for x, y, _ in core)).is_connected():
         return None
     return core
@@ -349,25 +334,21 @@ def _grow(
 def tree_count(g: Multigraph) -> int:
     """Number of spanning trees; 0 for a disconnected graph.
 
-    Counted along ``_sp_reduce`` as ``spanning_trees`` enumerates, with
-    (T, F) counts in place of mask sets: an edge has (1, 1), each series
-    or parallel step composes two objects' counts by ``_count_tf``, and a
-    pendant object multiplies the count by its T.  Only an irreducible
-    core takes a determinant (``_core_count``), so a series-parallel graph
-    of any size costs linear time.  Raises ``SizeGuardError`` before any
-    matrix is built when the core has more than ``CORE_VERTEX_LIMIT``
-    vertices, and ``ValueError`` on the empty graph.
+    ``_sp_reduce`` folds (T, F) counts as ``spanning_trees`` folds mask
+    sets: an edge has (1, 1), series and parallel joins compose by
+    ``_count_tf``, and a pendant network multiplies the count by its T.
+    Only an irreducible core takes a determinant (``_core_count``), so a
+    series-parallel graph of any size costs linear time.  Raises
+    ``SizeGuardError`` before any matrix is built when the core has more
+    than ``CORE_VERTEX_LIMIT`` vertices, and ``ValueError`` on the empty
+    graph.
     """
     if g.n == 0:
         raise ValueError("tree count of the empty graph is undefined")
-    steps, adj = _sp_reduce(g)
-    tf = [(1, 1)] * g.e
-    count = 1
-    for op, a, b in steps:
-        if op == _PENDANT:
-            count *= tf[a][0]
-        else:
-            tf.append(_count_tf(op == _SERIES, tf[a], tf[b]))
+    if g.n > g.e + 1:  # too few edges for a tree; else n is O(e)
+        return 0
+    pendant, adj = _sp_reduce(g, [(1, 1)] * g.e, _count_tf)
+    count = prod(t for t, _ in pendant)
     left = [v for v, nbrs in enumerate(adj) if nbrs is not None]
     if len(left) == 1:
         return count
@@ -379,27 +360,27 @@ def tree_count(g: Multigraph) -> int:
             f"an irreducible core of {len(left)} vertices exceeds the tree-count guard "
             f"{CORE_VERTEX_LIMIT}"
         )
-    return count * _core_count(len(left), [(x, y, *tf[k]) for x, y, k in core])
+    return count * _core_count(len(left), core)
 
 
-def _core_count(size: int, objects: list[tuple[int, int, int, int]]) -> int:
+def _core_count(size: int, networks: list[tuple[int, int, tuple[int, int]]]) -> int:
     """The sum, over the spanning trees S of a core with ``size`` vertices
-    and objects (x, y, T, F), of the product of T over S and of F over the
-    other objects.
+    and networks (x, y, (T, F)), of the product of T over S and of F over
+    the other networks.
 
-    That is Kirchhoff's determinant with weight T / F on each object, times
+    That is Kirchhoff's determinant with weight T / F on each network, times
     the product of every F (each F is at least 1).  To stay in integers,
     row x of the Laplacian is scaled by D_x, the lcm of the F's at x; the
     determinant of the reduced matrix (row and column 0 dropped) then
     gains the factor D_1 ... D_{size-1}, which divides out exactly.
     """
     scale = [1] * size
-    for x, y, _, f in objects:
+    for x, y, (_, f) in networks:
         scale[x] = lcm(scale[x], f)
         scale[y] = lcm(scale[y], f)
     lap = [[0] * size for _ in range(size)]
     weights = 1
-    for x, y, t, f in objects:
+    for x, y, (t, f) in networks:
         weights *= f
         wx, wy = scale[x] // f * t, scale[y] // f * t
         lap[x][x] += wx
@@ -629,7 +610,7 @@ def is_series_parallel(g: Multigraph) -> bool:
     minimum degree 3, hence a K4 minor.  Validated against the brute-force
     minor search ``has_k4_minor`` on all small multigraphs.
     """
-    _, adj = _sp_reduce(g)
+    _, adj = _sp_reduce(g, [None] * g.e, lambda series, x, y: None)
     return not any(adj)
 
 

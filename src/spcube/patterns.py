@@ -22,15 +22,15 @@ masks, because coordinate 0 is the first character but the lowest bit, so
 
 X, H, psi and y18 work on tree masks: X is G's spanning trees; H and psi
 split those same trees on bit i (the trees of G/i and of G - i) and pair
-the two sides at Hamming distance 1.  Y is psi of X, Y(G, i) =
-psi(X(G), i), so a caller that needs X and Y of one graph enumerates its
-trees once.  The series and parallel rule that composes the tree sets
-lives in ``multigraph._compose_tf``.
+the two sides at Hamming distance 1 by one kernel, ``_starred``.  Y is
+psi of X, Y(G, i) = psi(X(G), i), so a caller that needs X and Y of one
+graph enumerates its trees once.  The series and parallel rule that
+composes the tree sets lives in ``multigraph._compose_tf``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
@@ -340,8 +340,9 @@ class PatternGraph:
         """The pattern graph of distinct masks and distinct (lower, upper)
         mask pairs, trusted to form one: nothing is checked."""
         lower, upper = sorted(lower), sorted(upper)
-        place = {m: x for x, m in enumerate(lower + upper)}
-        edges = sorted((place[lo], place[hi]) for lo, hi in edges)
+        place = dict(zip(lower + upper, range(len(lower) + len(upper))))
+        edges = [(place[lo], place[hi]) for lo, hi in edges]
+        edges.sort()
         h = object.__new__(cls)
         _fill(h, width=width, lower=tuple(lower), upper=tuple(upper), edges=tuple(edges))
         return h
@@ -363,21 +364,20 @@ def _split(masks: Iterable[int], i: int) -> tuple[list[int], list[int]]:
     return with_i, without_i
 
 
-def _hamming1_pairs(lower: list[int], upper: list[int]) -> Iterator[tuple[int, int, int]]:
-    """Every (s, t, j) with s in lower, t in upper and t = s plus bit j."""
+def _starred(lower: list[int], upper: list[int]) -> list[tuple[int, int]]:
+    """The Hamming-1 pairs between two mask sets, as (lower mask, star)
+    edges: every (s, j) with s in lower and s plus bit j in upper."""
     lows = set(lower)
+    out = []
     for t in upper:
         rest = t
         while rest:
             bit = rest & -rest
             rest ^= bit
-            if t ^ bit in lows:
-                yield t ^ bit, t, bit.bit_length() - 1
-
-
-def _starred(lower: list[int], upper: list[int]) -> list[tuple[int, int]]:
-    """The (lower mask, star) edges of the Hamming-1 pairs between two mask sets."""
-    return [(s, j) for s, _, j in _hamming1_pairs(lower, upper)]
+            s = t ^ bit
+            if s in lows:
+                out.append((s, bit.bit_length() - 1))
+    return out
 
 
 def x_pattern(g: Multigraph) -> VertexPattern:
@@ -419,7 +419,8 @@ def h_graph(g: Multigraph, i: int | None = None) -> PatternGraph:
     tree sets come from one enumeration of g's trees, split on bit i as
     ``psi`` splits them."""
     lower, upper = _split(spanning_trees(g), _marked_edge(g, i))
-    edges = [(s, t) for s, t, _ in _hamming1_pairs(lower, upper)]
+    bits = [1 << j for j in range(g.e - 1)]
+    edges = ((s, s | bits[j]) for s, j in _starred(lower, upper))
     return PatternGraph.from_masks(g.e - 1, lower, upper, edges)
 
 

@@ -49,7 +49,7 @@ from .multigraph import (
     spanning_trees,
     tree_count,
 )
-from .patterns import _hamming1_pairs, psi, x_pattern
+from .patterns import _starred, psi, x_pattern
 from .spterm import (
     EDGE,
     GraphDedup,
@@ -315,7 +315,7 @@ def _y_size(t: SpTerm) -> int:
     t's forests (lower) and trees (upper).  Each pair is one edge of the
     pattern, so this is ``len(y_pattern(to_marked_graph(t), 0))``."""
     trees, forests = tree_sets(t)
-    return sum(1 for _ in _hamming1_pairs(forests, trees))
+    return len(_starred(forests, trees))
 
 
 def m_value(d: int, method: str = "dp") -> tuple[int, SpTerm]:

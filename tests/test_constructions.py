@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from spcube import (
+    SizeGuardError,
     VertexPattern,
     contains_pattern,
     density_lower_bound,
@@ -334,6 +335,20 @@ class TestEdgeSet:
         assert s == f2_edge_set(2, 1, 3)
         for st in s.strings:
             assert st.count("*") == 1
+
+
+class TestLayerGuard:
+    def test_refused_before_a_vector_is_drawn(self, monkeypatch):
+        # L(10^6, 60) and L'(10^6, 60) are far past F2_LAYER_LIMIT; drawing
+        # their 10^6 + 60 vectors first took seconds
+        def undrawn(*args):
+            raise AssertionError("vectors drawn before the layer guard")
+
+        monkeypatch.setattr(constructions, "random_vectors", undrawn)
+        with pytest.raises(SizeGuardError, match="^layer too large to materialize"):
+            f2_vertex_set(10**6, 60, 1)
+        with pytest.raises(SizeGuardError, match="^starred layer too large to materialize$"):
+            f2_edge_set(10**6, 60, 1)
 
 
 class TestDensityBound:

@@ -237,6 +237,34 @@ class TestCli:
         assert main(["ex-layer", "--a", "3000", "--b", "3000", "--pattern", str(small)]) == 2
         assert "refused: layer size " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [[], ["--brute-force"]], ids=["bnb", "brute-force"])
+    @pytest.mark.parametrize(
+        "a, b, text",
+        [(8000, 8000, "vertex 1 1\n01\n10\n"), (200000, 0, "vertex 1 0\n0\n"),
+         (2000, 0, "vertex 1 0\n0\n")],
+        ids=["8000-8000", "200000-0", "2000-0"],
+    )
+    def test_ex_layer_refused_from_its_parameters(
+        self, tmp_path, capsys, monkeypatch, flags, a, b, text
+    ):
+        # C(16000, 8000) has more digits than Python writes, 200000! takes
+        # seconds, and the brute force's map recursion would go 2,000 deep:
+        # the width guard refuses all three before any of that
+        def uncounted(*args):
+            raise AssertionError("maps counted past the width guard")
+
+        monkeypatch.setattr(embeddings, "count_maps", uncounted)
+        monkeypatch.setattr(embeddings, "enumerate_maps", uncounted)
+        small = tmp_path / "s.txt"
+        small.write_text(text)
+        argv = ["ex-layer", "--a", str(a), "--b", str(b), "--pattern", str(small)]
+        assert main(argv + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"refused: target width {a + b} exceeds the map-search guard 512\n"
+        )
+
     @pytest.mark.parametrize("command", ["density", "contains"])
     def test_wide_layer_refused_exit_2(self, tmp_path, capsys, command):
         # one string of L(500,500): the map search would recurse 1,000 deep

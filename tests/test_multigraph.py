@@ -759,6 +759,22 @@ class TestTreeCount:
         with pytest.raises(ValueError, match="tree count of the empty graph is undefined"):
             tree_count(Multigraph(0, ()))
 
+    @pytest.mark.parametrize(
+        "g",
+        [Multigraph(10**6, ()), Multigraph(10**6, ((0, 1),) * 5)],
+        ids=["isolated", "bundle"],
+    )
+    def test_too_few_edges_decided_before_the_reduction(self, monkeypatch, g):
+        # fewer edges than n - 1: no spanning tree, and no per-vertex work
+        # to find that out
+        def unreduced(*args):
+            raise AssertionError("the reduction ran on a graph with too few edges")
+
+        monkeypatch.setattr(multigraph, "_sp_reduce", unreduced)
+        assert tree_count(g) == 0
+        with pytest.raises(ValueError, match="^spanning trees require a connected graph$"):
+            spanning_trees(g)
+
     def test_core_guard(self, monkeypatch):
         # with the guard at 4, K4 and K4 with pendant and series-parallel
         # parts still count: only the core's vertices are measured
