@@ -32,6 +32,7 @@ from .patterns import (
     load_pattern,
     named_pattern,
     NAMED_PATTERN_NOTES,
+    PATTERN_OUTPUT_LIMIT,
     parse_pattern,
     parse_string,
     pg_from_json,
@@ -69,10 +70,6 @@ __all__ = ["main"]
 # so the guard stays.  ``tree_count``, which checks the guard, refuses a graph
 # whose irreducible core exceeds ``multigraph.CORE_VERTEX_LIMIT`` vertices.
 PATTERN_TREE_LIMIT = 2**18
-# each tree's string has one character per edge, so the output grows as
-# trees x edges: 2,048 parallel edges between two vertices write 4.2 MB.
-# ``pattern named`` bounds elements x width by the same number.
-PATTERN_OUTPUT_LIMIT = 2**24
 
 
 class _Parser(argparse.ArgumentParser):

@@ -52,6 +52,12 @@ __all__ = [
 
 # the largest layer, or starred layer, that the f2 sets are listed in
 F2_LAYER_LIMIT = 500_000
+# the largest layer that ``f2_vertex_count`` searches.  Its search costs
+# 0.2-0.9 us a string on layers with as many zeros as ones or more: L(20, 8),
+# 3.1 million strings, takes 0.8 s and L(12, 12), 2.7 million, 2.2 s
+# (Python 3.11, shared 2-core x86 machine).  A layer with fewer zeros costs
+# more a string: L(8, 20), 3.1 million strings, takes 12 s.
+F2_COUNT_LIMIT = 2**22
 
 
 def gf2_rank(vectors: list[int]) -> int:
@@ -203,14 +209,17 @@ def _philox_words(count: int, seed: int) -> list[int]:
     return words
 
 
-def _check_layer(a: int, b: int, starred: bool) -> None:
-    """The layer checks of an f2 set, made before any vector is drawn."""
+def _check_layer(
+    a: int, b: int, starred: bool, limit: int = F2_LAYER_LIMIT, task: str = "materialize"
+) -> None:
+    """The layer checks of an f2 set or count, made before any vector is
+    drawn.  A layer has C(a + b, k) >= 2^k strings for k = min(a, b), so
+    one with k >= ``limit.bit_length()`` is refused without its size,
+    which takes 50 s to compute at a = b = 10^6."""
     if a < 0 or b < 0:
         raise ValueError("layer parameters must be nonnegative")
-    if layer_size(a, b, starred) > F2_LAYER_LIMIT:
-        if starred:
-            raise SizeGuardError("starred layer too large to materialize")
-        raise SizeGuardError("layer too large to materialize; use f2_vertex_density")
+    if min(a, b) >= limit.bit_length() or layer_size(a, b, starred) > limit:
+        raise SizeGuardError(f"{'starred layer' if starred else 'layer'} too large to {task}")
 
 
 def f2_vertex_set_from_vectors(a: int, b: int, vectors: list[int]) -> VertexPattern:
@@ -233,9 +242,11 @@ def f2_vertex_set(a: int, b: int, seed: int) -> VertexPattern:
 
 def f2_vertex_count(a: int, b: int, seed: int) -> int:
     """|f2_vertex_set(a, b, seed)|, counted by the same search without
-    materializing the set."""
+    materializing the set.  Refuses (``SizeGuardError``) above
+    ``F2_COUNT_LIMIT`` strings, before any vector is drawn."""
     if b < 1:
         raise ValueError("b must be at least 1")
+    _check_layer(a, b, False, F2_COUNT_LIMIT, "count")
     return _bases(random_vectors(a + b, b, seed), b, None)
 
 

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
+from typing import TypeVar
 
 from .errors import SizeGuardError
 from .patterns import (
@@ -366,9 +367,14 @@ def _packing_bound(masks: list[int]):
     return bound
 
 
-def _max_avoiding(universe: list[str], masks: list[int]) -> tuple[int, list[str]]:
+_Element = TypeVar("_Element")
+
+
+def _max_avoiding(universe: list[_Element], masks: list[int]) -> tuple[int, list[_Element]]:
     """Largest subset of the universe containing none of the masks, with
-    the lexicographically least witness among the optima.
+    the lexicographically least witness among the optima.  Bit j of a
+    mask is ``universe[j]``, and the witness lists the chosen elements
+    themselves, vertex masks or (mask, star) pairs as the layer gives them.
 
     One branch and bound over the universe in index order, taking each
     element before leaving it out, so leaves come in lexicographic order

@@ -468,14 +468,34 @@ def psi(x: VertexPattern, i: int) -> EdgePattern:
     return EdgePattern.from_pairs(x.a - 1, x.b - 1, _starred(lower, upper))
 
 
+# The most characters a written pattern may hold, strings x width.  Each
+# tree's string has one character per edge, so ``pattern --graph`` output
+# grows as trees x edges: 2,048 parallel edges between two vertices write
+# 4.2 MB.  ``pattern named`` bounds elements x width, and ``product_join``
+# the strings of its pattern-graph JSON x width, by the same number.
+PATTERN_OUTPUT_LIMIT = 2**24
+
+
 def product_join(h1: PatternGraph, h2: PatternGraph) -> PatternGraph:
     """Product-join along the lower parts.
 
     A vertex pair is the concatenation of its strings, the mask
     ``v1 | v2 << width1``: the new lower part is lower1 x lower2, and
     (l1,l2) ~ (l1,u2) whenever l2 ~ u2, likewise on the other side.
-    Inputs must be connected.
+    Inputs must be connected.  Raises ``SizeGuardError`` before building
+    when the JSON of the join would write its vertices and the two ends
+    of each edge as more than ``PATTERN_OUTPUT_LIMIT`` characters.
     """
+    (l1, u1, e1), (l2, u2, e2) = (
+        (len(h.lower), len(h.upper), len(h.edges)) for h in (h1, h2)
+    )
+    strings = l1 * l2 + l1 * u2 + u1 * l2 + 2 * (l1 * e2 + e1 * l2)
+    if strings * (h1.width + h2.width) > PATTERN_OUTPUT_LIMIT:
+        raise SizeGuardError(
+            f"the product-join would write {strings} strings of width "
+            f"{h1.width + h2.width}, over the pattern output guard "
+            f"{PATTERN_OUTPUT_LIMIT} (strings x width)"
+        )
     if not pg_is_connected(h1) or not pg_is_connected(h2):
         raise ValueError("product_join requires connected inputs")
     w = h1.width

@@ -4,11 +4,13 @@ Two independent routes compute the edge-count maximum m(d) over marked
 2-connected networks with d non-distinguished edges:
 
 * ``method="dp"`` (default): dynamic programming over achievable
-  (lower-size, upper-size, edge-count) triples.  Binary series/parallel
-  combination is exact for these triples (a 2-sum glues pattern graphs by
-  a product-join, which is what the parallel rule computes; the series
-  rule is its 0/1-swapped dual), and all three combination rules are
-  monotone, so dominated triples can be pruned without losing maxima.
+  (T, F, |Y|) triples: the network's spanning trees, its 2-forests that
+  separate the terminals, and its pattern's edge count.  ``_combine``
+  composes two triples in series or in parallel, exactly (a 2-sum glues
+  pattern graphs by a product-join, which is what the parallel rule
+  computes; the series rule is its dual), so ``spterm._fold`` with it
+  gives any term's triple.  The rule is monotone in every coordinate, so
+  dominated triples can be pruned without losing maxima.
   Dominated triples are pruned by an O(n log n) staircase sweep that
   reads the triples alone, so witnesses are built only for the kept
   ones: each producer of a kept triple is composed from its parts'
@@ -206,16 +208,16 @@ def _ms(start: float) -> float:
 # the m(d) table
 
 
-def _combine_series(x, y):
-    (a1, b1, e1), (a2, b2, e2) = x, y
-    t, f = _count_tf(True, (b1, a1), (b2, a2))
-    return (f, t, e1 * b2 + e2 * b1)
-
-
-def _combine_parallel(x, y):
-    (a1, b1, e1), (a2, b2, e2) = x, y
-    t, f = _count_tf(False, (b1, a1), (b2, a2))
-    return (f, t, e1 * a2 + e2 * a1)
+def _combine(in_series: bool, x, y):
+    """The (T, F, |Y|) triple of two networks composed in series or in
+    parallel.  (T, F) composes by ``multigraph._count_tf``.  A Hamming-1
+    pair of the composite is one of a part's pairs joined with a tree of
+    the other part in series, or with a forest of it in parallel.
+    ``spterm._fold(t, repeat((1, 1, 1)), _combine)`` is the triple of any
+    term t."""
+    (t1, f1, y1), (t2, f2, y2) = x, y
+    t, f = _count_tf(in_series, (t1, f1), (t2, f2))
+    return t, f, y1 * t2 + y2 * t1 if in_series else y1 * f2 + y2 * f1
 
 
 def _prune(cands: dict[tuple[int, int, int], object]) -> dict:
@@ -247,7 +249,7 @@ def _prune(cands: dict[tuple[int, int, int], object]) -> dict:
 
 
 def _dp_frontiers(d_max: int) -> tuple[list[dict], list[float]]:
-    """frontier[d]: undominated (|X(G/e)|, |X(G\\e)|, |Y(G,e)|) triples for
+    """frontier[d]: undominated (|X(G\\e)|, |X(G/e)|, |Y(G,e)|) triples for
     d-edge networks, each with its canonical witness term; millis[d]: the
     time frontier[d] took to build.
 
@@ -266,10 +268,8 @@ def _dp_frontiers(d_max: int) -> tuple[list[dict], list[float]]:
             d2 = d - d1
             for t1_trip, w1 in frontier[d1].items():
                 for t2_trip, w2 in frontier[d2].items():
-                    for combine, build in (
-                        (_combine_series, series), (_combine_parallel, _merge_parallel)
-                    ):
-                        trip = combine(t1_trip, t2_trip)
+                    for in_series, build in ((True, series), (False, _merge_parallel)):
+                        trip = _combine(in_series, t1_trip, t2_trip)
                         cands.setdefault(trip, []).append((build, w1, w2))
         frontier[d] = {
             trip: _witness(producers, memo) for trip, producers in _prune(cands).items()

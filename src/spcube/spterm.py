@@ -9,6 +9,11 @@ network", which is always 2-connected and series-parallel.
 Two terms are equivalent when their marked graphs are isomorphic; this is
 exactly parallel-child reordering plus series-list reversal (swapping the
 two terminals), and ``canonical_key`` realizes it.
+
+A value folds along a term's series and parallel steps by ``_fold``, the
+term-side mirror of ``multigraph._sp_reduce``: ``tf_counts``,
+``tree_sets`` and the m-table DP's triples (``search._combine``) are
+each one fold, by one series/parallel rule.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import count, repeat
 
 from .multigraph import (
     Multigraph,
@@ -244,19 +250,30 @@ def _place(t: SpTerm, s: int, u: int, edges: list[tuple[int, int]], free: int) -
     return free
 
 
+def _fold(t: SpTerm, leaves, compose):
+    """Fold t's series-parallel structure into one value, the term-side
+    mirror of ``multigraph._sp_reduce``.
+
+    Each edge takes the next value of the iterator ``leaves``, left to
+    right, and each node folds its children in one at a time by
+    ``compose(series, x, y)``."""
+    if t.kind == "e":
+        return next(leaves)
+    in_series = t.kind == "S"
+    x = _fold(t.children[0], leaves, compose)
+    for c in t.children[1:]:
+        x = compose(in_series, x, _fold(c, leaves, compose))
+    return x
+
+
 def tf_counts(t: SpTerm) -> tuple[int, int]:
     """(T, F): spanning trees of t's network, and 2-component spanning
     forests separating the two terminals.
 
     For the marked graph (G, e) of t these are |X(G \\ e)| and |X(G / e)|.
-    Children are folded in one at a time by ``multigraph._count_tf``.
+    An edge has (1, 1), and ``_fold`` composes by ``multigraph._count_tf``.
     """
-    if t.kind == "e":
-        return (1, 1)
-    tf = tf_counts(t.children[0])
-    for c in t.children[1:]:
-        tf = _count_tf(t.kind == "S", tf, tf_counts(c))
-    return tf
+    return _fold(t, repeat((1, 1)), _count_tf)
 
 
 def tree_sets(t: SpTerm) -> tuple[list[int], list[int]]:
@@ -267,24 +284,11 @@ def tree_sets(t: SpTerm) -> tuple[list[int], list[int]]:
 
     For the marked graph (G, 0) of t these are the trees of G \\ 0 and of
     G / 0, that is ``patterns._split(spanning_trees(to_marked_graph(t)), 0)``
-    in reverse, with no graph built.  An edge has T = {itself} and
-    F = {no edge}; children are folded in one at a time by
-    ``multigraph._compose_tf``, the rule ``spanning_trees`` composes by.
+    in reverse, with no graph built.  Leaf i has T = {bit i} and
+    F = {no edge}, and ``_fold`` composes by ``multigraph._compose_tf``,
+    the rule ``spanning_trees`` composes by.
     """
-    tf, _ = _tree_sets(t, 0)
-    return tf
-
-
-def _tree_sets(t: SpTerm, offset: int) -> tuple[tuple[list[int], list[int]], int]:
-    """``tree_sets`` with t's leaves from bit ``offset``; also returns the
-    bit after t's last leaf."""
-    if t.kind == "e":
-        return ([1 << offset], [0]), offset + 1
-    tf, offset = _tree_sets(t.children[0], offset)
-    for c in t.children[1:]:
-        child, offset = _tree_sets(c, offset)
-        tf = _compose_tf(t.kind == "S", tf, child)
-    return tf, offset
+    return _fold(t, (([1 << i], [0]) for i in count()), _compose_tf)
 
 
 # ---------------------------------------------------------------------------

@@ -350,6 +350,34 @@ class TestLayerGuard:
         with pytest.raises(SizeGuardError, match="^starred layer too large to materialize$"):
             f2_edge_set(10**6, 60, 1)
 
+    def test_count_refused_before_a_vector_is_drawn(self, monkeypatch):
+        # L(2894, 2) has 4,191,960 strings, within F2_COUNT_LIMIT = 2^22, and
+        # L(2895, 2) 4,194,856; L(3000, 60) was still being counted at 15 s
+        assert comb(2896, 2) <= constructions.F2_COUNT_LIMIT < comb(2897, 2)
+        monkeypatch.setattr(constructions, "random_vectors", lambda count, dim, seed: [0] * count)
+        assert f2_vertex_count(2894, 2, 1) == 0
+
+        def undrawn(*args):
+            raise AssertionError("vectors drawn before the layer guard")
+
+        monkeypatch.setattr(constructions, "random_vectors", undrawn)
+        for a, b in ((2895, 2), (3000, 60)):
+            with pytest.raises(SizeGuardError, match="^layer too large to count$"):
+                f2_vertex_density(a, b, 1)
+
+    def test_wide_layers_refused_without_their_size(self, monkeypatch):
+        # C(a + b, min(a, b)) >= 2^min(a, b), so no size is needed; C(2 *
+        # 10^6, 10^6) took 50 s to compute
+        def unsized(*args):
+            raise AssertionError("the size of a layer far past the guard was computed")
+
+        monkeypatch.setattr(constructions, "layer_size", unsized)
+        for call in (f2_vertex_set, f2_vertex_count):
+            with pytest.raises(SizeGuardError, match="^layer too large to"):
+                call(10**6, 10**6, 1)
+        with pytest.raises(SizeGuardError, match="^starred layer too large to materialize$"):
+            f2_edge_set(10**6, 10**6, 1)
+
 
 class TestDensityBound:
     def test_values(self):

@@ -135,6 +135,23 @@ class TestCli:
         assert data["lower"] == ["00"]
         assert sorted(data["upper"]) == ["01", "10"]
 
+    def test_product_join_above_output_guard_exit_2(self, monkeypatch, tmp_path, capsys):
+        # the star of 1183 edges joined with itself: 7,099 strings of
+        # width 2,366 (see test_patterns.py)
+        ups = [1 << i for i in range(1183)]
+        h = patterns.PatternGraph.from_masks(1183, [0], ups, [(0, u) for u in ups])
+        star = tmp_path / "star.json"
+        star.write_text(pg_to_json(h))
+
+        def unbuilt(h):
+            raise AssertionError("a join was started above the output guard")
+
+        monkeypatch.setattr(patterns, "pg_is_connected", unbuilt)
+        assert main(["op", "product-join", "--h1", str(star), "--h2", str(star)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"the pattern output guard {PATTERN_OUTPUT_LIMIT} (strings x width)" in captured.err
+
     @pytest.mark.parametrize(
         "text",
         [

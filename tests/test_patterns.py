@@ -16,6 +16,7 @@ from spcube import (
     EdgePattern,
     Multigraph,
     PatternGraph,
+    SizeGuardError,
     VertexPattern,
     alon_pattern,
     dual_pattern,
@@ -47,6 +48,7 @@ from spcube import (
 from spcube import catalog, multigraph, patterns
 from spcube.multigraph import _is_bridge
 from spcube.patterns import (
+    PATTERN_OUTPUT_LIMIT,
     pg_components, pg_from_json, pg_is_connected, pg_shape, pg_to_json, sort_key,
 )
 from spcube.verify import (
@@ -435,6 +437,24 @@ class TestProductJoin:
         smaller = h_graph(to_marked_graph(series(EDGE, EDGE, EDGE)), 0)
         if pg_is_two_connected(smaller):
             assert pg_is_two_connected(product_join(c8, smaller))
+
+    def test_refused_above_the_output_guard(self, monkeypatch):
+        # a star of w edges joined with itself writes 6w + 1 strings of
+        # width 2w: 16,767,852 characters at w = 1182, 16,796,234 at 1183
+        def star(w):
+            ups = [1 << i for i in range(w)]
+            return PatternGraph.from_masks(w, [0], ups, [(0, u) for u in ups])
+
+        joined = product_join(star(1182), star(1182))
+        strings = len(joined.lower) + len(joined.upper) + 2 * len(joined.edges)
+        assert strings * joined.width == 7093 * 2364 <= PATTERN_OUTPUT_LIMIT
+
+        def unbuilt(h):
+            raise AssertionError("a join was started above the output guard")
+
+        monkeypatch.setattr(patterns, "pg_is_connected", unbuilt)
+        with pytest.raises(SizeGuardError, match="would write 7099 strings of width 2366, over"):
+            product_join(star(1183), star(1183))
 
     def test_disconnected_rejected(self):
         from spcube import PatternGraph

@@ -1,4 +1,5 @@
 import random
+from itertools import repeat
 
 import pytest
 
@@ -10,7 +11,10 @@ from spcube import (
     add_loop,
     canonical,
     check_m_bounds,
+    contract,
+    delete_edge,
     enumerate_connected_sp,
+    enumerate_terms,
     fib,
     fib_table,
     m_table,
@@ -109,11 +113,8 @@ def _canonicalizing_frontiers(d_max):
         for d1 in range(1, d // 2 + 1):
             for trip1, w1 in frontier[d1].items():
                 for trip2, w2 in frontier[d - d1].items():
-                    for combine, build in (
-                        (search._combine_series, series),
-                        (search._combine_parallel, parallel),
-                    ):
-                        trip = combine(trip1, trip2)
+                    for in_series, build in ((True, series), (False, parallel)):
+                        trip = search._combine(in_series, trip1, trip2)
                         w = canonical(build(w1, w2))
                         if trip not in cands or w.key < cands[trip].key:
                             cands[trip] = w
@@ -266,6 +267,36 @@ class TestMTable:
         for frontier in frontiers:
             for w in frontier.values():
                 assert canonical(w) == w
+
+    def test_combine_gives_every_terms_triple(self):
+        # the DP's rule on every term, not only on the frontier's: the
+        # fold of (T, F, |Y|) from the marked graph's deletion,
+        # contraction and Y pattern
+        for d in range(1, 9):
+            for t in enumerate_terms(d):
+                g = to_marked_graph(t)
+                want = (
+                    tree_count(delete_edge(g, 0)),
+                    tree_count(contract(g, 0)),
+                    len(y_pattern(g, 0)),
+                )
+                assert spterm._fold(t, repeat((1, 1, 1)), search._combine) == want, t.key
+
+    def test_pruning_keeps_the_maxima(self):
+        # every triple that the rule reaches from (1, 1, 1), with no prune:
+        # its largest |Y| at each d is the pruned DP's m(d)
+        closure = [set(), {(1, 1, 1)}]
+        for d in range(2, 14):
+            closure.append({
+                search._combine(in_series, x, y)
+                for d1 in range(1, d // 2 + 1)
+                for x in closure[d1]
+                for y in closure[d - d1]
+                for in_series in (True, False)
+            })
+        assert [max(y for _, _, y in level) for level in closure[1:]] == [
+            r.value for r in m_table(13)
+        ]
 
     def test_staircase_prune_matches_quadratic(self):
         rng = random.Random(1975)
