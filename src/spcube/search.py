@@ -44,8 +44,6 @@ from .errors import SizeGuardError
 from .multigraph import (
     Multigraph,
     _count_tf,
-    add_leaf,
-    add_loop,
     check_marked_edge,
     graph_to_json,
     spanning_trees,
@@ -54,12 +52,10 @@ from .multigraph import (
 from .patterns import _starred, psi, x_pattern
 from .spterm import (
     EDGE,
-    GraphDedup,
     SpTerm,
     _census_level,
     _merge_parallel,
     _norm,
-    _operations,
     _reversed_key,
     enumerate_connected_sp,
     enumerate_terms,
@@ -82,7 +78,7 @@ __all__ = [
     "rows_to_markdown",
 ]
 
-EXHAUSTIVE_TREE_LIMIT = 9
+EXHAUSTIVE_TREE_LIMIT = 11
 WITNESS_CHAIN_LIMIT = 24
 M_TABLE_LIMIT = 16
 # the terms route visits every canonical term, about 5x more per edge
@@ -122,16 +118,16 @@ def max_spanning_trees(d: int, mode: str = "exhaustive") -> TableRow:
     """Maximum spanning-tree count over connected series-parallel
     multigraphs with d edges.
 
-    ``exhaustive`` is exact (d <= 9): it reports the maximum over the
+    ``exhaustive`` is exact (d <= 11): it reports the maximum over the
     isomorphism census at d edges and, as witness, the first optimal
     graph of ``enumerate_connected_sp(d)``, which is sorted by
-    (vertex count, edges).  It does not build census level d; it scans
-    the children of level d - 1 (see ``_census_maximum``).  ``witness``
-    only builds the alternating duplicate/subdivide chain graph and
-    reports its count (d <= 24).  The row's millis is the time this call
-    took: census levels are kept once built, so in ``fib_table`` an
-    exhaustive row times building level d - 1 from the one below, plus
-    the scan of its children.
+    (vertex count, edges).  It builds only the census classes that can
+    still reach the witness chain's count (see ``_census_maximum``).
+    ``witness`` only builds the alternating duplicate/subdivide chain
+    graph and reports its count (d <= 24).  The row's millis is the time
+    this call took: bounded census levels are kept once built, so in
+    ``fib_table`` an exhaustive row times the levels that no earlier row
+    built, its own level d among them.
     """
     start = time.perf_counter()
     _check_fib_guard(d, mode)
@@ -146,37 +142,18 @@ def max_spanning_trees(d: int, mode: str = "exhaustive") -> TableRow:
 
 def _census_maximum(d: int) -> tuple[int, Multigraph]:
     """The largest tree count at d edges and the (n, edges)-least census
-    representative that reaches it, from the children of census level
-    d - 1 in census order.
+    representative that reaches it.
 
-    ``add_loop`` and ``add_leaf`` keep T(P), so their children are not
-    recounted.  ``subdivide_edge(e)`` gives T(P) + T(P - e) and
-    ``duplicate_edge(e)`` gives T(P) + T(P / e), so no child of P has more
-    than 2 T(P) trees, and a parent below half the best count so far has
-    no child worth offering.  Tree count is an isomorphism invariant, so
-    every candidate of an optimal class is optimal: the children that
-    reach the final best, deduplicated in census order, give exactly the
-    census representatives of the optimal classes.
+    The chain ``fib_chain(d)`` is a connected series-parallel graph with d
+    edges, so its count bounds the maximum from below, and the maximum is
+    the largest count over ``_census_level(d, bound)``, the census level
+    restricted to the classes with at least that many trees.  Those
+    classes keep their representatives from the full level, so the least
+    optimal one is the first optimum of ``enumerate_connected_sp(d)``.
     """
-    if d == 0:
-        (k1,) = _census_level(0)
-        return tree_count(k1), k1
-    best, optima = -1, GraphDedup()
-    for parent in _census_level(d - 1):
-        parent_count = tree_count(parent)
-        # strictly below: a parent with 2 T(P) == best can still have a
-        # child that ties the best.  Pruning with <= changes no row to
-        # d = 8, so no test would catch that slip.
-        if 2 * parent_count < best:
-            continue
-        for op, x in _operations(parent):
-            child = op(parent, x)
-            count = parent_count if op in (add_loop, add_leaf) else tree_count(child)
-            if count > best:
-                best, optima = count, GraphDedup()
-            if count == best:
-                optima.add(child)
-    return best, min(optima.items, key=lambda g: (g.n, g.edges))
+    level = _census_level(d, tree_count(fib_chain(d)))
+    witness = min(level, key=lambda g: (-tree_count(g), g.n, g.edges))
+    return tree_count(witness), witness
 
 
 def fib_table(d_max: int, mode: str = "exhaustive") -> list[TableRow]:

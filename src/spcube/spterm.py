@@ -33,6 +33,7 @@ from .multigraph import (
     duplicate_edge,
     least_twins,
     subdivide_edge,
+    tree_count,
 )
 
 __all__ = [
@@ -456,13 +457,22 @@ def enumerate_connected_sp(d: int) -> list[Multigraph]:
 
 
 @lru_cache(maxsize=None)
-def _census_level(d: int) -> tuple[Multigraph, ...]:
-    """Level d of the census in insertion order, grown from level d - 1.
+def _census_level(d: int, floor: int = 0) -> tuple[Multigraph, ...]:
+    """Level d of the census in insertion order, restricted to the classes
+    with at least ``floor`` spanning trees; ``floor == 0`` is the full
+    level, and no tree is counted for it.
 
-    Each parent is offered, in order, a loop and a leaf at every vertex,
-    then a duplicate and a subdivision of every edge.  ``_operations``
-    skips an operation whose result is isomorphic to an earlier one's on
-    the same parent, by four rules:
+    The level grows from ``_census_level(d - 1, (floor + 1) // 2)``: each
+    parent is offered, in order, a loop and a leaf at every vertex, then a
+    duplicate and a subdivision of every edge, and a child below ``floor``
+    is dropped before it reaches the deduplication, so it costs no
+    certificate.  A loop or a leaf keeps the parent's tree count T(P), and
+    duplicating or subdividing an edge adds T(P / e) or T(P - e), so no
+    child has more than 2 T(P) trees: every parent of a kept class is in
+    the bounded level below, and the kept classes get the same
+    first-inserted representatives, in the same order, as in the full
+    level.  ``_operations`` skips an operation whose result is isomorphic
+    to an earlier one's on the same parent, by four rules:
 
     - a loop or a leaf at a vertex whose least twin u is smaller (see
       ``least_twins``): the same operation at u;
@@ -477,11 +487,17 @@ def _census_level(d: int) -> tuple[Multigraph, ...]:
     exactly those of the unskipped closure.
     """
     if d == 0:
-        return (Multigraph(1, ()),)
+        return (Multigraph(1, ()),) if floor <= 1 else ()
     dedup = GraphDedup()
-    for g in _census_level(d - 1):
+    for g in _census_level(d - 1, (floor + 1) // 2):
+        parent_count = tree_count(g) if floor else 0
         for op, x in _operations(g):
-            dedup.add(op(g, x))
+            child = op(g, x)
+            if floor:
+                count = parent_count if op in (add_loop, add_leaf) else tree_count(child)
+                if count < floor:
+                    continue
+            dedup.add(child)
     return tuple(dedup.items)
 
 

@@ -375,10 +375,10 @@ class TestCli:
             raise AssertionError(f"row {d} computed above the guard")
 
         monkeypatch.setattr(search, "_census_maximum", no_row)
-        assert main(["table", "fib", "--max-d", "10"]) == 2
+        assert main(["table", "fib", "--max-d", "12"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "refused: exhaustive census is guarded at 9 edges" in captured.err
+        assert "refused: exhaustive census is guarded at 11 edges" in captured.err
 
     def test_table_m_terms_above_guard_exit_2(self, monkeypatch, capsys):
         def no_terms(d):

@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from functools import lru_cache
 from itertools import repeat
 
 import pytest
@@ -17,6 +19,7 @@ from spcube import (
     enumerate_terms,
     fib,
     fib_table,
+    is_series_parallel,
     m_table,
     m_value,
     max_spanning_trees,
@@ -91,6 +94,16 @@ def _full_census_row(d):
     return best, witness
 
 
+def _fresh_census(monkeypatch):
+    """Give ``spterm._census_level`` an empty cache of its own for one
+    test, so the test sees every level built and leaves the process's
+    cache as it was; returns the freshly cached builder."""
+    census = lru_cache(maxsize=None)(spterm._census_level.__wrapped__)
+    monkeypatch.setattr(spterm, "_census_level", census)
+    monkeypatch.setattr(search, "_census_level", census)
+    return census
+
+
 def _prune_reference(cands):
     """Quadratic maxima of vectors: the oracle for the staircase prune."""
     items = sorted(cands.items(), key=lambda kv: (-kv[0][0], -kv[0][1], -kv[0][2]))
@@ -153,7 +166,7 @@ class TestMaxSpanningTrees:
 
     def test_guards(self):
         with pytest.raises(SizeGuardError):
-            max_spanning_trees(10, "exhaustive")
+            max_spanning_trees(12, "exhaustive")
         with pytest.raises(SizeGuardError):
             max_spanning_trees(25, "witness")
 
@@ -184,8 +197,9 @@ class TestMaxSpanningTrees:
         assert len(spterm._census_level(9)) == 19694
 
     def test_children_reach_at_most_twice_the_parent(self):
-        # the scan's bound: a loop or a leaf keeps T(P), and a duplicated
-        # or subdivided edge adds T(P / e) or T(P - e), each at most T(P)
+        # why a bounded level grows from its parent level at half the
+        # floor: a loop or a leaf keeps T(P), and a duplicated or
+        # subdivided edge adds T(P / e) or T(P - e), each at most T(P)
         for d in range(7):
             for g in spterm._census_level(d):
                 t = tree_count(g)
@@ -196,33 +210,94 @@ class TestMaxSpanningTrees:
                     else:
                         assert t <= c <= 2 * t
 
-    def test_row_millis_time_each_level(self, monkeypatch):
-        # the clock steps only on dedup insertions, one tick per candidate;
-        # row d times building census level d - 1 plus the scan of its
-        # children, and census level 5 is never built
-        clock = [0.0]
-        census = [0] * 6
-        scan = [0] * 6
+    @pytest.mark.parametrize("d", range(8))
+    def test_bounded_level_is_the_full_level_filtered(self, d):
+        # the same graphs in the same order as the full level, less the
+        # classes below the floor
+        full = spterm._census_level(d)
+        top = fib(d + 1)
+        for floor in (0, 1, (top + 1) // 2, top, top + 1):
+            want = [(g.n, g.edges) for g in full if tree_count(g) >= floor]
+            got = [(g.n, g.edges) for g in spterm._census_level(d, floor)]
+            assert got == want, floor
+
+    def test_children_below_the_floor_cost_no_certificate(self, monkeypatch):
+        # a bounded level offers the deduplication only the children that
+        # reach its floor, so a child below it is never certified
+        census = _fresh_census(monkeypatch)
+        offered = []
         real_add = spterm.GraphDedup.add
 
-        class ScanDedup(spterm.GraphDedup):
-            pass
+        def recording_add(self, g):
+            offered.append(g)
+            return real_add(self, g)
+
+        monkeypatch.setattr(spterm.GraphDedup, "add", recording_add)
+        floors = [fib(9)]
+        while len(floors) < 9:
+            floors.insert(0, (floors[0] + 1) // 2)
+        census(8, floors[8])
+        assert {g.e for g in offered} == set(range(1, 9))
+        assert all(tree_count(g) >= floors[g.e] for g in offered)
+
+    @pytest.mark.parametrize("d", [10, pytest.param(11, marks=pytest.mark.slow)])
+    def test_rows_above_the_full_census(self, d, monkeypatch):
+        row = max_spanning_trees(d)
+        g = row.witness
+        assert row.value == fib(d + 1) == tree_count(g)
+        assert g.e == d and g.is_connected() and is_series_parallel(g)
+        # with the bound halved the level keeps more classes, and the same
+        # optimum with the same representative
+        census = _fresh_census(monkeypatch)
+        monkeypatch.setattr(search, "_census_level", lambda k, floor: census(k, floor // 2))
+        halved = max_spanning_trees(d)
+        assert (halved.value, halved.witness) == (row.value, row.witness)
+
+    def test_row_millis_time_each_level(self, monkeypatch):
+        # the clock steps only on dedup insertions, one tick per candidate.
+        # Row d's millis is the ticks of the bounded levels its call builds
+        # first: a level is kept once built, so no level's ticks count for
+        # two rows, and nothing is built with floor 0
+        clock = [0.0]
+        ticks = Counter()  # (level, floor) -> insertions
+        first_row = {}  # (level, floor) -> the row that asked for it first
+        building = []
+        row = [None]
+        census = _fresh_census(monkeypatch)
+        real_add = spterm.GraphDedup.add
+        real_row = search.max_spanning_trees
+
+        def tracked_level(d, floor=0):
+            first_row.setdefault((d, floor), row[0])
+            building.append((d, floor))
+            try:
+                return census(d, floor)
+            finally:
+                building.pop()
 
         def counting_add(self, g):
-            (scan if isinstance(self, ScanDedup) else census)[g.e] += 1
+            ticks[building[-1]] += 1
             clock[0] += 1
             return real_add(self, g)
 
-        spterm._census_level.cache_clear()
+        def tracked_row(d, mode):
+            row[0] = d
+            return real_row(d, mode)
+
+        monkeypatch.setattr(spterm, "_census_level", tracked_level)
+        monkeypatch.setattr(search, "_census_level", tracked_level)
         monkeypatch.setattr(search.time, "perf_counter", lambda: clock[0])
         monkeypatch.setattr(spterm.GraphDedup, "add", counting_add)
-        monkeypatch.setattr(search, "GraphDedup", ScanDedup)
-        rows = fib_table(5)
-        assert census[0] == census[5] == 0 and all(census[1:5])
-        assert scan[0] == 0 and all(scan[1:])
+        monkeypatch.setattr(search, "max_spanning_trees", tracked_row)
+        rows = fib_table(6)
+        assert all(floor > 0 for _, floor in first_row)
+        assert all(first_row[(d, fib(d + 1))] == d for d in range(7))
+        assert all(ticks[(d, fib(d + 1))] for d in range(1, 7))
         assert [r.millis for r in rows] == [
-            1000.0 * ((census[d - 1] if d else 0) + scan[d]) for d in range(6)
+            1000.0 * sum(n for level, n in ticks.items() if first_row[level] == d)
+            for d in range(7)
         ]
+        assert sum(r.millis for r in rows) == 1000.0 * clock[0]
 
     def test_chain_recurrence_to_16(self):
         assert check_fib_chain(max_d=16) == []
