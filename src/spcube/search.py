@@ -13,9 +13,10 @@ Two independent routes compute the edge-count maximum m(d) over marked
   dominated triples can be pruned without losing maxima.
   Dominated triples are pruned by an O(n log n) staircase sweep that
   reads the triples alone, so witnesses are built only for the kept
-  ones: each producer of a kept triple is composed from its parts'
-  canonical terms and oriented by the enumeration's rule (its key
-  against ``spterm._reversed_key``, memoized over one DP call).
+  ones.  Each kept triple holds its canonical witness with that term's
+  normalized reversal: a producer composes both from its parts' pairs
+  with O(1) new nodes, and is oriented by the enumeration's rule, the
+  smaller of the two keys.
 * ``method="terms"``: literal iteration over all canonical terms,
   counting Hamming-1 pairs between the two tree sets of each marked
   graph.  The sets (the network's spanning trees and its 2-forests that
@@ -55,12 +56,9 @@ from .spterm import (
     SpTerm,
     _census_level,
     _merge_parallel,
-    _norm,
-    _reversed_key,
     enumerate_connected_sp,
     enumerate_terms,
     format_term,
-    reverse_term,
     series,
     tree_sets,
 )
@@ -230,45 +228,51 @@ def _dp_frontiers(d_max: int) -> tuple[list[dict], list[float]]:
     d-edge networks, each with its canonical witness term; millis[d]: the
     time frontier[d] took to build.
 
-    A candidate triple records its producers, (series or parallel, part,
-    part) on the parts' canonical terms; only the producers of a triple
-    that survives ``_prune`` build a term (see ``_witness``)."""
+    A candidate triple records its producers, (in series or not, part,
+    part), each part a kept triple's (canonical term, normalized
+    reversal) pair; only the producers of a triple that survives
+    ``_prune`` build terms (see ``_witness``)."""
     frontier: list[dict] = [dict() for _ in range(d_max + 1)]
     millis = [0.0] * (d_max + 1)
-    memo: dict[str, str] = {}
     for d in range(1, d_max + 1):
         start = time.perf_counter()
         cands: dict[tuple[int, int, int], list] = {}
         if d == 1:
-            cands[(1, 1, 1)] = [(series, EDGE)]  # a series of one part is that part
+            cands[(1, 1, 1)] = [(True, (EDGE, EDGE))]  # a series of one part is that part
         for d1 in range(1, d // 2 + 1):
             d2 = d - d1
             for t1_trip, w1 in frontier[d1].items():
                 for t2_trip, w2 in frontier[d2].items():
-                    for in_series, build in ((True, series), (False, _merge_parallel)):
+                    for in_series in (True, False):
                         trip = _combine(in_series, t1_trip, t2_trip)
-                        cands.setdefault(trip, []).append((build, w1, w2))
-        frontier[d] = {
-            trip: _witness(producers, memo) for trip, producers in _prune(cands).items()
-        }
+                        cands.setdefault(trip, []).append((in_series, w1, w2))
+        frontier[d] = {trip: _witness(producers) for trip, producers in _prune(cands).items()}
         millis[d] = _ms(start)
-    return frontier, millis
+    return [{trip: w for trip, (w, _) in f.items()} for f in frontier], millis
 
 
-def _witness(producers: list, memo: dict[str, str]) -> SpTerm:
-    """The key-least canonical term among the producers' compositions.
+def _witness(producers: list) -> tuple[SpTerm, SpTerm]:
+    """The key-least canonical term among the producers' compositions,
+    with its normalized reversal.
 
-    The parts are canonical, so each composition n is normalized, and
-    ``canonical(n)`` is n when ``n.key <= _reversed_key(n)`` and its
-    normalized reversal otherwise: the rule the term enumeration keeps
-    its representatives by.  Only the winner's reversal is built."""
-    best_key, best = None, None
-    for build, *parts in producers:
-        n = build(*parts)
-        key = min(n.key, _reversed_key(n, memo))
-        if best is None or key < best_key:
-            best_key, best = key, n
-    return best if best.key == best_key else _norm(reverse_term(best))
+    The parts are flattened and normalized, so a composition n and its
+    normalized reversal r take O(1) new nodes each: a series lists the
+    parts' reversals in reverse order, and a parallel merges them.
+    ``canonical(n)`` is n when ``n.key <= r.key`` and r otherwise: the
+    rule the term enumeration keeps its representatives by.  The first
+    producer wins among equal keys."""
+    best = None
+    for in_series, *parts in producers:
+        terms, reversals = zip(*parts)
+        if in_series:
+            n, r = series(*terms), series(*reversals[::-1])
+        else:
+            n, r = _merge_parallel(*terms), _merge_parallel(*reversals)
+        if r.key < n.key:
+            n, r = r, n
+        if best is None or n.key < best[0].key:
+            best = n, r
+    return best
 
 
 def _best(scored) -> tuple[int, SpTerm]:

@@ -154,9 +154,9 @@ def canonical(t: SpTerm) -> SpTerm:
     moves that leave the marked graph unchanged up to isomorphism, so the
     representative is the keywise-smaller of the normalized term and its
     normalized reversal.  The reversal's key comes from ``_reversed_key``,
-    the rule the term enumeration and the m-table DP orient by, so the
-    reversal is built only when it wins.  (Exactness is pinned against
-    the pairwise graph-isomorphism oracle in the test suite.)
+    the rule the term enumeration orients by, so the reversal is built
+    only when it wins.  (Exactness is pinned against the pairwise
+    graph-isomorphism oracle in the test suite.)
     """
     n = _norm(t)
     return n if n.key <= _reversed_key(n, {}) else _norm(reverse_term(n))
@@ -378,9 +378,8 @@ def _reversed_key(t: SpTerm, memo: dict[str, str]) -> str:
     """``_norm(reverse_term(t)).key``, built from the children's reversed
     keys: a series lists them in reverse order, a parallel sorted.
     ``memo`` maps subterm keys to reversed keys.  Subterms are shared
-    across the terms of one enumeration, and across the witnesses of one
-    m-table DP call (``search._dp_frontiers``), so most lookups hit; t's
-    own key is not stored, because only subterms recur."""
+    across the terms of one enumeration, so most lookups hit; t's own key
+    is not stored, because only subterms recur."""
     if t.kind == "e":
         return "e"
     kids = []
@@ -471,8 +470,12 @@ def _census_level(d: int, floor: int = 0) -> tuple[Multigraph, ...]:
     child has more than 2 T(P) trees: every parent of a kept class is in
     the bounded level below, and the kept classes get the same
     first-inserted representatives, in the same order, as in the full
-    level.  ``_operations`` skips an operation whose result is isomorphic
-    to an earlier one's on the same parent, by four rules:
+    level.  Only a duplicate's trees are counted from scratch: for a
+    non-loop edge e, T(P / e) + T(P - e) = T(P), so subdividing e has
+    3 T(P) - T(duplicate e) trees, and subdividing a loop, which is never
+    duplicated, has 2 T(P).  ``_operations`` skips an operation whose
+    result is isomorphic to an earlier one's on the same parent, by four
+    rules:
 
     - a loop or a leaf at a vertex whose least twin u is smaller (see
       ``least_twins``): the same operation at u;
@@ -494,7 +497,14 @@ def _census_level(d: int, floor: int = 0) -> tuple[Multigraph, ...]:
         for op, x in _operations(g):
             child = op(g, x)
             if floor:
-                count = parent_count if op in (add_loop, add_leaf) else tree_count(child)
+                if op is duplicate_edge:
+                    count = duplicated = tree_count(child)
+                elif op is subdivide_edge:
+                    u, v = g.edges[x]
+                    # a non-loop edge's duplicate comes just before it
+                    count = 3 * parent_count - duplicated if u != v else 2 * parent_count
+                else:
+                    count = parent_count
                 if count < floor:
                     continue
             dedup.add(child)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from functools import lru_cache
@@ -221,6 +222,28 @@ class TestMaxSpanningTrees:
             got = [(g.n, g.edges) for g in spterm._census_level(d, floor)]
             assert got == want, floor
 
+    def test_bounded_levels_count_one_child_per_edge(self, monkeypatch):
+        # a subdivision's count comes from its parent's and the duplicate's,
+        # so a bounded level counts each parent and each duplicated edge
+        # once: fib_table(8) takes 452 counts in its census and 33 in the
+        # rows (each row's chain and its optimal classes)
+        _fresh_census(monkeypatch)
+        calls = Counter()
+
+        def counting(module):
+            real = module.tree_count
+
+            def count(g):
+                calls[module.__name__] += 1
+                return real(g)
+
+            return count
+
+        monkeypatch.setattr(spterm, "tree_count", counting(spterm))
+        monkeypatch.setattr(search, "tree_count", counting(search))
+        fib_table(8)
+        assert calls == {"spcube.spterm": 452, "spcube.search": 33}
+
     def test_children_below_the_floor_cost_no_certificate(self, monkeypatch):
         # a bounded level offers the deduplication only the children that
         # reach its floor, so a child below it is never certified
@@ -335,6 +358,22 @@ class TestMTable:
         rows = m_table(8)
         assert len(sizes) == 8
         assert [r.millis for r in rows] == [1000.0 * n for n in sizes]
+
+    def test_every_kept_witness_to_16(self):
+        # sha256 of the sorted "d T F |Y| witness" lines of every kept
+        # triple, pinned from the DP that oriented each winner by the
+        # memoized key of its rebuilt normalized reversal; the
+        # canonicalizing oracle below reaches only d = 12
+        frontiers, _ = search._dp_frontiers(16)
+        lines = sorted(
+            f"{d} {t} {f} {y} {w.key}"
+            for d, frontier in enumerate(frontiers)
+            for (t, f, y), w in frontier.items()
+        )
+        assert len(lines) == 1543
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "3cc4f19f354445daced6fbf1c47f9e5bc757560116e5a85848562075ed1fafaa"
+        )
 
     def test_frontiers_match_canonicalizing_dp(self):
         frontiers, _ = search._dp_frontiers(12)
