@@ -49,6 +49,7 @@ from .spterm import (
     series,
     tf_counts,
     to_marked_graph,
+    tree_bitsets,
     tree_sets,
 )
 from .patterns import (

@@ -300,7 +300,9 @@ def _compose_tf(
 
 def _count_tf(series: bool, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     """The count form of ``_compose_tf``: the (T, F) counts of two
-    networks a and b composed in series or in parallel."""
+    networks a and b composed in series or in parallel.  On bitsets of
+    edge masks (``spterm.tree_bitsets``) the same products and sums
+    compose the sets themselves."""
     (ta, fa), (tb, fb) = a, b
     if series:
         return ta * tb, ta * fb + fa * tb

@@ -21,11 +21,13 @@ masks, because coordinate 0 is the first character but the lowest bit, so
 ``sort_key`` orders strings and ``element_key`` orders masks and pairs.
 
 X, H, psi and y18 work on tree masks: X is G's spanning trees; H and psi
-split those same trees on bit i (the trees of G/i and of G - i) and pair
-the two sides at Hamming distance 1 by one kernel, ``_starred``.  Y is
-psi of X, Y(G, i) = psi(X(G), i), so a caller that needs X and Y of one
-graph enumerates its trees once.  The series and parallel rule that
-composes the tree sets lives in ``multigraph._compose_tf``.
+split those same trees on bit i (the trees of G/i and of G - i) and list
+the pairs of the two sides at Hamming distance 1 by one kernel,
+``_starred``; the m table's terms route (``search._y_size``) only counts
+such pairs, on bitsets.  Y is psi of X, Y(G, i) = psi(X(G), i), so a
+caller that needs X and Y of one graph enumerates its trees once.  The
+series and parallel rule that composes the tree sets lives in
+``multigraph._compose_tf``.
 """
 
 from __future__ import annotations

@@ -20,8 +20,9 @@ Two independent routes compute the edge-count maximum m(d) over marked
 * ``method="terms"``: literal iteration over all canonical terms,
   counting Hamming-1 pairs between the two tree sets of each marked
   graph.  The sets (the network's spanning trees and its 2-forests that
-  separate the terminals) are composed by series and parallel steps
-  (``spterm.tree_sets``), so no graph is built and no tree enumerated.
+  separate the terminals) are folded as bitsets by series and parallel
+  steps (``spterm.tree_bitsets``), so no graph is built and no tree
+  enumerated, and the pairs are counted by shifted ANDs (``_y_size``).
 
 Both routes report the largest value, but their witnesses can differ.
 The terms route sees every term, so its witness is the key-least term
@@ -50,7 +51,7 @@ from .multigraph import (
     spanning_trees,
     tree_count,
 )
-from .patterns import _starred, psi, x_pattern
+from .patterns import psi, x_pattern
 from .spterm import (
     EDGE,
     SpTerm,
@@ -60,7 +61,7 @@ from .spterm import (
     enumerate_terms,
     format_term,
     series,
-    tree_sets,
+    tree_bitsets,
 )
 
 __all__ = [
@@ -79,8 +80,10 @@ __all__ = [
 EXHAUSTIVE_TREE_LIMIT = 11
 WITNESS_CHAIN_LIMIT = 24
 M_TABLE_LIMIT = 16
-# the terms route visits every canonical term, about 5x more per edge
-M_TERMS_LIMIT = 11
+# the terms route visits every canonical term, about 4x more per edge, and
+# takes about 5x the time: --max-d 12 takes about 9 s and 225 MB peak,
+# most of the memory for its 366,422 terms
+M_TERMS_LIMIT = 12
 
 
 def fib(k: int) -> int:
@@ -294,9 +297,19 @@ def _frontier_best(frontier: dict) -> tuple[int, SpTerm]:
 def _y_size(t: SpTerm) -> int:
     """|Y(G, 0)| for t's marked graph (G, 0): the Hamming-1 pairs between
     t's forests (lower) and trees (upper).  Each pair is one edge of the
-    pattern, so this is ``len(y_pattern(to_marked_graph(t), 0))``."""
-    trees, forests = tree_sets(t)
-    return len(_starred(forests, trees))
+    pattern, so this is ``len(y_pattern(to_marked_graph(t), 0))``.
+
+    On the bitsets of ``spterm.tree_bitsets``, bit f of
+    ``forests & trees >> (1 << j)`` is set when f is a forest and f + 2^j
+    a tree.  Then bit j of f is clear: else f + 2^j carries, has at most
+    as many edges as f, and is no tree.  So the pairs that climb edge j
+    are that AND's popcount, and the shifts need no mask of bit j."""
+    trees, forests = tree_bitsets(t)
+    # the shifts stop past the largest tree: a tree f + 2^j is at least 2^j
+    return sum(
+        (forests & trees >> (1 << j)).bit_count()
+        for j in range(trees.bit_length().bit_length())
+    )
 
 
 def m_value(d: int, method: str = "dp") -> tuple[int, SpTerm]:

@@ -11,9 +11,12 @@ exactly parallel-child reordering plus series-list reversal (swapping the
 two terminals), and ``canonical_key`` realizes it.
 
 A value folds along a term's series and parallel steps by ``_fold``, the
-term-side mirror of ``multigraph._sp_reduce``: ``tf_counts``,
-``tree_sets`` and the m-table DP's triples (``search._combine``) are
-each one fold, by one series/parallel rule.
+term-side mirror of ``multigraph._sp_reduce``.  ``tf_counts`` and
+``tree_bitsets`` are one fold by one (T, F) rule, ``multigraph._count_tf``:
+on ints as counts, and on ints as bitsets of edge masks, whose products
+are joins and whose sums are disjoint unions.  ``tree_sets`` decodes the
+bitsets, and the m-table DP's triples (``search._combine``) are one more
+fold.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from itertools import count, repeat
 
 from .multigraph import (
     Multigraph,
-    _compose_tf,
     _count_tf,
     add_leaf,
     add_loop,
@@ -50,6 +52,7 @@ __all__ = [
     "parse_term",
     "to_marked_graph",
     "tf_counts",
+    "tree_bitsets",
     "tree_sets",
     "enumerate_terms",
     "enumerate_connected_sp",
@@ -277,19 +280,43 @@ def tf_counts(t: SpTerm) -> tuple[int, int]:
     return _fold(t, repeat((1, 1)), _count_tf)
 
 
+def tree_bitsets(t: SpTerm) -> tuple[int, int]:
+    """(T, F) as bitsets: bit m of T is set when the edge mask m, leaf i
+    of t (left to right) at bit i, is a spanning tree of t's network, and
+    bit m of F when m is a 2-component spanning forest separating its
+    terminals.  ``tree_sets`` lists the members.
+
+    Leaf i has T = {bit i} and F = {no edge}, and ``_fold`` composes by
+    ``multigraph._count_tf``, the rule of ``tf_counts``.  Two parts use
+    disjoint edge bits, so a product of their bitsets has bit x + y = x | y
+    for every pair of members, with no carry: it is the join of the sets.
+    A tree of a part has one more edge than a forest of it, so the two
+    products of ``ta * fb + fa * tb`` differ on a's edges in every member,
+    and their sum is a disjoint union.  The popcounts are ``tf_counts(t)``.
+    """
+    return _fold(t, ((1 << (1 << i), 1) for i in count()), _count_tf)
+
+
 def tree_sets(t: SpTerm) -> tuple[list[int], list[int]]:
-    """(T, F) as edge masks, leaf i of t (left to right) at bit i: the
-    spanning trees of t's network, and its 2-component spanning forests
-    separating the two terminals.  The lists hold distinct masks, in no
-    promised order.
+    """(T, F) as ascending lists of edge masks, leaf i of t (left to
+    right) at bit i: the members of ``tree_bitsets(t)``.
 
     For the marked graph (G, 0) of t these are the trees of G \\ 0 and of
     G / 0, that is ``patterns._split(spanning_trees(to_marked_graph(t)), 0)``
-    in reverse, with no graph built.  Leaf i has T = {bit i} and
-    F = {no edge}, and ``_fold`` composes by ``multigraph._compose_tf``,
-    the rule ``spanning_trees`` composes by.
+    in reverse, with no graph built.
     """
-    return _fold(t, (([1 << i], [0]) for i in count()), _compose_tf)
+    trees, forests = tree_bitsets(t)
+    return _members(trees), _members(forests)
+
+
+def _members(bits: int) -> list[int]:
+    """The positions of the set bits of ``bits``, ascending."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
 
 
 # ---------------------------------------------------------------------------

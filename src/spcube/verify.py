@@ -846,7 +846,7 @@ ALL_CHECKS = [
     ("f2_b2_extraction", check_f2_b2_extraction, {}, {}),
     ("fib_exhaustive", check_fib_exhaustive, {"max_d": 6}, {"max_d": 8}),
     ("fib_chain", check_fib_chain, {}, {}),
-    ("m_methods_agree", check_m_methods_agree, {"max_d": 6}, {"max_d": 8}),
+    ("m_methods_agree", check_m_methods_agree, {"max_d": 6}, {"max_d": 10}),
     ("m_onesum_guard", check_m_onesum_guard, {"max_d": 4}, {"max_d": 6}),
 ]
 

@@ -385,10 +385,10 @@ class TestCli:
             raise AssertionError(f"terms enumerated at d = {d} above the guard")
 
         monkeypatch.setattr(search, "enumerate_terms", no_terms)
-        assert main(["table", "m", "--max-d", "12", "--method", "terms"]) == 2
+        assert main(["table", "m", "--max-d", "13", "--method", "terms"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "refused: m table by terms is guarded at d = 11" in captured.err
+        assert "refused: m table by terms is guarded at d = 12" in captured.err
 
     def test_table_fib_witness_chain_above_guard_exit_2(self, capsys):
         assert main(["table", "fib", "--max-d", "25", "--witness-only"]) == 2

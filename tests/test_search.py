@@ -31,8 +31,10 @@ from spcube import (
     spanning_trees,
     to_marked_graph,
     tree_count,
+    tree_sets,
     y_pattern,
 )
+from spcube.patterns import _starred
 from spcube.search import m_value_all_marked_graphs
 from spcube.verify import (
     check_fib_chain,
@@ -456,8 +458,8 @@ class TestMTable:
             raise AssertionError(f"terms enumerated at d = {d} above the guard")
 
         monkeypatch.setattr(search, "enumerate_terms", no_terms)
-        with pytest.raises(SizeGuardError, match="guarded at d = 11"):
-            call(12, "terms")
+        with pytest.raises(SizeGuardError, match="guarded at d = 12"):
+            call(13, "terms")
 
     def test_onesum_guard(self):
         assert check_m_onesum_guard(max_d=4) == []
@@ -468,6 +470,18 @@ class TestMTable:
     def test_all_marked_graphs_small(self):
         assert m_value_all_marked_graphs(1) == 1
         assert m_value_all_marked_graphs(2) == 2
+
+    def test_pair_count_matches_listed_pairs(self):
+        # the shifted-AND count of the bitsets against the kernel that
+        # lists the pairs of the decoded sets
+        for d in range(1, 9):
+            for t in enumerate_terms(d):
+                trees, forests = tree_sets(t)
+                assert search._y_size(t) == len(_starred(forests, trees)), t.key
+
+    @pytest.mark.slow
+    def test_terms_route_at_its_guard(self):
+        assert m_value(12, "terms")[0] == m_value(12)[0] == TABLE_M[11]
 
     def test_terms_method_witness(self):
         value, witness = m_value(4, "terms")

@@ -20,6 +20,7 @@ from spcube import (
     spanning_trees,
     tf_counts,
     to_marked_graph,
+    tree_bitsets,
     tree_count,
     tree_sets,
 )
@@ -272,6 +273,18 @@ class TestTreeSets:
     @pytest.mark.slow
     def test_matches_enumeration_deep(self):
         _check_tree_sets(10)
+
+    def test_bitsets(self):
+        # bit m is set when mask m is in the set: leaf 0 is mask 0b1
+        assert tree_bitsets(EDGE) == (1 << 0b1, 1 << 0)
+        assert tree_bitsets(series(EDGE, EDGE)) == (1 << 0b11, 1 << 0b01 | 1 << 0b10)
+        assert tree_bitsets(parallel(EDGE, EDGE)) == (1 << 0b01 | 1 << 0b10, 1 << 0)
+
+    def test_popcounts_match_tf_counts(self):
+        for d in range(1, 11):
+            for t in enumerate_terms(d):
+                trees, forests = tree_bitsets(t)
+                assert (trees.bit_count(), forests.bit_count()) == tf_counts(t), t.key
 
     def test_sizes_match_tf_counts(self):
         for d in range(1, 11):
