@@ -12,6 +12,7 @@ from concurrent readers.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from itertools import combinations
 from math import lcm, prod
@@ -172,6 +173,20 @@ def _is_bridge(g: Multigraph, i: int) -> bool:
 CORE_VERTEX_LIMIT = 256
 
 
+# ``spanning_trees`` holds tree sets as int bitsets of 2^e bits up to this
+# many edges, and as ``_MaskList``s above.  A core tree's product costs most
+# on bitsets, so a graph with a large core crosses over first (Python 3.11,
+# shared 2-core x86 machine, bitsets against lists):
+# - a wheel, all core: 1.2 against 2.4 ms at 12 edges, 11.8 against 7.5 ms
+#   at 14 edges (841 trees);
+# - two K4 cores and a 2-path between them, 14 edges: 6.0 against 2.4 ms;
+#   13-edge cores (a wheel with a doubled spoke, K5 with three edges
+#   subdivided) took 2.35 against 2.37 and 0.46 against 0.81 ms;
+# - ``fib_chain(e)``, no core: 0.07 against 0.14 ms at 13 edges, 0.43
+#   against 0.52 ms at 16, 1.04 against 0.80 ms at 17.
+TREE_BITSET_LIMIT = 13
+
+
 def _sp_reduce(g: Multigraph, values: list, compose) -> tuple[list, list[dict | None]]:
     """Series-parallel reduction of g (Valdes, Tarjan and Lawler, SIAM J.
     Comput. 1982), folding values as it reduces.
@@ -228,11 +243,14 @@ def spanning_trees(g: Multigraph) -> list[int]:
     Bit ``i`` of a mask corresponds to edge ``i``.  Raises ``ValueError``
     on a disconnected (or empty) graph.
 
-    ``_sp_reduce`` folds each network's (T, F) mask sets: the spanning
-    trees of the two-terminal network, and the 2-component spanning
-    forests separating its terminals.  An edge has T = {itself} and
-    F = {no edge}; series and parallel joins compose by ``_compose_tf``.
-    A pendant network is in every tree with one of its T masks.  Whatever
+    ``_sp_reduce`` folds each network's (T, F) mask sets by ``_count_tf``,
+    the rule of ``tree_count``: the spanning trees of the two-terminal
+    network, and the 2-component spanning forests separating its
+    terminals.  An edge has T = {itself} and F = {no edge}.  A set is an
+    int bitset (bit m marks mask m, as in ``spterm.tree_bitsets``) on
+    graphs of at most ``TREE_BITSET_LIMIT`` edges, and a ``_MaskList``
+    above; on both a product is a join and a sum a disjoint union.  A
+    pendant network is in every tree with one of its T masks.  Whatever
     does not reduce, such as K4 and its subdivisions, is an irreducible
     core.  The backtracking enumerator runs on it, with its networks as
     edges, and each core tree expands into T for its networks and F for
@@ -242,13 +260,25 @@ def spanning_trees(g: Multigraph) -> list[int]:
         raise ValueError("spanning trees of the empty graph are undefined")
     if g.n > g.e + 1:  # too few edges for a tree; else n is O(e)
         raise ValueError("spanning trees require a connected graph")
-    pendant, adj = _sp_reduce(g, [([1 << i], [0]) for i in range(g.e)], _compose_tf)
-    fixed = [0]
-    for part in sorted((t for t, _ in pendant), key=len):  # small products first
-        fixed = _join(fixed, part)
+    if g.e <= TREE_BITSET_LIMIT:
+        return _members(_tree_set(g, [(1 << (1 << i), 1) for i in range(g.e)], 0, 1))
+    leaves = [(_MaskList([1 << i]), _MaskList([0])) for i in range(g.e)]
+    masks = _tree_set(g, leaves, _MaskList([]), _MaskList([0])).masks
+    masks.sort()
+    return masks
+
+
+def _tree_set(g: Multigraph, leaves: list, empty, unit):
+    """The set of g's spanning trees, in the value type of ``leaves``
+    (edge i's (T, F) sets), whose empty set and set {no edge} are
+    ``empty`` and ``unit``; ``empty`` is a new value, which the core's
+    sum may extend in place."""
+    pendant, adj = _sp_reduce(g, leaves, _count_tf)
+    fixed = unit
+    for part in sorted((t for t, _ in pendant), key=lambda s: s.bit_count()):  # small first
+        fixed = fixed * part
     left = [v for v, nbrs in enumerate(adj) if nbrs is not None]
     if len(left) == 1:
-        fixed.sort()
         return fixed
     core = _core(adj, left)
     if core is None:
@@ -256,15 +286,49 @@ def spanning_trees(g: Multigraph) -> list[int]:
     cores: list[int] = []
     edges = [(x, y, 1 << j) for j, (x, y, _) in enumerate(core)]
     _grow(edges, 0, len(left) - 1, 0, list(range(len(left))), cores)
-    out: list[int] = []
+    out = empty
     for mask in cores:
-        acc = [0]
+        acc = unit
         for j, (_, _, (t, f)) in enumerate(core):
-            acc = _join(acc, t if mask >> j & 1 else f)
+            acc = acc * (t if mask >> j & 1 else f)
         out += acc
-    out = _join(out, fixed)
-    out.sort()
-    return out
+    return out * fixed
+
+
+class _MaskList:
+    """A set of edge masks as a list, with a bitset's arithmetic: ``*`` is
+    the join of two sets on disjoint edges (every union of a member of
+    each), and ``+`` the union of two disjoint sets, by concatenation;
+    ``+=`` concatenates in place."""
+
+    __slots__ = ("masks",)
+
+    def __init__(self, masks: list[int]):
+        self.masks = masks
+
+    def __mul__(self, other: _MaskList) -> _MaskList:
+        xs = self.masks
+        return _MaskList([x | y for y in other.masks for x in xs])
+
+    def __add__(self, other: _MaskList) -> _MaskList:
+        return _MaskList(self.masks + other.masks)
+
+    def __iadd__(self, other: _MaskList) -> _MaskList:
+        self.masks += other.masks
+        return self
+
+    def bit_count(self) -> int:
+        """The number of members, as ``int.bit_count`` of a bitset."""
+        return len(self.masks)
+
+
+_ONE = re.compile("1")
+
+
+def _members(bits: int) -> list[int]:
+    """The positions of the set bits of ``bits``, ascending: one scan of
+    its binary digits, linear in its length."""
+    return [m.start() for m in _ONE.finditer(bin(bits)[:1:-1])]
 
 
 def _core(adj: list[dict | None], left: list[int]) -> list[tuple[int, int, object]] | None:
@@ -279,30 +343,18 @@ def _core(adj: list[dict | None], left: list[int]) -> list[tuple[int, int, objec
     return core
 
 
-def _join(xs: list[int], ys: list[int]) -> list[int]:
-    """Every union of one mask of xs with one of ys (their bits are disjoint)."""
-    return [x | y for y in ys for x in xs]
+def _count_tf(series: bool, a, b):
+    """The (T, F) rule: the spanning trees T and the terminal-separating
+    2-component spanning forests F of two networks a and b, on disjoint
+    edges, composed in series or in parallel.  A series tree is a tree of
+    both, and a series forest a forest of one and a tree of the other;
+    parallel composition is the dual, with T and F swapped.
 
-
-def _compose_tf(
-    series: bool, a: tuple[list[int], list[int]], b: tuple[list[int], list[int]]
-) -> tuple[list[int], list[int]]:
-    """The (T, F) rule: the tree and terminal-separating 2-forest masks of
-    two networks a and b, on disjoint bits, composed in series or in
-    parallel.  A series tree is a tree of both, and a series forest a
-    forest of one and a tree of the other; parallel composition is the
-    dual, with T and F swapped."""
-    (ta, fa), (tb, fb) = a, b
-    if series:
-        return _join(ta, tb), _join(ta, fb) + _join(fa, tb)
-    return _join(ta, fb) + _join(fa, tb), _join(fa, fb)
-
-
-def _count_tf(series: bool, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    """The count form of ``_compose_tf``: the (T, F) counts of two
-    networks a and b composed in series or in parallel.  On bitsets of
-    edge masks (``spterm.tree_bitsets``) the same products and sums
-    compose the sets themselves."""
+    T and F are counts (``tree_count``, ``spterm.tf_counts``), or sets of
+    edge masks on which a product is the join and a sum the disjoint
+    union: int bitsets, bit m for mask m (``spterm.tree_bitsets``, and
+    ``spanning_trees`` up to ``TREE_BITSET_LIMIT`` edges), or
+    ``_MaskList``s."""
     (ta, fa), (tb, fb) = a, b
     if series:
         return ta * tb, ta * fb + fa * tb

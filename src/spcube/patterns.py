@@ -26,8 +26,8 @@ the pairs of the two sides at Hamming distance 1 by one kernel,
 ``_starred``; the m table's terms route (``search._y_size``) only counts
 such pairs, on bitsets.  Y is psi of X, Y(G, i) = psi(X(G), i), so a
 caller that needs X and Y of one graph enumerates its trees once.  The
-series and parallel rule that composes the tree sets lives in
-``multigraph._compose_tf``.
+series and parallel rule that composes the tree sets is
+``multigraph._count_tf``, the rule of the tree counts.
 """
 
 from __future__ import annotations

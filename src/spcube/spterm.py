@@ -15,8 +15,8 @@ term-side mirror of ``multigraph._sp_reduce``.  ``tf_counts`` and
 ``tree_bitsets`` are one fold by one (T, F) rule, ``multigraph._count_tf``:
 on ints as counts, and on ints as bitsets of edge masks, whose products
 are joins and whose sums are disjoint unions.  ``tree_sets`` decodes the
-bitsets, and the m-table DP's triples (``search._combine``) are one more
-fold.
+bitsets by ``multigraph._members``, as ``spanning_trees`` does, and the
+m-table DP's triples (``search._combine``) are one more fold.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from itertools import count, repeat
 from .multigraph import (
     Multigraph,
     _count_tf,
+    _members,
     add_leaf,
     add_loop,
     canonical_form,
@@ -307,16 +308,6 @@ def tree_sets(t: SpTerm) -> tuple[list[int], list[int]]:
     """
     trees, forests = tree_bitsets(t)
     return _members(trees), _members(forests)
-
-
-def _members(bits: int) -> list[int]:
-    """The positions of the set bits of ``bits``, ascending."""
-    out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
-    return out
 
 
 # ---------------------------------------------------------------------------

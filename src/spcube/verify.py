@@ -260,7 +260,13 @@ def check_sp_vs_minor(max_edges: int = 6) -> list[str]:
 def check_tf_oracle(max_d: int = 8) -> list[str]:
     """tf_counts matches the tree counts of the marked graph's deletion and
     contraction, which ``spanning_trees`` finds by reducing the graph
-    rather than by walking the term."""
+    rather than by walking the term.
+
+    Both sides fold one rule, ``multigraph._count_tf``: this compares the
+    term walk with the graph reduction, not the rule with anything else.
+    The independent pins of the rule are ``check_tree_count_routes``,
+    against the brute-force subset filter ``_trees_by_subsets``, and the
+    tests' whole-graph enumerator, ``tests/tree_oracle.py``."""
     bad = []
     for t in _terms_upto(max_d):
         g = to_marked_graph(t)

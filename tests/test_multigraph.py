@@ -144,10 +144,11 @@ def _union(g, h):
     return Multigraph(g.n + h.n, g.edges + tuple((u + g.n, v + g.n) for u, v in h.edges))
 
 
-def _decorated_k4(rng):
+def _decorated_k4(rng, min_edges=0):
     """K4 with its edges replaced by random series and parallel terms (one
-    duplicate/subdivide step at a time), pendant trees and loops added, and
-    the edge order shuffled."""
+    duplicate/subdivide step at a time, more of them until there are at
+    least ``min_edges`` edges), pendant trees and loops added, and the edge
+    order shuffled."""
     g = catalog.k4_x16()
     for _ in range(rng.randint(0, 7)):
         op = rng.choice((duplicate_edge, subdivide_edge))
@@ -156,6 +157,9 @@ def _decorated_k4(rng):
         g = add_leaf(g, rng.randrange(g.n))
     for _ in range(rng.randint(0, 2)):
         g = add_loop(g, rng.randrange(g.n))
+    while g.e < min_edges:
+        op = rng.choice((duplicate_edge, subdivide_edge))
+        g = op(g, rng.randrange(g.e))
     order = list(range(g.e))
     rng.shuffle(order)
     return permute_edges(g, tuple(order))
@@ -181,17 +185,39 @@ class TestSpanningTreesByReduction:
             for g in enumerate_connected_sp(d):
                 assert spanning_trees(g) == whole_graph_trees(g), g
 
-    def test_all_connected_multigraphs(self):
+    def test_all_connected_multigraphs(self, monkeypatch):
         graphs = [g for d in range(7) for g in _all_connected_multigraphs(d)]
         assert any(not is_series_parallel(g) for g in graphs)  # K4 takes the core path
-        for g in graphs:
-            assert spanning_trees(g) == whole_graph_trees(g), g
+        want = [whole_graph_trees(g) for g in graphs]
+        for limit in (multigraph.TREE_BITSET_LIMIT, -1):  # bitsets, then lists
+            monkeypatch.setattr(multigraph, "TREE_BITSET_LIMIT", limit)
+            for g, w in zip(graphs, want):
+                assert spanning_trees(g) == w, (limit, g)
 
-    def test_term_graphs(self):
-        for d in range(1, 10):
-            for t in enumerate_terms(d):
-                g = to_marked_graph(t)
-                assert spanning_trees(g) == whole_graph_trees(g), t
+    def test_term_graphs(self, monkeypatch):
+        terms = [t for d in range(1, 10) for t in enumerate_terms(d)]
+        want = [whole_graph_trees(to_marked_graph(t)) for t in terms]
+        for limit in (multigraph.TREE_BITSET_LIMIT, -1):  # bitsets, then lists
+            monkeypatch.setattr(multigraph, "TREE_BITSET_LIMIT", limit)
+            for t, w in zip(terms, want):
+                assert spanning_trees(to_marked_graph(t)) == w, (limit, t)
+
+    @pytest.mark.parametrize(
+        "d", range(multigraph.TREE_BITSET_LIMIT - 1, multigraph.TREE_BITSET_LIMIT + 3)
+    )
+    def test_fib_chains_across_the_bitset_limit(self, monkeypatch, d):
+        decoded = []
+        members = multigraph._members
+        monkeypatch.setattr(multigraph, "_members", lambda bits: decoded.append(bits) or members(bits))
+        g = catalog.fib_chain(d)
+        assert spanning_trees(g) == whole_graph_trees(g)
+        assert bool(decoded) == (d <= multigraph.TREE_BITSET_LIMIT)  # bitsets, else lists
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_decorated_k4_cores_above_the_bitset_limit(self, seed):
+        g = _decorated_k4(random.Random(seed), multigraph.TREE_BITSET_LIMIT + 1)
+        assert not is_series_parallel(g)
+        assert spanning_trees(g) == whole_graph_trees(g)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_decorated_k4_cores(self, seed):
@@ -233,6 +259,37 @@ class TestSpanningTreesByReduction:
     def test_disconnected_rejected_with_message(self, g):
         with pytest.raises(ValueError, match="spanning trees require a connected graph"):
             spanning_trees(g)
+
+
+def _lowest_bit_members(bits):
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
+class TestTreeSetValues:
+    """The set-bit decoder, and the list type's arithmetic, which counts
+    members by the count rule."""
+
+    def test_members(self):
+        rng = random.Random(0)
+        cases = [0] + [1 << i for i in range(64)] + [1 << rng.randrange(1 << 14) for _ in range(64)]
+        cases += [rng.getrandbits(rng.randint(1, 1 << 14)) for _ in range(40)]
+        for bits in cases:
+            assert multigraph._members(bits) == _lowest_bit_members(bits)
+
+    def test_mask_list_counts(self):
+        rng = random.Random(1)
+        for _ in range(200):
+            a, b = ([rng.randrange(16) for _ in range(rng.randint(0, 5))] for _ in range(2))
+            x, y = multigraph._MaskList(a[:]), multigraph._MaskList(b)
+            assert sorted((x * y).masks) == sorted(p | q for p in a for q in b)
+            assert (x + y).masks == a + b  # a multiset sum, duplicates kept
+            x += y
+            assert x.masks == a + b and x.bit_count() == len(a) + len(b)
 
 
 class TestMinor:
