@@ -25,10 +25,13 @@ GF(2)^(b+1); those are the elements ``1 | W << 1`` and
 list (v0 first, then one vector per position), exactly the Hamming-1
 pairs that psi joins across coordinate 0.  So
 ``f2_edge_set_from_vectors`` runs the one search once and applies psi.
-Its work grows with its output: each node stops its position loop where
-the remaining vectors can no longer complete a basis, and the last two
-levels are read off in bulk (the nonzero positions, then the pairs of
-unequal nonzero vectors), without a call per leaf.
+It runs on the smaller side of the layer, min(a, b) levels deep: when
+b > a it takes the complements of the bases of the dual matroid, a
+positions at a time.  Its work grows with its output: each node stops its
+position loop where the remaining vectors can no longer complete a basis,
+and the last four levels are read off by residual value (the positions
+grouped by their eliminated vectors, and the products of the groups whose
+values are independent), without a call per leaf.
 """
 
 from __future__ import annotations
@@ -50,14 +53,17 @@ __all__ = [
     "density_lower_bound",
 ]
 
-# the largest layer, or starred layer, that the f2 sets are listed in
-F2_LAYER_LIMIT = 500_000
-# the largest layer that ``f2_vertex_count`` searches.  Its search costs
-# 0.2-0.9 us a string on layers with as many zeros as ones or more: L(20, 8),
-# 3.1 million strings, takes 0.8 s and L(12, 12), 2.7 million, 2.2 s
-# (Python 3.11, shared 2-core x86 machine).  A layer with fewer zeros costs
-# more a string: L(8, 20), 3.1 million strings, takes 12 s.
-F2_COUNT_LIMIT = 2**22
+# the largest layer, or starred layer, that the f2 sets are listed in.  The
+# listing's memory bounds it: below it the CLI peaks at about 100 MB, on
+# L(4, 64), a layer of 814,385 strings of width 68 (0.25 s), and L(11, 11)
+# at 55 MB (0.24 s) (Python 3.11, shared 2-core x86 machine).
+F2_LAYER_LIMIT = 2**20
+# the largest layer that ``f2_vertex_count`` searches.  The search is
+# min(a, b) levels deep, so the square layers cost the most a string:
+# L(13, 13), 10.4 million strings, takes 1.6 s, L(14, 12) 1.2 s and
+# L(16, 11) 1.1 s, against 0.3 s for L(25, 8) and 0.04 s for L(6, 40)
+# (same machine).
+F2_COUNT_LIMIT = 2**24
 
 
 def gf2_rank(vectors: list[int]) -> int:
@@ -84,13 +90,20 @@ def _reduce(v: int, basis: dict[int, int]) -> int:
 def _bases(vectors: list[int], need: int, out: list[int] | None) -> int:
     """Count the position masks (bit i = position i of ``vectors``) with
     ``need`` bits whose vectors are independent; append them to ``out``
-    unless it is None.
+    unless it is None, in no particular order.
 
-    Depth-first basis extension in position order, so the masks come out
-    in lexicographic order of their 1-positions.  The partial basis is
-    kept by Gaussian elimination: every vector still to be tried has the
-    basis's pivot bits cleared, so it extends the basis exactly when it is
-    nonzero.  This is the only search.  An edge set is psi of the vertex
+    One depth-first basis-extension search, run on the smaller side of the
+    layer.  When ``need`` is more than half the positions and the vectors
+    have rank exactly ``need``, a ``need``-set is a basis exactly when its
+    complement is a basis of the dual matroid (Whitney 1935; Oxley,
+    *Matroid Theory*, section 2.2), so the search takes the complements
+    among the ``_dual`` vectors, ``len(vectors) - need`` at a time.  A
+    rank below ``need`` leaves nothing to find, and a rank above it (a
+    dimension above ``need``) keeps the primal side.  Ties stay primal.
+
+    The partial basis is kept by Gaussian elimination: every vector still
+    to be tried has the basis's pivot bits cleared, so it extends the
+    basis exactly when it is nonzero.  An edge set is psi of the vertex
     set at coordinate 0: (W, s) is admitted when W + {v0} and W + {v_s}
     are bases, and those are the vertex-set elements ``1 | W << 1`` and
     ``(W | 1 << s) << 1``.
@@ -100,18 +113,46 @@ def _bases(vectors: list[int], need: int, out: list[int] | None) -> int:
     ``need`` (``_last_start``): beyond it no leaf can be reached.  The
     cutoff is exact, because a nonzero pivot taken at or before it leaves
     vectors of rank at least ``need - 1`` behind it, so every call below
-    the root reaches a leaf.  The last two levels run in bulk (``_bulk``),
-    with no recursive call and no eliminated row per child: with
-    ``need == 1`` the leaves are the nonzero positions, and with
-    ``need == 2`` each nonzero pivot pairs with every later position whose
-    vector is neither 0 nor the pivot, exactly those that stay nonzero
-    once it is eliminated; counting them needs no masks.
+    the root reaches a leaf.  The last four levels are read off by
+    residual value (``_tail``), with no recursive call and no eliminated
+    row per child.
     """
-    if need == 0:
-        if out is not None:
-            out.append(0)
-        return 1
+    n = len(vectors)
+    if 2 * need > n:
+        dual = _dual(vectors, need)
+        if dual is not None:
+            # complements: a mask starts full and each position taken
+            # clears its bit, as it sets it from 0 on the primal side
+            return _extend(dual, 1, n - need, (1 << n) - 1, out)
     return _extend(vectors, 1, need, 0, out)
+
+
+def _dual(vectors: list[int], need: int) -> list[int] | None:
+    """One vector per position, representing the dual of the vectors'
+    matroid, or None unless the vectors have rank ``need``.
+
+    Elimination in position order records, for each position whose vector
+    depends on earlier ones, the combination of positions that sums to 0.
+    Those combinations are a basis of the null space of x -> sum x_j v_j,
+    and position j's dual vector has bit r set when combination r holds j.
+    """
+    basis: dict[int, tuple[int, int]] = {}  # pivot bit -> (vector, positions)
+    null: list[int] = []
+    for j, v in enumerate(vectors):
+        combo = 1 << j
+        while v:
+            h = v.bit_length() - 1
+            if h not in basis:
+                basis[h] = (v, combo)
+                break
+            pivot, positions = basis[h]
+            v ^= pivot
+            combo ^= positions
+        else:
+            null.append(combo)
+    if len(basis) != need:
+        return None
+    return [sum((c >> j & 1) << r for r, c in enumerate(null)) for j in range(len(vectors))]
 
 
 def _eliminate(row: list[int], pivot: int) -> list[int]:
@@ -133,43 +174,86 @@ def _last_start(row: list[int], need: int) -> int:
 
 def _extend(row: list[int], bit: int, need: int, ones: int, out: list[int] | None) -> int:
     # One partial basis.  ``bit`` is row[0]'s position as a mask bit, and
-    # ``ones`` the positions taken so far.  State lives in the arguments: a
-    # closure that calls itself would keep it alive in a cycle.
-    if need < 3:
-        return _bulk(row, bit, need, ones, out)
-    step = _extend if need > 3 else _bulk
+    # ``ones`` the mask so far: each position taken flips its bit.  State
+    # lives in the arguments: a closure that calls itself would keep it
+    # alive in a cycle.
+    if need < 5:
+        return _tail(row, bit, need, ones, out)
+    step = _extend if need > 5 else _tail
     found = 0
     for i in range(_last_start(row, need) + 1):
         p = row[i]
         if p:
-            found += step(_eliminate(row[i + 1:], p), bit << (i + 1), need - 1, ones | bit << i, out)
+            found += step(_eliminate(row[i + 1:], p), bit << (i + 1), need - 1, ones ^ bit << i, out)
     return found
 
 
-def _bulk(row: list[int], bit: int, need: int, ones: int, out: list[int] | None) -> int:
-    # The last two levels, with no call and no eliminated row per child.
-    # With need == 1 the leaves are the nonzero positions.  With need == 2,
-    # position i pairs with every later nonzero j with row[j] != row[i]:
-    # exactly those stay nonzero once row[i] is eliminated.
+def _tail(row: list[int], bit: int, need: int, ones: int, out: list[int] | None) -> int:
+    # The last four levels at once, with no call and no eliminated row per
+    # child.  The nonzero residuals are grouped by value, and a leaf takes
+    # one position from each of ``need`` groups whose values are
+    # independent: distinct nonzero values u, w always are, a third x
+    # joins them unless x == u ^ w, and a fourth y joins those three unless
+    # y == u ^ w or x ^ y is u, w or u ^ w.  A count sums the products of
+    # the group sizes; a listing takes the products of the groups.  The
+    # index bounds skip the prefixes with too few values left.
+    if need == 0:
+        if out is not None:
+            out.append(ones)
+        return 1
     if out is None:
-        n = len(row) - row.count(0)
+        sizes: dict[int, int] = {}
+        for x in row:
+            if x:
+                sizes[x] = sizes.get(x, 0) + 1
+        v, w = list(sizes), list(sizes.values())
+        m = len(v)
         if need == 1:
-            return n
-        # the ordered pairs of nonzero vectors, less those of equal ones
-        equal = 0
-        for v in set(row):
-            if v:
-                c = row.count(v)
-                equal += c * (c - 1)
-        return (n * (n - 1) - equal) // 2
-    nonzero = [i for i, x in enumerate(row) if x]
+            return sum(w)
+        if need == 2:
+            return sum([w[i] * w[j] for i in range(m - 1) for j in range(i + 1, m)])
+        if need == 3:
+            return sum([
+                w[i] * w[j] * w[k]
+                for i in range(m - 2) for j in range(i + 1, m - 1) for uw in (v[i] ^ v[j],)
+                for k in range(j + 1, m) if v[k] != uw
+            ])
+        return sum([
+            w[i] * w[j] * w[k] * w[l]
+            for i in range(m - 3) for j in range(i + 1, m - 2) for uw in (v[i] ^ v[j],)
+            for k in range(j + 1, m - 1) if v[k] != uw
+            for l in range(k + 1, m) if v[l] != uw and v[k] ^ v[l] not in (v[i], v[j], uw)
+        ])
+    groups: dict[int, list[int]] = {}
+    for i, x in enumerate(row):
+        if x:
+            groups.setdefault(x, []).append(bit << i)
+    v, g = list(groups), list(groups.values())
+    m = len(v)
     before = len(out)
     if need == 1:
-        out.extend([ones | bit << i for i in nonzero])
+        out += [ones ^ p for h in g for p in h]
+    elif need == 2:
+        out += [
+            ones ^ p ^ q
+            for i in range(m - 1) for j in range(i + 1, m)
+            for p in g[i] for q in g[j]
+        ]
+    elif need == 3:
+        out += [
+            ones ^ p ^ q ^ r
+            for i in range(m - 2) for j in range(i + 1, m - 1) for uw in (v[i] ^ v[j],)
+            for k in range(j + 1, m) if v[k] != uw
+            for p in g[i] for q in g[j] for r in g[k]
+        ]
     else:
-        for k, i in enumerate(nonzero):
-            p, here = row[i], ones | bit << i
-            out.extend([here | bit << j for j in nonzero[k + 1:] if row[j] != p])
+        out += [
+            ones ^ p ^ q ^ r ^ s
+            for i in range(m - 3) for j in range(i + 1, m - 2) for uw in (v[i] ^ v[j],)
+            for k in range(j + 1, m - 1) if v[k] != uw
+            for l in range(k + 1, m) if v[l] != uw and v[k] ^ v[l] not in (v[i], v[j], uw)
+            for p in g[i] for q in g[j] for r in g[k] for s in g[l]
+        ]
     return len(out) - before
 
 

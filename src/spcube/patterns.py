@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, product
 from math import comb
 
@@ -119,14 +120,38 @@ def parse_string(s: str, width: int, starred: bool = False):
     return (mask, star) if starred else mask
 
 
+# the strings of up to two chunks of bits are read off tables, and wider
+# ones from ``bin``, which is faster there
+_CHUNK = 10
+_LOW = (1 << _CHUNK) - 1
+
+
+@cache
+def _reversed_chunks(k: int) -> list[str]:
+    """Entry i is the string of the k bits of i, bit 0 first."""
+    return [format(i | 1 << k, "b")[:0:-1] for i in range(1 << k)]  # less the sentinel bit
+
+
+def _format_strings(elements: Iterable, width: int, starred: bool = False) -> list[str]:
+    """The strings of vertex masks, or with ``starred`` of (lower mask,
+    star) edges, over ``width`` coordinates, in the order given."""
+    if starred:
+        pairs = list(elements)
+        lowers = _format_strings([lower for lower, _ in pairs], width)
+        return [s[:star] + "*" + s[star + 1 :] for s, (_, star) in zip(lowers, pairs)]
+    if width > 2 * _CHUNK:
+        return [bin(m | 1 << width)[:2:-1] for m in elements]  # drop "0b" and the sentinel bit
+    if width <= _CHUNK:
+        table = _reversed_chunks(width)
+        return [table[m] for m in elements]
+    low, high = _reversed_chunks(_CHUNK), _reversed_chunks(width - _CHUNK)
+    return [low[m & _LOW] + high[m >> _CHUNK] for m in elements]
+
+
 def format_string(e, width: int) -> str:
     """The string of a vertex mask, or of a (lower mask, star) edge, over
     ``width`` coordinates."""
-    if isinstance(e, tuple):
-        lower, star = e
-        s = bin(lower | 1 << width)[:2:-1]  # drop "0b" and the sentinel bit, reversed
-        return s[:star] + "*" + s[star + 1 :]
-    return bin(e | 1 << width)[:2:-1]
+    return _format_strings((e,), width, isinstance(e, tuple))[0]
 
 
 _ORDER = str.maketrans("01*", "012")
@@ -173,12 +198,12 @@ def starred_layer_masks(a: int, b: int) -> list[tuple[int, int]]:
 
 def layer_strings(a: int, b: int) -> list[str]:
     """All of L(a,b), canonically sorted."""
-    return [format_string(m, a + b) for m in layer_masks(a, b)]
+    return _format_strings(layer_masks(a, b), a + b)
 
 
 def starred_layer_strings(a: int, b: int) -> list[str]:
     """All of L'(a,b), canonically sorted."""
-    return [format_string(e, a + b + 1) for e in starred_layer_masks(a, b)]
+    return _format_strings(starred_layer_masks(a, b), a + b + 1, True)
 
 
 def _parse_layer(strings: Iterable[str], a: int, b: int, starred: bool) -> frozenset:
@@ -236,13 +261,11 @@ class VertexPattern:
     @property
     def strings(self) -> frozenset[str]:
         """The 0/1 strings, made at each access."""
-        n = self.a + self.b
-        return frozenset(format_string(m, n) for m in self.masks)
+        return frozenset(_format_strings(self.masks, self.a + self.b))
 
     @property
     def sorted_strings(self) -> list[str]:
-        n = self.a + self.b
-        strings = [format_string(m, n) for m in self.masks]
+        strings = _format_strings(self.masks, self.a + self.b)
         strings.sort()  # 0/1 strings: the order 0 < 1 is code-point order
         return strings
 
@@ -279,13 +302,11 @@ class EdgePattern:
     @property
     def strings(self) -> frozenset[str]:
         """The starred strings, made at each access."""
-        n = self.a + self.b + 1
-        return frozenset(format_string(e, n) for e in self.pairs)
+        return frozenset(_format_strings(self.pairs, self.a + self.b + 1, True))
 
     @property
     def sorted_strings(self) -> list[str]:
-        n = self.a + self.b + 1
-        strings = [format_string(e, n) for e in self.pairs]
+        strings = _format_strings(self.pairs, self.a + self.b + 1, True)
         strings.sort(key=sort_key)
         return strings
 
@@ -570,7 +591,7 @@ def pg_to_json(h: PatternGraph) -> str:
     strings and ``edges`` a list of [lower, upper] string pairs, sorted."""
     import json
 
-    names = [format_string(m, h.width) for m in h.lower + h.upper]
+    names = _format_strings(h.lower + h.upper, h.width)
     # strings sort in code-point order, not mask order: rank[x] is vertex x's
     # place among them, and edge (x, y) sorts as the int rank[x] * n + rank[y]
     n = len(names)

@@ -688,10 +688,11 @@ def _f2_count_by_subsets(a: int, b: int, seed: int) -> int:
 def check_f2_density(seeds: int = 100) -> list[str]:
     """Mean (8,8) density over seeds within 0.05 of the basis probability,
     and the basis-extension count matches a per-subset rank count at
-    small sizes, (4,4) and (5,4) among them, where the search's suffix-rank
-    cutoff runs above its two bulk levels."""
+    small sizes: at (4,4) and (5,4) the tail is the root, at (5,5) and
+    (6,5) the suffix-rank cutoff runs above it, and (2,5), (3,5), (4,5)
+    and (3,6) are searched on the dual side."""
     bad = []
-    for a, b in ((3, 3), (4, 4), (5, 4)):
+    for a, b in ((3, 3), (4, 4), (5, 4), (5, 5), (6, 5), (2, 5), (3, 5), (4, 5), (3, 6)):
         for seed in (0, 1, 2):
             if f2_vertex_count(a, b, seed) != _f2_count_by_subsets(a, b, seed):
                 bad.append(

@@ -112,8 +112,9 @@ class TestAgainstSubsetRanks:
 
     @pytest.mark.parametrize("b", [1, 2, 3, 4, 5])
     def test_vertex_edge_cases(self, b):
-        # b in {1, 2} puts a bulk level at the root; a = 0 leaves no choice;
-        # dimensions above b leave more room than a basis fills
+        # b <= 4 puts the tail at the root, of the primal side or, with
+        # a < b, of the dual; a = 0 leaves no choice; dimensions above b
+        # leave more room than a basis fills
         rng = random.Random(40 + b)
         for _ in range(80):
             a = rng.choice([0, 0, 1, 2, 3, 5, 7])
@@ -122,6 +123,33 @@ class TestAgainstSubsetRanks:
             want = _vertex_by_ranks(a, b, vectors)
             assert f2_vertex_set_from_vectors(a, b, vectors).strings == want
             assert _bases(vectors, b, None) == len(want)
+
+    @pytest.mark.parametrize("b", [3, 4])
+    def test_repeated_and_rank_deficient_tails(self, b):
+        # the tail groups residuals by value: many copies of a few vectors
+        # make large groups, and a span of rank b - 1 or b - 2 leaves
+        # values that are distinct but dependent, at need 3 and 4
+        rng = random.Random(50 + b)
+        for _ in range(60):
+            a = rng.choice([1, 4, 8, 12])
+            dim = b + rng.choice([0, 0, 1])
+            if rng.random() < 0.5:
+                pool = [rng.randrange(1, 1 << dim) for _ in range(rng.randint(b, b + 2))]
+                vectors = [rng.choice(pool) for _ in range(a + b)]
+            else:
+                vectors = _low_rank(rng, a + b, dim, rng.randint(b - 2, b - 1))
+            want = _vertex_by_ranks(a, b, vectors)
+            assert f2_vertex_set_from_vectors(a, b, vectors).strings == want
+            assert _bases(vectors, b, None) == len(want)
+
+    def test_copies_of_one_vector(self):
+        # 40 copies of e1 with e2, e3, e4: a basis is one copy and the rest
+        vectors = [1] * 40 + [2, 4, 8]
+        want = {0b111 << 40 | 1 << i for i in range(40)}
+        masks: list[int] = []
+        assert _bases(vectors, 4, masks) == 40 == _bases(vectors, 4, None)
+        assert set(masks) == want and len(masks) == 40
+        assert _bases(vectors[:-1], 4, None) == 0  # rank 3
 
     def test_edge_sets_with_dependent_extra_vector(self):
         # vectors[0] equal to a position's vector, or in the span of some
@@ -199,8 +227,10 @@ class TestOutputSensitive:
         return found[:-1]
 
     def test_seeded_10_10(self, monkeypatch):
+        # one call per node of need 5 or more: the last four levels are
+        # the tail's
         below = self._calls(monkeypatch, random_vectors(20, 10, 1), 10)
-        assert len(below) == 14345 and 0 not in below
+        assert len(below) == 2106 and 0 not in below
 
     def test_seeded_edge_7_7(self, monkeypatch):
         # f2_edge_set(7, 7, 1) is one vertex search with need 8, then psi
@@ -216,7 +246,7 @@ class TestOutputSensitive:
             f2_edge_set(7, 7, 1)
         assert searches == [(random_vectors(16, 8, 1), 8)]
         below = self._calls(monkeypatch, random_vectors(16, 8, 1), 8)
-        assert len(below) == 891 and 0 not in below
+        assert len(below) == 85 and 0 not in below
 
     def test_low_rank(self, monkeypatch):
         # the root may find nothing (rank below need), calls below it never do
@@ -226,6 +256,52 @@ class TestOutputSensitive:
             vectors = _low_rank(rng, rng.randint(b, 14), b, rng.randint(b - 2, b))
             below = self._calls(monkeypatch, vectors, b)
             assert 0 not in below
+
+
+class TestBothSides:
+    """The primal search and the search of the dual's complements agree on
+    every layer with a + b <= 14, whichever side ``_bases`` takes."""
+
+    @staticmethod
+    def _sides(vectors: list[int], need: int) -> tuple[set[int], set[int]]:
+        n = len(vectors)
+        primal: list[int] = []
+        dual: list[int] = []
+        constructions._extend(vectors, 1, need, 0, primal)
+        coords = constructions._dual(vectors, need)
+        if coords is not None:
+            constructions._extend(coords, 1, n - need, (1 << n) - 1, dual)
+        assert len(set(primal)) == len(primal) and len(set(dual)) == len(dual)
+        return set(primal), set(dual)
+
+    @pytest.mark.parametrize("mode", ["vertex", "edge"])
+    def test_seeded(self, mode):
+        for n in range(15):
+            for b in range(mode == "vertex", n + 1):
+                a = n - b
+                if mode == "vertex":
+                    vectors, need = random_vectors(n, b, n), b
+                else:
+                    vectors, need = random_vectors(n + 2, b + 1, n), b + 1
+                primal, dual = self._sides(vectors, need)
+                if gf2_rank(vectors) == need:
+                    assert primal == dual, (mode, a, b)
+                else:
+                    assert primal == set() and constructions._dual(vectors, need) is None
+                masks: list[int] = []
+                assert _bases(vectors, need, masks) == len(primal) == _bases(vectors, need, None)
+                assert set(masks) == primal
+
+    def test_thin_layers(self):
+        # L(4, 50) and L(50, 4) are one tail at the root on opposite sides
+        for a, b in ((4, 50), (50, 4), (3, 60)):
+            vectors = random_vectors(a + b, b, 1)
+            masks: list[int] = []
+            count = _bases(vectors, b, masks)
+            assert count == len(set(masks)) == _bases(vectors, b, None) > 0
+            for m in masks[:: max(1, count // 300)]:
+                assert m.bit_count() == b
+                assert gf2_rank([vectors[j] for j in range(a + b) if m >> j & 1]) == b
 
 
 class TestRank:
@@ -339,29 +415,39 @@ class TestEdgeSet:
 
 class TestLayerGuard:
     def test_refused_before_a_vector_is_drawn(self, monkeypatch):
-        # L(10^6, 60) and L'(10^6, 60) are far past F2_LAYER_LIMIT; drawing
-        # their 10^6 + 60 vectors first took seconds
+        # L(11, 11) has 705,432 strings, within F2_LAYER_LIMIT = 2^20, and
+        # L(12, 11) 1,352,078; L'(9, 9) has 923,780 and L'(10, 9) 1,847,560.
+        # L(10^6, 60) and L'(10^6, 60) are far past the limit; drawing their
+        # 10^6 + 60 vectors first took seconds
+        limit = constructions.F2_LAYER_LIMIT
+        assert comb(22, 11) <= limit < comb(23, 11)
+        assert 19 * comb(18, 9) <= limit < 20 * comb(19, 9)
+        monkeypatch.setattr(constructions, "random_vectors", lambda count, dim, seed: [0] * count)
+        assert len(f2_vertex_set(11, 11, 1)) == len(f2_edge_set(9, 9, 1)) == 0
+
         def undrawn(*args):
             raise AssertionError("vectors drawn before the layer guard")
 
         monkeypatch.setattr(constructions, "random_vectors", undrawn)
-        with pytest.raises(SizeGuardError, match="^layer too large to materialize"):
-            f2_vertex_set(10**6, 60, 1)
-        with pytest.raises(SizeGuardError, match="^starred layer too large to materialize$"):
-            f2_edge_set(10**6, 60, 1)
+        for a, b in ((12, 11), (10**6, 60)):
+            with pytest.raises(SizeGuardError, match="^layer too large to materialize"):
+                f2_vertex_set(a, b, 1)
+        for a, b in ((10, 9), (10**6, 60)):
+            with pytest.raises(SizeGuardError, match="^starred layer too large to materialize$"):
+                f2_edge_set(a, b, 1)
 
     def test_count_refused_before_a_vector_is_drawn(self, monkeypatch):
-        # L(2894, 2) has 4,191,960 strings, within F2_COUNT_LIMIT = 2^22, and
-        # L(2895, 2) 4,194,856; L(3000, 60) was still being counted at 15 s
-        assert comb(2896, 2) <= constructions.F2_COUNT_LIMIT < comb(2897, 2)
+        # L(5791, 2) has 16,776,528 strings, within F2_COUNT_LIMIT = 2^24, and
+        # L(5792, 2) 16,782,321; L(3000, 60) was still being counted at 15 s
+        assert comb(5793, 2) <= constructions.F2_COUNT_LIMIT < comb(5794, 2)
         monkeypatch.setattr(constructions, "random_vectors", lambda count, dim, seed: [0] * count)
-        assert f2_vertex_count(2894, 2, 1) == 0
+        assert f2_vertex_count(5791, 2, 1) == 0
 
         def undrawn(*args):
             raise AssertionError("vectors drawn before the layer guard")
 
         monkeypatch.setattr(constructions, "random_vectors", undrawn)
-        for a, b in ((2895, 2), (3000, 60)):
+        for a, b in ((5792, 2), (3000, 60)):
             with pytest.raises(SizeGuardError, match="^layer too large to count$"):
                 f2_vertex_density(a, b, 1)
 
