@@ -37,6 +37,8 @@ values are independent), without a call per leaf.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, product
+from math import prod
 
 from .errors import SizeGuardError
 from .patterns import EdgePattern, VertexPattern, layer_size, psi
@@ -53,17 +55,23 @@ __all__ = [
     "density_lower_bound",
 ]
 
-# the largest layer, or starred layer, that the f2 sets are listed in.  The
-# listing's memory bounds it: below it the CLI peaks at about 100 MB, on
-# L(4, 64), a layer of 814,385 strings of width 68 (0.25 s), and L(11, 11)
-# at 55 MB (0.24 s) (Python 3.11, shared 2-core x86 machine).
-F2_LAYER_LIMIT = 2**20
+# the most characters, strings x width, of a layer or starred layer that
+# the f2 sets are listed in.  The listing's memory grows with them: under
+# the limit the CLI peaked at 85 MB, on L(12, 11) (31 million characters,
+# 0.4 s), and at 48-72 MB on the widest layers for b = 1 to 6, from
+# L(5791, 1) to L(26, 6) (Python 3.11, shared 2-core x86 machine).
+F2_LAYER_LIMIT = 2**25
 # the largest layer that ``f2_vertex_count`` searches.  The search is
 # min(a, b) levels deep, so the square layers cost the most a string:
-# L(13, 13), 10.4 million strings, takes 1.6 s, L(14, 12) 1.2 s and
-# L(16, 11) 1.1 s, against 0.3 s for L(25, 8) and 0.04 s for L(6, 40)
-# (same machine).
+# L(13, 13), 10.4 million strings, takes 1.8 s, L(14, 12) 1.35 s and
+# L(16, 11) 1.2 s, against 0.3 s for L(25, 8), 0.04 s for L(6, 40) and
+# 0.01 s for L(5791, 2) (same machine).
 F2_COUNT_LIMIT = 2**24
+# the largest a + b that an f2 set or count draws vectors for.  The
+# pure-Python draw takes about 1 us a vector, and on L(a, 1) it is nearly
+# all the work: L(2^18 - 1, 1) is counted in 0.27 s, while the count limit
+# alone would let L(2^24 - 2, 1) draw for about 17 s and hold 0.7 GB.
+F2_DRAW_LIMIT = 2**18
 
 
 def gf2_rank(vectors: list[int]) -> int:
@@ -191,12 +199,9 @@ def _extend(row: list[int], bit: int, need: int, ones: int, out: list[int] | Non
 def _tail(row: list[int], bit: int, need: int, ones: int, out: list[int] | None) -> int:
     # The last four levels at once, with no call and no eliminated row per
     # child.  The nonzero residuals are grouped by value, and a leaf takes
-    # one position from each of ``need`` groups whose values are
-    # independent: distinct nonzero values u, w always are, a third x
-    # joins them unless x == u ^ w, and a fourth y joins those three unless
-    # y == u ^ w or x ^ y is u, w or u ^ w.  A count sums the products of
-    # the group sizes; a listing takes the products of the groups.  The
-    # index bounds skip the prefixes with too few values left.
+    # one position from each group of an independent set of ``need`` values
+    # (``_independent``).  A count sums the products of the group sizes; a
+    # listing takes the products of the groups.
     if need == 0:
         if out is not None:
             out.append(ones)
@@ -206,55 +211,60 @@ def _tail(row: list[int], bit: int, need: int, ones: int, out: list[int] | None)
         for x in row:
             if x:
                 sizes[x] = sizes.get(x, 0) + 1
-        v, w = list(sizes), list(sizes.values())
-        m = len(v)
+        w = list(sizes.values())
         if need == 1:
             return sum(w)
+        picks = _independent(list(sizes), need)
         if need == 2:
-            return sum([w[i] * w[j] for i in range(m - 1) for j in range(i + 1, m)])
+            return sum([w[i] * w[j] for i, j in picks])
         if need == 3:
-            return sum([
-                w[i] * w[j] * w[k]
-                for i in range(m - 2) for j in range(i + 1, m - 1) for uw in (v[i] ^ v[j],)
-                for k in range(j + 1, m) if v[k] != uw
-            ])
-        return sum([
-            w[i] * w[j] * w[k] * w[l]
-            for i in range(m - 3) for j in range(i + 1, m - 2) for uw in (v[i] ^ v[j],)
-            for k in range(j + 1, m - 1) if v[k] != uw
-            for l in range(k + 1, m) if v[l] != uw and v[k] ^ v[l] not in (v[i], v[j], uw)
-        ])
+            return sum([w[i] * w[j] * w[k] for i, j, k in picks])
+        return sum([w[i] * w[j] * w[k] * w[l] for i, j, k, l in picks])
     groups: dict[int, list[int]] = {}
     for i, x in enumerate(row):
         if x:
             groups.setdefault(x, []).append(bit << i)
-    v, g = list(groups), list(groups.values())
-    m = len(v)
+    g = list(groups.values())
+    picks = _independent(list(groups), need)
     before = len(out)
     if need == 1:
-        out += [ones ^ p for h in g for p in h]
+        out += [ones ^ p for (i,) in picks for p in g[i]]
     elif need == 2:
-        out += [
-            ones ^ p ^ q
-            for i in range(m - 1) for j in range(i + 1, m)
-            for p in g[i] for q in g[j]
-        ]
+        out += [ones ^ p ^ q for i, j in picks for p in g[i] for q in g[j]]
     elif need == 3:
-        out += [
-            ones ^ p ^ q ^ r
-            for i in range(m - 2) for j in range(i + 1, m - 1) for uw in (v[i] ^ v[j],)
-            for k in range(j + 1, m) if v[k] != uw
-            for p in g[i] for q in g[j] for r in g[k]
-        ]
+        out += [ones ^ p ^ q ^ r for i, j, k in picks for p in g[i] for q in g[j] for r in g[k]]
     else:
         out += [
             ones ^ p ^ q ^ r ^ s
-            for i in range(m - 3) for j in range(i + 1, m - 2) for uw in (v[i] ^ v[j],)
-            for k in range(j + 1, m - 1) if v[k] != uw
-            for l in range(k + 1, m) if v[l] != uw and v[k] ^ v[l] not in (v[i], v[j], uw)
-            for p in g[i] for q in g[j] for r in g[k] for s in g[l]
+            for i, j, k, l in picks for p in g[i] for q in g[j] for r in g[k] for s in g[l]
         ]
     return len(out) - before
+
+
+def _independent(v: list[int], need: int) -> list[tuple[int, ...]]:
+    """The index tuples i < j < ... of the ``need``-sets of ``v``, distinct
+    nonzero vectors, that are independent, for ``need`` <= 4.
+
+    Distinct nonzero values u, w always are; a third x joins them unless
+    x == u ^ w, and a fourth y joins those three unless y == u ^ w or x ^ y
+    is u, w or u ^ w.  The index bounds skip the prefixes with too few
+    values left.
+    """
+    m = len(v)
+    if need < 3:
+        return list(combinations(range(m), need))
+    if need == 3:
+        return [
+            (i, j, k)
+            for i in range(m - 2) for j in range(i + 1, m - 1) for uw in (v[i] ^ v[j],)
+            for k in range(j + 1, m) if v[k] != uw
+        ]
+    return [
+        (i, j, k, l)
+        for i in range(m - 3) for j in range(i + 1, m - 2) for uw in (v[i] ^ v[j],)
+        for k in range(j + 1, m - 1) if v[k] != uw
+        for l in range(k + 1, m) if v[l] != uw and v[k] ^ v[l] not in (v[i], v[j], uw)
+    ]
 
 
 def random_vectors(count: int, dim: int, seed: int) -> list[int]:
@@ -293,16 +303,23 @@ def _philox_words(count: int, seed: int) -> list[int]:
     return words
 
 
-def _check_layer(
-    a: int, b: int, starred: bool, limit: int = F2_LAYER_LIMIT, task: str = "materialize"
-) -> None:
-    """The layer checks of an f2 set or count, made before any vector is
-    drawn.  A layer has C(a + b, k) >= 2^k strings for k = min(a, b), so
-    one with k >= ``limit.bit_length()`` is refused without its size,
-    which takes 50 s to compute at a = b = 10^6."""
+def _check_layer(a: int, b: int, starred: bool, count: bool = False) -> None:
+    """The layer checks of an f2 set, or with ``count`` of an f2 count,
+    made before any vector is drawn.  A listing is refused above
+    ``F2_LAYER_LIMIT`` characters, a count above ``F2_COUNT_LIMIT``
+    strings, and both when a + b is above ``F2_DRAW_LIMIT``.  A layer has
+    C(a + b, k) >= 2^k strings for k = min(a, b), so one with k >=
+    ``limit.bit_length()`` is refused without its size, which takes 50 s
+    to compute at a = b = 10^6."""
     if a < 0 or b < 0:
         raise ValueError("layer parameters must be nonnegative")
-    if min(a, b) >= limit.bit_length() or layer_size(a, b, starred) > limit:
+    limit, width = (F2_COUNT_LIMIT, 1) if count else (F2_LAYER_LIMIT, a + b + starred)
+    if (
+        a + b > F2_DRAW_LIMIT
+        or min(a, b) >= limit.bit_length()
+        or layer_size(a, b, starred) * width > limit
+    ):
+        task = "count" if count else "materialize"
         raise SizeGuardError(f"{'starred layer' if starred else 'layer'} too large to {task}")
 
 
@@ -327,10 +344,11 @@ def f2_vertex_set(a: int, b: int, seed: int) -> VertexPattern:
 def f2_vertex_count(a: int, b: int, seed: int) -> int:
     """|f2_vertex_set(a, b, seed)|, counted by the same search without
     materializing the set.  Refuses (``SizeGuardError``) above
-    ``F2_COUNT_LIMIT`` strings, before any vector is drawn."""
+    ``F2_COUNT_LIMIT`` strings, or when a + b is above ``F2_DRAW_LIMIT``,
+    before any vector is drawn."""
     if b < 1:
         raise ValueError("b must be at least 1")
-    _check_layer(a, b, False, F2_COUNT_LIMIT, "count")
+    _check_layer(a, b, False, count=True)
     return _bases(random_vectors(a + b, b, seed), b, None)
 
 

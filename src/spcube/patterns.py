@@ -141,10 +141,8 @@ def _format_strings(elements: Iterable, width: int, starred: bool = False) -> li
         return [s[:star] + "*" + s[star + 1 :] for s, (_, star) in zip(lowers, pairs)]
     if width > 2 * _CHUNK:
         return [bin(m | 1 << width)[:2:-1] for m in elements]  # drop "0b" and the sentinel bit
-    if width <= _CHUNK:
-        table = _reversed_chunks(width)
-        return [table[m] for m in elements]
-    low, high = _reversed_chunks(_CHUNK), _reversed_chunks(width - _CHUNK)
+    # at width <= _CHUNK the high table is [""]
+    low, high = _reversed_chunks(min(width, _CHUNK)), _reversed_chunks(max(width - _CHUNK, 0))
     return [low[m & _LOW] + high[m >> _CHUNK] for m in elements]
 
 

@@ -415,21 +415,28 @@ class TestEdgeSet:
 
 class TestLayerGuard:
     def test_refused_before_a_vector_is_drawn(self, monkeypatch):
-        # L(11, 11) has 705,432 strings, within F2_LAYER_LIMIT = 2^20, and
-        # L(12, 11) 1,352,078; L'(9, 9) has 923,780 and L'(10, 9) 1,847,560.
-        # L(10^6, 60) and L'(10^6, 60) are far past the limit; drawing their
-        # 10^6 + 60 vectors first took seconds
+        # a listing is bounded by its characters, strings x width, within
+        # F2_LAYER_LIMIT = 2^25: L(12, 11) has 1,352,078 strings of width
+        # 23 and L(12, 12) 2,704,156 of width 24; L'(9, 9) has 923,780 of
+        # width 19 and L'(10, 9) 1,847,560 of width 20; L(5791, 1) has
+        # 5,792 of width 5,792 and L(5792, 1) one more of each.  L(1446,
+        # 2) has only 1,047,628 strings, but of width 1,448.  L(10^6, 60)
+        # and L'(10^6, 60) are far past the limit; drawing their 10^6 + 60
+        # vectors first took seconds
         limit = constructions.F2_LAYER_LIMIT
-        assert comb(22, 11) <= limit < comb(23, 11)
-        assert 19 * comb(18, 9) <= limit < 20 * comb(19, 9)
+        assert comb(23, 11) * 23 <= limit < comb(24, 12) * 24
+        assert 19 * comb(18, 9) * 19 <= limit < 20 * comb(19, 9) * 20
+        assert 5792 * 5792 <= limit < 5793 * 5793
+        assert comb(1448, 2) <= 2**20 < comb(1448, 2) * 1448
         monkeypatch.setattr(constructions, "random_vectors", lambda count, dim, seed: [0] * count)
-        assert len(f2_vertex_set(11, 11, 1)) == len(f2_edge_set(9, 9, 1)) == 0
+        assert len(f2_vertex_set(12, 11, 1)) == len(f2_vertex_set(5791, 1, 1)) == 0
+        assert len(f2_edge_set(9, 9, 1)) == 0
 
         def undrawn(*args):
             raise AssertionError("vectors drawn before the layer guard")
 
         monkeypatch.setattr(constructions, "random_vectors", undrawn)
-        for a, b in ((12, 11), (10**6, 60)):
+        for a, b in ((12, 12), (5792, 1), (1446, 2), (10**6, 60)):
             with pytest.raises(SizeGuardError, match="^layer too large to materialize"):
                 f2_vertex_set(a, b, 1)
         for a, b in ((10, 9), (10**6, 60)):
@@ -438,16 +445,21 @@ class TestLayerGuard:
 
     def test_count_refused_before_a_vector_is_drawn(self, monkeypatch):
         # L(5791, 2) has 16,776,528 strings, within F2_COUNT_LIMIT = 2^24, and
-        # L(5792, 2) 16,782,321; L(3000, 60) was still being counted at 15 s
+        # L(5792, 2) 16,782,321; L(3000, 60) was still being counted at 15 s.
+        # L(a, 1) draws a + 1 vectors for a + 1 strings, so F2_DRAW_LIMIT =
+        # 2^18 holds it: L(2^24 - 2, 1) is within the count limit, but its
+        # draw took about 17 s and 0.7 GB
         assert comb(5793, 2) <= constructions.F2_COUNT_LIMIT < comb(5794, 2)
+        draw = constructions.F2_DRAW_LIMIT
+        assert draw < 2**24 - 1 <= constructions.F2_COUNT_LIMIT
         monkeypatch.setattr(constructions, "random_vectors", lambda count, dim, seed: [0] * count)
-        assert f2_vertex_count(5791, 2, 1) == 0
+        assert f2_vertex_count(5791, 2, 1) == f2_vertex_count(draw - 1, 1, 1) == 0
 
         def undrawn(*args):
             raise AssertionError("vectors drawn before the layer guard")
 
         monkeypatch.setattr(constructions, "random_vectors", undrawn)
-        for a, b in ((5792, 2), (3000, 60)):
+        for a, b in ((5792, 2), (3000, 60), (draw, 1), (2**24 - 2, 1)):
             with pytest.raises(SizeGuardError, match="^layer too large to count$"):
                 f2_vertex_density(a, b, 1)
 
