@@ -61,13 +61,13 @@ from .verify import run_all
 __all__ = ["main"]
 
 # ``pattern x|y|h --graph`` builds strings from every spanning tree; at this
-# many trees ``pattern h --out`` takes 3.1-4.8 s and 257-258 MB (``alon_graph``
-# of classes 4, 4, 4, 4, 8, 8, 12 at edge 0; Python 3.11, shared 2-core x86
+# many trees ``pattern h --out`` takes 1.5 s and 256 MB (``alon_graph`` of
+# classes 4, 4, 4, 4, 8, 8, 12 at edge 0; Python 3.11, shared 2-core x86
 # machine), and K_9 has 4.8 million.  On ``alon_graph((8,) * 6)``, 196,608
-# trees: ``h_graph`` 0.6-0.8 s, a search on H's edges for ``connected``
-# 0.2-0.35 s and ``pg_to_json`` 1.3-2.0 s.  At 2^19 trees (``alon_graph((2,)
-# * 16)``) it takes 7.0-11.4 s and 380 MB, half again the memory used here,
-# so the guard stays.  ``tree_count``, which checks the guard, refuses a graph
+# trees: ``h_graph`` 0.35 s, a search on H's edges for ``connected`` 0.09 s
+# and ``pg_to_json`` 0.43 s.  At 2^19 trees (``alon_graph((2,) * 16)``) it
+# takes 3.0-3.1 s and 375-378 MB, half again the memory used here, so the
+# guard stays.  ``tree_count``, which checks the guard, refuses a graph
 # whose irreducible core exceeds ``multigraph.CORE_VERTEX_LIMIT`` vertices.
 PATTERN_TREE_LIMIT = 2**18
 
@@ -195,13 +195,17 @@ def _echo(args: argparse.Namespace) -> None:
     sys.stderr.write("# spcube " + " ".join(parts) + "\n")
 
 
-def _emit_pattern(pattern, out: str | None) -> None:
-    text = format_pattern(pattern)
+def _write(text: str, out: str | None) -> None:
+    """Write text to the file ``out``, or to stdout when there is none."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_pattern(pattern, out: str | None) -> None:
+    _write(format_pattern(pattern), out)
 
 
 def _load_any_set(path: str, starred: bool):
@@ -292,8 +296,7 @@ def _cmd_pattern(args) -> int:
     print(f"connected {pg_is_connected(h)}")
     print(f"shape {pg_shape(h)}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(pg_to_json(h) + "\n")
+        _write(pg_to_json(h) + "\n", args.out)
     return 0
 
 
@@ -305,13 +308,7 @@ def _cmd_op(args) -> int:
             h1 = pg_from_json(fh.read())
         with open(args.h2, encoding="utf-8") as fh:
             h2 = pg_from_json(fh.read())
-        joined = product_join(h1, h2)
-        text = pg_to_json(joined) + "\n"
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(pg_to_json(product_join(h1, h2)) + "\n", args.out)
         return 0
     if not args.pattern:
         raise ValueError(f"op {args.op_name} requires --pattern")

@@ -174,16 +174,17 @@ CORE_VERTEX_LIMIT = 256
 
 
 # ``spanning_trees`` holds tree sets as int bitsets of 2^e bits up to this
-# many edges, and as ``_MaskList``s above.  A core tree's product costs most
-# on bitsets, so a graph with a large core crosses over first (Python 3.11,
-# shared 2-core x86 machine, bitsets against lists):
-# - a wheel, all core: 1.2 against 2.4 ms at 12 edges, 11.8 against 7.5 ms
+# many edges, and as ``_MaskList``s above.  A product costs most on bitsets,
+# and a core's trees make the most products, so a graph with a large core
+# crosses over first (Python 3.11, shared 2-core x86 machine, bitsets
+# against lists):
+# - a wheel, all core: 0.96 against 1.5 ms at 12 edges, 11.9 against 4.6 ms
 #   at 14 edges (841 trees);
-# - two K4 cores and a 2-path between them, 14 edges: 6.0 against 2.4 ms;
-#   13-edge cores (a wheel with a doubled spoke, K5 with three edges
-#   subdivided) took 2.35 against 2.37 and 0.46 against 0.81 ms;
-# - ``fib_chain(e)``, no core: 0.07 against 0.14 ms at 13 edges, 0.43
-#   against 0.52 ms at 16, 1.04 against 0.80 ms at 17.
+# - two K4 cores and a 2-path between them, 14 edges: 9.9 against 2.1 ms;
+#   13-edge cores: K5 with three edges subdivided 0.45 against 0.47 ms, a
+#   wheel with a doubled spoke 2.1 against 1.5 ms;
+# - ``fib_chain(e)``, no core: 0.06 against 0.14 ms at 13 edges, 0.42
+#   against 0.49 ms at 16, 1.02 against 0.77 ms at 17.
 TREE_BITSET_LIMIT = 13
 
 
@@ -252,9 +253,9 @@ def spanning_trees(g: Multigraph) -> list[int]:
     above; on both a product is a join and a sum a disjoint union.  A
     pendant network is in every tree with one of its T masks.  Whatever
     does not reduce, such as K4 and its subdivisions, is an irreducible
-    core.  The backtracking enumerator runs on it, with its networks as
-    edges, and each core tree expands into T for its networks and F for
-    the others.
+    core.  The backtracking enumerator ``_grow`` runs on it, with its
+    networks as edges, and sums each core tree's product of T over its
+    networks and F over the others as it finds the tree.
     """
     if g.n == 0:
         raise ValueError("spanning trees of the empty graph are undefined")
@@ -271,8 +272,9 @@ def spanning_trees(g: Multigraph) -> list[int]:
 def _tree_set(g: Multigraph, leaves: list, empty, unit):
     """The set of g's spanning trees, in the value type of ``leaves``
     (edge i's (T, F) sets), whose empty set and set {no edge} are
-    ``empty`` and ``unit``; ``empty`` is a new value, which the core's
-    sum may extend in place."""
+    ``empty`` and ``unit``; ``empty`` is a new value, which ``_grow`` may
+    extend in place.  A core's sum comes from one ``_grow`` over its
+    networks, times the pendant product."""
     pendant, adj = _sp_reduce(g, leaves, _count_tf)
     fixed = unit
     for part in sorted((t for t, _ in pendant), key=lambda s: s.bit_count()):  # small first
@@ -283,16 +285,11 @@ def _tree_set(g: Multigraph, leaves: list, empty, unit):
     core = _core(adj, left)
     if core is None:
         raise ValueError("spanning trees require a connected graph")
-    cores: list[int] = []
-    edges = [(x, y, 1 << j) for j, (x, y, _) in enumerate(core)]
-    _grow(edges, 0, len(left) - 1, 0, list(range(len(left))), cores)
-    out = empty
-    for mask in cores:
-        acc = unit
-        for j, (_, _, (t, f)) in enumerate(core):
-            acc = acc * (t if mask >> j & 1 else f)
-        out += acc
-    return out * fixed
+    suffix = [unit]  # suffix[j]: the product of F over core[j:]
+    for _, _, (_, f) in reversed(core):
+        suffix.append(f * suffix[-1])
+    suffix.reverse()
+    return _grow(core, suffix, 0, len(left) - 1, unit, list(range(len(left))), empty) * fixed
 
 
 class _MaskList:
@@ -361,28 +358,26 @@ def _count_tf(series: bool, a, b):
     return ta * fb + fa * tb, fa * fb
 
 
-def _grow(
-    edges: list[tuple[int, int, int]],
-    start: int,
-    need: int,
-    mask: int,
-    comp: list[int],
-    out: list[int],
-) -> None:
-    # Backtracking over acyclic edge sets grown in edge-index order (Read
-    # and Tarjan, Networks 1975): extends ``mask`` by ``need`` more edges
-    # from ``edges[start:]``, each joining two components of ``comp``; the
-    # last edge of each tree is emitted in bulk.  The output list is an
-    # argument: a closure over it that calls itself would keep it alive in
-    # a cycle.
-    if need == 1:
-        out.extend(mask | bit for u, v, bit in edges[start:] if comp[u] != comp[v])
-        return
-    for j in range(start, len(edges) - need + 1):
-        u, v, bit = edges[j]
+def _grow(core: list, suffix: list, start: int, need: int, acc, comp: list[int], out):
+    # Backtracking over the core's acyclic network sets grown in index
+    # order (Read and Tarjan, Networks 1975): takes ``need`` more networks
+    # from ``core[start:]``, each joining two components of ``comp``.
+    # ``acc`` is the product of T over the networks taken and of F over
+    # those passed; a tree is complete at its last network, and adds its
+    # product times the F's after it to ``out``, which is returned.  The
+    # sum is an argument: a closure over it that calls itself would keep
+    # it alive in a cycle.
+    for j in range(start, len(core) - need + 1):
+        u, v, (t, f) = core[j]
         cu, cv = comp[u], comp[v]
         if cu != cv:
-            _grow(edges, j + 1, need - 1, mask | bit, [cu if c == cv else c for c in comp], out)
+            if need == 1:
+                out += acc * t * suffix[j + 1]
+            else:
+                merged = [cu if c == cv else c for c in comp]
+                out = _grow(core, suffix, j + 1, need - 1, acc * t, merged, out)
+        acc = acc * f
+    return out
 
 
 def tree_count(g: Multigraph) -> int:

@@ -314,14 +314,13 @@ def tree_sets(t: SpTerm) -> tuple[list[int], list[int]]:
 # enumeration of terms
 
 
-@lru_cache(maxsize=None)
 def _norm_terms(d: int) -> tuple[SpTerm, ...]:
-    """All normalized terms (parallel children sorted, series order free)."""
-    out = list(_series_norm(d)) + list(_parallel_norm(d))
+    """All normalized terms (parallel children sorted, series order free),
+    in key order: both parts are sorted, and every ``P(`` key sorts before
+    every ``S(`` key, and both before ``e``."""
     if d == 1:
-        out.append(EDGE)
-    out.sort(key=format_term)
-    return tuple(out)
+        return (EDGE,)
+    return _parallel_norm(d) + _series_norm(d)
 
 
 @lru_cache(maxsize=None)

@@ -3,9 +3,9 @@ callable checks returning violation lists.
 
 Each check returns a list of human-readable violation strings (empty =
 pass).  ``run_all`` drives them; the deep profile raises the search
-bounds to their full documented ranges and takes about half a minute,
-the default profile a few seconds.  The pytest suite calls the same
-functions.
+bounds to their full documented ranges and takes about 6 s, the
+default profile under a second (Python 3.11, shared 2-core x86 machine).
+The pytest suite calls the same functions.
 """
 
 from __future__ import annotations

@@ -165,6 +165,32 @@ def _decorated_k4(rng, min_edges=0):
     return permute_edges(g, tuple(order))
 
 
+def _wheel(spokes):
+    """The wheel W_spokes: hub 0, rim 1..spokes; all of it is core."""
+    rim = range(1, spokes + 1)
+    return Multigraph(spokes + 1, tuple((0, i) for i in rim) + tuple((i, i % spokes + 1) for i in rim))
+
+
+def _two_k4_cores_on_a_path():
+    """Two copies of K4 and a 2-path from the first to the second: 14 edges."""
+    k4 = catalog.k4_x16()
+    g = _union(k4, k4)
+    return Multigraph(g.n + 1, g.edges + ((3, 8), (8, 4)))
+
+
+_K5 = Multigraph(5, tuple(combinations(range(5), 2)))
+
+# cores of five to nine vertices, so the core enumerator recurses four to
+# eight levels deep
+DEEPER_CORES = {
+    **{f"W{k}": _wheel(k) for k in range(4, 9)},
+    "K5": _K5,
+    "K5-3-subdivided": subdivide_edge(subdivide_edge(subdivide_edge(_K5, 0), 4), 8),
+    "W6-spoke-doubled": duplicate_edge(_wheel(6), 0),
+    "two-K4-on-a-path": _two_k4_cores_on_a_path(),
+}
+
+
 @st.composite
 def _connected_multigraphs(draw):
     """A random spanning tree plus random extra edges (loops, parallel
@@ -225,10 +251,17 @@ class TestSpanningTreesByReduction:
         assert not is_series_parallel(g)
         assert spanning_trees(g) == whole_graph_trees(g)
 
+    @pytest.mark.parametrize("name", DEEPER_CORES)
+    def test_deeper_cores(self, monkeypatch, name):
+        g = DEEPER_CORES[name]
+        assert not is_series_parallel(g)
+        want = whole_graph_trees(g)
+        for limit in (-1, 64):  # lists, then bitsets
+            monkeypatch.setattr(multigraph, "TREE_BITSET_LIMIT", limit)
+            assert spanning_trees(g) == want, limit
+
     def test_two_cores_joined_by_a_path(self):
-        k4 = catalog.k4_x16()
-        g = _union(k4, k4)
-        g = Multigraph(g.n + 1, g.edges + ((3, 8), (8, 4)))
+        g = _two_k4_cores_on_a_path()
         masks = spanning_trees(g)
         assert len(masks) == 16 * 16
         assert masks == whole_graph_trees(g)
@@ -686,10 +719,7 @@ class TestNoCyclicGarbage:
         assert _cyclic_garbage(_redundant_terms, range(1, 7)) == 0
 
     def test_fresh_term_enumeration(self):
-        caches = (
-            spterm._norm_terms, spterm._series_norm, spterm._parallel_norm,
-            spterm._all_terms,
-        )
+        caches = (spterm._series_norm, spterm._parallel_norm, spterm._all_terms)
 
         def fresh(d):
             for cache in caches:

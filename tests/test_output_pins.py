@@ -77,6 +77,7 @@ def _op_cases():
     yield "op-product-join", [
         "op", "product-join", "--h1", "h_k4me.json", "--h2", "h_c2.json", "--out", "out.json",
     ]
+    yield "op-product-join-stdout", ["op", "product-join", "--h1", "h_k4me.json", "--h2", "h_c2.json"]
 
 
 def _ex_cases():
@@ -124,6 +125,7 @@ DIGESTS = {
     "op-phi-edge": "945c4ddfd6e917233cb021f07d0ea49c5eacad450527628f89575ac54835fa7a",  # exit 0
     "op-phi-star2": "0d167882310553d673667b19030e6bdb7a4058df9c3d4e2fb7df433c592ae88b",  # exit 0
     "op-product-join": "42b7f76883e67f7d9ceb02c944e20b960a1be2423ea4092a4ab4e236ad2bdd33",  # exit 0
+    "op-product-join-stdout": "92882c27267391a2ba53f2386b27dc7979ea05786515bd0fc1fa41067f0b83ba",  # exit 0
     "op-psi-vertex-0": "76b375a8ecc6e06ac64535bd46f46d8b9bca2eae4d1e21a1d1a92e58bd856dea",  # exit 0
     "op-psi-vertex-1": "b49d2aeefffcede7477028546702b96a5a38e625b5576d4de8678773c9842627",  # exit 0
     "op-psi-vertex-2": "b49d2aeefffcede7477028546702b96a5a38e625b5576d4de8678773c9842627",  # exit 0
