@@ -174,17 +174,14 @@ CORE_VERTEX_LIMIT = 256
 
 
 # ``spanning_trees`` holds tree sets as int bitsets of 2^e bits up to this
-# many edges, and as ``_MaskList``s above.  A product costs most on bitsets,
-# and a core's trees make the most products, so a graph with a large core
-# crosses over first (Python 3.11, shared 2-core x86 machine, bitsets
-# against lists):
-# - a wheel, all core: 0.96 against 1.5 ms at 12 edges, 11.9 against 4.6 ms
-#   at 14 edges (841 trees);
-# - two K4 cores and a 2-path between them, 14 edges: 9.9 against 2.1 ms;
-#   13-edge cores: K5 with three edges subdivided 0.45 against 0.47 ms, a
-#   wheel with a doubled spoke 2.1 against 1.5 ms;
-# - ``fib_chain(e)``, no core: 0.06 against 0.14 ms at 13 edges, 0.42
-#   against 0.49 ms at 16, 1.02 against 0.77 ms at 17.
+# many edges, and as ``_MaskList``s above.  A bitset product costs about the
+# product of the operands' digit counts, and a core makes the most products,
+# so cores cross over first (Python 3.11, shared 2-core x86 machine, bitsets
+# against lists): a wheel 0.97 against 1.03 ms at 12 edges, 11.6 against
+# 3.1 ms at 14; two K4 cores on a 2-path, 14 edges, 9.5 against 1.4 ms; K5
+# with three edges subdivided, 13 edges, 0.46 against 0.35 ms.  A chain with
+# no core, ``fib_chain(e)``: 0.06 against 0.13 ms at 13 edges, 0.42 against
+# 0.48 ms at 16, 1.02 against 0.76 ms at 17.
 TREE_BITSET_LIMIT = 13
 
 
@@ -274,22 +271,19 @@ def _tree_set(g: Multigraph, leaves: list, empty, unit):
     (edge i's (T, F) sets), whose empty set and set {no edge} are
     ``empty`` and ``unit``; ``empty`` is a new value, which ``_grow`` may
     extend in place.  A core's sum comes from one ``_grow`` over its
-    networks, times the pendant product."""
+    networks: it starts from a pendant product of one mask, which costs
+    no copy there, and is multiplied by any other at the end."""
     pendant, adj = _sp_reduce(g, leaves, _count_tf)
-    fixed = unit
-    for part in sorted((t for t, _ in pendant), key=lambda s: s.bit_count()):  # small first
-        fixed = fixed * part
+    fixed = prod(sorted((t for t, _ in pendant), key=lambda s: s.bit_count()), start=unit)  # small first
     left = [v for v, nbrs in enumerate(adj) if nbrs is not None]
     if len(left) == 1:
         return fixed
     core = _core(adj, left)
     if core is None:
         raise ValueError("spanning trees require a connected graph")
-    suffix = [unit]  # suffix[j]: the product of F over core[j:]
-    for _, _, (_, f) in reversed(core):
-        suffix.append(f * suffix[-1])
-    suffix.reverse()
-    return _grow(core, suffix, 0, len(left) - 1, unit, list(range(len(left))), empty) * fixed
+    one = fixed.bit_count() == 1
+    out = _grow(core, [unit], 0, len(left) - 1, fixed if one else unit, list(range(len(left))), empty)
+    return out if one else out * fixed
 
 
 class _MaskList:
@@ -358,25 +352,34 @@ def _count_tf(series: bool, a, b):
     return ta * fb + fa * tb, fa * fb
 
 
-def _grow(core: list, suffix: list, start: int, need: int, acc, comp: list[int], out):
+def _grow(core: list, tails: list, start: int, need: int, acc, comp: list[int], out):
     # Backtracking over the core's acyclic network sets grown in index
     # order (Read and Tarjan, Networks 1975): takes ``need`` more networks
     # from ``core[start:]``, each joining two components of ``comp``.
     # ``acc`` is the product of T over the networks taken and of F over
-    # those passed; a tree is complete at its last network, and adds its
-    # product times the F's after it to ``out``, which is returned.  The
+    # those passed, but for an F of one member, which is {no edge} (a
+    # series join gives two or more), and the loop's last F, which no tree
+    # reads.  A complete tree adds ``acc`` times its last T and the F's
+    # after it, ``tails[i]`` for the last i networks, to ``out``, which is
+    # returned; the smaller of ``acc`` and the tail meets T first.  A tail
+    # is made when first read, so none is larger than a tree's term.  The
     # sum is an argument: a closure over it that calls itself would keep
     # it alive in a cycle.
-    for j in range(start, len(core) - need + 1):
+    stop = len(core) - need + 1
+    for j in range(start, stop):
         u, v, (t, f) = core[j]
         cu, cv = comp[u], comp[v]
         if cu != cv:
             if need == 1:
-                out += acc * t * suffix[j + 1]
+                while len(tails) < len(core) - j:
+                    tails.append(core[-len(tails)][2][1] * tails[-1])
+                tail = tails[len(core) - j - 1]
+                out += acc * t * tail if acc.bit_count() <= tail.bit_count() else acc * (t * tail)
             else:
                 merged = [cu if c == cv else c for c in comp]
-                out = _grow(core, suffix, j + 1, need - 1, acc * t, merged, out)
-        acc = acc * f
+                out = _grow(core, tails, j + 1, need - 1, acc * t, merged, out)
+        if j + 1 < stop and f.bit_count() > 1:
+            acc = acc * f
     return out
 
 

@@ -178,16 +178,28 @@ def _two_k4_cores_on_a_path():
     return Multigraph(g.n + 1, g.edges + ((3, 8), (8, 4)))
 
 
+def _subdivided_k4(length):
+    """K4 with each of its six edges replaced by a path of ``length``
+    edges: a four-vertex core whose networks each have ``length`` F masks."""
+    edges, n = [], 4
+    for a, b in combinations(range(4), 2):
+        path = [a, *range(n, n + length - 1), b]
+        n += length - 1
+        edges += zip(path, path[1:])
+    return Multigraph(n, tuple(edges))
+
+
 _K5 = Multigraph(5, tuple(combinations(range(5), 2)))
 
 # cores of five to nine vertices, so the core enumerator recurses four to
-# eight levels deep
+# eight levels deep, and a K4 core whose networks have four F masks each
 DEEPER_CORES = {
     **{f"W{k}": _wheel(k) for k in range(4, 9)},
     "K5": _K5,
     "K5-3-subdivided": subdivide_edge(subdivide_edge(subdivide_edge(_K5, 0), 4), 8),
     "W6-spoke-doubled": duplicate_edge(_wheel(6), 0),
     "two-K4-on-a-path": _two_k4_cores_on_a_path(),
+    "K4-4-subdivided": _subdivided_k4(4),
 }
 
 
