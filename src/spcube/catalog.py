@@ -92,19 +92,18 @@ def alon_graph(sizes: tuple[int, ...]) -> Multigraph:
 
 
 def partite_graph(sizes: tuple[int, ...]) -> Multigraph:
-    """Path of parallel classes closed by a distinguished edge.
+    """Path of parallel classes closed by a distinguished edge: the
+    ``alon_graph`` of ``sizes`` and one more class of one edge, marked.
 
     Vertices 0..k on a path; class i sits between vertices i and i+1; the
     distinguished edge joins 0 and k and is appended last, so the first
-    sum(sizes) coordinates are the class blocks in order."""
-    k = len(sizes)
-    if k == 0 or any(a < 1 for a in sizes):
+    sum(sizes) coordinates are the class blocks in order.  An empty
+    ``sizes`` is refused: its cycle would be a loop.  Otherwise the marked
+    edge lies on the cycle, so it is neither a loop nor a bridge."""
+    if not sizes:
         raise ValueError("need at least one class, all sizes positive")
-    edges = []
-    for i, a in enumerate(sizes):
-        edges += [(i, i + 1)] * a
-    edges.append((0, k))
-    return Multigraph(k + 1, tuple(edges), distinguished=len(edges) - 1)
+    g = alon_graph(tuple(sizes) + (1,))
+    return Multigraph.derived(g.n, g.edges, g.e - 1)
 
 
 def fib_chain(d: int) -> Multigraph:

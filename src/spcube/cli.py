@@ -204,10 +204,6 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit_pattern(pattern, out: str | None) -> None:
-    _write(format_pattern(pattern), out)
-
-
 def _load_any_set(path: str, starred: bool):
     """Pattern file (layer mode) or bare strings, one per line (cube mode).
 
@@ -269,7 +265,7 @@ def _cmd_pattern(args) -> int:
         pattern = named_pattern(args.name, sizes)
         if args.name in NAMED_PATTERN_NOTES:
             sys.stderr.write(f"# note: {NAMED_PATTERN_NOTES[args.name]}\n")
-        _emit_pattern(pattern, args.out)
+        _write(format_pattern(pattern), args.out)
         return 0
     if not args.graph:
         raise ValueError(f"pattern {args.kind} requires --graph")
@@ -283,13 +279,13 @@ def _cmd_pattern(args) -> int:
             f"{PATTERN_OUTPUT_LIMIT} (trees x edges)"
         )
     if args.kind == "x":
-        _emit_pattern(x_pattern(g), args.out)
+        _write(format_pattern(x_pattern(g)), args.out)
         return 0
     edge = args.edge if args.edge is not None else g.distinguished
     if edge is None:
         raise ValueError("pattern y/h requires --edge or a marked graph")
     if args.kind == "y":
-        _emit_pattern(y_pattern(g, edge), args.out)
+        _write(format_pattern(y_pattern(g, edge)), args.out)
         return 0
     h = h_graph(g, edge)
     print(f"lower {len(h.lower)} upper {len(h.upper)} edges {len(h.edges)}")
@@ -333,7 +329,7 @@ def _cmd_op(args) -> int:
         if not isinstance(pattern, VertexPattern):
             raise ValueError("psi expects a vertex pattern")
         result = psi(pattern, args.coord)
-    _emit_pattern(result, args.out)
+    _write(format_pattern(result), args.out)
     return 0
 
 
@@ -385,7 +381,7 @@ def _cmd_f2(args) -> int:
         # 1/4 times prod_{i=1..b} (1 - 2^-(i+1))
         bound = density_lower_bound(args.b + 1) / 2
     density = Fraction(len(pattern), layer_size(args.a, args.b, args.mode == "edge"))
-    _emit_pattern(pattern, args.out)
+    _write(format_pattern(pattern), args.out)
     sys.stderr.write(
         f"# seed {args.seed} size {len(pattern)} "
         f"density {density.numerator}/{density.denominator} "

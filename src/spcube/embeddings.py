@@ -36,7 +36,7 @@ from .errors import SizeGuardError
 from .patterns import (
     EdgePattern,
     VertexPattern,
-    element_key,
+    _sorted_elements,
     format_string,
     layer_masks,
     layer_size,
@@ -504,7 +504,7 @@ def _cube_universe(n: int, starred: bool) -> list:
         elements = [(m, star) for star in range(n) for m in range(1 << n) if not m >> star & 1]
     else:
         elements = range(1 << n)
-    return sorted(elements, key=lambda e: element_key(e, n))
+    return _sorted_elements(elements, n, starred)
 
 
 def ex_cube(n: int, x) -> tuple[int, list[str]]:

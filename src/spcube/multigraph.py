@@ -96,10 +96,6 @@ class Multigraph:
     def e(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        """Number of edge endpoints at v; a loop contributes 2."""
-        return sum((u == v) + (w == v) for u, w in self.edges)
-
     def is_connected(self) -> bool:
         return not any(_components(self))
 
@@ -177,12 +173,13 @@ CORE_VERTEX_LIMIT = 256
 # many edges, and as ``_MaskList``s above.  A bitset product costs about the
 # product of the operands' digit counts, and a core makes the most products,
 # so cores cross over first (Python 3.11, shared 2-core x86 machine, bitsets
-# against lists): a wheel 0.97 against 1.03 ms at 12 edges, 11.6 against
-# 3.1 ms at 14; two K4 cores on a 2-path, 14 edges, 9.5 against 1.4 ms; K5
-# with three edges subdivided, 13 edges, 0.46 against 0.35 ms.  A chain with
-# no core, ``fib_chain(e)``: 0.06 against 0.13 ms at 13 edges, 0.42 against
-# 0.48 ms at 16, 1.02 against 0.76 ms at 17.
-TREE_BITSET_LIMIT = 13
+# against lists): a wheel 0.97 against 0.98 ms at 12 edges, 11.7 against
+# 3.0 ms at 14; the 12-edge wheel with a doubled spoke 2.12 against 1.01 ms;
+# K5 with three edges subdivided, 13 edges, 0.37 against 0.28 ms.  A chain
+# with no core, ``fib_chain(e)``: 0.032 against 0.051 ms at 12 edges, 0.064
+# against 0.071 ms at 13, 0.10 against 0.10 ms at 14, 0.24 against 0.16 ms
+# at 15.
+TREE_BITSET_LIMIT = 12
 
 
 def _sp_reduce(g: Multigraph, values: list, compose) -> tuple[list, list[dict | None]]:
@@ -290,7 +287,10 @@ class _MaskList:
     """A set of edge masks as a list, with a bitset's arithmetic: ``*`` is
     the join of two sets on disjoint edges (every union of a member of
     each), and ``+`` the union of two disjoint sets, by concatenation;
-    ``+=`` concatenates in place."""
+    ``+=`` concatenates in place.  A product by {no edge}, the F of an
+    edge, is the other operand itself, not a copy.  Values may so share
+    a list: none is mutated but ``_grow``'s fresh sum, and the finished
+    set that ``spanning_trees`` sorts."""
 
     __slots__ = ("masks",)
 
@@ -298,8 +298,12 @@ class _MaskList:
         self.masks = masks
 
     def __mul__(self, other: _MaskList) -> _MaskList:
-        xs = self.masks
-        return _MaskList([x | y for y in other.masks for x in xs])
+        xs, ys = self.masks, other.masks
+        if len(ys) == 1 and not ys[0]:
+            return self
+        if len(xs) == 1 and not xs[0]:
+            return other
+        return _MaskList([x | y for y in ys for x in xs])
 
     def __add__(self, other: _MaskList) -> _MaskList:
         return _MaskList(self.masks + other.masks)

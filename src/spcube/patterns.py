@@ -18,9 +18,10 @@ element, and the string constructors, ``.strings``, ``sorted_strings``,
 the pattern files and the pattern-graph JSON all go through them.  Written
 sets are ordered with 0 < 1 < *.  That is not the numeric order of the
 masks, because coordinate 0 is the first character but the lowest bit, so
-``sort_key`` orders strings and ``element_key`` orders masks and pairs.
+``sort_key`` orders strings, and ``_sorted_elements`` orders masks and pairs
+by the ``sort_key`` of their strings.
 
-X, H, psi and y18 work on tree masks: X is G's spanning trees; H and psi
+X, H and psi work on tree masks: X is G's spanning trees; H and psi
 split those same trees on bit i (the trees of G/i and of G - i) and list
 the pairs of the two sides at Hamming distance 1 by one kernel,
 ``_starred``; the m table's terms route (``search._y_size``) only counts
@@ -52,7 +53,6 @@ __all__ = [
     "parse_string",
     "format_string",
     "sort_key",
-    "element_key",
     "layer_size",
     "layer_masks",
     "starred_layer_masks",
@@ -160,13 +160,12 @@ def sort_key(s: str) -> str:
     return s.translate(_ORDER)
 
 
-def element_key(e, width: int) -> tuple[int, ...]:
-    """Sort key of a vertex mask or an edge pair that orders elements as
-    ``sort_key`` orders their strings: the characters as 0, 1 and 2."""
-    if isinstance(e, tuple):
-        lower, star = e
-        return tuple(2 if j == star else lower >> j & 1 for j in range(width))
-    return tuple(e >> j & 1 for j in range(width))
+def _sorted_elements(elements: Iterable, width: int, starred: bool) -> list:
+    """Vertex masks, or with ``starred`` (lower mask, star) edges, over
+    ``width`` coordinates, sorted as ``sort_key`` sorts their strings."""
+    elements = list(elements)
+    keys = map(sort_key, _format_strings(elements, width, starred))
+    return [e for _, e in sorted(zip(keys, elements))]
 
 
 def layer_size(a: int, b: int, starred: bool = False) -> int:
@@ -191,7 +190,7 @@ def starred_layer_masks(a: int, b: int) -> list[tuple[int, int]]:
     for star in range(n):
         rest = [j for j in range(n) if j != star]
         pairs.extend((sum(1 << j for j in ones), star) for ones in combinations(rest, b))
-    return sorted(pairs, key=lambda e: element_key(e, n))
+    return _sorted_elements(pairs, n, True)
 
 
 def layer_strings(a: int, b: int) -> list[str]:
@@ -490,10 +489,13 @@ def psi(x: VertexPattern, i: int) -> EdgePattern:
 
 
 # The most characters a written pattern may hold, strings x width.  Each
-# tree's string has one character per edge, so ``pattern --graph`` output
-# grows as trees x edges: 2,048 parallel edges between two vertices write
-# 4.2 MB.  ``pattern named`` bounds elements x width, and ``product_join``
-# the strings of its pattern-graph JSON x width, by the same number.
+# tree's string has one character per edge, so ``pattern x`` output grows
+# as trees x edges: 4,096 parallel edges between two vertices write 2^24,
+# at the guard.  ``pattern y`` writes a string per Hamming-1 pair of trees,
+# which trees x edges does not bound: ``partite_graph((7,) * 6)``, 218,491
+# trees of 43 edges, writes 705,894.  ``pattern named`` bounds elements x
+# width, and ``product_join`` the strings of its pattern-graph JSON x
+# width, by the same number.
 PATTERN_OUTPUT_LIMIT = 2**24
 
 
@@ -676,35 +678,22 @@ def partite_pattern(sizes: tuple[int, ...]) -> EdgePattern:
     return EdgePattern.from_pairs(sum(sizes) - k, k - 1, pairs)
 
 
-_X16_MISSING = frozenset(parse_string(s, 6) for s in ("010101", "011010", "100110", "101001"))
-_Y18_MISSING_LOWER = frozenset(parse_string(s, 5) for s in ("00011", "01100"))
-_Y18_MISSING_UPPER = frozenset(parse_string(s, 5) for s in ("10101", "11010"))
-
-
 def x16_pattern() -> VertexPattern:
-    """The 16-element subset of L(3,3): everything except four strings."""
-    return VertexPattern.from_masks(3, 3, frozenset(layer_masks(3, 3)) - _X16_MISSING)
-
-
-def y18_pattern() -> EdgePattern:
-    """The 18 Hamming-1 pairs between L(3,2) minus two strings and L(2,3)
-    minus two strings."""
-    lower = [m for m in layer_masks(3, 2) if m not in _Y18_MISSING_LOWER]
-    upper = [m for m in layer_masks(2, 3) if m not in _Y18_MISSING_UPPER]
-    return EdgePattern.from_pairs(2, 2, _starred(lower, upper))
-
-
-def x_k4_pattern() -> VertexPattern:
-    """Tree pattern of K4 (not series-parallel; the tree-set definition
-    extends verbatim), under the pinned edge order of ``catalog.k4_x16``."""
+    """The tree pattern of K4 under the edge order of ``catalog.k4_x16``
+    (K4 is not series-parallel; the tree-set definition extends verbatim):
+    all of L(3,3) but K4's four triangles."""
     return x_pattern(catalog.k4_x16())
 
 
-def y_k4_pattern() -> EdgePattern:
-    """Edge pattern of K4 with a marked edge, same extension note as
-    ``x_k4_pattern``, under the edge order of ``catalog.k4_y18``."""
+def y18_pattern() -> EdgePattern:
+    """The edge pattern of K4 marked at its last edge, under the edge
+    order of ``catalog.k4_y18``: 18 starred strings of L'(2,2)."""
     return y_pattern(catalog.k4_y18())
 
+
+# the K4 patterns under the names that say so; the CLI notes the extension
+x_k4_pattern = x16_pattern
+y_k4_pattern = y18_pattern
 
 NAMED_PATTERN_NOTES = {
     "x_k4": "tree-set definition extended to a non-series-parallel graph",

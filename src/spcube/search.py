@@ -106,9 +106,7 @@ class TableRow:
     def witness_text(self) -> str:
         if isinstance(self.witness, SpTerm):
             return format_term(self.witness)
-        if isinstance(self.witness, Multigraph):
-            return graph_to_json(self.witness)
-        return str(self.witness)
+        return graph_to_json(self.witness)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,8 @@ def _refined_colors(g: Multigraph, marked: bool) -> tuple[int, ...]:
     special = set()
     if marked and g.distinguished is not None:
         special = set(g.edges[g.distinguished])
-    colors = [(g.degree(v), loops[v], v in special) for v in range(g.n)]
+    degree = [2 * loops[v] + sum(mult[v].values()) for v in range(g.n)]  # a loop counts twice
+    colors = [(degree[v], loops[v], v in special) for v in range(g.n)]
     ranks = {c: r for r, c in enumerate(sorted(set(colors)))}
     cur = [ranks[c] for c in colors]
     while True:

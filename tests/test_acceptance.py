@@ -20,10 +20,8 @@ from spcube import (
     m_table,
     max_spanning_trees,
     x16_pattern,
-    x_k4_pattern,
     x_pattern,
     y18_pattern,
-    y_k4_pattern,
 )
 from spcube import catalog
 from spcube.cli import main
@@ -142,10 +140,16 @@ def test_criterion_09_named_patterns():
     assert frozenset(layer_strings(3, 3)) - x16.strings == {
         "010101", "011010", "100110", "101001",
     }
-    assert x16 == x_k4_pattern()
-    y18 = y18_pattern()
-    assert len(y18) == 18
-    assert y18 == y_k4_pattern()
+    # y18: the Hamming-1 pairs between L(3,2) and L(2,3), each less two strings
+    lower = set(layer_strings(3, 2)) - {"00011", "01100"}
+    upper = set(layer_strings(2, 3)) - {"10101", "11010"}
+    y18 = set()
+    for lo in lower:
+        for up in upper:
+            diff = [j for j in range(5) if lo[j] != up[j]]
+            if len(diff) == 1:
+                y18.add(lo[: diff[0]] + "*" + lo[diff[0] + 1 :])
+    assert len(y18) == 18 and y18_pattern().strings == y18
     _report("09 named patterns", "every block tuple of total <= 7 + x16/y18 exact")
 
 

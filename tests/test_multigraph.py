@@ -336,6 +336,13 @@ class TestTreeSetValues:
             x += y
             assert x.masks == a + b and x.bit_count() == len(a) + len(b)
 
+    def test_product_by_no_edge_is_the_operand(self):
+        # {no edge} is the F of every edge: a bundle of parallel edges
+        # multiplies by it once per edge, so no copy may be made
+        x, unit = multigraph._MaskList([0b011, 0b101]), multigraph._MaskList([0])
+        assert x * unit is x and unit * x is x
+        assert (x * multigraph._MaskList([0b1000])).masks == [0b1011, 0b1101]
+
 
 class TestMinor:
     def test_contract_e5(self):

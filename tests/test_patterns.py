@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -36,6 +37,7 @@ from spcube import (
     psi,
     series,
     spanning_trees,
+    starred_layer_strings,
     to_marked_graph,
     two_sum,
     x16_pattern,
@@ -46,6 +48,7 @@ from spcube import (
     y_pattern,
 )
 from spcube import catalog, multigraph, patterns
+from spcube.embeddings import _cube_universe
 from spcube.multigraph import _is_bridge
 from spcube.patterns import (
     PATTERN_OUTPUT_LIMIT,
@@ -107,6 +110,22 @@ class TestTypes:
     def test_sort_order_zero_one_star(self):
         strings = ["1*", "*1", "10", "01"]
         assert sorted(strings, key=sort_key) == ["01", "10", "1*", "*1"]
+
+    def test_element_order_is_string_order(self):
+        # the starred layers and the cube universes are sorted as masks and
+        # pairs; their strings must come out as sort_key sorts them
+        for width in range(8):
+            every = ["".join(c) for c in product("01*", repeat=width) if c.count("*") == 1]
+            for b in range(width):
+                want = sorted((s for s in every if s.count("1") == b), key=sort_key)
+                assert starred_layer_strings(width - 1 - b, b) == want
+        for n in range(5):
+            for starred in (False, True):
+                want = sorted(
+                    ("".join(c) for c in product("01*", repeat=n) if c.count("*") == starred),
+                    key=sort_key,
+                )
+                assert [format_string(e, n) for e in _cube_universe(n, starred)] == want
 
 
 class TestXPattern:
@@ -499,6 +518,20 @@ class TestNamedPatterns:
         assert partite_pattern((1, 1)).strings == {"1*", "*1"}
         assert partite_pattern((1, 1)) == y_pattern(catalog.partite_graph((1, 1)))
 
+    @pytest.mark.parametrize(
+        "sizes", [(1,), (3,), (1, 1), (2, 1), (1, 2, 2), (3, 1, 2, 1), (2,) * 5]
+    )
+    def test_partite_graph_is_the_marked_path_of_classes(self, sizes):
+        k = len(sizes)
+        edges = [(i, i + 1) for i, a in enumerate(sizes) for _ in range(a)] + [(0, k)]
+        want = Multigraph(k + 1, edges, distinguished=len(edges) - 1)
+        assert catalog.partite_graph(sizes) == want
+
+    @pytest.mark.parametrize("sizes", [(), (0,), (2, 0, 1)])
+    def test_partite_graph_refuses_empty_classes(self, sizes):
+        with pytest.raises(ValueError, match="need at least one class"):
+            catalog.partite_graph(sizes)
+
     def test_partite_count_formula(self):
         sizes = (2, 2, 3)
         assert len(partite_pattern(sizes)) == len(sizes) * 2 * 2 * 3
@@ -509,14 +542,13 @@ class TestNamedPatterns:
     def test_x16(self):
         x16 = x16_pattern()
         assert len(x16) == 16
-        assert x16 == x_k4_pattern()
+        assert x_k4_pattern is x16_pattern  # one definition, two names
         missing = frozenset(layer_strings(3, 3)) - x16.strings
         assert missing == {"010101", "011010", "100110", "101001"}
 
     def test_y18(self):
-        y18 = y18_pattern()
-        assert len(y18) == 18
-        assert y18 == y_k4_pattern()
+        assert len(y18_pattern()) == 18
+        assert y_k4_pattern is y18_pattern
 
     def test_dispatcher(self):
         assert named_pattern("alon", (1, 1)) == alon_pattern((1, 1))
