@@ -241,7 +241,7 @@ class TestSpanningTreesByReduction:
                 assert spanning_trees(to_marked_graph(t)) == w, (limit, t)
 
     @pytest.mark.parametrize(
-        "d", range(multigraph.TREE_BITSET_LIMIT - 1, multigraph.TREE_BITSET_LIMIT + 3)
+        "d", range(multigraph.TREE_BITSET_LIMIT - 1, multigraph.TREE_BITSET_LIMIT + 4)
     )
     def test_fib_chains_across_the_bitset_limit(self, monkeypatch, d):
         decoded = []
