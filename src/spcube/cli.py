@@ -23,6 +23,7 @@ from .errors import SizeGuardError
 from .multigraph import CORE_VERTEX_LIMIT, load_graph, tree_count
 from .operators import CODUP, DUP, duplicate_e, duplicate_v
 from .patterns import (
+    _NAMED,
     EdgePattern,
     VertexPattern,
     dual_pattern,
@@ -92,7 +93,7 @@ def _build_parser() -> _Parser:
         f"irreducible (non-series-parallel) core above {CORE_VERTEX_LIMIT} vertices",
     )
     pat.add_argument("--edge", type=int, help="marked edge index (0-based)")
-    pat.add_argument("--name", help="named pattern: alon, partite, x16, y18, x_k4, y_k4")
+    pat.add_argument("--name", help=f"named pattern: {', '.join(_NAMED)}")
     pat.add_argument(
         "--params",
         help="comma-separated block sizes for alon/partite; refused (exit 2) above "

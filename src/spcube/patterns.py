@@ -21,13 +21,13 @@ masks, because coordinate 0 is the first character but the lowest bit, so
 ``sort_key`` orders strings, and ``_sorted_elements`` orders masks and pairs
 by the ``sort_key`` of their strings.
 
-X, H and psi work on tree masks: X is G's spanning trees; H and psi
-split those same trees on bit i (the trees of G/i and of G - i) and list
-the pairs of the two sides at Hamming distance 1 by one kernel,
-``_starred``; the m table's terms route (``search._y_size``) only counts
-such pairs, on bitsets.  Y is psi of X, Y(G, i) = psi(X(G), i), so a
-caller that needs X and Y of one graph enumerates its trees once.  The
-series and parallel rule that composes the tree sets is
+X, Y, H and psi work on tree masks: X is G's spanning trees; Y, H and
+psi split those same trees on bit i (the trees of G/i and of G - i; for
+a graph, ``_tree_sides``) and list the pairs of the two sides at Hamming
+distance 1 by one kernel, ``_starred``; the m table's terms route
+(``search._y_size``) only counts such pairs, on bitsets.  So Y is psi of
+X, Y(G, i) = psi(X(G), i), and Y is read off the split without building
+X.  The series and parallel rule that composes the tree sets is
 ``multigraph._count_tf``, the rule of the tree counts.
 """
 
@@ -36,7 +36,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 
 from . import catalog
@@ -420,25 +420,28 @@ def _marked_edge(g: Multigraph, i: int | None) -> int:
     return i
 
 
+def _tree_sides(g: Multigraph, i: int | None) -> tuple[list[int], list[int]]:
+    """The trees of g/i and of g - i, with bit i dropped: g's spanning
+    trees split on edge i as ``psi`` splits a pattern.  ``i`` defaults to
+    the distinguished edge and must be neither a bridge nor a loop; the
+    trees are enumerated before the edge is checked."""
+    return _split(spanning_trees(g), _marked_edge(g, i))
+
+
 def y_pattern(g: Multigraph, i: int | None = None) -> EdgePattern:
     """Edge pattern Y of (g, edge i): edges over the remaining coordinates,
     pairing each tree of g/i with the trees of g - i at Hamming distance
-    1.  Lands in L'(e-v, v-2).
-
-    Y is psi of X: g's trees that contain i are the trees of g/i, the
-    others the trees of g - i, so Y(g, i) = psi(X(g), i).  ``i`` defaults
-    to the graph's distinguished edge and must be neither a bridge nor a
-    loop.  The trees are enumerated before the edge is checked.
-    """
-    return psi(x_pattern(g), _marked_edge(g, i))
+    1.  Lands in L'(e-v, v-2).  Y(g, i) = psi(X(g), i), read off the split
+    of g's trees, ``_tree_sides``, without building X."""
+    lower, upper = _tree_sides(g, i)
+    return EdgePattern.from_pairs(g.e - g.n, g.n - 2, _starred(lower, upper))
 
 
 def h_graph(g: Multigraph, i: int | None = None) -> PatternGraph:
     """Bipartite pattern graph of (g, edge i): lower part = trees of g/i,
-    upper part = trees of g-minus-i, edges = the Hamming-1 pairs.  Both
-    tree sets come from one enumeration of g's trees, split on bit i as
-    ``psi`` splits them."""
-    lower, upper = _split(spanning_trees(g), _marked_edge(g, i))
+    upper part = trees of g-minus-i, edges = the Hamming-1 pairs, Y's
+    edges; the parts are the split Y is read off, ``_tree_sides``."""
+    lower, upper = _tree_sides(g, i)
     bits = [1 << j for j in range(g.e - 1)]
     edges = ((s, s | bits[j]) for s, j in _starred(lower, upper))
     return PatternGraph.from_masks(g.e - 1, lower, upper, edges)
@@ -478,7 +481,7 @@ def psi(x: VertexPattern, i: int) -> EdgePattern:
     Requires x in L(a+1, b+1) with a, b >= 0; the result lies in L'(a, b).
     Coordinates above i shift down by one.  On a tree pattern the two
     sides are the trees of G/i and of G - i, so psi(X(G), i) = Y(G, i),
-    which is how ``y_pattern`` computes Y.
+    the split ``y_pattern`` reads Y off.
     """
     if x.a < 1 or x.b < 1:
         raise ValueError("psi needs at least one zero and one one per string")
@@ -637,45 +640,18 @@ def _strings(value) -> bool:
 # named pattern families
 
 
-def _blocks(sizes: tuple[int, ...]) -> list[int]:
-    """The first coordinate of each block, refusing an empty or
-    non-positive size list."""
-    if not sizes or any(a < 1 for a in sizes):
-        raise ValueError("need at least one positive block size")
-    starts = [0]
-    for a in sizes[:-1]:
-        starts.append(starts[-1] + a)
-    return starts
-
-
 def alon_pattern(sizes: tuple[int, ...]) -> VertexPattern:
-    """Strings split into blocks of the given sizes: one block all zeros,
-    every other block containing exactly one 1.  Equals the tree pattern
-    of the matching cycle-of-parallel-classes graph."""
-    starts = _blocks(sizes)
-    k = len(sizes)
-    masks = set()
-    for omit in range(k):
-        slots = [
-            [1 << (start + j) for j in range(a)] if i != omit else [0]
-            for i, (start, a) in enumerate(zip(starts, sizes))
-        ]
-        masks.update(sum(choice) for choice in product(*slots))
-    return VertexPattern.from_masks(sum(sizes) - k + 1, k - 1, masks)
+    """The tree pattern of ``catalog.alon_graph(sizes)``, the cycle of
+    parallel classes: strings split into blocks of the given sizes, one
+    block all zeros and every other block holding exactly one 1."""
+    return x_pattern(catalog.alon_graph(sizes))
 
 
 def partite_pattern(sizes: tuple[int, ...]) -> EdgePattern:
-    """Strings split into blocks: one block holds a single *, every other
-    block a single 1.  Equals the edge pattern of the matching marked
-    path-of-parallel-classes graph."""
-    starts = _blocks(sizes)
-    k = len(sizes)
-    pairs = set()
-    for choice in product(*(range(a) for a in sizes)):
-        coords = [start + j for start, j in zip(starts, choice)]
-        ones = sum(1 << c for c in coords)
-        pairs.update((ones ^ 1 << star, star) for star in coords)
-    return EdgePattern.from_pairs(sum(sizes) - k, k - 1, pairs)
+    """The edge pattern of ``catalog.partite_graph(sizes)``, the path of
+    parallel classes closed by a marked edge: strings split into blocks,
+    one block holding a single * and every other block a single 1."""
+    return y_pattern(catalog.partite_graph(sizes))
 
 
 def x16_pattern() -> VertexPattern:
@@ -701,23 +677,27 @@ NAMED_PATTERN_NOTES = {
 }
 
 
+# each named family is the X or Y of a catalog graph
+_NAMED = {
+    "alon": (catalog.alon_graph, x_pattern),
+    "partite": (catalog.partite_graph, y_pattern),
+    "x16": (catalog.k4_x16, x_pattern),
+    "y18": (catalog.k4_y18, y_pattern),
+    "x_k4": (catalog.k4_x16, x_pattern),
+    "y_k4": (catalog.k4_y18, y_pattern),
+}
+
+
 def named_pattern(name: str, sizes: tuple[int, ...] = ()):
-    """Dispatch for the named families: alon, partite, x16, y18, x_k4, y_k4."""
-    if name == "alon":
-        return alon_pattern(tuple(sizes))
-    if name == "partite":
-        return partite_pattern(tuple(sizes))
-    if sizes:
+    """The pattern of a named family, read off ``_NAMED``: alon, partite,
+    x16, y18, x_k4, y_k4.  Only alon and partite take block sizes."""
+    sized = name in ("alon", "partite")
+    if sizes and not sized:
         raise ValueError(f"pattern {name!r} takes no size parameters")
-    table = {
-        "x16": x16_pattern,
-        "y18": y18_pattern,
-        "x_k4": x_k4_pattern,
-        "y_k4": y_k4_pattern,
-    }
-    if name not in table:
+    if name not in _NAMED:
         raise ValueError(f"unknown named pattern {name!r}")
-    return table[name]()
+    graph, pattern = _NAMED[name]
+    return pattern(graph(tuple(sizes)) if sized else graph())
 
 
 # ---------------------------------------------------------------------------

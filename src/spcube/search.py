@@ -81,7 +81,7 @@ EXHAUSTIVE_TREE_LIMIT = 11
 WITNESS_CHAIN_LIMIT = 24
 M_TABLE_LIMIT = 16
 # the terms route visits every canonical term, about 4x more per edge, and
-# takes about 5x the time: --max-d 12 takes about 9 s and 225 MB peak,
+# takes about 5x the time: --max-d 12 takes about 7 s and 222 MB peak,
 # most of the memory for its 366,422 terms
 M_TERMS_LIMIT = 12
 

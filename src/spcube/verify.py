@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, product
+from math import prod
 
 from . import catalog
 from .constructions import (
@@ -54,6 +55,7 @@ from .multigraph import (
 )
 from .operators import CODUP, DUP, duplicate_e, duplicate_v
 from .patterns import (
+    EdgePattern,
     VertexPattern,
     alon_pattern,
     dual_pattern,
@@ -515,18 +517,33 @@ def check_g0_components(max_d: int = 5) -> list[str]:
 
 
 def check_named_patterns(max_total: int = 7) -> list[str]:
-    """alon/partite equal the patterns of their class-cycle graphs for
-    every composition up to the size cap."""
+    """alon and partite, the X and Y of their catalog graphs, against
+    their block definitions on strings, for every composition of each
+    total up to the cap: each lies in its layer, has its closed-form size
+    (sum_i prod_{j != i} s_j strings for alon, k prod_j s_j for partite),
+    and each string has its block shape (alon: one block all zeros, one 1
+    in each other; partite: one 1 or * in each block).  As many distinct
+    strings as the shape allows are all of them."""
     bad = []
     for total in range(1, max_total + 1):
         for k in range(1, total + 1):
             for cuts in combinations(range(1, total), k - 1):
                 bounds = (0,) + cuts + (total,)
-                sizes = tuple(b - a for a, b in zip(bounds, bounds[1:]))
-                if alon_pattern(sizes) != x_pattern(catalog.alon_graph(sizes)):
-                    bad.append(f"alon{sizes} != tree pattern")
-                if partite_pattern(sizes) != y_pattern(catalog.partite_graph(sizes)):
-                    bad.append(f"partite{sizes} != edge pattern")
+                blocks = list(zip(bounds, bounds[1:]))
+                sizes = tuple(hi - lo for lo, hi in blocks)
+                # each family's pattern, kind, layer, size and sorted non-0 counts by block
+                families = (
+                    ("alon", alon_pattern(sizes), VertexPattern, total - k + 1,
+                     sum(prod(sizes) // s for s in sizes), [0] + [1] * (k - 1)),
+                    ("partite", partite_pattern(sizes), EdgePattern, total - k,
+                     k * prod(sizes), [1] * k),
+                )
+                for name, p, kind, a, size, shape in families:
+                    if not isinstance(p, kind) or (p.a, p.b, len(p)) != (a, k - 1, size) or any(
+                        sorted(hi - lo - s.count("0", lo, hi) for lo, hi in blocks) != shape
+                        for s in p.strings
+                    ):
+                        bad.append(f"{name}{sizes} is not the {size} strings of its shape")
     return bad
 
 
@@ -842,7 +859,7 @@ ALL_CHECKS = [
     ("gluing", check_gluing, {"samples": 60}, {"samples": 200}),
     ("h_connected", check_h_connected, {"max_d": 7}, {"max_d": 8}),
     ("g0_components", check_g0_components, {"max_d": 4}, {"max_d": 5}),
-    ("named_patterns", check_named_patterns, {}, {}),
+    ("named_patterns", check_named_patterns, {}, {"max_total": 10}),
     ("operator_laws", check_operator_laws, {}, {}),
     ("map_counts", check_map_counts, {}, {}),
     ("map_weights", check_map_weights, {}, {}),

@@ -419,8 +419,9 @@ class TestCli:
         def unbuilt(sizes):
             raise AssertionError("a pattern was built above the output guard")
 
-        monkeypatch.setattr(patterns, "alon_pattern", unbuilt)
-        monkeypatch.setattr(patterns, "partite_pattern", unbuilt)
+        # the graph each named family is read off, and the trees of any graph
+        monkeypatch.setitem(patterns._NAMED, name, (unbuilt, patterns._NAMED[name][1]))
+        monkeypatch.setattr(patterns, "spanning_trees", unbuilt)
         assert main(["pattern", "named", "--name", name, "--params", params]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

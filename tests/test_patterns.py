@@ -551,12 +551,31 @@ class TestNamedPatterns:
         assert y_k4_pattern is y18_pattern
 
     def test_dispatcher(self):
-        assert named_pattern("alon", (1, 1)) == alon_pattern((1, 1))
-        assert named_pattern("x16") == x16_pattern()
-        with pytest.raises(ValueError):
+        # every named family is the X or Y of its catalog graph
+        sizes = (2, 1, 3)
+        want = {
+            "alon": x_pattern(catalog.alon_graph(sizes)),
+            "partite": y_pattern(catalog.partite_graph(sizes)),
+            "x16": x_pattern(catalog.k4_x16()),
+            "y18": y_pattern(catalog.k4_y18()),
+            "x_k4": x_pattern(catalog.k4_x16()),
+            "y_k4": y_pattern(catalog.k4_y18()),
+        }
+        for name, pattern in want.items():
+            assert named_pattern(name, sizes if name in ("alon", "partite") else ()) == pattern
+        assert named_pattern("alon", sizes) == alon_pattern(sizes)
+        assert named_pattern("partite", sizes) == partite_pattern(sizes)
+        assert x_k4_pattern is x16_pattern and y_k4_pattern is y18_pattern
+        with pytest.raises(ValueError, match="unknown named pattern"):
             named_pattern("nope")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="takes no size parameters"):
             named_pattern("x16", (1,))
+
+    @pytest.mark.parametrize("name", ["alon", "partite"])
+    @pytest.mark.parametrize("sizes", [(), (0,), (2, 0, 1), (3, -1)])
+    def test_dispatcher_refuses_empty_classes(self, name, sizes):
+        with pytest.raises(ValueError, match="need at least one class, all sizes positive"):
+            named_pattern(name, sizes)
 
 
 class TestK4Extension:
