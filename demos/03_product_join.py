@@ -8,6 +8,8 @@ which is exactly the product-join.  The named alon/partite families are
 the patterns of cycles of parallel classes.
 """
 
+from itertools import product
+
 from spcube import catalog
 from spcube.patterns import (
     alon_pattern,
@@ -20,6 +22,21 @@ from spcube.patterns import (
 )
 from spcube.spterm import enumerate_terms, format_term, to_marked_graph
 from spcube.multigraph import two_sum
+
+
+def one_mark(size, mark):
+    """The strings of one block of the given size with a single mark."""
+    return ["0" * j + mark + "0" * (size - 1 - j) for j in range(size)]
+
+
+def block_strings(sizes, special):
+    """Strings of one block per size: one block from ``special(size)``
+    and every other block holding a single 1."""
+    strings = set()
+    for k in range(len(sizes)):
+        blocks = [special(s) if i == k else one_mark(s, "1") for i, s in enumerate(sizes)]
+        strings.update("".join(p) for p in product(*blocks))
+    return strings
 
 
 def main():
@@ -44,10 +61,12 @@ def main():
     sizes = (2, 1, 2)
     print(f"  alon{sizes}   ==", " ".join(alon_pattern(sizes).sorted_strings))
     print("  equals X of the class cycle:",
-          alon_pattern(sizes) == x_pattern(catalog.alon_graph(sizes)))
+          x_pattern(catalog.alon_graph(sizes)).strings
+          == block_strings(sizes, lambda s: ["0" * s]))
     print(f"  partite{(1, 2)} ==", " ".join(partite_pattern((1, 2)).sorted_strings))
     print("  equals Y of the marked path:",
-          partite_pattern((1, 2)) == y_pattern(catalog.partite_graph((1, 2))))
+          y_pattern(catalog.partite_graph((1, 2))).strings
+          == block_strings((1, 2), lambda s: one_mark(s, "*")))
 
 
 if __name__ == "__main__":

@@ -44,7 +44,6 @@ from fractions import Fraction
 from .catalog import fib_chain
 from .errors import SizeGuardError
 from .multigraph import (
-    Multigraph,
     _count_tf,
     check_marked_edge,
     graph_to_json,
@@ -115,50 +114,52 @@ class TableRow:
 
 def max_spanning_trees(d: int, mode: str = "exhaustive") -> TableRow:
     """Maximum spanning-tree count over connected series-parallel
-    multigraphs with d edges.
-
-    ``exhaustive`` is exact (d <= 11): it reports the maximum over the
-    isomorphism census at d edges and, as witness, the first optimal
-    graph of ``enumerate_connected_sp(d)``, which is sorted by
-    (vertex count, edges).  It builds only the census classes that can
-    still reach the witness chain's count (see ``_census_maximum``).
-    ``witness`` only builds the alternating duplicate/subdivide chain
-    graph and reports its count (d <= 24).  The row's millis is the time
-    this call took: bounded census levels are kept once built, so in
-    ``fib_table`` an exhaustive row times the levels that no earlier row
-    built, its own level d among them.
-    """
-    start = time.perf_counter()
-    _check_fib_guard(d, mode)
-    if mode == "exhaustive":
-        return TableRow(d, *_census_maximum(d), _ms(start))
-    g = fib_chain(d)
-    count = len(spanning_trees(g))
-    if count != tree_count(g):
-        raise AssertionError("tree enumeration and tree_count disagree")
-    return TableRow(d, count, g, _ms(start))
-
-
-def _census_maximum(d: int) -> tuple[int, Multigraph]:
-    """The largest tree count at d edges and the (n, edges)-least census
-    representative that reaches it.
-
-    The chain ``fib_chain(d)`` is a connected series-parallel graph with d
-    edges, so its count bounds the maximum from below, and the maximum is
-    the largest count over ``_census_level(d, bound)``, the census level
-    restricted to the classes with at least that many trees.  Those
-    classes keep their representatives from the full level, so the least
-    optimal one is the first optimum of ``enumerate_connected_sp(d)``.
-    """
-    level = _census_level(d, tree_count(fib_chain(d)))
-    witness = min(level, key=lambda g: (-tree_count(g), g.n, g.edges))
-    return tree_count(witness), witness
+    multigraphs with d edges: row d of ``fib_table(d, mode)`` alone, its
+    millis timing also the census levels below d not built before.
+    ``exhaustive`` is exact (d <= 11); ``witness`` only counts the trees
+    of the alternating duplicate/subdivide chain graph (d <= 24)."""
+    return _fib_rows(d, mode, d)[0]
 
 
 def fib_table(d_max: int, mode: str = "exhaustive") -> list[TableRow]:
-    """Rows 0..d_max; refuses before any row is computed."""
+    """Rows 0..d_max; refuses before any row is computed.  A row's millis
+    times that row alone: exhaustive row d builds only census level d,
+    from the level that row d - 1 read."""
+    return _fib_rows(d_max, mode, 0)
+
+
+def _fib_rows(d_max: int, mode: str, first: int) -> list[TableRow]:
+    """Rows first..d_max of the table to d_max.
+
+    Exhaustive row d is the largest count over ``_census_level(d,
+    floor_d)``, the classes at d edges with at least floor_d trees, and
+    its witness the (n, edges)-least optimal class: bounded levels keep
+    the full level's representatives, so that is the first optimum of
+    ``enumerate_connected_sp(d)``.  floor_{d_max} is the count of
+    ``fib_chain(d_max)``, which has d_max edges, and floor_d is floor_{d+1}
+    halved and rounded up: a class at d + 1 edges grows from one at d
+    edges with at least half its trees.  So each floor is at most its
+    row's maximum, and level d at floor_d grows from level d - 1 at
+    floor_{d-1}: the rows read one chain of levels.
+    """
     _check_fib_guard(d_max, mode)
-    return [max_spanning_trees(d, mode) for d in range(d_max + 1)]
+    floors = [tree_count(fib_chain(d_max))]
+    while len(floors) <= d_max:
+        floors.insert(0, (floors[0] + 1) // 2)
+    rows = []
+    for d in range(first, d_max + 1):
+        start = time.perf_counter()
+        if mode == "exhaustive":
+            level = _census_level(d, floors[d])
+            witness = min(level, key=lambda g: (-tree_count(g), g.n, g.edges))
+            value = tree_count(witness)
+        else:
+            witness = fib_chain(d)
+            value = len(spanning_trees(witness))
+            if value != tree_count(witness):
+                raise AssertionError("tree enumeration and tree_count disagree")
+        rows.append(TableRow(d, value, witness, _ms(start)))
+    return rows
 
 
 def _check_fib_guard(d: int, mode: str) -> None:

@@ -73,7 +73,7 @@ from .patterns import (
     product_join,
     _starred,
 )
-from .search import fib, m_value, m_value_all_marked_graphs
+from .search import fib, fib_table, m_value, m_value_all_marked_graphs
 from .spterm import (
     GraphDedup,
     SpTerm,
@@ -770,22 +770,18 @@ def check_f2_b2_extraction(seeds: int = 8) -> list[str]:
 
 
 def check_fib_exhaustive(max_d: int = 6) -> list[str]:
-    from .search import max_spanning_trees
-
+    """The rows of ``fib_table(max_d)``, as ``table fib`` prints them:
+    each is fib(d + 1), recounts, and is the first optimum of the whole
+    sorted census level."""
     bad = []
-    for d in range(max_d + 1):
-        row = max_spanning_trees(d, "exhaustive")
+    for row in fib_table(max_d):
+        d = row.d
         if row.value != fib(d + 1):
             bad.append(f"max tree count at {d} edges is {row.value}, not F({d + 1})")
         if tree_count(row.witness) != row.value:
             bad.append(f"witness at {d} edges does not revalidate")
-        # the row is the first optimum of the whole sorted census level
-        best, first = -1, None
-        for g in enumerate_connected_sp(d):
-            c = tree_count(g)
-            if c > best:
-                best, first = c, g
-        if (row.value, row.witness) != (best, first):
+        first = min(enumerate_connected_sp(d), key=lambda g: -tree_count(g))
+        if (row.value, row.witness) != (tree_count(first), first):
             bad.append(f"row {d} is not the first optimum of the census level")
     return bad
 

@@ -13,9 +13,14 @@ from spcube import (
     format_pattern,
     graph_to_json,
     layer_strings,
+    load_graph,
+    load_pattern,
     parse_pattern,
+    save_graph,
+    save_pattern,
     tree_count,
     x_pattern,
+    y_pattern,
 )
 from spcube import catalog, embeddings, multigraph, patterns, search
 from spcube.cli import PATTERN_OUTPUT_LIMIT, PATTERN_TREE_LIMIT, _named_output, main
@@ -55,6 +60,30 @@ class TestPatternFiles:
     def test_pattern_graph_json_round_trip(self):
         h = h_graph(catalog.k4_minus_edge(), 4)
         assert pg_from_json(pg_to_json(h)) == h
+
+    def test_save_and_load_graph(self, tmp_path):
+        g = catalog.partite_graph((1, 2, 2))
+        assert g.distinguished is not None
+        path = tmp_path / "g.json"
+        save_graph(g, path)
+        assert path.read_text() == graph_to_json(g) + "\n"
+        assert load_graph(path) == g
+
+    @pytest.mark.parametrize(
+        "pattern",
+        [
+            x_pattern(catalog.k4_minus_edge()),
+            y_pattern(catalog.k4_minus_edge(), 4),
+            VertexPattern(0, 0, set()),
+            VertexPattern(0, 0, {""}),
+        ],
+        ids=["vertex", "edge", "empty", "empty-string"],
+    )
+    def test_save_and_load_pattern(self, tmp_path, pattern):
+        path = tmp_path / "p.pat"
+        save_pattern(pattern, path)
+        assert path.read_text() == format_pattern(pattern)
+        assert load_pattern(path) == pattern
 
 
 # the time columns: csv and markdown millis, and verify's seconds
@@ -371,10 +400,10 @@ class TestCli:
             assert value == fib(d + 1) == tree_count(catalog.fib_chain(d))
 
     def test_table_fib_census_above_guard_exit_2(self, monkeypatch, capsys):
-        def no_row(d):
-            raise AssertionError(f"row {d} computed above the guard")
+        def no_level(d, floor):
+            raise AssertionError(f"level {d} built above the guard")
 
-        monkeypatch.setattr(search, "_census_maximum", no_row)
+        monkeypatch.setattr(search, "_census_level", no_level)
         assert main(["table", "fib", "--max-d", "12"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

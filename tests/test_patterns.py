@@ -516,7 +516,6 @@ class TestNamedPatterns:
 
     def test_partite_1_1(self):
         assert partite_pattern((1, 1)).strings == {"1*", "*1"}
-        assert partite_pattern((1, 1)) == y_pattern(catalog.partite_graph((1, 1)))
 
     @pytest.mark.parametrize(
         "sizes", [(1,), (3,), (1, 1), (2, 1), (1, 2, 2), (3, 1, 2, 1), (2,) * 5]

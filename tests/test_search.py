@@ -187,6 +187,16 @@ class TestMaxSpanningTrees:
         assert [r.value for r in rows] == [fib(d + 1) for d in range(9)]
         assert [r.witness_text() for r in rows] == FIB_WITNESSES
 
+    def test_table_rows_are_the_rows_built_alone(self):
+        # fib_table(11) reads level d at fib(12) halved 11 - d times, and
+        # max_spanning_trees(d) at fib(d + 1): the routes read different
+        # levels; to 8 edges the whole census level is a third route
+        for row in fib_table(11):
+            alone = max_spanning_trees(row.d)
+            assert (alone.d, alone.value, alone.witness) == (row.d, row.value, row.witness)
+            if row.d <= 8:
+                assert (row.value, row.witness) == _full_census_row(row.d)
+
     @pytest.mark.parametrize("d", range(9))
     def test_scan_matches_full_census(self, d):
         row = max_spanning_trees(d)
@@ -227,8 +237,9 @@ class TestMaxSpanningTrees:
     def test_bounded_levels_count_one_child_per_edge(self, monkeypatch):
         # a subdivision's count comes from its parent's and the duplicate's,
         # so a bounded level counts each parent and each duplicated edge
-        # once: fib_table(8) takes 452 counts in its census and 33 in the
-        # rows (each row's chain and its optimal classes)
+        # once.  fib_table(8) reads one chain of nine levels: it takes 284
+        # counts in the census and 74 in the rows, one for the chain
+        # graph, 64 for the levels' classes and one for each witness
         _fresh_census(monkeypatch)
         calls = Counter()
 
@@ -244,7 +255,7 @@ class TestMaxSpanningTrees:
         monkeypatch.setattr(spterm, "tree_count", counting(spterm))
         monkeypatch.setattr(search, "tree_count", counting(search))
         fib_table(8)
-        assert calls == {"spcube.spterm": 452, "spcube.search": 33}
+        assert calls == {"spcube.spterm": 284, "spcube.search": 74}
 
     def test_children_below_the_floor_cost_no_certificate(self, monkeypatch):
         # a bounded level offers the deduplication only the children that
@@ -280,23 +291,21 @@ class TestMaxSpanningTrees:
 
     def test_row_millis_time_each_level(self, monkeypatch):
         # the clock steps only on dedup insertions, one tick per candidate.
-        # Row d's millis is the ticks of the bounded levels its call builds
-        # first: a level is kept once built, so no level's ticks count for
-        # two rows, and nothing is built with floor 0
+        # fib_table(6) builds one chain of levels, each once and in row
+        # order: level d at floor_d, fib(7) halved 6 - d times and rounded
+        # up each time.  Row d's millis is exactly its own level's ticks
         clock = [0.0]
         ticks = Counter()  # (level, floor) -> insertions
-        first_row = {}  # (level, floor) -> the row that asked for it first
+        built = []  # (level, floor), in the order their builds began
         building = []
-        row = [None]
-        census = _fresh_census(monkeypatch)
+        real_level = spterm._census_level.__wrapped__
         real_add = spterm.GraphDedup.add
-        real_row = search.max_spanning_trees
 
         def tracked_level(d, floor=0):
-            first_row.setdefault((d, floor), row[0])
+            built.append((d, floor))
             building.append((d, floor))
             try:
-                return census(d, floor)
+                return real_level(d, floor)
             finally:
                 building.pop()
 
@@ -305,23 +314,18 @@ class TestMaxSpanningTrees:
             clock[0] += 1
             return real_add(self, g)
 
-        def tracked_row(d, mode):
-            row[0] = d
-            return real_row(d, mode)
-
-        monkeypatch.setattr(spterm, "_census_level", tracked_level)
-        monkeypatch.setattr(search, "_census_level", tracked_level)
+        census = lru_cache(maxsize=None)(tracked_level)
+        monkeypatch.setattr(spterm, "_census_level", census)
+        monkeypatch.setattr(search, "_census_level", census)
         monkeypatch.setattr(search.time, "perf_counter", lambda: clock[0])
         monkeypatch.setattr(spterm.GraphDedup, "add", counting_add)
-        monkeypatch.setattr(search, "max_spanning_trees", tracked_row)
         rows = fib_table(6)
-        assert all(floor > 0 for _, floor in first_row)
-        assert all(first_row[(d, fib(d + 1))] == d for d in range(7))
-        assert all(ticks[(d, fib(d + 1))] for d in range(1, 7))
-        assert [r.millis for r in rows] == [
-            1000.0 * sum(n for level, n in ticks.items() if first_row[level] == d)
-            for d in range(7)
-        ]
+        floors = [fib(7)]
+        while len(floors) < 7:
+            floors.insert(0, (floors[0] + 1) // 2)
+        assert built == list(enumerate(floors))
+        assert all(ticks[level] for level in built[1:])
+        assert [r.millis for r in rows] == [1000.0 * ticks[level] for level in built]
         assert sum(r.millis for r in rows) == 1000.0 * clock[0]
 
     def test_chain_recurrence_to_16(self):
