@@ -298,8 +298,6 @@ def contains_pattern(s, x) -> tuple[bool, EmbeddingMap | None]:
     width = n - (1 if starred else 0)
     for a2 in range(a, width - b + 1):
         b2 = width - a2
-        if b2 < b:
-            continue
         layer = [_image_code(e) for e, w in zip(elements, weight) if w == b2]
         found = _first_map(src, layer, *_shape(x, a2, b2))
         if found[0]:

@@ -691,11 +691,11 @@ _NAMED = {
 def named_pattern(name: str, sizes: tuple[int, ...] = ()):
     """The pattern of a named family, read off ``_NAMED``: alon, partite,
     x16, y18, x_k4, y_k4.  Only alon and partite take block sizes."""
+    if name not in _NAMED:
+        raise ValueError(f"unknown named pattern {name!r}")
     sized = name in ("alon", "partite")
     if sizes and not sized:
         raise ValueError(f"pattern {name!r} takes no size parameters")
-    if name not in _NAMED:
-        raise ValueError(f"unknown named pattern {name!r}")
     graph, pattern = _NAMED[name]
     return pattern(graph(tuple(sizes)) if sized else graph())
 

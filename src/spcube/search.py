@@ -140,17 +140,16 @@ def _fib_rows(d_max: int, mode: str, first: int) -> list[TableRow]:
     halved and rounded up: a class at d + 1 edges grows from one at d
     edges with at least half its trees.  So each floor is at most its
     row's maximum, and level d at floor_d grows from level d - 1 at
-    floor_{d-1}: the rows read one chain of levels.
+    floor_{d-1}: the rows read one chain of levels.  Halving k times,
+    each rounded up, is dividing by 2^k once, rounded up.
     """
     _check_fib_guard(d_max, mode)
-    floors = [tree_count(fib_chain(d_max))]
-    while len(floors) <= d_max:
-        floors.insert(0, (floors[0] + 1) // 2)
+    last_floor = tree_count(fib_chain(d_max)) if mode == "exhaustive" else None
     rows = []
     for d in range(first, d_max + 1):
         start = time.perf_counter()
         if mode == "exhaustive":
-            level = _census_level(d, floors[d])
+            level = _census_level(d, -(-last_floor >> (d_max - d)))
             witness = min(level, key=lambda g: (-tree_count(g), g.n, g.edges))
             value = tree_count(witness)
         else:
@@ -225,32 +224,27 @@ def _prune(cands: dict[tuple[int, int, int], object]) -> dict:
     return kept
 
 
-def _dp_frontiers(d_max: int) -> tuple[list[dict], list[float]]:
-    """frontier[d]: undominated (|X(G\\e)|, |X(G/e)|, |Y(G,e)|) triples for
-    d-edge networks, each with its canonical witness term; millis[d]: the
-    time frontier[d] took to build.
+def _dp_frontiers(frontiers: list[dict], d_max: int) -> None:
+    """Extend ``frontiers``, which starts as ``[{}]``, through d_max.
+    frontiers[d]: the undominated (|X(G\\e)|, |X(G/e)|, |Y(G,e)|) triples
+    for d-edge networks, each with its witness, a (canonical term,
+    normalized reversal) pair.
 
     A candidate triple records its producers, (in series or not, part,
-    part), each part a kept triple's (canonical term, normalized
-    reversal) pair; only the producers of a triple that survives
-    ``_prune`` build terms (see ``_witness``)."""
-    frontier: list[dict] = [dict() for _ in range(d_max + 1)]
-    millis = [0.0] * (d_max + 1)
-    for d in range(1, d_max + 1):
-        start = time.perf_counter()
+    part), each part a lower frontier's pair; only the producers of a
+    triple that survives ``_prune`` build terms (see ``_witness``)."""
+    for d in range(len(frontiers), d_max + 1):
         cands: dict[tuple[int, int, int], list] = {}
         if d == 1:
             cands[(1, 1, 1)] = [(True, (EDGE, EDGE))]  # a series of one part is that part
         for d1 in range(1, d // 2 + 1):
             d2 = d - d1
-            for t1_trip, w1 in frontier[d1].items():
-                for t2_trip, w2 in frontier[d2].items():
+            for t1_trip, w1 in frontiers[d1].items():
+                for t2_trip, w2 in frontiers[d2].items():
                     for in_series in (True, False):
                         trip = _combine(in_series, t1_trip, t2_trip)
                         cands.setdefault(trip, []).append((in_series, w1, w2))
-        frontier[d] = {trip: _witness(producers) for trip, producers in _prune(cands).items()}
-        millis[d] = _ms(start)
-    return [{trip: w for trip, (w, _) in f.items()} for f in frontier], millis
+        frontiers.append({trip: _witness(producers) for trip, producers in _prune(cands).items()})
 
 
 def _witness(producers: list) -> tuple[SpTerm, SpTerm]:
@@ -289,10 +283,6 @@ def _best(scored) -> tuple[int, SpTerm]:
     return best, witness
 
 
-def _frontier_best(frontier: dict) -> tuple[int, SpTerm]:
-    return _best((e, w) for (_, _, e), w in frontier.items())
-
-
 def _y_size(t: SpTerm) -> int:
     """|Y(G, 0)| for t's marked graph (G, 0): the Hamming-1 pairs between
     t's forests (lower) and trees (upper).  Each pair is one edge of the
@@ -313,29 +303,34 @@ def _y_size(t: SpTerm) -> int:
 
 def m_value(d: int, method: str = "dp") -> tuple[int, SpTerm]:
     """m(d): the maximum edge-pattern size over marked 2-connected
-    series-parallel graphs with d+1 edges, with a witness term."""
-    _check_m_guard(d, method)
-    if method == "dp":
-        frontiers, _ = _dp_frontiers(d)
-        return _frontier_best(frontiers[d])
-    return _best((_y_size(t), t) for t in enumerate_terms(d))
+    series-parallel graphs with d+1 edges, with a witness term: row d of
+    ``m_table(d, method)`` built alone, so with the DP it builds every
+    frontier through d."""
+    row = _m_rows(d, method, d)[0]
+    return row.value, row.witness
 
 
 def m_table(d_max: int, method: str = "dp") -> list[TableRow]:
-    """Rows (d, m(d), witness term, millis) for d = 1..d_max.  With the DP
-    a row's millis is the time its frontier took to build.  Refuses
-    before any row is computed."""
+    """Rows (d, m(d), witness term, millis) for d = 1..d_max.  Refuses
+    before any row is computed.  A row's millis times that row alone:
+    with the DP, row d builds only frontier d, from the lower ones."""
+    return _m_rows(d_max, method, 1)
+
+
+def _m_rows(d_max: int, method: str, first: int) -> list[TableRow]:
+    """Rows first..d_max of the table to d_max.  A DP row extends the
+    frontiers through d and reads the largest |Y| on frontier d; a terms
+    row scores every canonical term with d edges."""
     _check_m_guard(d_max, method)
-    if method == "dp":
-        frontiers, millis = _dp_frontiers(d_max)
-        return [
-            TableRow(d, *_frontier_best(frontiers[d]), millis[d])
-            for d in range(1, d_max + 1)
-        ]
+    frontiers: list[dict] = [{}]
     rows = []
-    for d in range(1, d_max + 1):
+    for d in range(first, d_max + 1):
         start = time.perf_counter()
-        value, witness = m_value(d, method)
+        if method == "dp":
+            _dp_frontiers(frontiers, d)
+            value, witness = _best((e, w) for (_, _, e), (w, _) in frontiers[d].items())
+        else:
+            value, witness = _best((_y_size(t), t) for t in enumerate_terms(d))
         rows.append(TableRow(d, value, witness, _ms(start)))
     return rows
 

@@ -22,7 +22,7 @@ from spcube import (
     x_pattern,
     y_pattern,
 )
-from spcube import catalog, embeddings, multigraph, patterns, search
+from spcube import catalog, embeddings, multigraph, patterns, search, verify
 from spcube.cli import PATTERN_OUTPUT_LIMIT, PATTERN_TREE_LIMIT, _named_output, main
 from spcube.search import fib
 from spcube.patterns import pg_from_json, pg_to_json, h_graph
@@ -549,6 +549,37 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text('{"vertices": 2, "edges": [[0, 5]]}')
         assert main(["pattern", "x", "--graph", str(bad)]) == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("pattern named", "pattern named requires --name"),
+            ("pattern named --name bogus --params 1", "unknown named pattern 'bogus'"),
+            ("pattern x", "pattern x requires --graph"),
+            ("op product-join", "product-join requires --h1 and --h2"),
+            ("op product-join --h1 {x}", "product-join requires --h1 and --h2"),
+            ("op dual", "op dual requires --pattern"),
+            ("op dup --pattern {x}", "dup/codup require --coord"),
+            ("op psi --pattern {x}", "psi requires --coord"),
+            ("op psi --pattern {y} --coord 0", "psi expects a vertex pattern"),
+        ],
+    )
+    def test_missing_or_wrong_input_exit_1(self, tmp_path, capsys, argv, message):
+        files = {"x": tmp_path / "x.pat", "y": tmp_path / "y.pat"}
+        files["x"].write_text("vertex 1 1\n01\n10\n")
+        files["y"].write_text("edge 0 0\n*\n")
+        assert main(argv.format(**files).split()) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+
+    def test_verify_fail_exit_1(self, monkeypatch, capsys):
+        def failing(count):
+            return [f"violation {i}" for i in range(count)]
+
+        monkeypatch.setattr(verify, "ALL_CHECKS", [("failing", failing, {"count": 7}, {})])
+        assert main(["verify"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("FAIL failing (") and out[0].endswith("s): 7 violation(s)")
+        assert out[1:] == [f"     - violation {i}" for i in range(5)]
 
     @pytest.mark.parametrize(
         "text",

@@ -565,8 +565,9 @@ class TestNamedPatterns:
         assert named_pattern("alon", sizes) == alon_pattern(sizes)
         assert named_pattern("partite", sizes) == partite_pattern(sizes)
         assert x_k4_pattern is x16_pattern and y_k4_pattern is y18_pattern
-        with pytest.raises(ValueError, match="unknown named pattern"):
-            named_pattern("nope")
+        for sizes in ((), (1,)):
+            with pytest.raises(ValueError, match="unknown named pattern 'nope'"):
+                named_pattern("nope", sizes)
         with pytest.raises(ValueError, match="takes no size parameters"):
             named_pattern("x16", (1,))
 

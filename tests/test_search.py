@@ -370,11 +370,12 @@ class TestMTable:
         # triple, pinned from the DP that oriented each winner by the
         # memoized key of its rebuilt normalized reversal; the
         # canonicalizing oracle below reaches only d = 12
-        frontiers, _ = search._dp_frontiers(16)
+        frontiers = [{}]
+        search._dp_frontiers(frontiers, 16)
         lines = sorted(
             f"{d} {t} {f} {y} {w.key}"
             for d, frontier in enumerate(frontiers)
-            for (t, f, y), w in frontier.items()
+            for (t, f, y), (w, _) in frontier.items()
         )
         assert len(lines) == 1543
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
@@ -382,11 +383,14 @@ class TestMTable:
         )
 
     def test_frontiers_match_canonicalizing_dp(self):
-        frontiers, _ = search._dp_frontiers(12)
-        assert frontiers == _canonicalizing_frontiers(12)
+        frontiers = [{}]
+        search._dp_frontiers(frontiers, 12)
+        terms = [{trip: w for trip, (w, _) in frontier.items()} for frontier in frontiers]
+        assert terms == _canonicalizing_frontiers(12)
         for frontier in frontiers:
-            for w in frontier.values():
+            for w, r in frontier.values():
                 assert canonical(w) == w
+                assert r == spterm._norm(spterm.reverse_term(w))
 
     def test_combine_gives_every_terms_triple(self):
         # the DP's rule on every term, not only on the frontier's: the
