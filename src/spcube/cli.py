@@ -118,7 +118,7 @@ def _build_parser() -> _Parser:
     den.add_argument("--big", required=True)
 
     con = sub.add_parser("contains", help="does the set contain an embedded copy?")
-    con.add_argument("--set", required=True, dest="set_file")
+    con.add_argument("--set", required=True)
     con.add_argument("--pattern", required=True)
 
     exl = sub.add_parser("ex-layer", help="exact extremal number within one layer")
@@ -190,8 +190,6 @@ def _echo(args: argparse.Namespace) -> None:
         if key in ("command", pos_key) or val is None or val is False:
             continue
         name = key.replace("_", "-")
-        if name == "set-file":
-            name = "set"
         parts.append(f"--{name}" if val is True else f"--{name} {shlex.quote(str(val))}")
     sys.stderr.write("# spcube " + " ".join(parts) + "\n")
 
@@ -344,7 +342,7 @@ def _cmd_density(args) -> int:
 
 def _cmd_contains(args) -> int:
     pattern = load_pattern(args.pattern)
-    target = _load_any_set(args.set_file, isinstance(pattern, EdgePattern))
+    target = _load_any_set(args.set, isinstance(pattern, EdgePattern))
     found, witness = contains_pattern(target, pattern)
     if found:
         print(f"contains: yes  witness: {witness}")

@@ -131,11 +131,12 @@ def fib_table(d_max: int, mode: str = "exhaustive") -> list[TableRow]:
 def _fib_rows(d_max: int, mode: str, first: int) -> list[TableRow]:
     """Rows first..d_max of the table to d_max.
 
-    Exhaustive row d is the largest count over ``_census_level(d,
+    Exhaustive row d is the largest count carried by ``_census_level(d,
     floor_d)``, the classes at d edges with at least floor_d trees, and
     its witness the (n, edges)-least optimal class: bounded levels keep
     the full level's representatives, so that is the first optimum of
-    ``enumerate_connected_sp(d)``.  floor_{d_max} is the count of
+    ``enumerate_connected_sp(d)``.  No class is recounted here: only the
+    chain's trees are counted.  floor_{d_max} is the count of
     ``fib_chain(d_max)``, which has d_max edges, and floor_d is floor_{d+1}
     halved and rounded up: a class at d + 1 edges grows from one at d
     edges with at least half its trees.  So each floor is at most its
@@ -150,8 +151,7 @@ def _fib_rows(d_max: int, mode: str, first: int) -> list[TableRow]:
         start = time.perf_counter()
         if mode == "exhaustive":
             level = _census_level(d, -(-last_floor >> (d_max - d)))
-            witness = min(level, key=lambda g: (-tree_count(g), g.n, g.edges))
-            value = tree_count(witness)
+            witness, value = min(level, key=lambda pair: (-pair[1], pair[0].n, pair[0].edges))
         else:
             witness = fib_chain(d)
             value = len(spanning_trees(witness))

@@ -35,8 +35,8 @@ from .multigraph import (
     canonical_form,
     duplicate_edge,
     least_twins,
+    spanning_trees,
     subdivide_edge,
-    tree_count,
 )
 
 __all__ = [
@@ -464,35 +464,34 @@ def enumerate_connected_sp(d: int) -> list[Multigraph]:
     edge duplication, and edge subdivision.  Desk scale only.
 
     Each census level is built once per process, from the one below it,
-    and kept; every call returns a fresh list, deterministically ordered
-    (vertex count, then edge tuple of the chosen representatives).
+    and kept; every call returns a fresh list of its classes, without
+    their tree counts, deterministically ordered (vertex count, then edge
+    tuple of the chosen representatives).
     """
     if d < 0:
         raise ValueError("d must be nonnegative")
-    return sorted(_census_level(d), key=lambda g: (g.n, g.edges))
+    return sorted((g for g, _ in _census_level(d)), key=lambda g: (g.n, g.edges))
 
 
 @lru_cache(maxsize=None)
-def _census_level(d: int, floor: int = 0) -> tuple[Multigraph, ...]:
-    """Level d of the census in insertion order, restricted to the classes
-    with at least ``floor`` spanning trees; ``floor == 0`` is the full
-    level, and no tree is counted for it.
+def _census_level(d: int, floor: int = 0) -> tuple[tuple[Multigraph, int], ...]:
+    """Level d of the census in insertion order, as (class, tree count)
+    pairs, restricted to the classes with at least ``floor`` spanning
+    trees; ``floor == 0`` is the full level.
 
     The level grows from ``_census_level(d - 1, (floor + 1) // 2)``: each
-    parent is offered, in order, a loop and a leaf at every vertex, then a
-    duplicate and a subdivision of every edge, and a child below ``floor``
-    is dropped before it reaches the deduplication, so it costs no
-    certificate.  A loop or a leaf keeps the parent's tree count T(P), and
-    duplicating or subdividing an edge adds T(P / e) or T(P - e), so no
-    child has more than 2 T(P) trees: every parent of a kept class is in
-    the bounded level below, and the kept classes get the same
-    first-inserted representatives, in the same order, as in the full
-    level.  Only a duplicate's trees are counted from scratch: for a
-    non-loop edge e, T(P / e) + T(P - e) = T(P), so subdividing e has
-    3 T(P) - T(duplicate e) trees, and subdividing a loop, which is never
-    duplicated, has 2 T(P).  ``_operations`` skips an operation whose
-    result is isomorphic to an earlier one's on the same parent, by four
-    rules:
+    parent P, with its count T, is offered, in order, a loop and a leaf at
+    every vertex, then a duplicate and a subdivision of every edge, and a
+    child below ``floor`` is dropped before it is built, so it costs no
+    certificate.  Each child's count follows from one enumeration of P's
+    trees, by deletion and contraction: if c_e of them use edge e, then a
+    loop or a leaf keeps T, duplicating e gives T + c_e, and subdividing e
+    gives 2 T - c_e (a loop has c_e = 0).  So no child has more than 2 T
+    trees: every parent of a kept class is in the bounded level below,
+    and the kept classes get the same first-inserted representatives, in
+    the same order, as in the full level.  ``_operations`` skips an
+    operation whose result is isomorphic to an earlier one's on the same
+    parent, by four rules:
 
     - a loop or a leaf at a vertex whose least twin u is smaller (see
       ``least_twins``): the same operation at u;
@@ -507,25 +506,22 @@ def _census_level(d: int, floor: int = 0) -> tuple[Multigraph, ...]:
     exactly those of the unskipped closure.
     """
     if d == 0:
-        return (Multigraph(1, ()),) if floor <= 1 else ()
+        return ((Multigraph(1, ()), 1),) if floor <= 1 else ()
     dedup = GraphDedup()
-    for g in _census_level(d - 1, (floor + 1) // 2):
-        parent_count = tree_count(g) if floor else 0
+    level = []
+    for g, parent_count in _census_level(d - 1, (floor + 1) // 2):
+        masks = spanning_trees(g)
+        uses = [sum(m >> i & 1 for m in masks) for i in range(g.e)]
         for op, x in _operations(g):
-            child = op(g, x)
-            if floor:
-                if op is duplicate_edge:
-                    count = duplicated = tree_count(child)
-                elif op is subdivide_edge:
-                    u, v = g.edges[x]
-                    # a non-loop edge's duplicate comes just before it
-                    count = 3 * parent_count - duplicated if u != v else 2 * parent_count
-                else:
-                    count = parent_count
-                if count < floor:
-                    continue
-            dedup.add(child)
-    return tuple(dedup.items)
+            if op is duplicate_edge:
+                count = parent_count + uses[x]
+            elif op is subdivide_edge:
+                count = 2 * parent_count - uses[x]
+            else:
+                count = parent_count
+            if count >= floor and dedup.add(child := op(g, x)):
+                level.append((child, count))
+    return tuple(level)
 
 
 def _operations(g: Multigraph):

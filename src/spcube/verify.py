@@ -73,7 +73,7 @@ from .patterns import (
     product_join,
     _starred,
 )
-from .search import fib, fib_table, m_value, m_value_all_marked_graphs
+from .search import fib, fib_table, m_table, m_value_all_marked_graphs
 from .spterm import (
     GraphDedup,
     SpTerm,
@@ -799,13 +799,12 @@ def check_fib_chain(max_d: int = 16) -> list[str]:
 
 def check_m_methods_agree(max_d: int = 7) -> list[str]:
     bad = []
-    for d in range(1, max_d + 1):
-        v_dp, w_dp = m_value(d, "dp")
-        v_terms, _ = m_value(d, "terms")
-        if v_dp != v_terms:
-            bad.append(f"m({d}): dp gives {v_dp}, terms give {v_terms}")
-        y = y_pattern(to_marked_graph(w_dp), 0)
-        if len(y) != v_dp:
+    for dp, terms in zip(m_table(max_d), m_table(max_d, "terms")):
+        d = dp.d
+        if dp.value != terms.value:
+            bad.append(f"m({d}): dp gives {dp.value}, terms give {terms.value}")
+        y = y_pattern(to_marked_graph(dp.witness), 0)
+        if len(y) != dp.value:
             bad.append(f"m({d}): witness does not revalidate")
     return bad
 
@@ -814,11 +813,10 @@ def check_m_onesum_guard(max_d: int = 5) -> list[str]:
     """The maximum over all marked connected graphs is attained on the
     2-connected ones (cut vertices never help at fixed edge budget)."""
     bad = []
-    for d in range(1, max_d + 1):
-        full = m_value_all_marked_graphs(d)
-        restricted, _ = m_value(d, "dp")
-        if full != restricted:
-            bad.append(f"m({d}): 1-sum search found {full} > {restricted}")
+    for row in m_table(max_d):
+        full = m_value_all_marked_graphs(row.d)
+        if full != row.value:
+            bad.append(f"m({row.d}): 1-sum search found {full} > {row.value}")
     return bad
 
 

@@ -6,7 +6,7 @@ from itertools import repeat
 
 import pytest
 
-from spcube import search, spterm
+from spcube import catalog, search, spterm
 from spcube import (
     EDGE,
     SizeGuardError,
@@ -16,6 +16,7 @@ from spcube import (
     check_m_bounds,
     contract,
     delete_edge,
+    duplicate_edge,
     enumerate_connected_sp,
     enumerate_terms,
     fib,
@@ -212,16 +213,31 @@ class TestMaxSpanningTrees:
     def test_children_reach_at_most_twice_the_parent(self):
         # why a bounded level grows from its parent level at half the
         # floor: a loop or a leaf keeps T(P), and a duplicated or
-        # subdivided edge adds T(P / e) or T(P - e), each at most T(P)
+        # subdivided edge adds T(P / e) or T(P - e), each at most T(P).
+        # The level carries each count, from its parent's by deletion and
+        # contraction: with c_e of P's trees using e, duplicating e gives
+        # T + c_e and subdividing it 2 T - c_e; recounted from scratch here
         for d in range(7):
-            for g in spterm._census_level(d):
-                t = tree_count(g)
+            for g, t in spterm._census_level(d):
+                assert t == tree_count(g)
                 for op, x in spterm._operations(g):
                     c = tree_count(op(g, x))
                     if op in (add_loop, add_leaf):
                         assert c == t
-                    else:
-                        assert t <= c <= 2 * t
+                        continue
+                    uses = t - tree_count(delete_edge(g, x))  # c_e
+                    assert c == (t + uses if op is duplicate_edge else 2 * t - uses)
+                    assert t <= c <= 2 * t
+
+    def test_chain_levels_carry_their_counts(self):
+        # every class of the twelve levels fib_table(11) reads carries the
+        # count a recount from scratch gives it
+        top = tree_count(catalog.fib_chain(11))
+        for d in range(12):
+            level = spterm._census_level(d, -(-top >> (11 - d)))
+            assert level
+            for g, t in level:
+                assert t == tree_count(g)
 
     @pytest.mark.parametrize("d", range(8))
     def test_bounded_level_is_the_full_level_filtered(self, d):
@@ -230,32 +246,33 @@ class TestMaxSpanningTrees:
         full = spterm._census_level(d)
         top = fib(d + 1)
         for floor in (0, 1, (top + 1) // 2, top, top + 1):
-            want = [(g.n, g.edges) for g in full if tree_count(g) >= floor]
-            got = [(g.n, g.edges) for g in spterm._census_level(d, floor)]
+            want = [(g.n, g.edges) for g, _ in full if tree_count(g) >= floor]
+            got = [(g.n, g.edges) for g, _ in spterm._census_level(d, floor)]
             assert got == want, floor
 
     def test_bounded_levels_count_one_child_per_edge(self, monkeypatch):
-        # a subdivision's count comes from its parent's and the duplicate's,
-        # so a bounded level counts each parent and each duplicated edge
-        # once.  fib_table(8) reads one chain of nine levels: it takes 284
-        # counts in the census and 74 in the rows, one for the chain
-        # graph, 64 for the levels' classes and one for each witness
+        # a child's count comes from its parent's trees, so a bounded level
+        # enumerates each parent's trees once and counts no child.
+        # fib_table(8) reads one chain of nine levels: it enumerates the
+        # trees of the 62 classes of the eight lower levels, and counts
+        # only the chain graph's trees
         _fresh_census(monkeypatch)
         calls = Counter()
 
-        def counting(module):
-            real = module.tree_count
+        def counting(module, name):
+            real = getattr(module, name)
 
             def count(g):
-                calls[module.__name__] += 1
+                calls[module.__name__, name] += 1
                 return real(g)
 
             return count
 
-        monkeypatch.setattr(spterm, "tree_count", counting(spterm))
-        monkeypatch.setattr(search, "tree_count", counting(search))
+        monkeypatch.setattr(spterm, "spanning_trees", counting(spterm, "spanning_trees"))
+        monkeypatch.setattr(search, "tree_count", counting(search, "tree_count"))
         fib_table(8)
-        assert calls == {"spcube.spterm": 284, "spcube.search": 74}
+        assert not hasattr(spterm, "tree_count")
+        assert calls == {("spcube.spterm", "spanning_trees"): 62, ("spcube.search", "tree_count"): 1}
 
     def test_children_below_the_floor_cost_no_certificate(self, monkeypatch):
         # a bounded level offers the deduplication only the children that

@@ -378,7 +378,7 @@ class TestCensus:
         # each operation the skip rules drop gives the class of a child the
         # same parent was offered before it, so no class is lost
         for d in range(7):
-            for g in spterm._census_level(d):
+            for g, _ in spterm._census_level(d):
                 every = [(op, v) for v in range(g.n) for op in (add_loop, add_leaf)]
                 every += [(op, i) for i in range(g.e) for op in (duplicate_edge, subdivide_edge)]
                 kept = list(spterm._operations(g))
