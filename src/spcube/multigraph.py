@@ -171,14 +171,15 @@ CORE_VERTEX_LIMIT = 256
 
 # ``spanning_trees`` holds tree sets as int bitsets of 2^e bits up to this
 # many edges, and as ``_MaskList``s above.  A bitset product costs about the
-# product of the operands' digit counts, and a core makes the most products,
-# so cores cross over first (Python 3.11, shared 2-core x86 machine, bitsets
-# against lists): a wheel 0.97 against 0.98 ms at 12 edges, 11.7 against
-# 3.0 ms at 14; the 12-edge wheel with a doubled spoke 2.12 against 1.01 ms;
-# K5 with three edges subdivided, 13 edges, 0.37 against 0.28 ms.  A chain
-# with no core, ``fib_chain(e)``: 0.032 against 0.051 ms at 12 edges, 0.064
-# against 0.071 ms at 13, 0.10 against 0.10 ms at 14, 0.24 against 0.16 ms
-# at 15.
+# product of the operands' digit counts, and a core's splits make the most
+# products, so cores cross over first (Python 3.11, shared 2-core x86
+# machine, best of 200 in process, bitsets against lists): the 6-spoke
+# wheel, 12 edges, 0.165 against 0.213 ms; with a doubled spoke, 13 edges,
+# 0.270 against 0.222 ms; K5 with three edges subdivided, 13 edges, 0.222
+# against 0.237 ms; the 7-spoke wheel, 14 edges, 0.60 against 0.36 ms.  A
+# chain with no core, ``fib_chain(e)``: 0.032 against 0.057 ms at 12 edges,
+# 0.064 against 0.078 ms at 13, 0.10 against 0.11 ms at 14, 0.24 against
+# 0.16 ms at 15.
 TREE_BITSET_LIMIT = 12
 
 
@@ -238,49 +239,62 @@ def spanning_trees(g: Multigraph) -> list[int]:
     Bit ``i`` of a mask corresponds to edge ``i``.  Raises ``ValueError``
     on a disconnected (or empty) graph.
 
-    ``_sp_reduce`` folds each network's (T, F) mask sets by ``_count_tf``,
-    the rule of ``tree_count``: the spanning trees of the two-terminal
-    network, and the 2-component spanning forests separating its
-    terminals.  An edge has T = {itself} and F = {no edge}.  A set is an
-    int bitset (bit m marks mask m, as in ``spterm.tree_bitsets``) on
-    graphs of at most ``TREE_BITSET_LIMIT`` edges, and a ``_MaskList``
-    above; on both a product is a join and a sum a disjoint union.  A
-    pendant network is in every tree with one of its T masks.  Whatever
-    does not reduce, such as K4 and its subdivisions, is an irreducible
-    core.  The backtracking enumerator ``_grow`` runs on it, with its
-    networks as edges, and sums each core tree's product of T over its
-    networks and F over the others as it finds the tree.
+    ``_tree_set`` reduces g by ``_sp_reduce``, folding each network's
+    (T, F) mask sets by ``_count_tf``, the rule of ``tree_count``: the
+    spanning trees of the two-terminal network, and the 2-component
+    spanning forests separating its terminals.  An edge has T = {itself}
+    and F = {no edge}.  A set is an int bitset (bit m marks mask m, as in
+    ``spterm.tree_bitsets``) on graphs of at most ``TREE_BITSET_LIMIT``
+    edges, and a ``_MaskList`` above; on both a product is a join and a
+    sum a disjoint union.  A pendant network is in every tree with one of
+    its T masks.  Whatever does not reduce, such as K4 and its
+    subdivisions, is an irreducible core; it splits at one network by
+    deletion and contraction, and both sides reduce again.
     """
     if g.n == 0:
         raise ValueError("spanning trees of the empty graph are undefined")
     if g.n > g.e + 1:  # too few edges for a tree; else n is O(e)
         raise ValueError("spanning trees require a connected graph")
     if g.e <= TREE_BITSET_LIMIT:
-        return _members(_tree_set(g, [(1 << (1 << i), 1) for i in range(g.e)], 0, 1))
-    leaves = [(_MaskList([1 << i]), _MaskList([0])) for i in range(g.e)]
-    masks = _tree_set(g, leaves, _MaskList([]), _MaskList([0])).masks
-    masks.sort()
+        masks = _members(_tree_set(g, [(1 << (1 << i), 1) for i in range(g.e)], 1, 0))
+    else:
+        leaves = [(_MaskList([1 << i]), _MaskList([0])) for i in range(g.e)]
+        masks = _tree_set(g, leaves, _MaskList([0]), _MaskList([])).masks
+        masks.sort()
+    if not masks:
+        raise ValueError("spanning trees require a connected graph")
     return masks
 
 
-def _tree_set(g: Multigraph, leaves: list, empty, unit):
-    """The set of g's spanning trees, in the value type of ``leaves``
-    (edge i's (T, F) sets), whose empty set and set {no edge} are
-    ``empty`` and ``unit``; ``empty`` is a new value, which ``_grow`` may
-    extend in place.  A core's sum comes from one ``_grow`` over its
-    networks: it starts from a pendant product of one mask, which costs
-    no copy there, and is multiplied by any other at the end."""
-    pendant, adj = _sp_reduce(g, leaves, _count_tf)
-    fixed = prod(sorted((t for t, _ in pendant), key=lambda s: s.bit_count()), start=unit)  # small first
+def _tree_set(g: Multigraph, values: list, acc, out):
+    """``out`` plus ``acc`` times the set of g's spanning trees, where
+    ``values[i]`` is edge i's (T, F) pair of sets; a ``_MaskList`` ``out``
+    is extended in place.
+
+    The reduction leaves pendant networks, whose T's join ``acc``, and a
+    core.  A core of one vertex adds ``acc``; a disconnected one adds
+    nothing.  Otherwise one network (x, y, (T, F)) at a core vertex of
+    least degree splits it: the trees without it are F times those of the
+    core less it, and the trees with it T times those of the core with x
+    and y merged (Haggard, Pearce and Royle, ACM TOMS 2010).  Each split
+    takes one network off the core, so the recursion is at most as deep
+    as the core has networks.
+    """
+    pendant, adj = _sp_reduce(g, values, _count_tf)
+    factors = sorted([acc, *(t for t, _ in pendant)], key=lambda s: s.bit_count())  # small first
+    acc = prod(factors[1:], start=factors[0])
     left = [v for v, nbrs in enumerate(adj) if nbrs is not None]
     if len(left) == 1:
-        return fixed
-    core = _core(adj, left)
-    if core is None:
-        raise ValueError("spanning trees require a connected graph")
-    one = fixed.bit_count() == 1
-    out = _grow(core, [unit], 0, len(left) - 1, fixed if one else unit, list(range(len(left))), empty)
-    return out if one else out * fixed
+        out += acc
+        return out
+    core, values = _core(adj, left)
+    if not core.is_connected():
+        return out
+    low = min(range(core.n), key=lambda x: len(adj[left[x]]))
+    j = next(j for j, e in enumerate(core.edges) if low in e)
+    t, f = values.pop(j)
+    out = _tree_set(delete_edge(core, j), values, acc * f, out)
+    return _tree_set(contract(core, j), values, acc * t, out)
 
 
 class _MaskList:
@@ -288,14 +302,23 @@ class _MaskList:
     the join of two sets on disjoint edges (every union of a member of
     each), and ``+`` the union of two disjoint sets, by concatenation;
     ``+=`` concatenates in place.  A product by {no edge}, the F of an
-    edge, is the other operand itself, not a copy.  Values may so share
-    a list: none is mutated but ``_grow``'s fresh sum, and the finished
-    set that ``spanning_trees`` sorts."""
+    edge, is the other operand itself, not a copy.  Any other product is
+    made when its masks are first read, so one that nothing reads, such
+    as the F of a reduction's last parallel merge, costs nothing.  Values
+    may so share a list: none is mutated but the sum that ``_tree_set``
+    extends, and the finished set that ``spanning_trees`` sorts."""
 
-    __slots__ = ("masks",)
+    __slots__ = ("_masks", "_factors")
 
-    def __init__(self, masks: list[int]):
-        self.masks = masks
+    def __init__(self, masks: list[int] | None, factors: tuple | None = None):
+        self._masks, self._factors = masks, factors  # the operands of a product not yet made
+
+    @property
+    def masks(self) -> list[int]:
+        if self._factors is not None:
+            xs, ys = self._factors
+            self._masks, self._factors = [x | y for y in ys for x in xs], None
+        return self._masks
 
     def __mul__(self, other: _MaskList) -> _MaskList:
         xs, ys = self.masks, other.masks
@@ -303,18 +326,18 @@ class _MaskList:
             return self
         if len(xs) == 1 and not xs[0]:
             return other
-        return _MaskList([x | y for y in ys for x in xs])
+        return _MaskList(None, (xs, ys))
 
     def __add__(self, other: _MaskList) -> _MaskList:
         return _MaskList(self.masks + other.masks)
 
     def __iadd__(self, other: _MaskList) -> _MaskList:
-        self.masks += other.masks
+        self.masks.extend(other.masks)
         return self
 
     def bit_count(self) -> int:
         """The number of members, as ``int.bit_count`` of a bitset."""
-        return len(self.masks)
+        return len(self._masks) if self._factors is None else prod(map(len, self._factors))
 
 
 _ONE = re.compile("1")
@@ -326,16 +349,14 @@ def _members(bits: int) -> list[int]:
     return [m.start() for m in _ONE.finditer(bin(bits)[:1:-1])]
 
 
-def _core(adj: list[dict | None], left: list[int]) -> list[tuple[int, int, object]] | None:
-    """The irreducible core that ``_sp_reduce`` left, as one (x, y, value)
-    per network, between core vertices x < y numbered by their place in
-    ``left``.  None when the core's component labels show more than one
-    component: then the graph was disconnected too."""
+def _core(adj: list[dict | None], left: list[int]) -> tuple[Multigraph, list]:
+    """The irreducible core that ``_sp_reduce`` left, as a graph with one
+    edge per network, its vertices numbered by their place in ``left``,
+    and the networks' values in edge order.  When the core is disconnected,
+    so was the graph."""
     label = {v: x for x, v in enumerate(left)}
-    core = [(label[v], label[u], x) for v in left for u, x in adj[v].items() if v < u]
-    if not Multigraph.derived(len(left), tuple((x, y) for x, y, _ in core)).is_connected():
-        return None
-    return core
+    networks = [((label[v], label[u]), x) for v in left for u, x in adj[v].items() if v < u]
+    return Multigraph.derived(len(left), tuple(e for e, _ in networks)), [x for _, x in networks]
 
 
 def _count_tf(series: bool, a, b):
@@ -354,37 +375,6 @@ def _count_tf(series: bool, a, b):
     if series:
         return ta * tb, ta * fb + fa * tb
     return ta * fb + fa * tb, fa * fb
-
-
-def _grow(core: list, tails: list, start: int, need: int, acc, comp: list[int], out):
-    # Backtracking over the core's acyclic network sets grown in index
-    # order (Read and Tarjan, Networks 1975): takes ``need`` more networks
-    # from ``core[start:]``, each joining two components of ``comp``.
-    # ``acc`` is the product of T over the networks taken and of F over
-    # those passed, but for an F of one member, which is {no edge} (a
-    # series join gives two or more), and the loop's last F, which no tree
-    # reads.  A complete tree adds ``acc`` times its last T and the F's
-    # after it, ``tails[i]`` for the last i networks, to ``out``, which is
-    # returned; the smaller of ``acc`` and the tail meets T first.  A tail
-    # is made when first read, so none is larger than a tree's term.  The
-    # sum is an argument: a closure over it that calls itself would keep
-    # it alive in a cycle.
-    stop = len(core) - need + 1
-    for j in range(start, stop):
-        u, v, (t, f) = core[j]
-        cu, cv = comp[u], comp[v]
-        if cu != cv:
-            if need == 1:
-                while len(tails) < len(core) - j:
-                    tails.append(core[-len(tails)][2][1] * tails[-1])
-                tail = tails[len(core) - j - 1]
-                out += acc * t * tail if acc.bit_count() <= tail.bit_count() else acc * (t * tail)
-            else:
-                merged = [cu if c == cv else c for c in comp]
-                out = _grow(core, tails, j + 1, need - 1, acc * t, merged, out)
-        if j + 1 < stop and f.bit_count() > 1:
-            acc = acc * f
-    return out
 
 
 def tree_count(g: Multigraph) -> int:
@@ -408,45 +398,42 @@ def tree_count(g: Multigraph) -> int:
     left = [v for v, nbrs in enumerate(adj) if nbrs is not None]
     if len(left) == 1:
         return count
-    core = _core(adj, left)
-    if core is None:
+    core, values = _core(adj, left)
+    if not core.is_connected():
         return 0
     if len(left) > CORE_VERTEX_LIMIT:
         raise SizeGuardError(
             f"an irreducible core of {len(left)} vertices exceeds the tree-count guard "
             f"{CORE_VERTEX_LIMIT}"
         )
-    return count * _core_count(len(left), core)
+    return count * _core_count(core, values)
 
 
-def _core_count(size: int, networks: list[tuple[int, int, tuple[int, int]]]) -> int:
-    """The sum, over the spanning trees S of a core with ``size`` vertices
-    and networks (x, y, (T, F)), of the product of T over S and of F over
-    the other networks.
+def _core_count(core: Multigraph, values: list[tuple[int, int]]) -> int:
+    """The sum, over the spanning trees S of a core whose edge i is a
+    network of value ``values[i]`` = (T, F), of the product of T over S
+    and of F over the other networks.
 
     That is Kirchhoff's determinant with weight T / F on each network, times
     the product of every F (each F is at least 1).  To stay in integers,
     row x of the Laplacian is scaled by D_x, the lcm of the F's at x; the
     determinant of the reduced matrix (row and column 0 dropped) then
-    gains the factor D_1 ... D_{size-1}, which divides out exactly.
+    gains the factor D_1 ... D_{n-1}, which divides out exactly.
     """
-    scale = [1] * size
-    for x, y, (_, f) in networks:
+    scale = [1] * core.n
+    for (x, y), (_, f) in zip(core.edges, values):
         scale[x] = lcm(scale[x], f)
         scale[y] = lcm(scale[y], f)
-    lap = [[0] * size for _ in range(size)]
+    lap = [[0] * core.n for _ in range(core.n)]
     weights = 1
-    for x, y, (t, f) in networks:
+    for (x, y), (t, f) in zip(core.edges, values):
         weights *= f
         wx, wy = scale[x] // f * t, scale[y] // f * t
         lap[x][x] += wx
         lap[x][y] -= wx
         lap[y][y] += wy
         lap[y][x] -= wy
-    scaled = 1
-    for d in scale[1:]:
-        scaled *= d
-    return weights * _int_det([row[1:] for row in lap[1:]]) // scaled
+    return weights * _int_det([row[1:] for row in lap[1:]]) // prod(scale[1:])
 
 
 def _int_det(m: list[list[int]]) -> int:
@@ -493,17 +480,14 @@ def contract(g: Multigraph, i: int) -> Multigraph:
             return keep
         return w - 1 if w > gone else w
 
-    edges = tuple(
-        (remap(a), remap(b)) for j, (a, b) in enumerate(g.edges) if j != i
-    )
-    return Multigraph(g.n - 1, edges)
+    edges = _ordered((remap(a), remap(b)) for j, (a, b) in enumerate(g.edges) if j != i)
+    return Multigraph.derived(g.n - 1, edges)
 
 
 def delete_edge(g: Multigraph, i: int) -> Multigraph:
     """Delete edge i, keeping all vertices.  No distinguished edge on the result."""
     _check_edge_index(g, i)
-    edges = tuple(e for j, e in enumerate(g.edges) if j != i)
-    return Multigraph(g.n, edges)
+    return Multigraph.derived(g.n, g.edges[:i] + g.edges[i + 1 :])
 
 
 def _check_edge_index(g: Multigraph, i: int) -> None:

@@ -166,15 +166,20 @@ def _kirchhoff_count(g: Multigraph) -> int:
 def check_tree_count_routes(max_edges: int = 6) -> list[str]:
     """``spanning_trees``' lists equal the brute-force subset filter's,
     and their length equals ``tree_count`` and the whole-graph Kirchhoff
-    determinant."""
+    determinant: on the census, and on K4 in both catalog edge orders, K5,
+    the 5-spoke wheel and K3,3, whose irreducible cores take the splits."""
+    rim = range(1, 6)
+    graphs = [g for d in range(1, max_edges + 1) for g in enumerate_connected_sp(d)]
+    graphs += [catalog.k4_x16(), catalog.k4_y18(), Multigraph(5, tuple(combinations(range(5), 2)))]
+    graphs += [Multigraph(6, [(0, i) for i in rim] + [(i, i % 5 + 1) for i in rim])]
+    graphs += [Multigraph(6, [(i, j) for i in range(3) for j in range(3, 6)])]
     bad = []
-    for d in range(1, max_edges + 1):
-        for g in enumerate_connected_sp(d):
-            masks = spanning_trees(g)
-            if not len(masks) == tree_count(g) == _kirchhoff_count(g):
-                bad.append(f"enumerator, tree_count and determinant counts differ on {g}")
-            if _trees_by_subsets(g) != masks:
-                bad.append(f"enumerator vs subset filter differ on {g}")
+    for g in graphs:
+        masks = spanning_trees(g)
+        if not len(masks) == tree_count(g) == _kirchhoff_count(g):
+            bad.append(f"enumerator, tree_count and determinant counts differ on {g}")
+        if _trees_by_subsets(g) != masks:
+            bad.append(f"enumerator vs subset filter differ on {g}")
     return bad
 
 

@@ -189,16 +189,48 @@ def _subdivided_k4(length):
     return Multigraph(n, tuple(edges))
 
 
-_K5 = Multigraph(5, tuple(combinations(range(5), 2)))
+def _complete(n):
+    return Multigraph(n, tuple(combinations(range(n), 2)))
 
-# cores of five to nine vertices, so the core enumerator recurses four to
-# eight levels deep, and a K4 core whose networks have four F masks each
+
+def _complete_bipartite(a, b):
+    return Multigraph(a + b, tuple((i, a + j) for i in range(a) for j in range(b)))
+
+
+def _petersen():
+    """The Petersen graph: outer 5-cycle 0..4, spokes to 5..9, inner pentagram."""
+    outer = tuple((i, (i + 1) % 5) for i in range(5))
+    inner = tuple((5 + i, 5 + (i + 2) % 5) for i in range(5))
+    return Multigraph(10, outer + tuple((i, i + 5) for i in range(5)) + inner)
+
+
+def _split_at_a_bridge():
+    """K4 on 1..4 with edge 12 subdivided by vertex 0, and a bridge, listed
+    first, from 0 to a K4 on 5..8: vertex 0 is the first core vertex of
+    least degree and the bridge its first network, so the first split
+    deletes the bridge, which disconnects the core."""
+    k4 = tuple((5 + a, 5 + b) for a, b in combinations(range(4), 2))
+    return Multigraph(9, ((0, 5), (1, 0), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)) + k4)
+
+
+_K5 = _complete(5)
+
+# irreducible cores of five to eleven vertices, whose splits recurse
+# through reductions of the core less a network and of the core with it
+# contracted; a K4 core whose networks have four F masks each; two K4
+# cores on a 2-path and on a bridge; and a core split first at a bridge
 DEEPER_CORES = {
-    **{f"W{k}": _wheel(k) for k in range(4, 9)},
+    **{f"W{k}": _wheel(k) for k in (4, 5, 6, 7, 8, 10)},
     "K5": _K5,
+    "K6": _complete(6),
+    "K3,3": _complete_bipartite(3, 3),
+    "K4,4": _complete_bipartite(4, 4),
+    "Petersen": _petersen(),
     "K5-3-subdivided": subdivide_edge(subdivide_edge(subdivide_edge(_K5, 0), 4), 8),
     "W6-spoke-doubled": duplicate_edge(_wheel(6), 0),
     "two-K4-on-a-path": _two_k4_cores_on_a_path(),
+    "two-K4-on-a-bridge": Multigraph(8, _union(_complete(4), _complete(4)).edges + ((3, 4),)),
+    "split-at-a-bridge": _split_at_a_bridge(),
     "K4-4-subdivided": _subdivided_k4(4),
 }
 
@@ -215,8 +247,9 @@ def _connected_multigraphs(draw):
 
 
 class TestSpanningTreesByReduction:
-    """The series-parallel reduction with its core enumerator gives the
-    whole-graph enumerator's lists (``tree_oracle``)."""
+    """The series-parallel reduction, with deletion-contraction splits of
+    any irreducible core, gives the whole-graph enumerator's lists
+    (``tree_oracle``)."""
 
     def test_census(self):
         for d in range(1, 8):

@@ -1,11 +1,12 @@
-"""Test oracle for ``spcube.multigraph.spanning_trees``: the whole-graph
-backtracking enumerator that it replaced.
+"""Test oracle for ``spcube.multigraph.spanning_trees``: a whole-graph
+backtracking enumerator, the only backtracking tree enumerator in the
+project.
 
 It grows acyclic edge sets over every non-loop edge of the graph in
-edge-index order (Read and Tarjan, Networks 1975), with no
-series-parallel reduction, so it shares no step with the kernel beyond
-the idea of backtracking.  ``spcube.verify._trees_by_subsets`` is the
-brute force behind both.
+edge-index order (Read and Tarjan, Networks 1975).  The kernel instead
+folds tree sets by series-parallel reduction and splits what does not
+reduce by deletion-contraction, so the two share no step.
+``spcube.verify._trees_by_subsets`` is the brute force behind both.
 """
 
 from __future__ import annotations
