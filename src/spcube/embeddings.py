@@ -8,27 +8,36 @@ all built on these maps.  Every search here is exact; oversized requests
 raise ``SizeGuardError`` instead of approximating.
 
 One search finds the maps of a given shape (slots, constant 0s and 1s)
-that send a pattern into a set (``_embeddings``).  It works on image
+that send a pattern X into a set (``_embeddings``).  It works on image
 codes, two bits per coordinate (0, 1, or 2 at an edge's star), derived
 from the patterns' masks.  It fixes a map one target coordinate at a
 time, trying tokens in ``enumerate_maps`` order, and grows each pattern
 element's image code; a branch ends as soon as one image prefix is the
-prefix of no target element.  ``density_t`` counts its leaves,
-``contains_pattern`` takes the first, and ``ex_layer`` and ``ex_cube``
-collect the images of every map into the layer, or into the cube after
-each flip of the pattern's coordinates.  One solve (``_solve``, a branch
-and bound) then gives both their value and lexicographically least
-witness, over a universe in the canonical string order; the witness is
-written as strings only at the end.  ``enumerate_maps`` and
-``apply_map`` remain the definition of a map, on strings;
-``ex_layer_bruteforce`` is built on them alone.
+prefix of no target element.
+
+The search yields one map per orbit of X's automorphisms, not every map.
+An automorphism is a permutation of X's slots that maps X onto itself,
+and relabelling a map's slots by one keeps the map's image set.  The
+group (``_Group``) is found by a backtracking search over coordinates and
+is never listed.  The search yields only lex-leaders, the first map of
+each orbit in ``enumerate_maps`` order (Crawford, Ginsberg, Luks and Roy,
+KR 1996).  ``density_t`` counts the leaders and multiplies by |Aut(X)|.
+``contains_pattern`` takes the first leader, which is the first map.
+``ex_layer`` and ``ex_cube`` collect the leaders' images, into the layer,
+or into the cube after each flip of the pattern's coordinates.  One solve
+(``_solve``, a branch and bound) then gives both their value and
+lexicographically least witness, over a universe in the canonical string
+order; the witness is written as strings only at the end.
+
+``enumerate_maps`` and ``apply_map`` remain the definition of a map, on
+strings; ``ex_layer_bruteforce`` is built on them alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import factorial
 from typing import TypeVar
 
@@ -62,7 +71,11 @@ __all__ = [
 # default recursion limit of 1000 frames.
 MAP_WIDTH_LIMIT = 512
 EX_LAYER_LIMIT = 70  # the size of L(4,4)
-EX_MAPS_LIMIT = 200_000
+# density_t and ex_layer refuse more maps per orbit than this.  Python
+# 3.11 on a shared 2-vCPU x86 machine: ex_layer of {111} on L(1,50), with
+# 999,600 maps per orbit, takes about 8 s; density of x16 into the full
+# L(6,6), with 554,400, takes 2.6 s.
+ORBIT_MAPS_LIMIT = 1_000_000
 BRUTEFORCE_LAYER_LIMIT = 16
 EX_CUBE_LIMIT = 4
 
@@ -172,26 +185,195 @@ def _elements(p) -> frozenset:
     return p.pairs if isinstance(p, EdgePattern) else p.masks
 
 
-def _embeddings(src: list[int], target: list[int], slots: int, zeros: int, ones: int):
-    """Yield ``(tokens, images)`` for every map with ``slots`` slots,
-    ``zeros`` constant 0s and ``ones`` constant 1s that sends each src
-    code into ``target`` (codes of the map's length), in ``enumerate_maps``
-    order.
+class _Group(dict):
+    """Aut(X) for a pattern X, read from its image codes ``src`` on k
+    slots.  Aut(X) is the set of slot permutations that map X onto itself.
 
-    ``tokens`` is the search's working list (copy it before resuming) and
+    The group is never listed, since L(0,69) has Aut = S_69.  Orbits are
+    computed one pointwise stabilizer at a time.  Invariants split the
+    free slots into cells, and automorphisms met earlier merge slots
+    within a cell.  A transposition test, then a backtracking search over
+    coordinates (``_automorphism``), decides each remaining pair.
+
+    ``group[placed]`` is the mask of slots outside ``placed`` that are
+    the least of their orbit under the pointwise stabilizer of
+    ``placed``.  These are the slots that may fill the next slot position
+    of a lex-leader map.
+    """
+
+    def __init__(self, src: list[int], k: int):
+        super().__init__()
+        self.codes = frozenset(src)  # distinct, as the pattern's elements are
+        self.columns = [[c >> 2 * t & 3 for c in src] for t in range(k)]
+        # automorphisms met so far: the mask of slots each moves, and its slot images
+        self.found: list[tuple[int, list[int]]] = []
+        self.partitions: dict[int, list[list[int]]] = {}
+        self.rigid: list[int] = []  # placed masks whose stabilizer is trivial
+
+    def __missing__(self, placed: int) -> int:
+        # a stabilizer inside a trivial one is trivial
+        if any(r & placed == r for r in self.rigid):
+            least = ((1 << len(self.columns)) - 1) & ~placed
+        else:
+            least = sum(1 << orbit[0] for orbit in self.orbits(placed))
+        self[placed] = least
+        return least
+
+    def order(self) -> int:
+        """|Aut(X)|, the product over i of the orbit of slot i under the
+        stabilizer of slots 0..i-1."""
+        # one partition shows a trivial group
+        if all(len(orbit) == 1 for orbit in self.orbits(0)):
+            return 1
+        order = 1
+        # deepest stabilizer first: an automorphism found there fixes
+        # every shallower prefix too, so it merges orbits there for free
+        for i in reversed(range(len(self.columns))):
+            order *= next(len(o) for o in self.orbits((1 << i) - 1) if o[0] == i)
+        return order
+
+    def orbits(self, placed: int) -> list[list[int]]:
+        """The orbits of the pointwise stabilizer of ``placed`` on the
+        other slots, each ascending, in the order of their least slots."""
+        if placed in self.partitions:
+            return self.partitions[placed]
+        cols = self.columns
+        free = [j for j in range(len(cols)) if not placed >> j & 1]
+        # number each element by its characters on ``placed``; an
+        # automorphism fixing ``placed`` keeps that number, so a slot's
+        # column, read next to it, is an invariant
+        parts = list(zip(*(cols[j] for j in range(len(cols)) if placed >> j & 1)))
+        ids: dict[tuple, int] = {}
+        rows = [ids.setdefault(part, len(ids)) for part in parts] if parts else [0] * len(self.codes)
+        cells: dict[tuple, list[int]] = {}
+        for u in free:
+            cells.setdefault(tuple(sorted(zip(rows, cols[u]))), []).append(u)
+        cell_of = {u: cell for cell in cells.values() for u in cell}
+        root = {u: u for u in free}
+
+        def find(u: int) -> int:
+            while root[u] != u:
+                root[u] = root[root[u]]
+                u = root[u]
+            return u
+
+        def merge(moved: int, sigma: list[int]) -> None:
+            while moved:
+                u = (moved & -moved).bit_length() - 1
+                moved &= moved - 1
+                a, b = find(u), find(sigma[u])
+                root[max(a, b)] = min(a, b)
+
+        for moved, sigma in self.found:
+            if not moved & placed:
+                merge(moved, sigma)
+        for cell in cells.values():
+            for u in cell:
+                if find(u) != u:
+                    continue
+                for r in cell:
+                    if r >= u:
+                        break
+                    if find(r) == r:
+                        sigma = self._automorphism(rows, free, cell_of, u, r)
+                        if sigma is not None:
+                            moved = sum(1 << j for j, e in enumerate(sigma) if e != j)
+                            self.found.append((moved, sigma))
+                            merge(moved, sigma)
+                            break
+        by_root: dict[int, list[int]] = {}
+        for u in free:
+            by_root.setdefault(find(u), []).append(u)
+        partition = list(by_root.values())
+        if all(len(orbit) == 1 for orbit in partition):
+            self.rigid.append(placed)
+        self.partitions[placed] = partition
+        return partition
+
+    def _automorphism(self, rows, free, cell_of, p: int, q: int) -> list[int] | None:
+        """An automorphism that fixes every slot outside ``free`` and sends
+        p to q, or None.  ``rows`` numbers each element by its characters
+        on the fixed slots.
+
+        The transposition of p and q is tried first.  Otherwise each slot
+        d goes to a slot of its own cell, itself first.  After each
+        choice, the rows read on the slots chosen so far must form the
+        same multiset as the rows read on their images.  Once every slot
+        is chosen, that is X mapped onto itself.  The search keeps its own
+        stack, since the map search that asks may already be deep.
+        """
+        cols = self.columns
+        sigma = list(range(len(cols)))
+        sigma[p], sigma[q] = q, p
+        if all(_swap(c, p, q) in self.codes for c in self.codes):
+            return sigma
+        order = [p] + [u for u in free if u != p]
+        ids: dict[tuple, int] = {}
+        taken = 0
+        chosen: list[int] = []
+        options = [iter((q,))]
+        left, right = [rows], [rows]
+        while options:
+            d = order[len(chosen)]
+            for e in options[-1]:
+                if taken >> e & 1:
+                    continue
+                keys_d = [ids.setdefault(key, len(ids)) for key in zip(left[-1], cols[d])]
+                keys_e = [ids.setdefault(key, len(ids)) for key in zip(right[-1], cols[e])]
+                if sorted(keys_d) == sorted(keys_e):
+                    break
+            else:
+                options.pop()
+                left.pop()
+                right.pop()
+                if chosen:
+                    taken ^= 1 << chosen.pop()
+                continue
+            chosen.append(e)
+            taken |= 1 << e
+            if len(chosen) == len(order):
+                for d, e in zip(order, chosen):
+                    sigma[d] = e
+                return sigma
+            left.append(keys_d)
+            right.append(keys_e)
+            nxt = order[len(chosen)]
+            options.append(chain((nxt,), cell_of[nxt]))
+        return None
+
+
+def _swap(c: int, p: int, q: int) -> int:
+    """Image code c with the characters of coordinates p and q swapped."""
+    diff = (c >> 2 * p ^ c >> 2 * q) & 3
+    return c ^ (diff << 2 * p | diff << 2 * q)
+
+
+def _embeddings(group: _Group, target: list[int], zeros: int, ones: int):
+    """Yield ``(tokens, images)`` for the lex-leader maps with
+    ``group``'s slots, ``zeros`` constant 0s and ``ones`` constant 1s that
+    send each src code into ``target``, in ``enumerate_maps`` order.
+    ``target`` holds codes of the map's length.
+
+    Aut(X) acts on maps by relabelling their slots.  Every map in an orbit
+    has the same image set, and only the identity fixes a map, so each
+    orbit has |Aut(X)| maps.  The leader of an orbit is its first map in
+    ``enumerate_maps`` order.  Constants sit at the same positions in
+    every map of the orbit, so the slot sequence decides.  A map is a
+    leader exactly when each slot in its sequence is the least of its
+    orbit under the pointwise stabilizer of the slots before it.
+
+    ``tokens`` is the search's working list, so copy it before resuming.
     ``images`` holds the codes of the src elements' images.
     """
-    n = slots + zeros + ones
+    n = len(group.columns) + zeros + ones
     _check_width(n)
     # prefixes[d]: the target's prefixes of length d; each step checks the
     # next length, and the root check catches an empty target when n = 0
     prefixes = [{c & ((1 << 2 * depth) - 1) for c in target} for depth in range(n + 1)]
-    images = [0] * len(src)
+    images = [0] * len(group.codes)
     if not prefixes[0].issuperset(images):
         return
-    columns = [[c >> 2 * t & 3 for c in src] for t in range(slots)]
-    counts = [1] * slots + [zeros, ones]
-    yield from _grow_maps(0, images, [], counts, prefixes, columns)
+    yield from _grow_maps(0, images, [], 0, zeros, ones, prefixes, group)
 
 
 def _check_width(n: int) -> None:
@@ -200,57 +382,72 @@ def _check_width(n: int) -> None:
 
 
 def _grow_maps(
-    depth: int, images: list[int], tokens: list, counts: list[int], prefixes, columns
+    depth: int, images: list[int], tokens: list, placed: int, zeros: int, ones: int,
+    prefixes, group: _Group,
 ):
     if depth == len(prefixes) - 1:
         yield tokens, images
         return
     shift = 2 * depth
     allowed = prefixes[depth + 1]
-    k = len(columns)
-    for idx, left in enumerate(counts):
-        if not left:
-            continue
-        if idx < k:
-            new = [p | c << shift for p, c in zip(images, columns[idx])]
-            tokens.append(idx)
-        else:
-            c = idx - k
-            new = [p | c << shift for p in images]
-            tokens.append("01"[c])
+    least = group[placed]
+    while least:
+        bit = least & -least
+        least ^= bit
+        idx = bit.bit_length() - 1
+        new = [p | c << shift for p, c in zip(images, group.columns[idx])]
         if allowed.issuperset(new):
-            counts[idx] = left - 1
-            yield from _grow_maps(depth + 1, new, tokens, counts, prefixes, columns)
-            counts[idx] = left
+            tokens.append(idx)
+            yield from _grow_maps(depth + 1, new, tokens, placed | bit, zeros, ones, prefixes, group)
+            tokens.pop()
+    if zeros and allowed.issuperset(images):
+        tokens.append("0")
+        yield from _grow_maps(depth + 1, images, tokens, placed, zeros - 1, ones, prefixes, group)
         tokens.pop()
+    if ones:
+        new = [p | 1 << shift for p in images]
+        if allowed.issuperset(new):
+            tokens.append("1")
+            yield from _grow_maps(depth + 1, new, tokens, placed, zeros, ones - 1, prefixes, group)
+            tokens.pop()
 
 
-def _first_map(src, target, slots, zeros, ones) -> tuple[bool, EmbeddingMap | None]:
-    leaf = next(_embeddings(src, target, slots, zeros, ones), None)
+def _first_map(group: _Group, target, zeros, ones) -> tuple[bool, EmbeddingMap | None]:
+    """The first map in ``enumerate_maps`` order into ``target``.  It is
+    the least map of its orbit, so it is a leader."""
+    leaf = next(_embeddings(group, target, zeros, ones), None)
     if leaf is None:
         return (False, None)
-    return (True, EmbeddingMap.derived(tuple(leaf[0]), slots))
+    return (True, EmbeddingMap.derived(tuple(leaf[0]), len(group.columns)))
 
 
 def _layer_params(pat) -> tuple[int, int, bool]:
     return pat.a, pat.b, isinstance(pat, EdgePattern)
 
 
-def _shape(x, a2: int, b2: int) -> tuple[int, int, int]:
-    """The (slots, zeros, ones) of a map from x's layer into L(a2, b2)."""
-    a, b, starred = _layer_params(x)
-    return a + b + (1 if starred else 0), a2 - a, b2 - b
-
-
 def _codes(p) -> list[int]:
     return [_image_code(e) for e in _elements(p)]
+
+
+def _group(x) -> _Group:
+    a, b, starred = _layer_params(x)
+    return _Group(_codes(x), a + b + (1 if starred else 0))
+
+
+def _check_orbit_maps(maps: int) -> None:
+    if maps > ORBIT_MAPS_LIMIT:
+        raise SizeGuardError(
+            f"{maps} embedding maps per orbit exceed the guard {ORBIT_MAPS_LIMIT}"
+        )
 
 
 def density_t(small, big) -> Fraction:
     """Exact fraction of embedding maps sending ``small`` into ``big``.
 
     Both patterns must be of the same kind, with big's layer dominating
-    small's.
+    small's.  Refuses (``SizeGuardError``), before the search, past
+    ``ORBIT_MAPS_LIMIT`` maps per orbit of small's automorphisms among the
+    maps that send small's first element into big.
     """
     if type(small) is not type(big):
         raise ValueError("patterns must be of the same kind")
@@ -258,8 +455,16 @@ def density_t(small, big) -> Fraction:
     a2, b2, _ = _layer_params(big)
     if a > a2 or b > b2:
         raise ValueError("layer mismatch: big must dominate small")
-    good = sum(1 for _ in _embeddings(_codes(small), _codes(big), *_shape(small, a2, b2)))
-    return Fraction(good, count_maps(a, b, a2, b2, starred))
+    _check_width(a2 + b2 + (1 if starred else 0))
+    group = _group(small)
+    order = group.order()
+    maps = count_maps(a, b, a2, b2, starred)
+    # count_maps / |layer| maps send a given element onto each target
+    # string, so these are the maps that take small's first element into big
+    reach = maps // layer_size(a2, b2, starred) * len(big) if len(small) else maps
+    _check_orbit_maps(reach // order)
+    leaders = sum(1 for _ in _embeddings(group, _codes(big), a2 - a, b2 - b))
+    return Fraction(leaders * order, maps)
 
 
 def contains_pattern(s, x) -> tuple[bool, EmbeddingMap | None]:
@@ -277,18 +482,18 @@ def contains_pattern(s, x) -> tuple[bool, EmbeddingMap | None]:
     which may flip the pattern's coordinates first.
     """
     a, b, starred = _layer_params(x)
-    src = _codes(x)
+    group = _group(x)
     if isinstance(s, (VertexPattern, EdgePattern)):
         if isinstance(s, EdgePattern) != starred:
             raise ValueError("set and pattern kinds differ")
         a2, b2, _ = _layer_params(s)
         if a2 < a or b2 < b:
             return (False, None)
-        return _first_map(src, _codes(s), *_shape(x, a2, b2))
+        return _first_map(group, _codes(s), a2 - a, b2 - b)
 
     pool = frozenset(s)
     if not pool:
-        return (not src, None)
+        return (not len(x), None)
     lengths = {len(t) for t in pool}
     if len(lengths) != 1:
         raise ValueError("cube-mode set must have strings of uniform length")
@@ -299,7 +504,7 @@ def contains_pattern(s, x) -> tuple[bool, EmbeddingMap | None]:
     for a2 in range(a, width - b + 1):
         b2 = width - a2
         layer = [_image_code(e) for e, w in zip(elements, weight) if w == b2]
-        found = _first_map(src, layer, *_shape(x, a2, b2))
+        found = _first_map(group, layer, a2 - a, b2 - b)
         if found[0]:
             return found
     return (False, None)
@@ -380,6 +585,18 @@ def _max_avoiding(universe: list[_Element], masks: list[int]) -> tuple[int, list
     A leaf replaces the best only when strictly larger.  An element is
     blocked once taking it would complete a mask; singleton masks block
     from the start.
+
+    The root takes element 0 and never leaves it out.  This is exact for
+    both callers: a group acts transitively on the universe and maps the
+    family of masks onto itself.  Coordinate permutations act so on a
+    layer or starred layer and its embedding images, and the cube's
+    automorphisms on its vertices or edges and its face images.  So if A
+    is an optimum and g sends one of its elements to 0, then g(A) is an
+    optimum that holds element 0.  The sets that hold element 0 are
+    exactly the leaves met before any other, so the first optimum met
+    holds element 0 and lies in the subtree kept.  If a singleton mask
+    blocks element 0, the group's images of that mask block every
+    element, and the answer is the empty set.
     """
     n = len(universe)
     if any(m == 0 for m in masks):
@@ -401,8 +618,14 @@ def _max_avoiding(universe: list[_Element], masks: list[int]) -> tuple[int, list
     else:
         bound = _packing_bound(wide)
     through = [[m for m in wide if m >> j & 1] for j in range(n)]
-    best = [-1, 0]
-    _branch(free, 0, 0, through, bound, best)
+    best = [0, 0]
+    if free & 1:
+        left = free ^ 1
+        for m in through[0]:
+            rest = m ^ 1
+            if not rest & (rest - 1):
+                left &= ~rest
+        _branch(left, 1, 1, through, bound, best)
     size, chosen = best
     return size, [universe[j] for j in range(n) if chosen >> j & 1]
 
@@ -431,15 +654,15 @@ def ex_layer(a2: int, b2: int, x) -> tuple[int, list[str]]:
 
     The witness is the lexicographically least among maximum witnesses.
     Refuses (``SizeGuardError``), before listing the layer, past the
-    guards of ``_ex_params`` (``EX_LAYER_LIMIT``) or ``EX_MAPS_LIMIT`` maps.
+    guards of ``_ex_params`` (``EX_LAYER_LIMIT``) or past
+    ``ORBIT_MAPS_LIMIT`` maps per orbit of x's automorphisms.
     """
     a, b, starred = _ex_params(a2, b2, x, EX_LAYER_LIMIT)
-    total_maps = count_maps(a, b, a2, b2, starred)
-    if total_maps > EX_MAPS_LIMIT:
-        raise SizeGuardError(f"{total_maps} embedding maps exceed the guard {EX_MAPS_LIMIT}")
+    group = _group(x)
+    _check_orbit_maps(count_maps(a, b, a2, b2, starred) // group.order())
     universe = starred_layer_masks(a2, b2) if starred else layer_masks(a2, b2)
     codes = [_image_code(e) for e in universe]
-    images = (frozenset(img) for _, img in _embeddings(_codes(x), codes, *_shape(x, a2, b2)))
+    images = (frozenset(img) for _, img in _embeddings(group, codes, a2 - a, b2 - b))
     return _solve(universe, codes, images, a2 + b2 + (1 if starred else 0))
 
 
@@ -527,13 +750,16 @@ def ex_cube(n: int, x) -> tuple[int, list[str]]:
     codes = [_image_code(e) for e in universe]
     src = _codes(x)
     # flipping coordinate j XORs bit 2j of a code; c >> 1 has bit 2j set
-    # exactly where coordinate j is a star, which stays unflipped
+    # exactly where coordinate j is a star, which stays unflipped.  A flip
+    # can change the pattern's automorphisms, so each flip has its group.
+    groups = [
+        _Group([c ^ (flip & ~(c >> 1)) for c in src], d)
+        for flip in map(_spread, range(1 << d if d <= n else 0))
+    ]
     images = (
         frozenset(img)
         for ones in range(n - d + 1)
-        for flip in map(_spread, range(1 << d))
-        for _, img in _embeddings(
-            [c ^ (flip & ~(c >> 1)) for c in src], codes, d, n - d - ones, ones
-        )
+        for group in groups
+        for _, img in _embeddings(group, codes, n - d - ones, ones)
     )
     return _solve(universe, codes, images, n)

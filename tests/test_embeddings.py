@@ -1,7 +1,8 @@
 import random
+import time
 from fractions import Fraction
-from itertools import combinations
-from math import comb
+from itertools import combinations, permutations
+from math import comb, factorial
 
 import pytest
 
@@ -10,7 +11,9 @@ from spcube import (
     EdgePattern,
     SizeGuardError,
     VertexPattern,
+    alon_pattern,
     apply_map,
+    catalog,
     contains_pattern,
     count_maps,
     density_t,
@@ -20,6 +23,8 @@ from spcube import (
     ex_layer_bruteforce,
     f2_vertex_set,
     layer_strings,
+    named_pattern,
+    partite_pattern,
     starred_layer_strings,
 )
 from spcube import embeddings
@@ -440,3 +445,173 @@ class TestConstantWeightCodes:
         assert all(s in set(layer_strings(a, b)) for s in witness)
         for s, t in combinations(witness, 2):
             assert sum(c != d for c, d in zip(s, t)) >= 4
+
+
+def _relabel(x, perm: list[int]):
+    """x with coordinate j of each string moved to position perm[j]."""
+    n = len(perm)
+    out = []
+    for s in x.strings:
+        t = [""] * n
+        for j, c in enumerate(s):
+            t[perm[j]] = c
+        out.append("".join(t))
+    return type(x)(x.a, x.b, frozenset(out))
+
+
+def _aut_order_by_listing(x) -> int:
+    """|Aut(x)| by trying every permutation of the coordinates."""
+    n = len(next(iter(x.strings)))
+    return sum(_relabel(x, list(p)).strings == x.strings for p in permutations(range(n)))
+
+
+def _orbit_closure(rng: random.Random, starred: bool, a: int, b: int, seeds) -> set:
+    """The strings of ``seeds`` under the group of one or two random
+    coordinate permutations: a pattern with a nontrivial group."""
+    n = a + b + starred
+    gens = [rng.sample(range(n), n) for _ in range(rng.randint(1, 2))]
+    out, todo = set(seeds), list(seeds)
+    while todo:
+        s = todo.pop()
+        for g in gens:
+            t = "".join(s[g[j]] for j in range(n))
+            if t not in out:
+                out.add(t)
+                todo.append(t)
+    return out
+
+
+def _symmetric_patterns(rng: random.Random, starred: bool, count: int):
+    """Full layers and orbit closures of random sets, up to 5 coordinates."""
+    out = []
+    for _ in range(count):
+        a, b = rng.randint(0, 2), rng.randint(0, 2)
+        pool = _layer(starred, a, b)
+        if rng.random() < 0.3:
+            strings = pool
+        else:
+            seeds = rng.sample(pool, rng.randint(1, min(2, len(pool))))
+            strings = _orbit_closure(rng, starred, a, b, seeds)
+        out.append(_pattern(starred, a, b, strings))
+    return out
+
+
+class TestAutomorphisms:
+    """Aut(X), the slot permutations that map X onto itself, found without
+    listing the group."""
+
+    def test_x16_is_s4_on_the_edges_of_k4(self):
+        x16 = named_pattern("x16")
+        edges = [tuple(sorted(e)) for e in catalog.k4_x16().edges]
+        induced = set()
+        for p in permutations(range(4)):
+            perm = [edges.index(tuple(sorted((p[u], p[v])))) for u, v in edges]
+            assert _relabel(x16, perm).strings == x16.strings
+            induced.add(tuple(perm))
+        group = embeddings._group(x16)
+        assert group.order() == 24 == len(induced)
+        # each automorphism the search met is a relabelling of K4's vertices
+        assert group.found and all(tuple(s) in induced for _, s in group.found)
+
+    def test_y18(self):
+        y18 = named_pattern("y18")
+        assert embeddings._group(y18).order() == 4 == _aut_order_by_listing(y18)
+
+    @pytest.mark.parametrize("starred", [False, True])
+    def test_full_layers(self, starred):
+        for a, b in [(0, 0), (1, 0), (2, 1), (3, 3), (0, 7), (5, 4)]:
+            x = _pattern(starred, a, b, _layer(starred, a, b))
+            assert embeddings._group(x).order() == factorial(a + b + starred)
+
+    def test_star_coordinate_moves(self):
+        # swapping the two coordinates maps *0 to 0* and back
+        x = EdgePattern(1, 0, frozenset({"*0", "0*"}))
+        group = embeddings._group(x)
+        assert group.order() == 2
+        assert group.orbits(0) == [[0, 1]]
+        assert group.found == [(0b11, [1, 0])]
+
+    @pytest.mark.parametrize("starred", [False, True])
+    def test_against_listing_and_relabelling(self, starred):
+        rng = random.Random(31 + starred)
+        patterns = _symmetric_patterns(rng, starred, 40)
+        for _ in range(20):
+            a, b = rng.randint(0, 3), rng.randint(0, 2)
+            pool = _layer(starred, a, b)
+            patterns.append(_pattern(starred, a, b, rng.sample(pool, rng.randint(1, len(pool)))))
+        for x in patterns:
+            order = embeddings._group(x).order()
+            assert order == _aut_order_by_listing(x)
+            n = x.a + x.b + starred
+            assert embeddings._group(_relabel(x, rng.sample(range(n), n))).order() == order
+
+    def test_the_group_is_never_listed(self):
+        # Aut = S_69; every string of L(1,69) is an image of the one string
+        x = VertexPattern(0, 69, frozenset({"1" * 69}))
+        assert embeddings._group(x).order() == factorial(69)
+        start = time.perf_counter()
+        assert ex_layer(1, 69, x) == (0, [])
+        assert time.perf_counter() - start < 1.0
+
+
+class TestOrbitSearchAgainstOracles:
+    """One map per orbit on patterns with large groups: the same
+    densities, witness maps, ex values and ex witnesses as the plain
+    routes of ``extremal_oracle``, which apply every map."""
+
+    @pytest.mark.parametrize("starred", [False, True])
+    def test_density_and_contains(self, starred):
+        rng = random.Random(404 + starred)
+        for x in _symmetric_patterns(rng, starred, 30):
+            a2, b2 = x.a + rng.randint(0, 2), x.b + rng.randint(0, 2)
+            p = rng.choice([0.6, 0.9, 1.0])
+            big = _pattern(starred, a2, b2, _subset(rng, _layer(starred, a2, b2), p))
+            assert density_t(x, big) == oracle.density_by_maps(x, big)
+            got, want = contains_pattern(big, x), oracle.contains_by_maps(big, x)
+            assert got == want and str(got[1]) == str(want[1])
+
+    def test_named_patterns(self):
+        x16, y18 = named_pattern("x16"), named_pattern("y18")
+        rng = random.Random(16)
+        cases = [(x16, 4, 3), (y18, 2, 3), (alon_pattern((2, 1, 1)), 3, 3)]
+        cases.append((partite_pattern((2, 1)), 2, 2))
+        for x, a2, b2 in cases:
+            starred = isinstance(x, EdgePattern)
+            for p in (0.7, 0.9):
+                big = _pattern(starred, a2, b2, _subset(rng, _layer(starred, a2, b2), p))
+                assert density_t(x, big) == oracle.density_by_maps(x, big)
+                got, want = contains_pattern(big, x), oracle.contains_by_maps(big, x)
+                assert got == want and str(got[1]) == str(want[1])
+
+    def test_ex_layer(self):
+        rng = random.Random(918)
+        targets = {False: [(2, 2), (3, 2), (2, 3), (4, 1)], True: [(1, 1), (2, 1), (1, 2)]}
+        cases = []
+        for starred in (False, True):
+            for x in _symmetric_patterns(rng, starred, 15):
+                fits = [(a2, b2) for a2, b2 in targets[starred] if a2 >= x.a and b2 >= x.b]
+                if fits:
+                    cases.append((x, *rng.choice(fits)))
+        cases += [(alon_pattern((1, 1, 1)), 2, 2), (partite_pattern((1, 1)), 1, 2)]
+        for x, a2, b2 in cases:
+            got = ex_layer(a2, b2, x)
+            assert got == ex_layer_bruteforce(a2, b2, x)
+            assert got == oracle.ex_layer_by_hitting_sets(a2, b2, x)
+
+    def test_ex_cube(self):
+        rng = random.Random(27)
+        for starred in (False, True):
+            for x in _symmetric_patterns(rng, starred, 12):
+                d = x.a + x.b + starred
+                if d > 3:
+                    continue
+                n = rng.randint(d, 3)
+                assert ex_cube(n, x) == oracle.ex_cube_by_hitting_sets(n, x)
+
+
+class TestOrbitMapsGuard:
+    def test_density_refused_per_orbit(self):
+        # 16!/(5! 5!) maps, 24 to an orbit, and 29% of them reach the set
+        big = f2_vertex_set(8, 8, 1)
+        with pytest.raises(SizeGuardError, match="embedding maps per orbit exceed the guard"):
+            density_t(named_pattern("x16"), big)

@@ -14,11 +14,12 @@ _XC2 = VertexPattern(1, 1, {"01", "10"})
 _DOUBLE = Multigraph(2, [(0, 1), (0, 1)])
 
 _REFUSALS = {
-    # L(1, 69) has 70 strings, at EX_LAYER_LIMIT, but 69!/59! maps of L(1, 10) into it
+    # L(1, 69) has 70 strings, at EX_LAYER_LIMIT, but 70!/59! maps of L(1, 10)
+    # into it, in orbits of 10!: the pattern's ten 1s are interchangeable
     "ex_layer-maps": (
         lambda: embeddings.ex_layer(1, 69, VertexPattern(1, 10, {"0" + "1" * 10})),
         SizeGuardError,
-        "86373682648501248000 embedding maps exceed the guard 200000",
+        "23802271452960 embedding maps per orbit exceed the guard 1000000",
     ),
     "ex_cube-empty": (
         lambda: embeddings.ex_cube(2, VertexPattern(1, 1)),
