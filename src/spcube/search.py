@@ -79,9 +79,11 @@ __all__ = [
 EXHAUSTIVE_TREE_LIMIT = 11
 WITNESS_CHAIN_LIMIT = 24
 M_TABLE_LIMIT = 16
-# the terms route visits every canonical term, about 4x more per edge, and
-# takes about 5x the time: --max-d 12 takes about 7 s and 222 MB peak,
-# most of the memory for its 366,422 terms
+# the terms route visits every canonical term, about 4x more per edge:
+# --max-d 11 takes 2.0 s and 67 MB peak, and --max-d 12 11.2 s and 222 MB,
+# most of it for its 366,422 terms (fresh processes, median of 3, on a
+# shared 2-core x86 machine in a slow hour; 7 s in a quiet one).  Memory,
+# not time, holds the guard
 M_TERMS_LIMIT = 12
 
 

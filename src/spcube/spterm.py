@@ -10,6 +10,12 @@ Two terms are equivalent when their marked graphs are isomorphic; this is
 exactly parallel-child reordering plus series-list reversal (swapping the
 two terminals), and ``canonical_key`` realizes it.
 
+``SpTerm(kind, children)`` is the public boundary and checks the node.
+Code that derives a term from valid terms, so that the node is valid by
+construction (the enumeration, ``series`` and ``parallel`` once
+flattening leaves two or more parts, ``dual``, ``reverse_term`` and the
+normalizations), calls ``SpTerm.derived``, which checks nothing.
+
 A value folds along a term's series and parallel steps by ``_fold``, the
 term-side mirror of ``multigraph._sp_reduce``.  ``tf_counts`` and
 ``tree_bitsets`` are one fold by one (T, F) rule, ``multigraph._count_tf``:
@@ -63,6 +69,14 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class SpTerm:
+    """A term node: an edge, or a series or parallel node of two or more
+    children, none of its own kind.
+
+    ``SpTerm(kind, children)`` is the public boundary and checks all of
+    this.  Code that derives a term from valid terms, so that it holds by
+    construction, calls ``SpTerm.derived``.
+    """
+
     kind: str  # "e", "S", or "P"
     children: tuple["SpTerm", ...] = ()
     # the term's text (``format_term``), built once from the children's
@@ -84,6 +98,17 @@ class SpTerm:
             raise ValueError(f"unknown term kind {self.kind!r}")
         object.__setattr__(self, "key", key)
 
+    @classmethod
+    def derived(cls, kind: str, children: tuple[SpTerm, ...]) -> SpTerm:
+        """The series or parallel node of these children, trusted to be
+        two or more valid terms, none of kind ``kind``: nothing is
+        checked."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "kind", kind)
+        object.__setattr__(t, "children", children)
+        object.__setattr__(t, "key", f"{kind}({','.join([c.key for c in children])})")
+        return t
+
 
 EDGE = SpTerm("e")
 
@@ -103,7 +128,8 @@ def series(*parts: SpTerm) -> SpTerm:
     flat = _flatten("S", parts)
     if len(flat) == 1:
         return flat[0]
-    return SpTerm("S", flat)
+    # no parts is refused by the checking constructor
+    return SpTerm.derived("S", flat) if flat else SpTerm("S", flat)
 
 
 def parallel(*parts: SpTerm) -> SpTerm:
@@ -111,7 +137,7 @@ def parallel(*parts: SpTerm) -> SpTerm:
     flat = _flatten("P", parts)
     if len(flat) == 1:
         return flat[0]
-    return SpTerm("P", flat)
+    return SpTerm.derived("P", flat) if flat else SpTerm("P", flat)
 
 
 def edge_count(t: SpTerm) -> int:
@@ -124,8 +150,8 @@ def dual(t: SpTerm) -> SpTerm:
     """Swap series and parallel throughout; an involution on terms."""
     if t.kind == "e":
         return t
-    kids = tuple(dual(c) for c in t.children)
-    return SpTerm("P" if t.kind == "S" else "S", kids)
+    kids = tuple([dual(c) for c in t.children])
+    return SpTerm.derived("P" if t.kind == "S" else "S", kids)
 
 
 def reverse_term(t: SpTerm) -> SpTerm:
@@ -137,8 +163,8 @@ def reverse_term(t: SpTerm) -> SpTerm:
     if t.kind == "e":
         return t
     if t.kind == "S":
-        return SpTerm("S", tuple(reverse_term(c) for c in reversed(t.children)))
-    return SpTerm("P", tuple(reverse_term(c) for c in t.children))
+        return SpTerm.derived("S", tuple([reverse_term(c) for c in reversed(t.children)]))
+    return SpTerm.derived("P", tuple([reverse_term(c) for c in t.children]))
 
 
 def _norm(t: SpTerm) -> SpTerm:
@@ -148,7 +174,7 @@ def _norm(t: SpTerm) -> SpTerm:
     kids = [_norm(c) for c in t.children]
     if t.kind == "P":
         kids.sort(key=format_term)
-    return SpTerm(t.kind, tuple(kids))
+    return SpTerm.derived(t.kind, tuple(kids))
 
 
 def canonical(t: SpTerm) -> SpTerm:
@@ -168,7 +194,7 @@ def canonical(t: SpTerm) -> SpTerm:
 
 def _merge_parallel(t1: SpTerm, t2: SpTerm) -> SpTerm:
     """N(parallel(t1, t2)) for normalized t1 and t2."""
-    return SpTerm("P", tuple(sorted(_flatten("P", (t1, t2)), key=format_term)))
+    return SpTerm.derived("P", tuple(sorted(_flatten("P", (t1, t2)), key=format_term)))
 
 
 def format_term(t: SpTerm) -> str:
@@ -261,13 +287,15 @@ def _fold(t: SpTerm, leaves, compose):
 
     Each edge takes the next value of the iterator ``leaves``, left to
     right, and each node folds its children in one at a time by
-    ``compose(series, x, y)``."""
+    ``compose(series, x, y)``.  An edge child takes its value from
+    ``leaves`` in place, without a call."""
     if t.kind == "e":
         return next(leaves)
     in_series = t.kind == "S"
-    x = _fold(t.children[0], leaves, compose)
-    for c in t.children[1:]:
-        x = compose(in_series, x, _fold(c, leaves, compose))
+    x = None
+    for c in t.children:
+        y = next(leaves) if c.kind == "e" else _fold(c, leaves, compose)
+        x = y if x is None else compose(in_series, x, y)
     return x
 
 
@@ -295,7 +323,15 @@ def tree_bitsets(t: SpTerm) -> tuple[int, int]:
     products of ``ta * fb + fa * tb`` differ on a's edges in every member,
     and their sum is a disjoint union.  The popcounts are ``tf_counts(t)``.
     """
-    return _fold(t, ((1 << (1 << i), 1) for i in count()), _count_tf)
+    return _fold(t, map(_bitset_leaf, count()), _count_tf)
+
+
+@lru_cache(maxsize=None)
+def _bitset_leaf(i: int) -> tuple[int, int]:
+    """Leaf i's (T, F) bitsets: T = {bit i}, F = {no edge}.  Kept for the
+    life of the process, so the leaves of the longest term folded hold
+    about twice the bits of its last leaf's T."""
+    return 1 << (1 << i), 1
 
 
 def tree_sets(t: SpTerm) -> tuple[list[int], list[int]]:
@@ -337,7 +373,7 @@ def _series_lists(prefix: list[SpTerm], remaining: int, out: list[SpTerm]) -> No
     # The accumulators are arguments: a closure over them that calls
     # itself would keep them alive in a cycle.
     if remaining == 0:
-        out.append(SpTerm("S", tuple(prefix)))
+        out.append(SpTerm.derived("S", tuple(prefix)))
         return
     for size in range(1, remaining + 1):
         if size == remaining and not prefix:
@@ -372,7 +408,7 @@ def _parallel_multisets(
     # each multiset is made once.  Every child has fewer than d edges, so
     # a finished prefix has at least two.
     if remaining == 0:
-        out.append(SpTerm("P", tuple(prefix)))
+        out.append(SpTerm.derived("P", tuple(prefix)))
         return
     fit = fits[remaining]
     for idx in fit[bisect_left(fit, start):]:

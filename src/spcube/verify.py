@@ -3,8 +3,10 @@ callable checks returning violation lists.
 
 Each check returns a list of human-readable violation strings (empty =
 pass).  ``run_all`` drives them; the deep profile raises the search
-bounds to their full documented ranges and takes about 6 s, the
-default profile under a second (Python 3.11, shared 2-core x86 machine).
+bounds to their full documented ranges and takes about 6 s on a quiet
+hour, plus about 4 s to enumerate the terms to ``M_TERMS_LIMIT`` for
+``check_term_counts``; the default profile takes under a second (Python
+3.11, shared 2-core x86 machine).
 The pytest suite calls the same functions.
 """
 
@@ -73,7 +75,7 @@ from .patterns import (
     product_join,
     _starred,
 )
-from .search import fib, fib_table, m_table, m_value_all_marked_graphs
+from .search import M_TERMS_LIMIT, fib, fib_table, m_table, m_value_all_marked_graphs
 from .spterm import (
     GraphDedup,
     SpTerm,
@@ -311,7 +313,11 @@ def check_marked_graphs_valid(max_d: int = 8) -> list[str]:
 
 def _redundant_terms(d: int) -> list[SpTerm]:
     """All flattened terms with d edges, canonical or not (series lists in
-    every order); used as the generate-and-dedup enumeration oracle."""
+    every order); used as the generate-and-dedup enumeration oracle.
+
+    It is an oracle, so it shares no shortcut with the enumeration it
+    checks: every node is built by the checking ``SpTerm(kind, children)``,
+    not by the trusted ``SpTerm.derived``."""
     if d == 1:
         return [SpTerm("e")]
     out: list[SpTerm] = []
@@ -357,6 +363,64 @@ def check_term_enumeration(max_d: int = 5) -> list[str]:
             t1 = first.setdefault(canonical_form(to_marked_graph(t), marked=True), t)
             if t1 is not t:
                 bad.append(f"duplicate classes: {format_term(t1)} vs {format_term(t)}")
+    return bad
+
+
+def _term_counts(max_d: int) -> list[int]:
+    """Canonical terms with d edges, d = 0..max_d, counted in integers by
+    generating functions.
+
+    Burnside's lemma over reversal: the classes number (N + R) / 2, where N
+    counts the normalized (oriented) terms and R those that reversal fixes.
+    Oriented, a series node is a sequence of two or more non-series terms
+    and a parallel node a multiset of two or more non-parallel terms.
+    Fixed, a series node is a palindrome: mirrored pairs of non-series
+    terms around at most one fixed middle term.  A fixed parallel node is
+    a multiset of fixed non-parallel terms and of pairs {t, reversal of t}
+    of unfixed ones.
+    """
+    size = max_d + 1
+    # oriented non-series terms (the edge and parallel nodes) and
+    # non-parallel ones (the edge and series nodes), then the fixed ones
+    a, b, fixed_a, fixed_b = ([0] * size for _ in range(4))
+    seq = [1] + [0] * max_d  # sequences of non-series terms
+    pal = [1] + [0] * max_d  # sequences of mirrored pairs of them
+    pool = [0] * size  # fixed non-parallel terms and pairs of unfixed ones
+    sets_b, sums_b = [1] + [0] * max_d, [0] * size  # multisets of b
+    sets_pool, sums_pool = [1] + [0] * max_d, [0] * size  # multisets of pool
+    counts = [0]
+    for n in range(1, size):
+        edge = int(n == 1)
+        b[n] = edge + sum(a[k] * seq[n - k] for k in range(1, n))
+        if n % 2 == 0:
+            pal[n] = sum(a[k] * pal[n - 2 * k] for k in range(1, n // 2 + 1))
+        fixed_b[n] = edge + pal[n] + sum(fixed_a[k] * pal[n - k] for k in range(1, n))
+        pool[n] = fixed_b[n] + ((b[n // 2] - fixed_b[n // 2]) // 2 if n % 2 == 0 else 0)
+        _euler_step(b, sums_b, sets_b, n)
+        _euler_step(pool, sums_pool, sets_pool, n)
+        # a multiset of one part is no parallel node
+        a[n] = edge + sets_b[n] - b[n]
+        fixed_a[n] = edge + sets_pool[n] - fixed_b[n]
+        seq[n] = sum(a[k] * seq[n - k] for k in range(1, n + 1))
+        counts.append((a[n] + b[n] + fixed_a[n] + fixed_b[n]) // 2 - edge)
+    return counts
+
+
+def _euler_step(f: list[int], sums: list[int], sets: list[int], n: int) -> None:
+    """Coefficient n of the multisets of f-items (the Euler transform of
+    f), from f through n and the coefficients below n: the O(d^2)
+    recurrence n g_n = sum_k c_k g_(n-k), where c_k = sum_(m | k) m f_m."""
+    sums[n] = sum(m * f[m] for m in range(1, n + 1) if n % m == 0)
+    sets[n] = sum(sums[k] * sets[n - k] for k in range(1, n + 1)) // n
+
+
+def check_term_counts(max_d: int = 9) -> list[str]:
+    """enumerate_terms lists as many terms as ``_term_counts`` counts."""
+    bad = []
+    for d, want in enumerate(_term_counts(max_d)[1:], start=1):
+        got = len(list(enumerate_terms(d)))
+        if got != want:
+            bad.append(f"d={d}: {got} canonical terms, the count gives {want}")
     return bad
 
 
@@ -856,6 +920,8 @@ ALL_CHECKS = [
     ("duality", check_duality, {"max_d": 7}, {"max_d": 8}),
     ("phi_psi", check_phi_psi, {"max_d": 7}, {"max_d": 8}),
     ("gluing", check_gluing, {"samples": 60}, {"samples": 200}),
+    # after gluing, which enumerates the terms to 9 edges
+    ("term_counts", check_term_counts, {}, {"max_d": M_TERMS_LIMIT}),
     ("h_connected", check_h_connected, {"max_d": 7}, {"max_d": 8}),
     ("g0_components", check_g0_components, {"max_d": 4}, {"max_d": 5}),
     ("named_patterns", check_named_patterns, {}, {"max_total": 10}),

@@ -3,7 +3,7 @@ it raises and its message, one row each."""
 
 import pytest
 
-from spcube import catalog, constructions, embeddings, multigraph, operators, patterns, search
+from spcube import catalog, constructions, embeddings, multigraph, operators, patterns, search, spterm
 from spcube.errors import SizeGuardError
 from spcube.multigraph import Multigraph
 from spcube.patterns import EdgePattern, PatternGraph, VertexPattern
@@ -65,6 +65,13 @@ _REFUSALS = {
         "series/parallel nodes need at least 2 children",
     ),
     "SpTerm-kind": (lambda: SpTerm("Q", ()), ValueError, "unknown term kind 'Q'"),
+    "SpTerm-unflattened": (
+        lambda: SpTerm("S", (spterm.series(EDGE, EDGE), EDGE)),
+        ValueError,
+        "term is not flattened",
+    ),
+    "series-empty": (lambda: spterm.series(), ValueError, "series/parallel nodes need at least 2 children"),
+    "parallel-empty": (lambda: spterm.parallel(), ValueError, "series/parallel nodes need at least 2 children"),
     "random_vectors-dim": (
         lambda: constructions.random_vectors(1, 65, 1),
         ValueError,

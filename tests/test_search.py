@@ -69,6 +69,14 @@ M_TERMS_WITNESSES = [
     "P(S(P(S(P(e,e),e),S(e,e)),P(e,e)),S(e,e))",
 ]
 
+# rows 10-12 of `table m --max-d 12 --method terms`, pinned from the route
+# that built every term by the checking constructor
+M_TERMS_GUARD_WITNESSES = {
+    10: "P(S(P(S(P(e,e),e),S(P(e,e),e)),P(e,e)),S(e,e))",
+    11: "P(S(P(S(P(e,e),e),S(e,e)),P(e,e)),S(P(S(e,e),e),e))",
+    12: "P(S(P(S(e,e),S(e,e)),P(e,e)),S(P(S(e,e),S(e,e)),P(e,e)))",
+}
+
 # `table fib --max-d 8` witnesses, pinned from the census that deduplicated
 # every candidate with the backtracking matcher
 FIB_WITNESSES = [
@@ -507,6 +515,9 @@ class TestMTable:
     @pytest.mark.slow
     def test_terms_route_at_its_guard(self):
         assert m_value(12, "terms")[0] == m_value(12)[0] == TABLE_M[11]
+        for d, witness in M_TERMS_GUARD_WITNESSES.items():
+            value, term = m_value(d, "terms")
+            assert (value, term.key) == (TABLE_M[d - 1], witness)
 
     def test_terms_method_witness(self):
         value, witness = m_value(4, "terms")

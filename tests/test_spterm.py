@@ -24,7 +24,7 @@ from spcube import (
     tree_count,
     tree_sets,
 )
-from spcube import catalog, spterm
+from spcube import catalog, search, spterm
 from spcube.multigraph import (
     add_leaf,
     add_loop,
@@ -37,15 +37,19 @@ from spcube.multigraph import (
 from spcube.patterns import _split
 from spcube.spterm import (
     GraphDedup,
+    SpTerm,
     _norm,
     _norm_terms,
     _reversed_key,
+    canonical,
     reverse_term,
 )
 from spcube.verify import (
+    _term_counts,
     check_census_small_counts,
     check_dual_tf,
     check_marked_graphs_valid,
+    check_term_counts,
     check_term_enumeration,
     check_tf_oracle,
 )
@@ -61,10 +65,48 @@ class TestConstruction:
         assert series(EDGE) == EDGE
 
     def test_direct_nesting_rejected(self):
-        from spcube.spterm import SpTerm
-
         with pytest.raises(ValueError):
             SpTerm("S", (SpTerm("S", (EDGE, EDGE)), EDGE))
+
+
+def _rebuilt(t: SpTerm) -> SpTerm:
+    """t with every node rebuilt by the checking constructor."""
+    return SpTerm(t.kind, tuple(_rebuilt(c) for c in t.children))
+
+
+def _assert_passes_the_checks(t: SpTerm) -> None:
+    r = _rebuilt(t)
+    assert r == t and r.key == t.key and hash(r) == hash(t), t.key
+
+
+class TestDerivedTerms:
+    """Every term built by ``SpTerm.derived`` is one the checking
+    constructor accepts, equal to it with the same key and hash."""
+
+    def test_normalized_enumeration(self):
+        for d in range(1, 9):
+            for t in _norm_terms(d):
+                _assert_passes_the_checks(t)
+
+    def test_derivations(self):
+        terms = [t for d in range(1, 8) for t in enumerate_terms(d)]
+        small = [t for d in range(1, 4) for t in enumerate_terms(d)]
+        for t in terms:
+            for derived in (dual(t), reverse_term(t), canonical(t), _norm(reverse_term(t))):
+                _assert_passes_the_checks(derived)
+            for u in small:
+                for derived in (series(t, u), series(u, t), parallel(t, u), parallel(u, t)):
+                    _assert_passes_the_checks(derived)
+
+    def test_dp_witnesses(self):
+        # the DP builds its witnesses and their reversals by series and
+        # by merging normalized parallel parts
+        frontiers = [{}]
+        search._dp_frontiers(frontiers, search.M_TABLE_LIMIT)
+        for frontier in frontiers:
+            for witness, reversal in frontier.values():
+                _assert_passes_the_checks(witness)
+                _assert_passes_the_checks(reversal)
 
 
 class TestMarkedGraph:
@@ -182,6 +224,32 @@ class TestEnumeration:
     def test_matches_isomorphism_oracle_deep(self):
         assert check_term_enumeration(max_d=7) == []
 
+    def test_closed_form_counts(self):
+        assert _term_counts(12)[1:] == TERM_COUNTS
+        assert check_term_counts(max_d=9) == []
+
+    @pytest.mark.slow
+    def test_closed_form_counts_at_the_guard(self):
+        assert check_term_counts(max_d=search.M_TERMS_LIMIT) == []
+
+    def test_closed_form_counts_catch_a_dropped_series_part(self, fresh_enumeration):
+        series_lists = spterm._series_lists
+
+        def dropping(prefix, remaining, out):
+            # a finished series list of three or more parts loses its last
+            if remaining == 0 and len(prefix) > 2:
+                out.append(SpTerm.derived("S", tuple(prefix[:-1])))
+            else:
+                series_lists(prefix, remaining, out)
+
+        fresh_enumeration.setattr(spterm, "_series_lists", dropping)
+        assert check_term_counts(max_d=9) != []
+
+    def test_closed_form_counts_catch_a_rule_without_reversal(self, fresh_enumeration):
+        fresh_enumeration.setattr(spterm, "_reversed_key", lambda t, memo: t.key)
+        bad = check_term_counts(max_d=9)
+        assert bad[0] == "d=3: 5 canonical terms, the count gives 4"
+
     def test_sorted_and_canonical(self):
         for d in range(1, 7):
             keys = [canonical_key(t) for t in enumerate_terms(d)]
@@ -199,6 +267,23 @@ class TestEnumeration:
             for t in _norm_terms(d):
                 assert _reversed_key(t, memo) == _norm(reverse_term(t)).key
 
+
+@pytest.fixture
+def fresh_enumeration(monkeypatch):
+    """monkeypatch, with the term enumeration's caches emptied before the
+    test and again after it undoes its patches."""
+    caches = (spterm._all_terms, spterm._series_norm, spterm._parallel_norm)
+    for cache in caches:
+        cache.cache_clear()
+    with monkeypatch.context() as patch:
+        yield patch
+    for cache in caches:
+        cache.cache_clear()
+
+
+# canonical terms with d edges, d = 1..12, 366,422 in all: the closed
+# form's counts, which enumerate_terms matches
+TERM_COUNTS = [1, 2, 4, 11, 30, 98, 328, 1193, 4459, 17287, 68283, 274726]
 
 # sha256 of the newline-joined keys of enumerate_terms(d), d = 1..10,
 # recorded from the enumeration that reversed and normalized every term
