@@ -80,10 +80,10 @@ EXHAUSTIVE_TREE_LIMIT = 11
 WITNESS_CHAIN_LIMIT = 24
 M_TABLE_LIMIT = 16
 # the terms route visits every canonical term, about 4x more per edge:
-# --max-d 11 takes 2.0 s and 67 MB peak, and --max-d 12 11.2 s and 222 MB,
-# most of it for its 366,422 terms (fresh processes, median of 3, on a
-# shared 2-core x86 machine in a slow hour; 7 s in a quiet one).  Memory,
-# not time, holds the guard
+# --max-d 11 takes 1.5-1.7 s and 68 MB peak, and --max-d 12 8.7-10.2 s and
+# 222 MB, by the hour, most of it for its 366,422 terms (fresh processes,
+# median of 3, on a shared 2-core x86 machine; 7 s in a quiet hour).
+# Memory, not time, holds the guard
 M_TERMS_LIMIT = 12
 
 

@@ -352,69 +352,52 @@ def tree_sets(t: SpTerm) -> tuple[list[int], list[int]]:
 
 def _norm_terms(d: int) -> tuple[SpTerm, ...]:
     """All normalized terms (parallel children sorted, series order free),
-    in key order: both parts are sorted, and every ``P(`` key sorts before
-    every ``S(`` key, and both before ``e``."""
+    in key order: every ``P(`` key sorts before every ``S(`` key, and
+    ``_nodes`` emits each kind in key order, unsorted."""
     if d == 1:
         return (EDGE,)
-    return _parallel_norm(d) + _series_norm(d)
+    return _nodes("P", d) + _nodes("S", d)
 
 
 @lru_cache(maxsize=None)
-def _series_norm(d: int) -> tuple[SpTerm, ...]:
-    """Series-rooted normalized terms: every ordered child list."""
-    if d < 2:
-        return ()
-    out: list[SpTerm] = []
-    _series_lists([], d, out)
-    return tuple(sorted(out, key=format_term))
+def _nodes(kind: str, d: int) -> tuple[SpTerm, ...]:
+    """The normalized terms with d edges rooted at a ``kind`` node, in key
+    order.
 
-
-def _series_lists(prefix: list[SpTerm], remaining: int, out: list[SpTerm]) -> None:
-    # The accumulators are arguments: a closure over them that calls
-    # itself would keep them alive in a cycle.
-    if remaining == 0:
-        out.append(SpTerm.derived("S", tuple(prefix)))
-        return
-    for size in range(1, remaining + 1):
-        if size == remaining and not prefix:
-            continue  # a single child is not a series node
-        for child in _parallel_norm(size) if size > 1 else (EDGE,):
-            prefix.append(child)
-            _series_lists(prefix, remaining - size, out)
-            prefix.pop()
-
-
-@lru_cache(maxsize=None)
-def _parallel_norm(d: int) -> tuple[SpTerm, ...]:
-    """Parallel-rooted normalized terms: multisets of non-parallel terms,
-    generated with children in the same key order ``_norm`` produces."""
-    if d < 2:
-        return ()
-    pool = [(s, t) for s in range(1, d) for t in (_series_norm(s) if s > 1 else (EDGE,))]
+    The children come from one key-sorted pool: the edge and the other
+    kind's nodes with fewer than d edges, so every node has at least two.
+    ``_walk`` tries them in key order, so it emits the nodes in the
+    lexicographic order of their child keys.  That is key order, with no
+    sort: no key is a prefix of another, and no d-edge node's children
+    are a prefix of another's."""
+    other = "S" if kind == "P" else "P"
+    pool = [(s, t) for s in range(1, d) for t in (_nodes(other, s) if s > 1 else (EDGE,))]
     pool.sort(key=lambda item: format_term(item[1]))
     # fits[r]: the pool positions of the children with at most r edges, in
     # key order, so that a step visits only the children that fit
     fits = [[i for i, (s, _) in enumerate(pool) if s <= r] for r in range(d + 1)]
     out: list[SpTerm] = []
-    _parallel_multisets(pool, fits, [], 0, d, out)
-    return tuple(sorted(out, key=format_term))
+    _walk(kind, pool, fits, [], 0, d, out)
+    return tuple(out)
 
 
-def _parallel_multisets(
-    pool: list[tuple[int, SpTerm]], fits: list[list[int]],
+def _walk(
+    kind: str, pool: list[tuple[int, SpTerm]], fits: list[list[int]],
     prefix: list[SpTerm], start: int, remaining: int, out: list[SpTerm],
 ) -> None:
-    # Children come in nondecreasing pool position from ``start`` on, so
-    # each multiset is made once.  Every child has fewer than d edges, so
-    # a finished prefix has at least two.
+    # A parallel node's next child comes at or after its last one's pool
+    # position ``start``, so each multiset of children is made once; a
+    # series node's may be any child, so its children are a sequence.  The
+    # accumulators are arguments: a closure over them that calls itself
+    # would keep them alive in a cycle.
     if remaining == 0:
-        out.append(SpTerm.derived("P", tuple(prefix)))
+        out.append(SpTerm.derived(kind, tuple(prefix)))
         return
     fit = fits[remaining]
     for idx in fit[bisect_left(fit, start):]:
         size, child = pool[idx]
         prefix.append(child)
-        _parallel_multisets(pool, fits, prefix, idx, remaining - size, out)
+        _walk(kind, pool, fits, prefix, idx if kind == "P" else 0, remaining - size, out)
         prefix.pop()
 
 

@@ -771,7 +771,7 @@ class TestNoCyclicGarbage:
         assert _cyclic_garbage(_redundant_terms, range(1, 7)) == 0
 
     def test_fresh_term_enumeration(self):
-        caches = (spterm._series_norm, spterm._parallel_norm, spterm._all_terms)
+        caches = (spterm._nodes, spterm._all_terms)
 
         def fresh(d):
             for cache in caches:

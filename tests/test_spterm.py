@@ -38,6 +38,7 @@ from spcube.patterns import _split
 from spcube.spterm import (
     GraphDedup,
     SpTerm,
+    _nodes,
     _norm,
     _norm_terms,
     _reversed_key,
@@ -232,17 +233,24 @@ class TestEnumeration:
     def test_closed_form_counts_at_the_guard(self):
         assert check_term_counts(max_d=search.M_TERMS_LIMIT) == []
 
-    def test_closed_form_counts_catch_a_dropped_series_part(self, fresh_enumeration):
-        series_lists = spterm._series_lists
+    @pytest.mark.slow
+    def test_keys_pinned_at_the_guard(self):
+        assert max(GUARD_TERM_KEYS_SHA256) == search.M_TERMS_LIMIT
+        for d, want in GUARD_TERM_KEYS_SHA256.items():
+            text = "\n".join(t.key for t in enumerate_terms(d))
+            assert hashlib.sha256(text.encode()).hexdigest() == want, d
 
-        def dropping(prefix, remaining, out):
-            # a finished series list of three or more parts loses its last
-            if remaining == 0 and len(prefix) > 2:
+    def test_closed_form_counts_catch_a_dropped_series_part(self, fresh_enumeration):
+        walk = spterm._walk
+
+        def dropping(kind, pool, fits, prefix, start, remaining, out):
+            # a finished series node of three or more children loses its last
+            if kind == "S" and remaining == 0 and len(prefix) > 2:
                 out.append(SpTerm.derived("S", tuple(prefix[:-1])))
             else:
-                series_lists(prefix, remaining, out)
+                walk(kind, pool, fits, prefix, start, remaining, out)
 
-        fresh_enumeration.setattr(spterm, "_series_lists", dropping)
+        fresh_enumeration.setattr(spterm, "_walk", dropping)
         assert check_term_counts(max_d=9) != []
 
     def test_closed_form_counts_catch_a_rule_without_reversal(self, fresh_enumeration):
@@ -255,6 +263,13 @@ class TestEnumeration:
             keys = [canonical_key(t) for t in enumerate_terms(d)]
             assert keys == sorted(keys)
             assert all(format_term(t) == canonical_key(t) for t in enumerate_terms(d))
+
+    def test_nodes_in_key_order(self):
+        # the walk emits key order with no sort, so none is made here either
+        for d in range(2, 11):
+            for kind in ("P", "S"):
+                keys = [t.key for t in _nodes(kind, d)]
+                assert all(a < b for a, b in zip(keys, keys[1:])), (kind, d)
 
     def test_keys_pinned(self):
         for d, want in enumerate(TERM_KEYS_SHA256, start=1):
@@ -272,7 +287,7 @@ class TestEnumeration:
 def fresh_enumeration(monkeypatch):
     """monkeypatch, with the term enumeration's caches emptied before the
     test and again after it undoes its patches."""
-    caches = (spterm._all_terms, spterm._series_norm, spterm._parallel_norm)
+    caches = (spterm._nodes, spterm._all_terms)
     for cache in caches:
         cache.cache_clear()
     with monkeypatch.context() as patch:
@@ -299,6 +314,13 @@ TERM_KEYS_SHA256 = [
     "a4ccca832177344153e5fc942f2e2c8316e1f5e592028b3bcc0aceb9d9e9f818",
     "8ec155e92fdf07a174304ac536c59f1e3c085dcc046054d2760944505ef74f8a",
 ]
+
+# the same digests at d = 11 and at the guard d = 12, recorded from the
+# enumeration that sorted each kind of node after building it
+GUARD_TERM_KEYS_SHA256 = {
+    11: "1db9dfc14c2bc1e1bd5ec1fd1036811852fdad8683e2075430f26efb282433bf",
+    12: "7e485e5ed494a93f92f8fe8eca5cb95fedabcfb1889dcd2f8ddf335df547068e",
+}
 
 
 class TestTfCounts:
