@@ -9,6 +9,7 @@ Randomized commands require an explicit --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import shlex
 import sys
 from fractions import Fraction
@@ -80,6 +81,9 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(64)
 
 
+# Parsing fills a fresh namespace and reads sys.stdout and sys.stderr at
+# call time, so one parser serves every call of ``main``.
+@functools.cache
 def _build_parser() -> _Parser:
     p = _Parser(prog="spcube", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)

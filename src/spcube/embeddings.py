@@ -121,7 +121,8 @@ def count_maps(a: int, b: int, a2: int, b2: int, starred: bool = False) -> int:
 
 
 def enumerate_maps(a: int, b: int, a2: int, b2: int, starred: bool = False):
-    """All embedding maps, in a fixed deterministic order."""
+    """All embedding maps, in lexicographic order of their tokens, where
+    the slots come first, in order, then '0', then '1'."""
     k = a + b + (1 if starred else 0)
     for tokens in _map_tokens(a, b, a2, b2, starred):
         yield EmbeddingMap.derived(tokens, k)
@@ -133,26 +134,29 @@ def _map_tokens(a: int, b: int, a2: int, b2: int, starred: bool):
     if a > a2 or b > b2:
         raise ValueError("target layer must dominate the source layer")
     k = a + b + (1 if starred else 0)
-    counts: list[tuple[object, int]] = [(j, 1) for j in range(k)]
-    counts.append(("0", a2 - a))
-    counts.append(("1", b2 - b))
-    return _token_tuples(counts, [], k + (a2 - a) + (b2 - b))
+    tokens = [*range(k), "0", "1"]
+    return _token_tuples(tokens, [*range(k)] + [k] * (a2 - a) + [k + 1] * (b2 - b))
 
 
-def _token_tuples(counts: list[tuple[object, int]], prefix: list, length: int):
-    # The state is in the arguments: a generator closure that calls itself
-    # would keep it alive in a reference cycle.
-    if len(prefix) == length:
-        yield tuple(prefix)
-        return
-    for idx, (tok, cnt) in enumerate(counts):
-        if cnt == 0:
-            continue
-        counts[idx] = (tok, cnt - 1)
-        prefix.append(tok)
-        yield from _token_tuples(counts, prefix, length)
-        prefix.pop()
-        counts[idx] = (tok, cnt)
+def _token_tuples(tokens: list, seq: list[int]):
+    """Each distinct arrangement of the ascending token indices ``seq``,
+    as a tuple of ``tokens``, in lexicographic order of the indices.  The
+    loop keeps no frame per coordinate, so any width runs."""
+    last = len(seq) - 1
+    while True:
+        yield tuple([tokens[i] for i in seq])
+        # the next permutation: raise the last ascent by the least larger
+        # index after it, then sort the suffix, which is descending
+        i = last - 1
+        while i >= 0 and seq[i] >= seq[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = last
+        while seq[j] <= seq[i]:
+            j -= 1
+        seq[i], seq[j] = seq[j], seq[i]
+        seq[i + 1:] = seq[:i:-1]
 
 
 def apply_map(p: EmbeddingMap, s: str) -> str:

@@ -68,6 +68,23 @@ class TestMaps:
     def test_formula_suite(self):
         assert check_map_counts() == []
 
+    @pytest.mark.parametrize("a, b, a2, b2", [(0, 0, 2, 2), (1, 1, 2, 2), (2, 1, 3, 3), (1, 2, 1, 4)])
+    @pytest.mark.parametrize("starred", [False, True])
+    def test_order_is_lexicographic(self, a, b, a2, b2, starred):
+        # slots in order, then '0', then '1': the distinct permutations of
+        # the tokens' indices, sorted
+        k = a + b + starred
+        tokens = [*range(k), "0", "1"]
+        indices = [*range(k)] + [k] * (a2 - a) + [k + 1] * (b2 - b)
+        want = [tuple(tokens[i] for i in p) for p in sorted(set(permutations(indices)))]
+        assert [p.tokens for p in enumerate_maps(a, b, a2, b2, starred)] == want
+
+    def test_wide_constant_map(self):
+        # one map per token multiset, however long: nothing recurses per
+        # coordinate
+        maps = list(enumerate_maps(0, 0, 0, 1500))
+        assert len(maps) == 1 and maps[0].tokens == ("1",) * 1500
+
     def test_identity_map(self):
         p = EmbeddingMap((0, 1), 2)
         assert apply_map(p, "01") == "01"

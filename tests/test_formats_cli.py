@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -669,6 +673,56 @@ class TestCli:
         xc2.write_text("vertex 1 1\n01\n10\n")
         assert main(["--threads", "4", "pattern", "x", "--graph", k4me_file]) == 64
         assert main(["ex-cube", "--n", "2", "--pattern", str(xc2), "--mode", "vertex"]) == 64
+
+
+class TestOneParser:
+    """``main`` builds its parser on the first call and reuses it: no call
+    leaves a trace in the next one."""
+
+    def test_built_on_the_first_call_not_at_import(self):
+        src = str(Path(patterns.__file__).parents[1])
+        probe = (
+            "import spcube.cli as c; print(c._build_parser.cache_info().currsize); "
+            "c.main(['table', 'fib', '--max-d', '0']); print(c._build_parser.cache_info().currsize)"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        )
+        assert run.stdout.splitlines()[0] == "0"
+        assert run.stdout.splitlines()[-1] == "1"
+
+    def test_one_command_then_another(self, capsys):
+        # table m resolves its --method in the namespace; table fib refuses
+        # any --method, so a resolved default that outlived its call would
+        # refuse the fib table.  The echo lists every option the namespace
+        # holds, so one left from an earlier command would show there
+        assert main(["table", "m", "--max-d", "2"]) == 0
+        assert [ln.split(",")[1] for ln in capsys.readouterr().out.splitlines()[1:]] == ["1", "2"]
+        assert main(["table", "fib", "--max-d", "2"]) == 0
+        captured = capsys.readouterr()
+        assert [ln.split(",")[1] for ln in captured.out.splitlines()[1:]] == ["1", "1", "2"]
+        assert captured.err.splitlines()[0] == "# spcube table fib --emit csv --max-d 2"
+        assert main(["pattern", "named", "--name", "x16"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("vertex 3 3\n")
+        assert captured.err.splitlines()[0] == "# spcube pattern named --name x16"
+
+    def test_usage_error_then_a_valid_command(self, capsys):
+        assert main(["table", "fib", "--max-d", "3", "--frobnicate"]) == 64
+        assert "unrecognized arguments: --frobnicate" in capsys.readouterr().err
+        assert main(["table", "fib", "--max-d", "3"]) == 0
+        captured = capsys.readouterr()
+        assert [ln.split(",")[1] for ln in captured.out.splitlines()[1:]] == ["1", "1", "2", "3"]
+        assert captured.err.splitlines()[0] == "# spcube table fib --emit csv --max-d 3"
+
+    def test_help_twice(self, capsys):
+        assert main(["--help"]) == 0
+        first = capsys.readouterr()
+        assert main(["--help"]) == 0
+        second = capsys.readouterr()
+        assert first.out.startswith("usage: spcube") and first.err == ""
+        assert second == first
 
 
 # every subcommand that reads a file, with {f} the fuzzed file, {x} a valid
