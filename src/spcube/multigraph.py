@@ -302,34 +302,53 @@ class _MaskList:
     the join of two sets on disjoint edges (every union of a member of
     each), and ``+`` the union of two disjoint sets, by concatenation;
     ``+=`` concatenates in place.  A product by {no edge}, the F of an
-    edge, is the other operand itself, not a copy.  Any other product is
-    made when its masks are first read, so one that nothing reads, such
-    as the F of a reduction's last parallel merge, costs nothing.  Values
-    may so share a list: none is mutated but the sum that ``_tree_set``
-    extends, and the finished set that ``spanning_trees`` sorts."""
+    edge, is the other operand itself, not a copy.  Any other product,
+    and every sum, is made when its masks are first read, so one that
+    nothing reads, such as the F of a reduction's last parallel merge,
+    costs nothing, and a bundle of k parallel edges, a chain of k sums,
+    is concatenated once.  Values may so share a list: none is mutated
+    but the sum that ``_tree_set`` extends and the finished set that
+    ``spanning_trees`` sorts, and a sum is made into a new list."""
 
-    __slots__ = ("_masks", "_factors")
+    __slots__ = ("_masks", "_factors", "_terms", "_count")
 
-    def __init__(self, masks: list[int] | None, factors: tuple | None = None):
-        self._masks, self._factors = masks, factors  # the operands of a product not yet made
+    def __init__(self, masks: list[int] | None, factors: tuple | None = None, terms: tuple | None = None):
+        # masks is None while the product of factors or the sum of terms is
+        # not yet made
+        self._masks, self._factors, self._terms = masks, factors, terms
 
     @property
     def masks(self) -> list[int]:
-        if self._factors is not None:
-            xs, ys = self._factors
-            self._masks, self._factors = [x | y for y in ys for x in xs], None
+        if self._masks is None:
+            if self._terms is None:
+                xs, ys = self._factors
+                self._masks, self._factors = [x | y for y in ys for x in xs], None
+            else:
+                # a chain of sums nests as deep as it is long: walk it in
+                # order by a stack of the right terms still to read
+                masks, stack = [], [self]
+                while stack:
+                    x = stack.pop()
+                    while x._terms is not None:
+                        x, right = x._terms
+                        stack.append(right)
+                    masks += x.masks
+                self._masks, self._terms = masks, None
         return self._masks
 
     def __mul__(self, other: _MaskList) -> _MaskList:
-        xs, ys = self.masks, other.masks
-        if len(ys) == 1 and not ys[0]:
+        # only a made {no edge} is seen, so no sum is made to check it; any
+        # other one is joined as a set, which is right, only slower
+        if other._masks == [0]:
             return self
-        if len(xs) == 1 and not xs[0]:
+        if self._masks == [0]:
             return other
-        return _MaskList(None, (xs, ys))
+        return _MaskList(None, (self.masks, other.masks))
 
     def __add__(self, other: _MaskList) -> _MaskList:
-        return _MaskList(self.masks + other.masks)
+        total = _MaskList(None, terms=(self, other))
+        total._count = self.bit_count() + other.bit_count()
+        return total
 
     def __iadd__(self, other: _MaskList) -> _MaskList:
         self.masks.extend(other.masks)
@@ -337,7 +356,12 @@ class _MaskList:
 
     def bit_count(self) -> int:
         """The number of members, as ``int.bit_count`` of a bitset."""
-        return len(self._masks) if self._factors is None else prod(map(len, self._factors))
+        if self._masks is not None:
+            return len(self._masks)
+        if self._terms is not None:
+            return self._count
+        xs, ys = self._factors
+        return len(xs) * len(ys)
 
 
 _ONE = re.compile("1")

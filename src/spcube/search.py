@@ -5,18 +5,21 @@ Two independent routes compute the edge-count maximum m(d) over marked
 
 * ``method="dp"`` (default): dynamic programming over achievable
   (T, F, |Y|) triples: the network's spanning trees, its 2-forests that
-  separate the terminals, and its pattern's edge count.  ``_combine``
-  composes two triples in series or in parallel, exactly (a 2-sum glues
+  separate the terminals, and its pattern's edge count.  ``_compose``
+  composes two triples in series and in parallel, exactly (a 2-sum glues
   pattern graphs by a product-join, which is what the parallel rule
-  computes; the series rule is its dual), so ``spterm._fold`` with it
-  gives any term's triple.  The rule is monotone in every coordinate, so
-  dominated triples can be pruned without losing maxima.
+  computes; the series rule is its dual), so ``spterm._fold`` with
+  ``_combine``, one of its two triples, gives any term's triple.  The
+  rule is monotone in every coordinate, so dominated triples can be
+  pruned without losing maxima.
   Dominated triples are pruned by an O(n log n) staircase sweep that
-  reads the triples alone, so witnesses are built only for the kept
-  ones.  Each kept triple holds its canonical witness with that term's
-  normalized reversal: a producer composes both from its parts' pairs
-  with O(1) new nodes, and is oriented by the enumeration's rule, the
-  smaller of the two keys.
+  reads the triples alone.  Each kept triple holds only its producers,
+  the pairs of lower kept triples that compose to it; its witness, the
+  canonical term with that term's normalized reversal, is built only
+  when a row reads it, memoized per (d, triple), from its parts'
+  witnesses with O(1) new nodes, and oriented by the enumeration's rule,
+  the smaller of the two keys.  So a table builds the witnesses its rows'
+  maxima reach and no others: 42 of the 1,543 kept triples to d = 16.
 * ``method="terms"``: literal iteration over all canonical terms,
   counting Hamming-1 pairs between the two tree sets of each marked
   graph.  The sets (the network's spanning trees and its 2-forests that
@@ -44,7 +47,6 @@ from fractions import Fraction
 from .catalog import fib_chain
 from .errors import SizeGuardError
 from .multigraph import (
-    _count_tf,
     check_marked_edge,
     graph_to_json,
     spanning_trees,
@@ -186,16 +188,23 @@ def _ms(start: float) -> float:
 # the m(d) table
 
 
+def _compose(x, y):
+    """The (T, F, |Y|) triples of two networks composed in series and in
+    parallel, in that order.  (T, F) composes by ``multigraph._count_tf``'s
+    rule, whose cross term t1 * f2 + f1 * t2 is the series F and the
+    parallel T.  A Hamming-1 pair of the composite is one of a part's
+    pairs joined with a tree of the other part in series, or with a
+    forest of it in parallel."""
+    (t1, f1, y1), (t2, f2, y2) = x, y
+    cross = t1 * f2 + f1 * t2
+    return (t1 * t2, cross, y1 * t2 + y2 * t1), (cross, f1 * f2, y1 * f2 + y2 * f1)
+
+
 def _combine(in_series: bool, x, y):
-    """The (T, F, |Y|) triple of two networks composed in series or in
-    parallel.  (T, F) composes by ``multigraph._count_tf``.  A Hamming-1
-    pair of the composite is one of a part's pairs joined with a tree of
-    the other part in series, or with a forest of it in parallel.
+    """``_compose``'s series or parallel triple, the fold signature:
     ``spterm._fold(t, repeat((1, 1, 1)), _combine)`` is the triple of any
     term t."""
-    (t1, f1, y1), (t2, f2, y2) = x, y
-    t, f = _count_tf(in_series, (t1, f1), (t2, f2))
-    return t, f, y1 * t2 + y2 * t1 if in_series else y1 * f2 + y2 * f1
+    return _compose(x, y)[not in_series]
 
 
 def _prune(cands: dict[tuple[int, int, int], object]) -> dict:
@@ -228,30 +237,30 @@ def _prune(cands: dict[tuple[int, int, int], object]) -> dict:
 
 def _dp_frontiers(frontiers: list[dict], d_max: int) -> None:
     """Extend ``frontiers``, which starts as ``[{}]``, through d_max.
-    frontiers[d]: the undominated (|X(G\\e)|, |X(G/e)|, |Y(G,e)|) triples
-    for d-edge networks, each with its witness, a (canonical term,
-    normalized reversal) pair.
-
-    A candidate triple records its producers, (in series or not, part,
-    part), each part a lower frontier's pair; only the producers of a
-    triple that survives ``_prune`` build terms (see ``_witness``)."""
+    frontiers[d] maps each undominated (|X(G\\e)|, |X(G/e)|, |Y(G,e)|)
+    triple of d-edge networks to its producers, (in series or not, d1,
+    part, part): a triple of frontier d1 and one of frontier d - d1 that
+    compose to it, in the order the pairs are tried.  No term is built
+    here: ``_witness`` builds a kept triple's witness when it is read."""
     for d in range(len(frontiers), d_max + 1):
-        cands: dict[tuple[int, int, int], list] = {}
-        if d == 1:
-            cands[(1, 1, 1)] = [(True, (EDGE, EDGE))]  # a series of one part is that part
+        # the edge is the one 1-edge network and has no producer
+        cands: dict[tuple[int, int, int], list] = {(1, 1, 1): []} if d == 1 else {}
         for d1 in range(1, d // 2 + 1):
-            d2 = d - d1
-            for t1_trip, w1 in frontiers[d1].items():
-                for t2_trip, w2 in frontiers[d2].items():
-                    for in_series in (True, False):
-                        trip = _combine(in_series, t1_trip, t2_trip)
-                        cands.setdefault(trip, []).append((in_series, w1, w2))
-        frontiers.append({trip: _witness(producers) for trip, producers in _prune(cands).items()})
+            others = frontiers[d - d1]
+            for x in frontiers[d1]:
+                for y in others:
+                    in_series, in_parallel = _compose(x, y)
+                    cands.setdefault(in_series, []).append((True, d1, x, y))
+                    cands.setdefault(in_parallel, []).append((False, d1, x, y))
+        frontiers.append(_prune(cands))
 
 
-def _witness(producers: list) -> tuple[SpTerm, SpTerm]:
-    """The key-least canonical term among the producers' compositions,
-    with its normalized reversal.
+def _witness(frontiers: list[dict], built: dict, d: int, trip) -> tuple[SpTerm, SpTerm]:
+    """The key-least canonical term among the compositions that produce
+    the kept triple ``trip`` of frontier d, with its normalized reversal.
+    Memoized in ``built`` per (d, trip); the parts' witnesses are built
+    first, through this function, so only the witnesses that a read
+    reaches are ever built.
 
     The parts are flattened and normalized, so a composition n and its
     normalized reversal r take O(1) new nodes each: a series lists the
@@ -259,17 +268,22 @@ def _witness(producers: list) -> tuple[SpTerm, SpTerm]:
     ``canonical(n)`` is n when ``n.key <= r.key`` and r otherwise: the
     rule the term enumeration keeps its representatives by.  The first
     producer wins among equal keys."""
-    best = None
-    for in_series, *parts in producers:
-        terms, reversals = zip(*parts)
+    best = built.get((d, trip))
+    if best is not None:
+        return best
+    if d == 1:
+        best = EDGE, EDGE
+    for in_series, d1, x, y in frontiers[d][trip]:
+        (n1, r1), (n2, r2) = _witness(frontiers, built, d1, x), _witness(frontiers, built, d - d1, y)
         if in_series:
-            n, r = series(*terms), series(*reversals[::-1])
+            n, r = series(n1, n2), series(r2, r1)
         else:
-            n, r = _merge_parallel(*terms), _merge_parallel(*reversals)
+            n, r = _merge_parallel(n1, n2), _merge_parallel(r1, r2)
         if r.key < n.key:
             n, r = r, n
         if best is None or n.key < best[0].key:
             best = n, r
+    built[d, trip] = best
     return best
 
 
@@ -315,22 +329,31 @@ def m_value(d: int, method: str = "dp") -> tuple[int, SpTerm]:
 def m_table(d_max: int, method: str = "dp") -> list[TableRow]:
     """Rows (d, m(d), witness term, millis) for d = 1..d_max.  Refuses
     before any row is computed.  A row's millis times that row alone:
-    with the DP, row d builds only frontier d, from the lower ones."""
+    with the DP, row d builds only frontier d, from the lower ones, and
+    the witnesses it reads that no earlier row built."""
     return _m_rows(d_max, method, 1)
 
 
 def _m_rows(d_max: int, method: str, first: int) -> list[TableRow]:
     """Rows first..d_max of the table to d_max.  A DP row extends the
-    frontiers through d and reads the largest |Y| on frontier d; a terms
-    row scores every canonical term with d edges."""
+    frontiers through d and reads the largest |Y| on frontier d, building
+    the witnesses of that |Y|'s triples only (and, once, those of the
+    parts they reach); a terms row scores every canonical term with d
+    edges."""
     _check_m_guard(d_max, method)
     frontiers: list[dict] = [{}]
+    built: dict = {}
     rows = []
     for d in range(first, d_max + 1):
         start = time.perf_counter()
         if method == "dp":
             _dp_frontiers(frontiers, d)
-            value, witness = _best((e, w) for (_, _, e), (w, _) in frontiers[d].items())
+            top = max(e for _, _, e in frontiers[d])
+            value, witness = _best(
+                (e, _witness(frontiers, built, d, (t, f, e))[0])
+                for t, f, e in frontiers[d]
+                if e == top
+            )
         else:
             value, witness = _best((_y_size(t), t) for t in enumerate_terms(d))
         rows.append(TableRow(d, value, witness, _ms(start)))

@@ -131,6 +131,14 @@ class TestSpanningTreesAbove20Edges:
         assert tree_count(g) == 2**11
         self._check(g)
 
+    def test_bundle_of_8192_parallel_edges(self):
+        # each parallel merge adds one tree to the bundle's sum; the sum is
+        # made once, when read, so this costs linear time, not quadratic
+        g = catalog.parallel_edges(8192)
+        masks = spanning_trees(g)
+        assert len(masks) == len(set(masks)) == tree_count(g) == g.e
+        assert masks == sorted(masks) == [1 << i for i in range(g.e)]
+
     @pytest.mark.parametrize("seed", range(8))
     def test_random_sp(self, seed):
         rng = random.Random(seed)
@@ -368,6 +376,25 @@ class TestTreeSetValues:
             assert (x + y).masks == a + b  # a multiset sum, duplicates kept
             x += y
             assert x.masks == a + b and x.bit_count() == len(a) + len(b)
+
+    def test_sums_made_in_order_when_read(self):
+        # chains of sums nest left and right far deeper than the recursion
+        # limit; reading one makes a list of its own and leaves its terms
+        rng = random.Random(2)
+        parts = [[rng.randrange(64) for _ in range(rng.randint(1, 3))] for _ in range(3000)]
+        values = [multigraph._MaskList(p) for p in parts]
+        left = right = values[0]
+        for x in values[1:]:
+            left, right = left + x, x + right
+        flat = [m for p in parts for m in p]
+        assert left.bit_count() == len(flat) and left.masks == flat
+        assert right.masks == [m for p in reversed(parts[1:]) for m in p] + parts[0]
+        assert [x.masks for x in values] == parts
+        middle = values[0] + values[1]
+        total = middle + values[2]
+        total += values[3]
+        assert total.masks == parts[0] + parts[1] + parts[2] + parts[3]
+        assert middle.masks == parts[0] + parts[1]
 
     def test_product_by_no_edge_is_the_operand(self):
         # {no edge} is the F of every edge: a bundle of parallel edges

@@ -35,6 +35,7 @@ from spcube import (
     tree_sets,
     y_pattern,
 )
+from spcube.multigraph import _count_tf
 from spcube.patterns import _starred
 from spcube.search import m_value_all_marked_graphs
 from spcube.verify import (
@@ -145,6 +146,17 @@ def _canonicalizing_frontiers(d_max):
                             cands[trip] = w
         frontier[d] = _prune_reference(cands)
     return frontier
+
+
+def _kept_witnesses(d_max):
+    """Every kept triple's (witness, normalized reversal) through d_max,
+    one dict per frontier, each built by the DP's lazy builder."""
+    frontiers, built = [{}], {}
+    search._dp_frontiers(frontiers, d_max)
+    return [
+        {trip: search._witness(frontiers, built, d, trip) for trip in frontier}
+        for d, frontier in enumerate(frontiers)
+    ]
 
 
 class TestFib:
@@ -395,11 +407,9 @@ class TestMTable:
         # triple, pinned from the DP that oriented each winner by the
         # memoized key of its rebuilt normalized reversal; the
         # canonicalizing oracle below reaches only d = 12
-        frontiers = [{}]
-        search._dp_frontiers(frontiers, 16)
         lines = sorted(
             f"{d} {t} {f} {y} {w.key}"
-            for d, frontier in enumerate(frontiers)
+            for d, frontier in enumerate(_kept_witnesses(16))
             for (t, f, y), (w, _) in frontier.items()
         )
         assert len(lines) == 1543
@@ -408,11 +418,10 @@ class TestMTable:
         )
 
     def test_frontiers_match_canonicalizing_dp(self):
-        frontiers = [{}]
-        search._dp_frontiers(frontiers, 12)
-        terms = [{trip: w for trip, (w, _) in frontier.items()} for frontier in frontiers]
+        witnesses = _kept_witnesses(12)
+        terms = [{trip: w for trip, (w, _) in frontier.items()} for frontier in witnesses]
         assert terms == _canonicalizing_frontiers(12)
-        for frontier in frontiers:
+        for frontier in witnesses:
             for w, r in frontier.values():
                 assert canonical(w) == w
                 assert r == spterm._norm(spterm.reverse_term(w))
@@ -430,6 +439,44 @@ class TestMTable:
                     len(y_pattern(g, 0)),
                 )
                 assert spterm._fold(t, repeat((1, 1, 1)), search._combine) == want, t.key
+
+    def test_compose_shares_the_tf_rule(self):
+        # the triple rule's (T, F) is multigraph's (T, F) rule, on both kinds
+        rng = random.Random(362)
+        for _ in range(200):
+            x, y = (tuple(rng.randint(0, 60) for _ in range(3)) for _ in range(2))
+            for in_series, trip in zip((True, False), search._compose(x, y)):
+                assert trip[:2] == _count_tf(in_series, x[:2], y[:2])
+                assert trip == search._combine(in_series, x, y)
+
+    def test_witnesses_built_only_where_rows_read(self, monkeypatch):
+        # m_table builds the witness of each (d, triple) that its rows'
+        # largest-|Y| triples reach through their producers, and each once
+        builds = []
+        real_witness = search._witness
+
+        def recording_witness(frontiers, built, d, trip):
+            if (d, trip) not in built:
+                builds.append((d, trip))
+            return real_witness(frontiers, built, d, trip)
+
+        monkeypatch.setattr(search, "_witness", recording_witness)
+        rows = m_table(16)
+        frontiers = [{}]
+        search._dp_frontiers(frontiers, 16)
+        stack = [
+            (row.d, trip) for row in rows for trip in frontiers[row.d] if trip[2] == row.value
+        ]
+        reached = set()
+        while stack:
+            d, trip = node = stack.pop()
+            if node not in reached:
+                reached.add(node)
+                for _, d1, x, y in frontiers[d][trip]:
+                    stack += [(d1, x), (d - d1, y)]
+        assert len(reached) == 42
+        assert len(builds) == len(set(builds))
+        assert set(builds) == reached
 
     def test_pruning_keeps_the_maxima(self):
         # every triple that the rule reaches from (1, 1, 1), with no prune:

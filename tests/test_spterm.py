@@ -102,10 +102,11 @@ class TestDerivedTerms:
     def test_dp_witnesses(self):
         # the DP builds its witnesses and their reversals by series and
         # by merging normalized parallel parts
-        frontiers = [{}]
+        frontiers, built = [{}], {}
         search._dp_frontiers(frontiers, search.M_TABLE_LIMIT)
-        for frontier in frontiers:
-            for witness, reversal in frontier.values():
+        for d, frontier in enumerate(frontiers):
+            for trip in frontier:
+                witness, reversal = search._witness(frontiers, built, d, trip)
                 _assert_passes_the_checks(witness)
                 _assert_passes_the_checks(reversal)
 
